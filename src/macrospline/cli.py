@@ -95,8 +95,6 @@ def cmd_converge(args) -> int:
         base_n=args.base_n,
         sigma=args.sigma,
         threads=args.threads,
-        out=args.out,
-        fmt=args.fmt,
     )
     config.validate()
     table = run_convergence(config)
@@ -118,8 +116,6 @@ def cmd_shishkin(args) -> int:
         smooth_amplitude=args.smooth_amplitude,
         edge_amplitude=args.edge_amplitude,
         threads=args.threads,
-        out=args.out,
-        fmt=args.fmt,
     )
     config.validate()
     table = run_shishkin(config)

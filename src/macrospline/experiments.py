@@ -53,7 +53,7 @@ FLOAT_FMT = "%.17g"
 class ExperimentConfig:
     operator: str = "full"
     field: str = "sin_sin"
-    mesh_family: str = "uniform"  # uniform | stretched | shishkin
+    mesh_family: str = "uniform"  # uniform | shishkin
     levels: int = 4
     base_n: int = 2
     N_list: tuple = (8, 16, 32, 64)
@@ -65,8 +65,6 @@ class ExperimentConfig:
     smooth_amplitude: float = 1.0
     edge_amplitude: float = 1.0
     threads: int = 1
-    out: str | None = None
-    fmt: str = "csv"
 
     def validate(self):
         if self.operator not in OPERATORS:
@@ -115,12 +113,10 @@ def ls_slope(errors, hs, tail: int = 3):
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
-def _apply_mesh_operator(operator, field, n, sigma_strategy="left", aspect=1.0):
+def _apply_mesh_operator(operator, field, n, sigma_strategy="left"):
     """Interpolant of ``field`` on an n-per-side mesh; returns (poly, h)."""
     gx = np.linspace(0.0, 1.0, n + 1)
     gy = np.linspace(0.0, 1.0, n + 1)
-    if aspect != 1.0:
-        gx = np.linspace(0.0, 1.0, max(2, int(n / aspect)) + 1)
     if operator in ("full", "reduced", "quasi"):
         mesh = build_macro_mesh(gx, gy)
         if operator == "full":

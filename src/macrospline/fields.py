@@ -270,7 +270,6 @@ def make_layer_decomposition(
 
 
 def field_registry() -> dict:
-    reg = {name: make_smooth_field for name in _SMOOTH}
     return {
         "sin_sin": lambda: make_smooth_field("sin_sin"),
         "exp_xy": lambda: make_smooth_field("exp_xy"),

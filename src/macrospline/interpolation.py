@@ -1,20 +1,20 @@
 """Interpolation operators on tensor-product rectangle meshes.
 
-All operators produce a :class:`PiecewisePoly2D`, a per-element grid of
-tensor monomial coefficients in element-local coordinates.  Available
-operators:
-
-* full C1 macro interpolation from values and first/mixed derivatives at
-  the four macro vertices (Lagrange and Newton assemblies),
-* the reduced variant that drops the mixed-derivative basis functions,
-* quasi-interpolation that replaces the mixed-derivative point values by
-  weighted averages over selected macro edges,
-* bicubic Hermite element interpolation,
-* the anisotropic two-element macro operator (quadratic Lagrange along
-  the long direction, C1 spline across),
-* the standard biquadratic nodal interpolant,
-* the composite operator on a Shishkin mesh that glues the above
-  together with a continuous normal derivative across long edges.
+Every operator returns a :class:`PiecewisePoly2D`, a per-element grid of
+tensor monomial coefficients in element-local coordinates.  Each is
+defined on one macro the same way: gather the corner functionals
+(values, scaled slopes, mixed derivatives or Lagrange node values) into
+a matrix G, then apply fixed basis matrices, B_x^T G B_y.  The per-macro
+functions (full and reduced C1 macro, bicubic Hermite, biquadratic
+nodal, anisotropic two-element macro) spell this out for one macro and
+are the reference.  The mesh-level operators run the same recipe for all
+cells at once: ``_gather`` makes one field call per derivative order on
+the tensor grid of nodes and returns G for every cell, and the matrices
+act on the stacked array, which reproduces the per-macro coefficients
+bit for bit.  Quasi-interpolation replaces the mixed entries of G by
+weighted edge averages of u_xy; the Shishkin composite glues quasi,
+anisotropic and nodal interpolation, with interface slopes taken from
+the interior so the normal derivative is continuous across long edges.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .mesh import MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection
+from .mesh import MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect
 from .spline_core import (
     DualWeight,
     HERMITE_DD_MATRIX,
@@ -162,17 +162,6 @@ class PiecewisePoly2D:
     def __call__(self, x, y, ax=0, ay=0):
         return self.evaluate(x, y, ax, ay)
 
-    def element_values(self, ix, jy, xi, eta, ax=0, ay=0):
-        """D^(ax,ay) on one element at local coordinates (vectorized)."""
-        c = self.coef[jy, ix]
-        for _ in range(ax):
-            c = np.polynomial.polynomial.polyder(c, axis=0)
-        for _ in range(ay):
-            c = np.polynomial.polynomial.polyder(c, axis=1)
-        wx = self.grid_x[ix + 1] - self.grid_x[ix]
-        wy = self.grid_y[jy + 1] - self.grid_y[jy]
-        return np.polynomial.polynomial.polyval2d(xi, eta, c) * (2.0 / wx) ** ax * (2.0 / wy) ** ay
-
     def as_field(self, name: str = "mesh_function") -> ScalarField:
         return ScalarField(name, lambda x, y, ax, ay: self.evaluate(x, y, ax, ay))
 
@@ -306,25 +295,14 @@ def nodal_q2(field, element) -> PiecewisePoly2D:
     return PiecewisePoly2D(np.array([x0, x1]), np.array([y0, y1]), C[None, None, :, :])
 
 
-def _aniso_blocks_y(field, x0, x1, y0, y1, assembly, dy_override=None):
-    """Coefficient blocks [sy] for the y-spline anisotropic operator.
-
-    ``dy_override``: optional (bottom, top) arrays replacing the y-derivative
-    data at the three Lagrange points of that edge (used to match an
-    adjacent interpolant's normal derivative).
-    """
+def _aniso_blocks_y(field, x0, x1, y0, y1, assembly):
+    """Coefficient blocks [sy] for the y-spline anisotropic operator."""
     hy = 0.5 * (y1 - y0)
     xs = np.array([x0, 0.5 * (x0 + x1), x1])
     ys = np.array([y0, y1])
     G = np.empty((3, 4))
     for py in (0, 1):
         G[:, py::2] = hy**py * np.asarray(field(xs[:, None], ys[None, :], 0, py))
-    if dy_override is not None:
-        bottom, top = dy_override
-        if bottom is not None:
-            G[:, 1] = hy * np.asarray(bottom)
-        if top is not None:
-            G[:, 3] = hy * np.asarray(top)
     if assembly == "lagrange":
         return [_LG3.T @ G @ _HB[sy] for sy in (0, 1)]
     F = LAGRANGE3_DD_MATRIX @ G @ HERMITE_DD_MATRIX.T
@@ -339,7 +317,7 @@ class _Transposed:
         return self.field(y, x, ay, ax)
 
 
-def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "lagrange", deriv_override=None) -> PiecewisePoly2D:
+def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "lagrange") -> PiecewisePoly2D:
     """Anisotropic two-element macro interpolant.
 
     For ``y_spline`` the macro is one element wide and split across its
@@ -350,7 +328,7 @@ def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "l
     x0, x1, y0, y1 = macro
     _check_macro(x0, x1, y0, y1)
     if orientation == "y_spline":
-        blocks = _aniso_blocks_y(field, x0, x1, y0, y1, assembly, deriv_override)
+        blocks = _aniso_blocks_y(field, x0, x1, y0, y1, assembly)
         gx = np.array([x0, x1])
         gy = np.array([y0, 0.5 * (y0 + y1), y1])
         coef = np.empty((2, 1, 3, 3))
@@ -358,52 +336,94 @@ def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "l
             coef[sy, 0] = blocks[sy]
         return PiecewisePoly2D(gx, gy, coef)
     if orientation == "x_spline":
-        swapped = interp_aniso(_Transposed(field), (y0, y1, x0, x1), "y_spline", assembly, deriv_override)
+        swapped = interp_aniso(_Transposed(field), (y0, y1, x0, x1), "y_spline", assembly)
         coef = np.transpose(swapped.coef, (1, 0, 3, 2))
         return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
     raise ValueError("orientation must be 'y_spline' or 'x_spline'")
 
 
 # ---------------------------------------------------------------------------
-# Mesh-level drivers.
+# Mesh-level operators: gather the cell functionals, apply the basis matrices.
 # ---------------------------------------------------------------------------
 
-
-def _mesh_driver(field, mesh: MacroMesh, macro_op) -> PiecewisePoly2D:
-    nmx, nmy = mesh.n_macros
-    gx, gy = mesh.element_x, mesh.element_y
-    coef = np.zeros((2 * nmy, 2 * nmx, 3, 3))
-    for mj in range(nmy):
-        for mi in range(nmx):
-            local = macro_op(field, mesh.macro_bounds(mi, mj), (mi, mj))
-            coef[2 * mj : 2 * mj + 2, 2 * mi : 2 * mi + 2] = local.coef
-    return PiecewisePoly2D(gx, gy, coef)
+# Functionals of a cell along one axis as (node offset, derivative order);
+# the last offset is the cell's stride on the node grid.
+_HERMITE = ((0, 0), (0, 1), (1, 0), (1, 1))  # value, scaled slope at each end
+_LAGRANGE = ((0, 0), (1, 0), (2, 0))  # ends and midpoint, on a bisected grid
 
 
-def interp_full(field, mesh: MacroMesh, assembly: str = "lagrange") -> PiecewisePoly2D:
-    return _mesh_driver(field, mesh, lambda f, b, _: interp_full_macro(f, b, assembly))
+def _half_widths(grid, stride=1):
+    return 0.5 * (grid[stride::stride] - grid[:-stride:stride])
+
+
+def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
+    """Scaled functionals ``G[j, i, r, c]`` of every cell (i, j) of a tensor grid.
+
+    Row r applies ``rows_x[r]`` along x and column c applies ``rows_y[c]``
+    along y; derivative order (p, q) is scaled by hx**p * hy**q with the
+    cell half-widths.  One field call per derivative order covers the
+    whole node grid.
+    """
+    gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
+    sx, sy = rows_x[-1][0], rows_y[-1][0]
+    hx, hy = _half_widths(gx, sx), _half_widths(gy, sy)
+    if not (np.all(hx > 0) and np.all(hy > 0)):
+        raise ValueError("degenerate macro bounds")
+    aspect = max(hx.max() / hy.min(), hy.max() / hx.min())
+    if aspect > ASPECT_WARN:
+        warnings.warn(f"macro aspect ratio {aspect:.2e} may lose precision", stacklevel=3)
+    nx, ny = len(hx), len(hy)
+    G = np.empty((ny, nx, len(rows_x), len(rows_y)))
+    values = {}
+    for r, (ox, px) in enumerate(rows_x):
+        for c, (oy, py) in enumerate(rows_y):
+            if (px, py) not in values:
+                v = np.asarray(field(gx[:, None], gy[None, :], px, py))
+                values[px, py] = np.broadcast_to(v, (len(gx), len(gy))).T
+            V = values[px, py][oy : oy + sy * ny : sy, ox : ox + sx * nx : sx]
+            G[:, :, r, c] = hx[None, :] ** px * hy[:, None] ** py * V
+    return G
+
+
+def _c1_coef(G) -> np.ndarray:
+    """Element coefficients of the C1 macro interpolant from Hermite data G."""
+    ny, nx = G.shape[:2]
+    coef = np.empty((2 * ny, 2 * nx, 3, 3))
+    for sy in (0, 1):
+        for sx in (0, 1):
+            coef[sy::2, sx::2] = _HB[sx].T @ G @ _HB[sy]
+    return coef
+
+
+def _aniso_coef(G) -> np.ndarray:
+    """Element coefficients of the y-spline anisotropic operator from G."""
+    coef = np.empty((2 * G.shape[0], G.shape[1], 3, 3))
+    for sy in (0, 1):
+        coef[sy::2] = _LG3.T @ G @ _HB[sy]
+    return coef
+
+
+def interp_full(field, mesh: MacroMesh) -> PiecewisePoly2D:
+    G = _gather(field, mesh.macro_x.coordinates, mesh.macro_y.coordinates, _HERMITE, _HERMITE)
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
 
 
 def interp_reduced(field, mesh: MacroMesh) -> PiecewisePoly2D:
-    return _mesh_driver(field, mesh, lambda f, b, _: interp_reduced_macro(f, b))
+    G = _gather(field, mesh.macro_x.coordinates, mesh.macro_y.coordinates, _HERMITE, _HERMITE)
+    G[:, :, 1::2, 1::2] = 0.0
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
 
 
 def interp_bfs_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
-    gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
-    coef = np.zeros((len(gy) - 1, len(gx) - 1, 4, 4))
-    for jy in range(len(gy) - 1):
-        for ix in range(len(gx) - 1):
-            coef[jy, ix] = interp_bfs(field, (gx[ix], gx[ix + 1], gy[jy], gy[jy + 1])).coef[0, 0]
-    return PiecewisePoly2D(gx, gy, coef)
+    G = _gather(field, grid_x, grid_y, _HERMITE, _HERMITE)
+    F = HERMITE_DD_MATRIX @ G @ HERMITE_DD_MATRIX.T
+    return PiecewisePoly2D(grid_x, grid_y, _BFSN.T @ F @ _BFSN)
 
 
 def nodal_q2_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
-    coef = np.zeros((len(gy) - 1, len(gx) - 1, 3, 3))
-    for jy in range(len(gy) - 1):
-        for ix in range(len(gx) - 1):
-            coef[jy, ix] = nodal_q2(field, (gx[ix], gx[ix + 1], gy[jy], gy[jy + 1])).coef[0, 0]
-    return PiecewisePoly2D(gx, gy, coef)
+    G = _gather(field, _bisect(gx), _bisect(gy), _LAGRANGE, _LAGRANGE)
+    return PiecewisePoly2D(gx, gy, _LG3.T @ G @ _LG3)
 
 
 def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_spline") -> PiecewisePoly2D:
@@ -412,52 +432,59 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
     lag = np.asarray(lagrange_grid, dtype=float)
     spl = np.asarray(spline_grid, dtype=float)
     if orientation == "y_spline":
-        gx, gy = lag, _bisect_coords(spl)
-        coef = np.zeros((len(gy) - 1, len(gx) - 1, 3, 3))
-        for mj in range(len(spl) - 1):
-            for ix in range(len(lag) - 1):
-                local = interp_aniso(field, (lag[ix], lag[ix + 1], spl[mj], spl[mj + 1]), "y_spline")
-                coef[2 * mj : 2 * mj + 2, ix] = local.coef[:, 0]
-        return PiecewisePoly2D(gx, gy, coef)
-    swapped = interp_aniso_mesh(_Transposed(field), lagrange_grid, spline_grid, "y_spline")
+        G = _gather(field, _bisect(lag), spl, _LAGRANGE, _HERMITE)
+        return PiecewisePoly2D(lag, _bisect(spl), _aniso_coef(G))
+    swapped = interp_aniso_mesh(_Transposed(field), lag, spl, "y_spline")
     coef = np.transpose(swapped.coef, (1, 0, 3, 2))
     return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
-
-
-def _bisect_coords(c):
-    out = np.empty(2 * len(c) - 1)
-    out[0::2] = c
-    out[1::2] = 0.5 * (c[:-1] + c[1:])
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Quasi-interpolation.
 # ---------------------------------------------------------------------------
 
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
+# Five-point Gauss on each half of the reference edge [-1, 1], split at the
+# midpoint where the dual weight (and a mesh function's derivative) may
+# kink.  The weight scales like 1/h and the rule like h, so the average
+# over an edge of half-length h is a fixed weight vector, one per node
+# side, dotted with u_xy at mid + h * _SIGMA_T.
+_G5, _W5 = np.polynomial.legendre.leggauss(5)
+_SIGMA_T = np.concatenate([0.5 * (_G5 - 1.0), 0.5 * (_G5 + 1.0)])
+_SIDES = ("left", "right")
+_SIGMA_W = np.array([0.5 * np.tile(_W5, 2) * eval_dual_weight(DualWeight((-1.0, 1.0), s), _SIGMA_T) for s in _SIDES])
+
+
+def _sigma_averages(field, edges) -> np.ndarray:
+    """Weighted means of u_xy over the given sigma edges, in one field call."""
+    rows = [(*e.span, e.level, e.orientation == "horizontal", _SIDES.index(e.node_side)) for e in edges]
+    lo, hi, level, horizontal, side = np.array(rows, dtype=float).T
+    if np.any(hi <= lo):
+        raise ValueError("degenerate edge interval")
+    along = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _SIGMA_T
+    across = np.broadcast_to(level[:, None], along.shape)
+    horizontal = (horizontal > 0)[:, None]
+    vals = field(np.where(horizontal, along, across), np.where(horizontal, across, along), 1, 1)
+    return np.sum(_SIGMA_W[side.astype(int)] * vals, axis=1)
 
 
 def sigma_average(field, edge: SigmaEdge) -> float:
-    """Weighted mean of the mixed derivative over one macro edge.
+    """Weighted mean of the mixed derivative over one macro edge."""
+    return float(_sigma_averages(field, [edge])[0])
 
-    Five-point Gauss on each half of the edge, split at the midpoint
-    where the weight (and a mesh function's derivative) may kink.
-    """
-    lo, hi = edge.span
-    weight = DualWeight((lo, hi), edge.node_side)
-    mid = 0.5 * (lo + hi)
-    nodes, wts = _GAUSS5
-    total = 0.0
-    for a, b in ((lo, mid), (mid, hi)):
-        half = 0.5 * (b - a)
-        pts = 0.5 * (a + b) + half * nodes
-        if edge.orientation == "horizontal":
-            vals = field(pts, np.full_like(pts, edge.level), 1, 1)
-        else:
-            vals = field(np.full_like(pts, edge.level), pts, 1, 1)
-        total += half * float(np.dot(wts, np.asarray(vals) * eval_dual_weight(weight, pts)))
-    return total
+
+def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
+    """Hermite data on a macro grid with every mixed entry replaced by the
+    sigma average at its node; grid node (i, j) is sigma node
+    (nodes_x[i], nodes_y[j])."""
+    G = _gather(field, grid_x, grid_y, _HERMITE, _HERMITE)
+    edges = [sigma.edge((a, b)) for b in nodes_y for a in nodes_x]
+    A = _sigma_averages(field, edges).reshape(len(nodes_y), len(nodes_x))
+    ny, nx = G.shape[:2]
+    hxy = _half_widths(grid_x)[None, :] * _half_widths(grid_y)[:, None]
+    for p, di in ((1, 0), (3, 1)):
+        for q, dj in ((1, 0), (3, 1)):
+            G[:, :, p, q] = hxy * A[dj : dj + ny, di : di + nx]
+    return G
 
 
 def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly2D:
@@ -469,48 +496,28 @@ def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly
     on the associated macro patch.
     """
     nmx, nmy = mesh.n_macros
-    averages = {}
-
-    def macro_op(f, bounds, idx):
-        mi, mj = idx
-        x0, x1, y0, y1 = bounds
-        hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-        G = _hermite_data(f, x0, x1, y0, y1)
-        for (p, q), node in (((1, 1), (mi, mj)), ((1, 3), (mi, mj + 1)), ((3, 1), (mi + 1, mj)), ((3, 3), (mi + 1, mj + 1))):
-            node = tuple(node)
-            if node not in averages:
-                averages[node] = sigma_average(f, sigma.edge(node))
-            G[p, q] = hx * hy * averages[node]
-        return _macro_poly(x0, x1, y0, y1, _blocks_from_hermite(G))
-
-    return _mesh_driver(field, mesh, macro_op)
+    mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    G = _quasi_data(field, mx, my, sigma, range(nmx + 1), range(nmy + 1))
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
 
 
 def assemble_from_nodal_data(mesh: MacroMesh, dofs) -> PiecewisePoly2D:
-    """C1 biquadratic mesh function from nodal (v, v_x, v_y, v_xy) data."""
+    """C1 biquadratic mesh function from nodal (v, v_x, v_y, v_xy) data.
 
-    def macro_op(_f, bounds, idx):
-        mi, mj = idx
-        x0, x1, y0, y1 = bounds
-        hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-        G = np.empty((4, 4))
-        for p, (px, di) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-            for q, (py, dj) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-                v = dofs[(mi + di, mj + dj)]
-                G[p, q] = hx**px * hy**py * v[px + 2 * py]
-        return _macro_poly(x0, x1, y0, y1, _blocks_from_hermite(G))
-
-    return _mesh_driver(None, mesh, macro_op)
+    ``dofs[i, j]`` holds the data at macro node (i, j): a dict keyed by
+    index pairs or an array of shape (nx + 1, ny + 1, 4).
+    """
+    nmx, nmy = mesh.n_macros
+    D = np.array([[dofs[i, j] for j in range(nmy + 1)] for i in range(nmx + 1)], dtype=float)
+    mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    G = _gather(lambda x, y, px, py: D[:, :, px + 2 * py], mx, my, _HERMITE, _HERMITE)
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
 
 
 def random_c1q2(mesh: MacroMesh, rng) -> PiecewisePoly2D:
     """Random member of the C1 biquadratic space over the element mesh."""
     nmx, nmy = mesh.n_macros
-    dofs = {}
-    for i in range(nmx + 1):
-        for j in range(nmy + 1):
-            dofs[(i, j)] = tuple(rng.normal(size=4))
-    return assemble_from_nodal_data(mesh, dofs)
+    return assemble_from_nodal_data(mesh, rng.normal(size=(nmx + 1, nmy + 1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,27 +538,9 @@ class CompositeInterpolant:
         return self.poly.evaluate(x, y, ax, ay)
 
 
-def _nodal_edge_slope(field, coords_along, level, step, orientation, inward: int):
-    """Derivative of the interior nodal interpolant transverse to an
-    interface, at points along it.
-
-    ``inward`` is +1 when the interior element extends to larger
-    transverse coordinates, -1 otherwise.  The derivative of a quadratic
-    through the interface node, the first interior midpoint and the first
-    interior node is a fixed nodal combination.
-    """
-    s = np.asarray(coords_along, dtype=float)
-    lv = level
-
-    def at(offset):
-        if orientation == "horizontal":  # values along a horizontal line
-            return np.asarray(field(s, np.full_like(s, lv + offset)))
-        return np.asarray(field(np.full_like(s, lv + offset), s))
-
-    v0 = at(0.0)
-    v1 = at(inward * step * 0.5)
-    v2 = at(inward * step)
-    return inward * (-3.0 * v0 + 4.0 * v1 - v2) / step
+def _edge_slope(v, w):
+    """Slope at v[..., 0] of the quadratic through v[..., :3] at steps 0, w/2, w."""
+    return (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / w
 
 
 def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> CompositeInterpolant:
@@ -563,88 +552,45 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     interpolation; the result is continuous with a continuous normal
     derivative across long (type II) and corner-region (type IV) edges.
     """
-    N = mesh.N
-    n4 = N // 4
+    N, n4 = mesh.N, mesh.N // 4
     gx, gy = mesh.grid_x, mesh.grid_y
-    H = mesh.coarse_step
+    core, inner = slice(n4, 3 * n4 + 1), slice(n4, 3 * n4)  # core node lines, core elements
+    # (macro lines, elements) of the low and the high fine band
+    bands = ((slice(0, n4 + 1, 2), slice(0, n4)), (slice(3 * n4, N + 1, 2), slice(3 * n4, N)))
     coef = np.zeros((N, N, 3, 3))
-    averages = {}
 
-    def corner_average(node):
-        if node not in averages:
-            averages[node] = sigma_average(field, sigma.edge(node))
-        return averages[node]
-
+    V = _gather(field, _bisect(gx[core]), _bisect(gy[core]), _LAGRANGE, _LAGRANGE)
+    coef[inner, inner] = _LG3.T @ V @ _LG3
+    # Normal slopes of the interior nodal interpolant on its low and high
+    # interfaces, [element along the interface, Lagrange point].
+    wx, wy = np.diff(gx[core]), np.diff(gy[core])
+    slope_y = (_edge_slope(V[0], wy[0]), -_edge_slope(V[-1, :, :, ::-1], wy[-1]))
+    slope_x = (_edge_slope(V[:, 0].swapaxes(1, 2), wx[0]), -_edge_slope(V[:, -1, ::-1].swapaxes(1, 2), wx[-1]))
     modifications = {}
+    for axis, grid, slopes in (("y", gy, slope_y), ("x", gx, slope_x)):
+        for level, s in zip((n4, 3 * n4), slopes):
+            modifications.update({(axis, grid[level], n4 + k): row for k, row in enumerate(s)})
 
-    def interface_slopes(key, coords, level, orientation, inward):
-        if key not in modifications:
-            modifications[key] = _nodal_edge_slope(field, coords, level, H, orientation, inward)
-        return modifications[key]
+    # Edge strips: one anisotropic gather per band, with the spline slopes
+    # on the core-facing edge taken from the interior.  The x-strips are
+    # the y-strips of the transposed field, written through a transposed view.
+    strips = ((field, gx, gy, slope_y, coef), (_Transposed(field), gy, gx, slope_x, coef.transpose(1, 0, 3, 2)))
+    for f, along, across, slopes, out in strips:
+        for (lines, elements), j, c, s in zip(bands, (-1, 0), (3, 1), slopes):
+            G = _gather(f, _bisect(along[core]), across[lines], _LAGRANGE, _HERMITE)
+            G[j, :, :, c] = _half_widths(across[lines])[j] * s
+            out[elements, inner] = _aniso_coef(G)
 
-    def coarse_points(grid, k0):
-        return np.array([grid[k0], 0.5 * (grid[k0] + grid[k0 + 1]), grid[k0 + 1]])
+    # Corner regions: one quasi gather per band.  In the one cell touching
+    # the core, the slopes at the junction node follow the interior so its
+    # traces agree with the adjacent strips.
+    nodes = np.arange(N + 1)
+    for a, (xl, xe) in enumerate(bands):
+        for b, (yl, ye) in enumerate(bands):
+            G = _quasi_data(field, gx[xl], gy[yl], sigma, nodes[xl], nodes[yl])
+            i, j = a - 1, b - 1  # the junction is the far end of the last cell of a low band
+            G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(gx[xl])[i] * slope_x[a][-b, 2 * b]
+            G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(gy[yl])[j] * slope_y[b][-a, 2 * a]
+            coef[ye, xe] = _c1_coef(G)
 
-    def junction_slopes(a, b):
-        """Interior nodal-interpolant slopes (d/dx, d/dy) at a strip/corner
-        junction node, shared bitwise with the adjacent strip macros."""
-        col = n4 if a == n4 else 3 * n4 - 1
-        row = n4 if b == n4 else 3 * n4 - 1
-        pick_x = 0 if a == n4 else 2
-        pick_y = 0 if b == n4 else 2
-        dy = interface_slopes(("y", gy[b], col), coarse_points(gx, col), gy[b], "horizontal", +1 if b == n4 else -1)[pick_x]
-        dx = interface_slopes(("x", gx[a], row), coarse_points(gy, row), gx[a], "vertical", +1 if a == n4 else -1)[pick_y]
-        return dx, dy
-
-    junctions = {(n4, n4), (n4, 3 * n4), (3 * n4, n4), (3 * n4, 3 * n4)}
-
-    for m in mesh.macros:
-        i0, i1 = m.ix
-        j0, j1 = m.jy
-        x0, x1, y0, y1 = gx[i0], gx[i1], gy[j0], gy[j1]
-        if m.kind == "single":
-            coef[j0, i0] = nodal_q2(field, (x0, x1, y0, y1)).coef[0, 0]
-        elif m.kind == "corner4":
-            hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-            G = _hermite_data(field, x0, x1, y0, y1)
-            for (p, q), node in (
-                ((1, 1), (i0, j0)),
-                ((1, 3), (i0, j1)),
-                ((3, 1), (i1, j0)),
-                ((3, 3), (i1, j1)),
-            ):
-                G[p, q] = hx * hy * corner_average(node)
-            # slope dofs at a junction node follow the interior nodal
-            # interpolant so the traces agree with the modified strips
-            for di in (0, 1):
-                for dj in (0, 1):
-                    node = (i0 if di == 0 else i1, j0 if dj == 0 else j1)
-                    if node in junctions:
-                        dx, dy = junction_slopes(*node)
-                        G[2 * di + 1, 2 * dj] = hx * dx
-                        G[2 * di, 2 * dj + 1] = hy * dy
-            local = _macro_poly(x0, x1, y0, y1, _blocks_from_hermite(G))
-            coef[j0:j1, i0:i1] = local.coef
-        elif m.kind == "strip2y":
-            xs3 = np.array([x0, 0.5 * (x0 + x1), x1])
-            override = [None, None]
-            if m.region == "omega1" and j1 == n4:
-                override[1] = interface_slopes(("y", gy[n4], i0), xs3, gy[n4], "horizontal", +1)
-            if m.region == "omega3" and j0 == 3 * n4:
-                override[0] = interface_slopes(("y", gy[3 * n4], i0), xs3, gy[3 * n4], "horizontal", -1)
-            local = interp_aniso(field, (x0, x1, y0, y1), "y_spline", deriv_override=tuple(override))
-            coef[j0:j1, i0:i1] = local.coef
-        elif m.kind == "strip2x":
-            ys3 = np.array([y0, 0.5 * (y0 + y1), y1])
-            override = [None, None]
-            if m.region == "omega2" and i1 == n4:
-                override[1] = interface_slopes(("x", gx[n4], j0), ys3, gx[n4], "vertical", +1)
-            if m.region == "omega4" and i0 == 3 * n4:
-                override[0] = interface_slopes(("x", gx[3 * n4], j0), ys3, gx[3 * n4], "vertical", -1)
-            local = interp_aniso(field, (x0, x1, y0, y1), "x_spline", deriv_override=tuple(override))
-            coef[j0:j1, i0:i1] = local.coef
-        else:
-            raise ValueError(f"unknown macro kind {m.kind}")
-
-    poly = PiecewisePoly2D(gx, gy, coef)
-    return CompositeInterpolant(poly, mesh, modifications)
+    return CompositeInterpolant(PiecewisePoly2D(gx, gy, coef), mesh, modifications)

@@ -65,11 +65,11 @@ class Grid1D:
         return np.diff(self.coordinates)
 
 
-def _bisect(grid: Grid1D) -> np.ndarray:
-    c = grid.coordinates
+def _bisect(c: np.ndarray) -> np.ndarray:
+    """Coordinates with every interval's midpoint inserted."""
     out = np.empty(2 * len(c) - 1)
     out[0::2] = c
-    out[1::2] = grid.midpoints
+    out[1::2] = 0.5 * (c[:-1] + c[1:])
     return out
 
 
@@ -82,11 +82,11 @@ class MacroMesh:
 
     @property
     def element_x(self) -> np.ndarray:
-        return _bisect(self.macro_x)
+        return _bisect(self.macro_x.coordinates)
 
     @property
     def element_y(self) -> np.ndarray:
-        return _bisect(self.macro_y)
+        return _bisect(self.macro_y.coordinates)
 
     @property
     def n_macros(self) -> tuple:
@@ -459,20 +459,7 @@ def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float 
     for mi in range(nx):
         for mj in range(ny):
             x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
-            lo_x, hi_x, lo_y, hi_y = x0, x1, y0, y1
-            for node in ((mi, mj), (mi + 1, mj), (mi, mj + 1), (mi + 1, mj + 1)):
-                e = selection.edges[node]
-                if e.orientation == "horizontal":
-                    lo_x, hi_x = min(lo_x, e.span[0]), max(hi_x, e.span[1])
-                    lo_y, hi_y = min(lo_y, e.level), max(hi_y, e.level)
-                else:
-                    lo_y, hi_y = min(lo_y, e.span[0]), max(hi_y, e.span[1])
-                    lo_x, hi_x = min(lo_x, e.level), max(hi_x, e.level)
-            # snap the hull outward to macro grid lines
-            lo_x = xs[np.searchsorted(xs, lo_x + 1e-14, "right") - 1]
-            hi_x = xs[np.searchsorted(xs, hi_x - 1e-14, "left")]
-            lo_y = ys[np.searchsorted(ys, lo_y + 1e-14, "right") - 1]
-            hi_y = ys[np.searchsorted(ys, hi_y - 1e-14, "left")]
+            lo_x, hi_x, lo_y, hi_y = patch_bounds(mesh, selection, mi, mj)
             if (hi_x - lo_x) > patch_factor * (x1 - x0) + 1e-12 or (hi_y - lo_y) > patch_factor * (y1 - y0) + 1e-12:
                 raise ValueError(f"associated patch of macro ({mi},{mj}) exceeds factor {patch_factor}")
             # patch must stay within the one-ring macro neighbourhood
@@ -483,7 +470,11 @@ def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float 
 
 
 def patch_bounds(mesh: MacroMesh, selection: SigmaSelection, mi: int, mj: int) -> tuple:
-    """Associated macro patch around macro (mi, mj) as (x0, x1, y0, y1)."""
+    """Associated macro patch around macro (mi, mj) as (x0, x1, y0, y1).
+
+    The hull of the macro and its nodes' sigma edges, snapped outward to
+    macro grid lines.
+    """
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
     for node in ((mi, mj), (mi + 1, mj), (mi, mj + 1), (mi + 1, mj + 1)):

@@ -624,17 +624,15 @@ def _apply_operator(spec: BoundSpec, field, bounds):
 
 def _macro_lhs(spec, field, poly):
     gx, gy = poly.grid_x, poly.grid_y
+
+    def diff_sq(X, Y):
+        # interior Gauss points, so evaluate finds the element being integrated
+        d = field(X, Y, *spec.gamma) - poly.evaluate(X, Y, *spec.gamma)
+        return d * d
+
     total = 0.0
     for jy in range(len(gy) - 1):
         for ix in range(len(gx) - 1):
-            def diff_sq(X, Y, ix=ix, jy=jy):
-                wx = gx[ix + 1] - gx[ix]
-                wy = gy[jy + 1] - gy[jy]
-                XI = (2.0 * X - gx[ix] - gx[ix + 1]) / wx
-                ETA = (2.0 * Y - gy[jy] - gy[jy + 1]) / wy
-                d = field(X, Y, *spec.gamma) - poly.element_values(ix, jy, XI, ETA, *spec.gamma)
-                return d * d
-
             total += _gauss_2d(diff_sq, gx[ix], gx[ix + 1], gy[jy], gy[jy + 1])
     return math.sqrt(max(total, 0.0))
 

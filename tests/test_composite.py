@@ -1,7 +1,7 @@
 import numpy as np
 
 from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field
-from macrospline.interpolation import build_composite, nodal_q2
+from macrospline.interpolation import build_composite, interp_aniso, nodal_q2
 from macrospline.mesh import build_shishkin, classify_edges, select_sigma
 from macrospline.norms import gauss_rule, jump_norm_sum, seminorm
 
@@ -92,14 +92,36 @@ def test_evaluate_wrapper_on_composite():
     assert abs(lo - hi) < 1e-11  # normal derivative continuous across y=lam
 
 
+def _macro_blocks(star, kinds):
+    gx, gy = star.mesh.grid_x, star.mesh.grid_y
+    for m in star.mesh.macros:
+        if m.kind in kinds:
+            (i0, i1), (j0, j1) = m.ix, m.jy
+            yield m, (gx[i0], gx[i1], gy[j0], gy[j1]), star.poly.coef[j0:j1, i0:i1]
+
+
 def test_composite_interior_is_nodal_interpolant():
     mesh, sigma = _setup(1e-6, 16)
-    f = make_smooth_field("exp_xy")
-    star = build_composite(f, mesh, sigma)
-    gx, gy = mesh.grid_x, mesh.grid_y
-    ix = jy = mesh.N // 2  # deep inside the coarse region
-    local = nodal_q2(f, (gx[ix], gx[ix + 1], gy[jy], gy[jy + 1]))
-    assert np.max(np.abs(star.poly.coef[jy, ix] - local.coef[0, 0])) < 1e-14
+    for f in (make_smooth_field("exp_xy"), make_layer_decomposition(1e-6, smooth="bounded_third").total):
+        star = build_composite(f, mesh, sigma)
+        blocks = list(_macro_blocks(star, ("single",)))
+        assert len(blocks) == (mesh.N // 2) ** 2
+        for _, bounds, coef in blocks:
+            assert np.max(np.abs(coef - nodal_q2(f, bounds).coef)) == 0.0
+
+
+def test_composite_strips_away_from_the_core_are_anisotropic_interpolants():
+    mesh, sigma = _setup(1e-6, 32)
+    interfaces = (mesh.grid_x[mesh.N // 4], mesh.grid_x[3 * mesh.N // 4])  # lambda, 1 - lambda
+    orientation = {"strip2y": "y_spline", "strip2x": "x_spline"}
+    for f in (make_smooth_field("exp_xy"), make_layer_decomposition(1e-6, smooth="bounded_third").total):
+        star = build_composite(f, mesh, sigma)
+        checked = 0
+        for m, bounds, coef in _macro_blocks(star, orientation):
+            if not any(c in interfaces for c in bounds):
+                assert np.max(np.abs(coef - interp_aniso(f, bounds, orientation[m.kind]).coef)) == 0.0
+                checked += 1
+        assert checked == 4 * (mesh.N // 2 - 2) * (mesh.N // 8 - 1)
 
 
 def test_composite_error_decreases_with_n():

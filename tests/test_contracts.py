@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from macrospline.fields import get_field, make_smooth_field
-from macrospline.interpolation import PiecewisePoly2D, interp_full_macro, nodal_q2
+from macrospline.interpolation import (
+    PiecewisePoly2D,
+    interp_bfs_mesh,
+    interp_full,
+    interp_full_macro,
+    nodal_q2,
+    nodal_q2_mesh,
+)
+from macrospline.mesh import build_macro_mesh
 from macrospline.spline_core import DualWeight, eval_dual_weight
 
 
@@ -45,16 +53,27 @@ def test_evaluate_side_convention_default_lowest_index():
     assert p.evaluate(1.0, 0.3, side=("+", "-")) == 2.0
 
 
+def _aspect_cases(f, thin):
+    """The macro and mesh-level operators on cells of aspect ratio 1/thin."""
+    yield lambda: interp_full_macro(f, (0.0, 1.0, 0.0, thin))
+    # a tensor grid's aspect pairs its widest cell in one direction with its thinnest in the other
+    yield lambda: interp_bfs_mesh(f, [0.0, 0.5, 1.0], [0.0, thin, 1.0])
+    yield lambda: nodal_q2_mesh(f, [0.0, 1.0], [0.0, thin])
+    yield lambda: interp_full(f, build_macro_mesh([0.0, 1.0], [0.0, thin]))
+
+
 def test_extreme_aspect_emits_conditioning_warning():
     f = make_smooth_field("sin_sin")
-    with pytest.warns(UserWarning, match="aspect"):
-        interp_full_macro(f, (0.0, 1.0, 0.0, 1e-9))
+    for build in _aspect_cases(f, 1e-9):
+        with pytest.warns(UserWarning, match="aspect"):
+            build()
 
 
 def test_moderate_aspect_silent():
     import warnings
 
     f = make_smooth_field("sin_sin")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        interp_full_macro(f, (0.0, 1.0, 0.0, 1e-6))
+    for build in _aspect_cases(f, 1e-6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build()

@@ -10,11 +10,15 @@ from macrospline.fields import (
 from macrospline.interpolation import (
     PiecewisePoly2D,
     interp_aniso,
+    interp_aniso_mesh,
     interp_bfs,
+    interp_bfs_mesh,
     interp_full,
     interp_full_macro,
+    interp_reduced,
     interp_reduced_macro,
     nodal_q2,
+    nodal_q2_mesh,
 )
 from macrospline.mesh import build_macro_mesh
 
@@ -280,12 +284,30 @@ def test_aniso_y_only_field_independent_of_width():
     assert np.max(np.abs(pr_a.coef[:, :, 1:, :])) < 1e-12
 
 
-def test_mesh_driver_matches_macro_blocks():
-    f = make_smooth_field("sin_sin")
-    mesh = build_macro_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 4))
-    p = interp_full(f, mesh)
-    local = interp_full_macro(f, mesh.macro_bounds(1, 2))
-    assert np.max(np.abs(p.coef[4:6, 2:4] - local.coef)) == 0.0
+# mesh-level operator on cell grids (gx, gy), and its per-macro oracle
+MESH_OPERATORS = {
+    "full": (lambda f, gx, gy: interp_full(f, build_macro_mesh(gx, gy)), interp_full_macro),
+    "reduced": (lambda f, gx, gy: interp_reduced(f, build_macro_mesh(gx, gy)), interp_reduced_macro),
+    "bfs": (interp_bfs_mesh, interp_bfs),
+    "nodal": (nodal_q2_mesh, nodal_q2),
+    "aniso_y": (lambda f, gx, gy: interp_aniso_mesh(f, gx, gy, "y_spline"), lambda f, b: interp_aniso(f, b, "y_spline")),
+    "aniso_x": (lambda f, gx, gy: interp_aniso_mesh(f, gy, gx, "x_spline"), lambda f, b: interp_aniso(f, b, "x_spline")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_OPERATORS))
+def test_mesh_driver_matches_macro_blocks(name):
+    build, oracle = MESH_OPERATORS[name]
+    rng = np.random.default_rng(11)
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, 6)])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, 5)]) / 3.0
+    for f in (make_smooth_field("exp_xy"), make_smooth_field("runge"), get_field("q2_random")):
+        p = build(f, gx, gy)
+        for i in range(len(gx) - 1):
+            for j in range(len(gy) - 1):
+                block = oracle(f, (gx[i], gx[i + 1], gy[j], gy[j + 1])).coef
+                by, bx = block.shape[:2]
+                assert np.max(np.abs(p.coef[by * j : by * (j + 1), bx * i : bx * (i + 1)] - block)) == 0.0
 
 
 def test_evaluate_domain_error():
@@ -299,6 +321,11 @@ def test_degenerate_macro_rejected():
     f = make_smooth_field("sin_sin")
     with pytest.raises(ValueError):
         interp_full_macro(f, (0.0, 0.0, 0.0, 1.0))
+    # mesh level: a non-increasing grid
+    for build in (interp_bfs_mesh, nodal_q2_mesh, interp_aniso_mesh):
+        for gx, gy in (([0.0, 0.5, 0.5, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.7, 0.3, 1.0])):
+            with pytest.raises(ValueError, match="degenerate"):
+                build(f, gx, gy)
 
 
 def test_poly_json_roundtrip():
