@@ -31,22 +31,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="sin_sin")
-    common.add_argument("--lambda0", type=float, default=3.0)
-    common.add_argument("--cstar", type=float, default=1.0)
     common.add_argument("--sigma", default="toward_corner", choices=("toward_corner", "left", "down"))
     common.add_argument("--out", default=None, help="output path (suffix chosen by --format)")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--format", dest="fmt", choices=("csv", "json", "both"), default="csv")
 
     p_conv = sub.add_parser("converge", parents=[common], help="uniform-mesh convergence study")
     p_conv.add_argument("--operator", default="full", choices=("full", "reduced", "quasi", "bfs", "nodal", "aniso_y"))
+    p_conv.add_argument("--field", default="sin_sin")
     p_conv.add_argument("--levels", type=int, default=4)
     p_conv.add_argument("--base-n", type=int, default=2)
 
     p_shi = sub.add_parser("shishkin", parents=[common], help="layer-adapted composite study")
     p_shi.add_argument("--N", type=int, nargs="+", default=[8, 16, 32, 64])
     p_shi.add_argument("--eps", type=float, nargs="+", default=[1e-4, 1e-6, 1e-8])
+    p_shi.add_argument("--lambda0", type=float, default=3.0)
+    p_shi.add_argument("--cstar", type=float, default=1.0)
     p_shi.add_argument("--smooth", default="bounded_third", choices=("default", "bounded_third", "eps_growth"))
     p_shi.add_argument("--smooth-amplitude", type=float, default=1.0)
     p_shi.add_argument("--edge-amplitude", type=float, default=1.0)
@@ -94,7 +93,6 @@ def cmd_converge(args) -> int:
         levels=args.levels,
         base_n=args.base_n,
         sigma=args.sigma,
-        threads=args.threads,
     )
     config.validate()
     table = run_convergence(config)
@@ -104,8 +102,6 @@ def cmd_converge(args) -> int:
 
 def cmd_shishkin(args) -> int:
     config = ExperimentConfig(
-        operator="full",
-        field=args.field,
         mesh_family="shishkin",
         N_list=tuple(args.N),
         eps_list=tuple(args.eps),
@@ -115,7 +111,6 @@ def cmd_shishkin(args) -> int:
         smooth_variant=args.smooth,
         smooth_amplitude=args.smooth_amplitude,
         edge_amplitude=args.edge_amplitude,
-        threads=args.threads,
     )
     config.validate()
     table = run_shishkin(config)

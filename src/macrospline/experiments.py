@@ -1,16 +1,17 @@
 """Verification suites and convergence/Shishkin experiment drivers.
 
 Experiments collect errors over refinement levels or (epsilon, N) grids,
-fit observed orders, and serialize rate tables to CSV and JSON.  Grid
-points may run in a thread pool; rows are assembled in sorted key order
-afterward, so the output is bit-identical for any thread count.
+fit observed orders, and serialize rate tables to CSV and JSON.  Levels
+and grid points run one after another in one thread; each computes all
+its error norms in one pass over its mesh.  ``ExperimentConfig.validate``
+rejects a run whose finest mesh would exceed ``MAX_ELEMENTS`` before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .interpolation import (
     random_c1q2,
 )
 from .mesh import build_macro_mesh, build_shishkin, classify_edges, select_sigma
-from .norms import FIRST_ORDER, SECOND_ORDER, gauss_rule, jump_norm_sum, seminorm
+from .norms import ORDERS, _seminorms, gauss_rule, jump_norm_sum
 from .oracles import CheckResult
 
 __all__ = [
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 OPERATORS = ("full", "reduced", "quasi", "bfs", "nodal", "aniso_y")
+# Elements each operator puts in one cell of the n x n uniform grid.
+ELEMENTS_PER_CELL = {"full": 4, "reduced": 4, "quasi": 4, "bfs": 1, "nodal": 1, "aniso_y": 2}
+# Largest finest mesh a run may build.  A Shishkin point peaks at about
+# 2.2 KiB per element (182 MiB at N=256), so the budget is about 2.3 GiB.
+MAX_ELEMENTS = 2**20
 FLOAT_FMT = "%.17g"
 
 
@@ -64,18 +70,27 @@ class ExperimentConfig:
     smooth_variant: str = "bounded_third"
     smooth_amplitude: float = 1.0
     edge_amplitude: float = 1.0
-    threads: int = 1
 
     def validate(self):
         if self.operator not in OPERATORS:
             raise ValueError(f"operator must be one of {OPERATORS}")
         if self.mesh_family == "shishkin":
-            if any(n % 8 != 0 for n in self.N_list):
-                raise ValueError("Shishkin N values must be multiples of 8")
+            if any(n <= 0 or n % 8 != 0 for n in self.N_list):
+                raise ValueError("Shishkin N values must be positive multiples of 8")
         elif self.levels < 3:
             raise ValueError("rate fitting needs at least 3 levels")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+        elif self.base_n < 1:
+            raise ValueError("base n must be positive")
+        elements = self.finest_elements()
+        if elements > MAX_ELEMENTS:
+            raise ValueError(f"the finest mesh would have {elements} elements, over the budget of {MAX_ELEMENTS}")
+
+    def finest_elements(self) -> int:
+        """Elements of the finest mesh the run builds."""
+        if self.mesh_family == "shishkin":
+            return max(self.N_list) ** 2
+        n = self.base_n * 2 ** (self.levels - 1)
+        return ELEMENTS_PER_CELL[self.operator] * n**2
 
 
 @dataclass
@@ -134,31 +149,25 @@ def _apply_mesh_operator(operator, field, n, sigma_strategy="left"):
     raise ValueError(f"unknown operator {operator!r}")
 
 
+def _error_norms(field, interp, rule):
+    """L2 norm, H1 seminorm and broken H2 seminorm of field - interp, in one pass."""
+    l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, interp, ORDERS, rule=rule)
+    return l2, math.sqrt(h1x**2 + h1y**2), math.sqrt(h2xx**2 + h2xy**2 + h2yy**2)
+
+
 def run_convergence(config: ExperimentConfig) -> RateTable:
     """Uniform-refinement errors and observed orders for one operator."""
     config.validate()
     field = get_field(config.field)
     rule = gauss_rule(5)
 
-    def level_job(level):
+    results = []
+    for level in range(config.levels):
         n = config.base_n * 2**level
         poly, h = _apply_mesh_operator(config.operator, field, n, config.sigma)
-        l2 = seminorm(field, poly, (0, 0), rule=rule)
-        h1 = math.sqrt(sum(seminorm(field, poly, a, rule=rule) ** 2 for a in FIRST_ORDER))
-        h2 = math.sqrt(sum(seminorm(field, poly, a, rule=rule) ** 2 for a in SECOND_ORDER))
-        return level, (n, h, l2, h1, h2)
+        results.append((n, h, *_error_norms(field, poly, rule)))
 
-    results = {}
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for level, payload in pool.map(level_job, range(config.levels)):
-                results[level] = payload
-    else:
-        for level in range(config.levels):
-            level, payload = level_job(level)
-            results[level] = payload
-
-    ns, hs, l2s, h1s, h2s = zip(*(results[k] for k in sorted(results)))
+    ns, hs, l2s, h1s, h2s = zip(*results)
     o_l2 = observed_orders(l2s, hs)
     o_h1 = observed_orders(h1s, hs)
     o_h2 = observed_orders(h2s, hs)
@@ -196,8 +205,7 @@ def run_shishkin(config: ExperimentConfig) -> RateTable:
     config.validate()
     rule = gauss_rule(4)
 
-    def job(key):
-        eps, N = key
+    def job(eps, N):
         dec = make_layer_decomposition(
             eps,
             config.c_star,
@@ -210,9 +218,7 @@ def run_shishkin(config: ExperimentConfig) -> RateTable:
         sigma = select_sigma(mesh, config.sigma)
         star = build_composite(u, mesh, sigma)
         edges = classify_edges(mesh)
-        l2 = seminorm(u, star, (0, 0), rule=rule)
-        h1 = math.sqrt(sum(seminorm(u, star, a, rule=rule) ** 2 for a in FIRST_ORDER))
-        h2 = math.sqrt(sum(seminorm(u, star, a, rule=rule) ** 2 for a in SECOND_ORDER))
+        l2, h1, h2 = _error_norms(u, star, rule)
         jumps = {}
         for t in ("I", "II", "III", "IV"):
             subset = [e for e in edges if e.edge_type == t]
@@ -230,18 +236,12 @@ def run_shishkin(config: ExperimentConfig) -> RateTable:
         }
         for name, model in SHISHKIN_MODELS.items():
             row[f"C_{name}"] = row[name] / model(N, eps)
-        return key, row
+        return row
 
-    keys = [(eps, N) for eps in config.eps_list for N in config.N_list]
     results = {}
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for key, row in pool.map(job, keys):
-                results[key] = row
-    else:
-        for key in keys:
-            _, row = job(key)
-            results[key] = row
+    for eps in config.eps_list:
+        for N in config.N_list:
+            results[eps, N] = job(eps, N)
 
     columns = (
         "eps",

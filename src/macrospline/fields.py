@@ -58,6 +58,24 @@ class ScalarField:
         return ScalarField(f"{c}*{self.name}", lambda x, y, ax, ay: c * self._eval(x, y, ax, ay))
 
 
+def horner2d(coef, shape, x, y):
+    """sum over kx, ky of coef(kx, ky) x^kx y^ky, by Horner in x, then in y.
+
+    ``coef(kx, ky)`` returns one coefficient, a scalar or one per point,
+    and ``shape`` is (degree in x + 1, degree in y + 1).  The order of
+    operations is numpy's ``polyval2d``, so the results agree with it bit
+    for bit, but only one coefficient is held at a time.
+    """
+    dx, dy = shape
+    out = None
+    for ky in range(dy - 1, -1, -1):
+        column = coef(dx - 1, ky) + x * 0
+        for kx in range(dx - 2, -1, -1):
+            column = coef(kx, ky) + column * x
+        out = column + y * 0 if out is None else column + out * y
+    return out
+
+
 def make_polynomial_field(coefficients) -> ScalarField:
     """Field sum_ij c[i,j] x^i y^j with derivatives by term differentiation."""
     coef = np.atleast_2d(np.asarray(coefficients, dtype=float))
@@ -69,7 +87,7 @@ def make_polynomial_field(coefficients) -> ScalarField:
         for _ in range(ay):
             c = np.polynomial.polynomial.polyder(c, axis=1)
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.polynomial.polynomial.polyval2d(xb, yb, c)
+        return horner2d(lambda kx, ky: c[kx, ky], c.shape, xb, yb)
 
     return ScalarField("poly", ev)
 

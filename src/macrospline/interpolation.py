@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, horner2d
 from .mesh import MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect
 from .spline_core import (
     DualWeight,
@@ -145,16 +145,9 @@ class PiecewisePoly2D:
         wy = self.grid_y[jy + 1] - self.grid_y[jy]
         xi = (2.0 * flat_x - self.grid_x[ix] - self.grid_x[ix + 1]) / wx
         eta = (2.0 * flat_y - self.grid_y[jy] - self.grid_y[jy + 1]) / wy
-        out = np.empty_like(flat_x)
+        cells = c.reshape(-1, *c.shape[2:])
         key = jy * (len(self.grid_x) - 1) + ix
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-        bounds = np.r_[starts, len(sorted_key)]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            sel = order[s:e]
-            ce = c[jy[sel[0]], ix[sel[0]]]
-            out[sel] = np.polynomial.polynomial.polyval2d(xi[sel], eta[sel], ce)
+        out = horner2d(lambda kx, ky: cells[key, kx, ky], c.shape[2:], xi, eta)
         out *= (2.0 / wx) ** ax * (2.0 / wy) ** ay
         out = out.reshape(xb.shape)
         return out if out.ndim else float(out)
@@ -362,7 +355,7 @@ def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
     Row r applies ``rows_x[r]`` along x and column c applies ``rows_y[c]``
     along y; derivative order (p, q) is scaled by hx**p * hy**q with the
     cell half-widths.  One field call per derivative order covers the
-    whole node grid.
+    whole node grid; a NaN or infinite value raises ``ValueError``.
     """
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
     sx, sy = rows_x[-1][0], rows_y[-1][0]
@@ -379,6 +372,8 @@ def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
         for c, (oy, py) in enumerate(rows_y):
             if (px, py) not in values:
                 v = np.asarray(field(gx[:, None], gy[None, :], px, py))
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"field derivative ({px}, {py}) is not finite at a node")
                 values[px, py] = np.broadcast_to(v, (len(gx), len(gy))).T
             V = values[px, py][oy : oy + sy * ny : sy, ox : ox + sx * nx : sx]
             G[:, :, r, c] = hx[None, :] ** px * hy[:, None] ** py * V

@@ -2,10 +2,11 @@
 
 Norms of a difference field (analytic field minus interpolant) are
 computed by tensor Gauss rules per element and accumulated pairwise in a
-fixed element order, so results are bit-identical regardless of any
-parallelism upstream.  Broken second-order seminorms never integrate
-across element interfaces, where the interpolant's second derivatives
-jump.
+fixed element order, so a result depends only on its inputs.  The
+element quadrature points are built once for all derivative orders a
+caller asks for (``_seminorms``).  Broken second-order seminorms never
+integrate across element interfaces, where the interpolant's second
+derivatives jump.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
 
 FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
+ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,18 @@ def gauss_rule(order: int = 5) -> QuadratureRule:
 
 
 def _pairwise_sum(values) -> float:
-    """Tree reduction with a fixed association order."""
-    vals = list(values)
-    if not vals:
+    """Tree reduction with a fixed association order.
+
+    Each round adds neighbours, ``v[0] + v[1]``, ``v[2] + v[3]``, ..., and
+    carries an odd last value to the next round.
+    """
+    v = np.asarray(values, dtype=float) if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
+    if not v.size:
         return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return float(vals[0])
+    while v.size > 1:
+        pairs = v[0:-1:2] + v[1::2]
+        v = np.append(pairs, v[-1]) if v.size % 2 else pairs
+    return float(v[0])
 
 
 def _unwrap(interp):
@@ -66,32 +70,65 @@ def _unwrap(interp):
     return interp
 
 
-def _all_elements(poly: PiecewisePoly2D):
+def _element_indices(poly: PiecewisePoly2D, region):
+    """Index arrays (ix, jy) of ``region`` in (jy, ix) order; the whole mesh for None."""
     nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
-    return [(ix, jy) for jy in range(ny) for ix in range(nx)]
+    if region is None:
+        return np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx)
+    elements = np.array(list(region), dtype=int).reshape(-1, 2)
+    order = np.lexsort((elements[:, 0], elements[:, 1]))
+    return elements[order, 0], elements[order, 1]
 
 
-def _difference_batch(field, poly, elements, loc_x, loc_y, alpha):
-    """D^alpha (field - poly) at tensor local points on many elements.
-
-    Returns an array of shape (n_elements, len(loc_x), len(loc_y)).
-    """
-    ix = np.array([e[0] for e in elements], dtype=int)
-    jy = np.array([e[1] for e in elements], dtype=int)
+def _element_points(poly, ix, jy, loc):
+    """``(ix, jy, wx, wy, X, Y)``: element widths and the world coordinates of ``loc``."""
     gx, gy = poly.grid_x, poly.grid_y
     wx = gx[ix + 1] - gx[ix]
     wy = gy[jy + 1] - gy[jy]
+    X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
+    Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
+    return ix, jy, wx, wy, X, Y
+
+
+def _difference(field, poly, points, loc, alpha):
+    """D^alpha (field - poly) at ``points`` of ``_element_points``; ``field`` may be None.
+
+    Returns an array of shape (n_elements, len(loc), len(loc)).
+    """
+    ix, jy, wx, wy, X, Y = points
     c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
-    P = loc_x[:, None] ** np.arange(c.shape[1])[None, :]
-    Q = loc_y[:, None] ** np.arange(c.shape[2])[None, :]
+    P = loc[:, None] ** np.arange(c.shape[1])[None, :]
+    Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
     vals = np.einsum("ekl,pk,ql->epq", c, P, Q)
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
-    if field is not None:
-        X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc_x[None, :]
-        Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc_y[None, :]
-        F = np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float)
-        return F - vals
-    return -vals
+    if field is None:
+        return -vals
+    return np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+
+
+def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None = None) -> list:
+    """``seminorm`` for each multi-index in ``alphas``, in one pass.
+
+    The element indices, quadrature points and Jacobians are built once;
+    each alpha then makes the same field call and the same sums as a
+    ``seminorm`` call of its own, so the values are the same bit for bit.
+    """
+    poly = _unwrap(interp)
+    if rule is None:
+        rule = gauss_rule()
+    if poly is None:
+        raise ValueError("an interpolant is required to define the element mesh")
+    ix, jy = _element_indices(poly, region)
+    if not ix.size:
+        return [0.0] * len(alphas)
+    points = _element_points(poly, ix, jy, rule.nodes)
+    jac = 0.25 * (poly.grid_x[ix + 1] - poly.grid_x[ix]) * (poly.grid_y[jy + 1] - poly.grid_y[jy])
+
+    def norm(diff):
+        contributions = jac * np.einsum("p,q,epq->e", rule.weights, rule.weights, diff * diff)
+        return float(np.sqrt(max(_pairwise_sum(contributions), 0.0)))
+
+    return [norm(_difference(field, poly, points, rule.nodes, alpha)) for alpha in alphas]
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:
@@ -100,20 +137,7 @@ def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | No
     ``region`` is an iterable of element indices (ix, jy); the whole mesh
     by default.  Either the field or the interpolant may be None.
     """
-    poly = _unwrap(interp)
-    if rule is None:
-        rule = gauss_rule()
-    if poly is None:
-        raise ValueError("an interpolant is required to define the element mesh")
-    elements = sorted(region if region is not None else _all_elements(poly), key=lambda e: (e[1], e[0]))
-    if not elements:
-        return 0.0
-    diff = _difference_batch(field, poly, elements, rule.nodes, rule.nodes, alpha)
-    ix = np.array([e[0] for e in elements], dtype=int)
-    jy = np.array([e[1] for e in elements], dtype=int)
-    jac = 0.25 * (poly.grid_x[ix + 1] - poly.grid_x[ix]) * (poly.grid_y[jy + 1] - poly.grid_y[jy])
-    contributions = jac * np.einsum("p,q,epq->e", rule.weights, rule.weights, diff * diff)
-    return float(np.sqrt(max(_pairwise_sum(contributions), 0.0)))
+    return _seminorms(field, interp, (alpha,), region, rule)[0]
 
 
 def _edge_points(edge: EdgeInfo, rule: QuadratureRule):
@@ -195,11 +219,11 @@ def jump_norm_sum(field, interp, edges, rule: QuadratureRule | None = None) -> f
 def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> float:
     """Max |difference| over a deterministic tensor sample grid."""
     poly = _unwrap(interp)
-    elements = sorted(region if region is not None else _all_elements(poly), key=lambda e: (e[1], e[0]))
-    if not elements:
+    ix, jy = _element_indices(poly, region)
+    if not ix.size:
         return 0.0
     loc = np.linspace(-1.0, 1.0, samples_per_element)
-    diff = _difference_batch(field, poly, elements, loc, loc, (0, 0))
+    diff = _difference(field, poly, _element_points(poly, ix, jy, loc), loc, (0, 0))
     return float(np.max(np.abs(diff)))
 
 
@@ -250,9 +274,9 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
 
     regional = {}
     for region, elements in sorted(by_region.items()):
-        l2 = seminorm(field, poly, (0, 0), elements, rule)
-        h1 = np.sqrt(_pairwise_sum(seminorm(field, poly, a, elements, rule) ** 2 for a in FIRST_ORDER))
-        h2 = np.sqrt(_pairwise_sum(seminorm(field, poly, a, elements, rule) ** 2 for a in SECOND_ORDER))
+        l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, poly, ORDERS, elements, rule)
+        h1 = np.sqrt(_pairwise_sum((h1x**2, h1y**2)))
+        h2 = np.sqrt(_pairwise_sum((h2xx**2, h2xy**2, h2yy**2)))
         regional[region] = {
             "L2": l2,
             "H1_semi": float(h1),

@@ -1,14 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
 from macrospline.cli import main
+from macrospline.fields import ScalarField, get_field
 from macrospline.experiments import (
+    ELEMENTS_PER_CELL,
+    MAX_ELEMENTS,
     ExperimentConfig,
+    _apply_mesh_operator,
     ls_slope,
     observed_orders,
     run_convergence,
-    run_shishkin,
     verification_suite,
     write_csv,
     write_json,
@@ -30,27 +34,6 @@ def test_config_validation():
         ExperimentConfig(levels=2).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(mesh_family="shishkin", N_list=(12,)).validate()
-
-
-def test_convergence_thread_determinism(tmp_path):
-    cfg1 = ExperimentConfig(operator="nodal", field="sin_sin", levels=3, threads=1)
-    cfg2 = ExperimentConfig(operator="nodal", field="sin_sin", levels=3, threads=4)
-    t1 = run_convergence(cfg1)
-    t2 = run_convergence(cfg2)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(t1, str(p1))
-    write_csv(t2, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_shishkin_thread_determinism(tmp_path):
-    base = dict(mesh_family="shishkin", N_list=(8, 16), eps_list=(1e-6,))
-    t1 = run_shishkin(ExperimentConfig(threads=1, **base))
-    t2 = run_shishkin(ExperimentConfig(threads=3, **base))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(t1, str(p1))
-    write_csv(t2, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_has_17_significant_digits(tmp_path):
@@ -114,7 +97,7 @@ def test_cli_converge_runs(tmp_path, capsys):
 def test_cli_shishkin_runs(tmp_path):
     out = tmp_path / "shishkin.csv"
     code = main(
-        ["shishkin", "--N", "8", "16", "--eps", "1e-6", "--out", str(out), "--format", "csv", "--threads", "2"]
+        ["shishkin", "--N", "8", "16", "--eps", "1e-6", "--out", str(out), "--format", "csv"]
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -131,3 +114,68 @@ def test_verification_suite_all_pass():
     results = verification_suite()
     failed = [r.name for r in results if not r.passed]
     assert not failed, failed
+
+
+def test_cli_options_belong_to_their_subcommand(tmp_path, capsys):
+    # --field is a converge option, --lambda0 and --cstar are shishkin options
+    assert main(["shishkin", "--N", "8", "--eps", "1e-6", "--field", "nonexistent"]) == 2
+    assert main(["shishkin", "--N", "8", "--eps", "1e-6", "--field", "sin_sin"]) == 2
+    assert main(["converge", "--levels", "3", "--lambda0", "2"]) == 2
+    assert main(["converge", "--levels", "3", "--cstar", "2"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments") == 4
+    assert main(["converge", "--levels", "3", "--field", "nonexistent"]) == 2
+
+    def rows(argv, name):
+        assert main(argv + ["--out", str(tmp_path / f"{name}.csv"), "--format", "csv"]) == 0
+        return (tmp_path / f"{name}.csv").read_text()
+
+    shishkin = ["shishkin", "--N", "8", "--eps", "1e-6"]
+    default = rows(shishkin, "default")
+    assert rows(shishkin + ["--lambda0", "4"], "lambda0") != default
+    assert rows(shishkin + ["--cstar", "2"], "cstar") != default
+    converge = ["converge", "--operator", "nodal", "--levels", "3"]
+    assert rows(converge + ["--field", "exp_xy"], "exp_xy") != rows(converge, "sin_sin")
+
+
+def test_element_budget():
+    # the largest benchmark meshes: converge at 7 levels and one Shishkin point at N=256
+    assert ExperimentConfig(operator="full", levels=7).finest_elements() == 65536
+    assert ExperimentConfig(mesh_family="shishkin", N_list=(8, 256)).finest_elements() == 65536
+    assert 16 * 65536 <= MAX_ELEMENTS
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentConfig(levels=12).validate()
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentConfig(mesh_family="shishkin", N_list=(8, 4096)).validate()
+    ExperimentConfig(operator="bfs", levels=10).validate()  # 1024^2 elements, exactly the budget
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentConfig(operator="full", levels=10).validate()
+    for config in (ExperimentConfig(base_n=0), ExperimentConfig(mesh_family="shishkin", N_list=(0,))):
+        with pytest.raises(ValueError):
+            config.validate()
+
+
+@pytest.mark.parametrize("operator", sorted(ELEMENTS_PER_CELL))
+def test_elements_per_cell_matches_operator(operator):
+    poly, _ = _apply_mesh_operator(operator, get_field("sin_sin"), 3)
+    assert poly.coef.shape[0] * poly.coef.shape[1] == ELEMENTS_PER_CELL[operator] * 3**2
+
+
+def test_cli_rejects_runs_over_the_element_budget(capsys):
+    assert main(["converge", "--levels", "12"]) == 2
+    assert main(["shishkin", "--N", "4096", "--eps", "1e-6"]) == 2
+    assert capsys.readouterr().err.count("budget") == 2
+
+
+def test_cli_rejects_non_finite_field_values(monkeypatch, capsys):
+    import macrospline.experiments as experiments_mod
+
+    base = get_field("sin_sin")
+
+    def nan_at_origin(x, y, ax, ay):
+        v = np.array(np.broadcast_to(base(x, y, ax, ay), np.broadcast(x, y).shape))
+        v[np.broadcast_to((x == 0.0) & (y == 0.0), v.shape)] = np.nan
+        return v
+
+    monkeypatch.setattr(experiments_mod, "get_field", lambda name: ScalarField(name, nan_at_origin))
+    assert main(["converge", "--levels", "3"]) == 2
+    assert "not finite" in capsys.readouterr().err

@@ -166,3 +166,21 @@ def test_registry():
     assert f(0.25, 0.5, 1, 1) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         get_field("not_a_field")
+
+
+def test_polynomial_field_matches_polyval2d():
+    rng = np.random.default_rng(5)
+    for shape in ((1, 1), (3, 3), (4, 2)):
+        c = rng.normal(size=shape)
+        f = make_polynomial_field(c)
+        x, y = rng.uniform(-2.0, 2.0, (2, 30))
+        for ax in range(3):
+            for ay in range(3):
+                d = c
+                for _ in range(ax):
+                    d = np.polynomial.polynomial.polyder(d, axis=0)
+                for _ in range(ay):
+                    d = np.polynomial.polynomial.polyder(d, axis=1)
+                assert np.array_equal(f(x, y, ax, ay), np.polynomial.polynomial.polyval2d(x, y, d))
+                assert np.array_equal(f(x[:, None], y[None, :], ax, ay), np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x[:, None], y[None, :]), d))
+                assert f(x[0], y[0], ax, ay) == np.polynomial.polynomial.polyval2d(x[0], y[0], d)

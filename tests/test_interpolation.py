@@ -335,3 +335,67 @@ def test_poly_json_roundtrip():
     assert np.array_equal(q.coef, p.coef)
     rows = list(p.to_csv_rows())
     assert len(rows) == 2 * 2 * 3 * 3
+
+
+def _evaluate_per_element(poly, x, y, ax=0, ay=0, side=("-", "-")):
+    """Reference evaluation: one ``polyval2d`` call per occupied element."""
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    flat_x, flat_y = xb.ravel(), yb.ravel()
+    ix = poly._locate(poly.grid_x, flat_x, side[0])
+    jy = poly._locate(poly.grid_y, flat_y, side[1])
+    c = poly._deriv_coef(ax, ay)
+    wx = poly.grid_x[ix + 1] - poly.grid_x[ix]
+    wy = poly.grid_y[jy + 1] - poly.grid_y[jy]
+    xi = (2.0 * flat_x - poly.grid_x[ix] - poly.grid_x[ix + 1]) / wx
+    eta = (2.0 * flat_y - poly.grid_y[jy] - poly.grid_y[jy + 1]) / wy
+    out = np.empty_like(flat_x)
+    for key in np.unique(jy * (len(poly.grid_x) - 1) + ix):
+        sel = np.flatnonzero(jy * (len(poly.grid_x) - 1) + ix == key)
+        out[sel] = np.polynomial.polynomial.polyval2d(xi[sel], eta[sel], c[jy[sel[0]], ix[sel[0]]])
+    out *= (2.0 / wx) ** ax * (2.0 / wy) ** ay
+    return out.reshape(xb.shape)
+
+
+@pytest.mark.parametrize("degree", [(2, 2), (3, 3), (2, 3)])
+def test_evaluate_matches_per_element_polyval2d(degree):
+    rng = np.random.default_rng(sum(degree))
+    for _ in range(2):
+        gx = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, 7)])
+        gy = np.cumsum(np.r_[0.0, rng.uniform(1e-4, 1.0, 5)]) / 3.0
+        poly = PiecewisePoly2D(gx, gy, rng.normal(size=(5, 7, degree[0] + 1, degree[1] + 1)))
+        inner_x = rng.uniform(gx[0], gx[-1], 40)
+        inner_y = rng.uniform(gy[0], gy[-1], 40)
+        corners_x, corners_y = np.meshgrid(gx, gy, indexing="ij")  # every node, the domain corners among them
+        xs = np.r_[inner_x, gx, inner_x[: len(gy)], corners_x.ravel()]
+        ys = np.r_[inner_y, inner_y[: len(gx)], gy, corners_y.ravel()]
+        for ax in range(3):
+            for ay in range(3):
+                for side in (("-", "-"), ("-", "+"), ("+", "-"), ("+", "+")):
+                    for x, y in ((xs, ys), (xs[:36].reshape(6, 6), ys[:36].reshape(6, 6)), (xs[:, None], gy[None, :])):
+                        got = poly.evaluate(x, y, ax, ay, side=side)
+                        assert got.shape == np.broadcast(x, y).shape
+                        assert np.array_equal(got, _evaluate_per_element(poly, x, y, ax, ay, side))
+                    for x, y in ((gx[-1], gy[0]), (inner_x[0], gy[2]), (gx[3], inner_y[1])):
+                        got = poly.evaluate(x, y, ax, ay, side=side)
+                        assert isinstance(got, float)
+                        assert got == _evaluate_per_element(poly, x, y, ax, ay, side)
+
+
+def test_gather_rejects_non_finite_field_values():
+    base = make_smooth_field("sin_sin")
+
+    def bad_at(value, node):
+        def ev(x, y, ax, ay):
+            v = np.array(np.broadcast_to(base(x, y, ax, ay), np.broadcast(x, y).shape))
+            v[np.broadcast_to((x == node[0]) & (y == node[1]), v.shape)] = value
+            return v
+
+        return ScalarField("bad", ev)
+
+    gx, gy = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
+    for value in (np.nan, np.inf, -np.inf):
+        field = bad_at(value, (0.5, 0.25))
+        for build in (lambda f: interp_full(f, build_macro_mesh(gx, gy)), lambda f: nodal_q2_mesh(f, gx, gy)):
+            with pytest.raises(ValueError, match="not finite"):
+                build(field)
+    interp_full(bad_at(np.nan, (0.3, 0.3)), build_macro_mesh(gx, gy))  # NaN off the nodes is never read

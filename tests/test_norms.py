@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from macrospline.fields import make_polynomial_field, make_smooth_field
-from macrospline.interpolation import interp_full, nodal_q2_mesh
-from macrospline.mesh import build_macro_mesh, build_shishkin, classify_edges
+from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field
+from macrospline.interpolation import build_composite, interp_full, nodal_q2_mesh
+from macrospline.mesh import build_macro_mesh, build_shishkin, classify_edges, select_sigma
 from macrospline.norms import (
+    ORDERS,
     NormReport,
+    _pairwise_sum,
+    _seminorms,
     compute_norm_report,
     edge_l2,
     gauss_rule,
@@ -125,3 +128,67 @@ def test_norm_report_additivity_and_serialization():
     rows = list(report.to_csv_rows())
     assert any(r[0] == "edges" for r in rows)
     assert all(v >= 0 for _, _, v in rows if isinstance(v, float))
+
+
+def _pairwise_sum_of_list(values):
+    """Reference tree reduction on a Python list."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return float(vals[0])
+
+
+def test_pairwise_sum_matches_list_reduction():
+    rng = np.random.default_rng(3)
+    for n in range(18):
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, size=n)
+        want = _pairwise_sum_of_list(v.tolist())
+        assert _pairwise_sum(v) == want
+        assert _pairwise_sum(iter(v.tolist())) == want
+        assert _pairwise_sum(x for x in v.tolist()) == want
+
+
+def _seminorm_per_alpha(field, poly, alpha, region, rule):
+    """Reference: one element list sorted by (jy, ix) and one field call per multi-index."""
+    nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
+    elements = region if region is not None else [(ix, jy) for jy in range(ny) for ix in range(nx)]
+    elements = sorted(elements, key=lambda e: (e[1], e[0]))
+    if not elements:
+        return 0.0
+    ix = np.array([e[0] for e in elements], dtype=int)
+    jy = np.array([e[1] for e in elements], dtype=int)
+    gx, gy, loc = poly.grid_x, poly.grid_y, rule.nodes
+    wx, wy = gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy]
+    c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
+    P = loc[:, None] ** np.arange(c.shape[1])[None, :]
+    Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
+    vals = np.einsum("ekl,pk,ql->epq", c, P, Q)
+    vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
+    diff = -vals
+    if field is not None:
+        X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
+        Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
+        diff = np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+    jac = 0.25 * (gx[ix + 1] - gx[ix]) * (gy[jy + 1] - gy[jy])
+    contributions = jac * np.einsum("p,q,epq->e", rule.weights, rule.weights, diff * diff)
+    return float(np.sqrt(max(_pairwise_sum_of_list(contributions.tolist()), 0.0)))
+
+
+def test_seminorms_match_per_alpha_seminorm():
+    mesh = build_shishkin(1e-4, 16)
+    u = make_layer_decomposition(1e-4, smooth="bounded_third").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    rng = np.random.default_rng(8)
+    cells = [(ix, jy) for jy in range(mesh.N) for ix in range(mesh.N)]
+    shuffled = [cells[k] for k in rng.permutation(len(cells))[:40]]
+    for field in (u, None):
+        for region in (None, shuffled, []):
+            for rule in (gauss_rule(4), gauss_rule(5)):
+                got = _seminorms(field, star, ORDERS, region, rule)
+                assert got == [seminorm(field, star, a, region, rule) for a in ORDERS]
+                assert got == [_seminorm_per_alpha(field, star.poly, a, region, rule) for a in ORDERS]
