@@ -5,8 +5,9 @@ interval at its midpoint.  The Shishkin generator builds the
 layer-adapted piecewise-uniform mesh on the unit square, labels every
 element with its subdomain, groups elements into the heterogeneous macro
 structure (2x2 macros near the corners, element pairs in the edge
-strips, single elements in the interior), classifies interior edges into
-the four types, and picks the averaging edges used by the
+strips, single elements in the interior), classifies its element edges
+into the four interior types and the boundary (one ``EdgeSet`` of
+columns, one row per edge), and picks the averaging edges used by the
 quasi-interpolation operator.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +24,7 @@ __all__ = [
     "Grid1D",
     "MacroMesh",
     "ShishkinMesh",
-    "EdgeInfo",
+    "EdgeSet",
     "SigmaEdge",
     "SigmaSelection",
     "build_macro_mesh",
@@ -164,19 +165,15 @@ class ShishkinMesh:
         return nodes
 
 
-def _region_name(bx: str, by: str) -> str:
-    table = {
-        ("coarse", "coarse"): "omega0",
-        ("coarse", "fine0"): "omega1",
-        ("fine0", "coarse"): "omega2",
-        ("coarse", "fine1"): "omega3",
-        ("fine1", "coarse"): "omega4",
-        ("fine0", "fine0"): "omega12",
-        ("fine0", "fine1"): "omega23",
-        ("fine1", "fine1"): "omega34",
-        ("fine1", "fine0"): "omega41",
-    }
-    return table[(bx, by)]
+# Subdomain of an element by the bands of its x and y index (fine0, coarse, fine1).
+_REGIONS = np.array(
+    [
+        ["omega12", "omega2", "omega23"],
+        ["omega1", "omega0", "omega3"],
+        ["omega41", "omega4", "omega34"],
+    ],
+    dtype="<U8",
+)
 
 
 def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float = 1.0) -> ShishkinMesh:
@@ -207,21 +204,8 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
         ]
     )
 
-    mesh = ShishkinMesh(
-        epsilon=epsilon,
-        N=N,
-        lambda0=lambda0,
-        c_star=c_star,
-        lam=lam,
-        grid_x=grid,
-        grid_y=grid.copy(),
-        region=np.empty((N, N), dtype="<U8"),
-        macros=(),
-    )
-    region = mesh.region
-    for jy in range(N):
-        for ix in range(N):
-            region[jy, ix] = _region_name(mesh.band(ix), mesh.band(jy))
+    band = np.repeat([0, 1, 2], [n4, n2, n4])  # ShishkinMesh.band per element index: fine0, coarse, fine1
+    region = _REGIONS[band[None, :], band[:, None]]
 
     macros = []
     fine_pairs = [(k, k + 2) for k in range(0, n4, 2)] + [(k, k + 2) for k in range(3 * n4, N, 2)]
@@ -242,8 +226,7 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
     for ix0, ix1 in coarse_single:
         for jy0, jy1 in coarse_single:
             macros.append(MacroCell((ix0, ix1), (jy0, jy1), "single", "omega0"))
-    object.__setattr__(mesh, "macros", tuple(macros))
-    return mesh
+    return ShishkinMesh(epsilon, N, lambda0, c_star, lam, grid, grid.copy(), region, tuple(macros))
 
 
 # ---------------------------------------------------------------------------
@@ -252,69 +235,74 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
 
 
 @dataclass(frozen=True)
-class EdgeInfo:
-    """One element edge with its unit-normal convention and type.
+class EdgeSet:
+    """Element edges as equal-length columns, one row per edge.
 
-    Normals point in the increasing coordinate direction for interior
-    edges and outward on the boundary.  ``neighbors`` holds the adjacent
-    element indices (ix, jy); the first entry is the one the normal
-    points away from.
+    ``(x0, y0)`` is the lower end of an edge and ``(x1, y1)`` the upper
+    one; ``horizontal`` is the orientation flag.  ``normal`` holds unit
+    normals, shape (n, 2): in the increasing coordinate direction for
+    interior edges, outward on the boundary.  ``edge_type`` is one of
+    I | II | III | IV | boundary.  A mask, index array or slice selects
+    rows and gives another ``EdgeSet``:
+    ``edges[edges.edge_type == "II"]``.
     """
 
-    endpoints: tuple
-    orientation: str  # horizontal | vertical
-    normal: tuple
-    edge_type: str  # I | II | III | IV | boundary
-    neighbors: tuple
+    x0: np.ndarray
+    y0: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    horizontal: np.ndarray
+    normal: np.ndarray
+    edge_type: np.ndarray
 
-    @property
-    def length(self) -> float:
-        (x0, y0), (x1, y1) = self.endpoints
-        return abs(x1 - x0) + abs(y1 - y0)
+    def __len__(self):
+        return len(self.x0)
 
-
-def _strip_edge_type(region: str, orientation: str) -> str:
-    # bottom/top strips hold wide elements: horizontal edges are long
-    if region in ("omega1", "omega3"):
-        return "II" if orientation == "horizontal" else "III"
-    return "II" if orientation == "vertical" else "III"
+    def __getitem__(self, rows) -> EdgeSet:
+        return EdgeSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def classify_edges(mesh: ShishkinMesh) -> list:
-    """All element edges of a Shishkin mesh with their types."""
-    N = mesh.N
-    gx, gy, region = mesh.grid_x, mesh.grid_y, mesh.region
-    edges = []
+def _interior_types(lo: np.ndarray, hi: np.ndarray, horizontal: bool) -> np.ndarray:
+    """Types of the edges between elements of subdomains ``lo`` and ``hi``.
 
-    def interior_type(r1: str, r2: str, orientation: str) -> str:
-        for r in (r1, r2):
-            if r in STRIP_REGIONS:
-                return _strip_edge_type(r, orientation)
-        if r1 == "omega0" and r2 == "omega0":
-            return "I"
-        return "IV"
+    A strip neighbour (``lo`` before ``hi``) decides long (II) or short
+    (III): bottom/top strips hold wide elements, so their horizontal
+    edges are long, and left/right strips their vertical ones.  Between
+    two omega0 elements an edge is I, anywhere else IV.
+    """
+    strip = np.where(np.isin(lo, STRIP_REGIONS), lo, hi)
+    long = np.isin(strip, ("omega1", "omega3")) == horizontal
+    core = np.where((lo == "omega0") & (hi == "omega0"), "I", "IV")
+    return np.where(np.isin(strip, STRIP_REGIONS), np.where(long, "II", "III"), core)
 
-    for ix in range(N + 1):
-        for jy in range(N):
-            endpoints = ((gx[ix], gy[jy]), (gx[ix], gy[jy + 1]))
-            if ix == 0:
-                edges.append(EdgeInfo(endpoints, "vertical", (-1.0, 0.0), "boundary", ((0, jy),)))
-            elif ix == N:
-                edges.append(EdgeInfo(endpoints, "vertical", (1.0, 0.0), "boundary", ((N - 1, jy),)))
-            else:
-                t = interior_type(region[jy, ix - 1], region[jy, ix], "vertical")
-                edges.append(EdgeInfo(endpoints, "vertical", (1.0, 0.0), t, ((ix - 1, jy), (ix, jy))))
-    for jy in range(N + 1):
-        for ix in range(N):
-            endpoints = ((gx[ix], gy[jy]), (gx[ix + 1], gy[jy]))
-            if jy == 0:
-                edges.append(EdgeInfo(endpoints, "horizontal", (0.0, -1.0), "boundary", ((ix, 0),)))
-            elif jy == N:
-                edges.append(EdgeInfo(endpoints, "horizontal", (0.0, 1.0), "boundary", ((ix, N - 1),)))
-            else:
-                t = interior_type(region[jy - 1, ix], region[jy, ix], "horizontal")
-                edges.append(EdgeInfo(endpoints, "horizontal", (0.0, 1.0), t, ((ix, jy - 1), (ix, jy))))
-    return edges
+
+def _line_edges(lines, along, region, horizontal: bool) -> tuple:
+    """Columns of the edges on grid lines ``lines`` (outer) between nodes ``along`` (inner).
+
+    ``region[k, m]`` is the subdomain of the element between lines k and
+    k + 1 and nodes m and m + 1; the first and last lines are boundary.
+    """
+    n = len(along) - 1
+    level = np.repeat(lines, n)
+    start, end = np.tile(along[:-1], len(lines)), np.tile(along[1:], len(lines))
+    edge_type = np.full((len(lines), n), "boundary", dtype="<U8")
+    edge_type[1:-1] = _interior_types(region[:-1], region[1:], horizontal)
+    normal = np.zeros((len(lines), n, 2))
+    normal[:, :, int(horizontal)] = 1.0
+    normal[0, :, int(horizontal)] = -1.0
+    x0, y0, x1, y1 = (start, level, end, level) if horizontal else (level, start, level, end)
+    return x0, y0, x1, y1, np.full(level.shape, horizontal), normal.reshape(-1, 2), edge_type.ravel()
+
+
+def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
+    """All element edges of a Shishkin mesh with their types.
+
+    Rows are the vertical edges (ix outer, jy inner), then the horizontal
+    ones (jy outer, ix inner).
+    """
+    vertical = _line_edges(mesh.grid_x, mesh.grid_y, mesh.region.T, False)
+    horizontal = _line_edges(mesh.grid_y, mesh.grid_x, mesh.region, True)
+    return EdgeSet(*map(np.concatenate, zip(vertical, horizontal)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +485,13 @@ def patch_bounds(mesh: MacroMesh, selection: SigmaSelection, mi: int, mj: int) -
 # ---------------------------------------------------------------------------
 
 
-def mesh_to_json(mesh: ShishkinMesh, edges=None) -> str:
+def mesh_to_json(mesh: ShishkinMesh, edges: EdgeSet | None = None) -> str:
     """JSON dump of the grids, element regions and typed edge list."""
     if edges is None:
         edges = classify_edges(mesh)
+    endpoints = np.stack([edges.x0, edges.y0, edges.x1, edges.y1], axis=-1).reshape(-1, 2, 2)
+    orientation = np.where(edges.horizontal, "horizontal", "vertical")
+    rows = zip(endpoints.tolist(), orientation.tolist(), edges.normal.tolist(), edges.edge_type.tolist())
     payload = {
         "schema": "macrospline-mesh/1",
         "epsilon": mesh.epsilon,
@@ -511,14 +502,6 @@ def mesh_to_json(mesh: ShishkinMesh, edges=None) -> str:
         "grid_x": mesh.grid_x.tolist(),
         "grid_y": mesh.grid_y.tolist(),
         "regions": mesh.region.tolist(),
-        "edges": [
-            {
-                "endpoints": [list(e.endpoints[0]), list(e.endpoints[1])],
-                "orientation": e.orientation,
-                "normal": list(e.normal),
-                "type": e.edge_type,
-            }
-            for e in edges
-        ],
+        "edges": [{"endpoints": p, "orientation": o, "normal": n, "type": t} for p, o, n, t in rows],
     }
     return json.dumps(payload, indent=1)

@@ -6,7 +6,8 @@ fixed element order, so a result depends only on its inputs.  The
 element quadrature points are built once for all derivative orders a
 caller asks for (``_seminorms``).  Broken second-order seminorms never
 integrate across element interfaces, where the interpolant's second
-derivatives jump.
+derivatives jump.  Edge norms and jump sums take an ``EdgeSet`` and
+place the Gauss points of all its edges in one step (``_edge_points``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .interpolation import CompositeInterpolant, PiecewisePoly2D
-from .mesh import EdgeInfo
+from .mesh import EdgeSet
 
 __all__ = [
     "QuadratureRule",
@@ -140,52 +141,38 @@ def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | No
     return _seminorms(field, interp, (alpha,), region, rule)[0]
 
 
-def _edge_points(edge: EdgeInfo, rule: QuadratureRule):
-    (x0, y0), (x1, y1) = edge.endpoints
-    half = 0.5 * edge.length
-    if edge.orientation == "horizontal":
-        xs = 0.5 * (x0 + x1) + half * rule.nodes
-        ys = np.full_like(xs, y0)
-    else:
-        ys = 0.5 * (y0 + y1) + half * rule.nodes
-        xs = np.full_like(ys, x0)
-    return xs, ys, half
+def _edge_points(edges: EdgeSet, rule: QuadratureRule):
+    """Gauss points ``X, Y`` of shape (len(edges), rule.order) and the half-lengths."""
+    half = 0.5 * (np.abs(edges.x1 - edges.x0) + np.abs(edges.y1 - edges.y0))
+    offset = half[:, None] * rule.nodes[None, :]
+    horizontal = edges.horizontal[:, None]
+    X = np.where(horizontal, (0.5 * (edges.x0 + edges.x1))[:, None] + offset, edges.x0[:, None])
+    Y = np.where(horizontal, edges.y0[:, None], (0.5 * (edges.y0 + edges.y1))[:, None] + offset)
+    return X, Y, half
 
 
-def edge_l2(field, interp, edge: EdgeInfo, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> float:
-    """L2 norm of the difference trace along one edge (one-sided)."""
+def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> np.ndarray:
+    """Per-edge L2 norms of the difference trace, one-sided: ``side`` picks the element across each edge."""
     poly = _unwrap(interp)
     if rule is None:
         rule = gauss_rule()
-    xs, ys, half = _edge_points(edge, rule)
-    if edge.orientation == "horizontal":
-        sides = ("-", side)
-    else:
-        sides = (side, "-")
-    vals = 0.0
-    if field is not None:
-        vals = np.asarray(field(xs, ys, alpha[0], alpha[1]), dtype=float)
+    X, Y, half = _edge_points(edges, rule)
+    trace = np.zeros(X.shape)
     if poly is not None:
-        vals = vals - poly.evaluate(xs, ys, alpha[0], alpha[1], side=sides)
-    return float(np.sqrt(half * np.dot(rule.weights, vals * vals)))
+        for horizontal, sides in ((True, ("-", side)), (False, (side, "-"))):
+            rows = edges.horizontal == horizontal
+            trace[rows] = poly.evaluate(X[rows], Y[rows], alpha[0], alpha[1], side=sides)
+    vals = -trace if field is None else np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float) - trace
+    return np.sqrt(half * ((vals * vals) @ rule.weights))
 
 
-def _jump_batch(field, poly, edges, rule, orientation):
-    """Per-edge squared normal-derivative jump integrals (vectorized)."""
-    if not edges:
+def _jump_batch(field, poly, edges: EdgeSet, rule, horizontal: bool):
+    """Per-edge squared normal-derivative jump integrals over edges of one orientation."""
+    if not len(edges):
         return np.zeros(0)
-    p0 = np.array([e.endpoints[0] for e in edges])
-    p1 = np.array([e.endpoints[1] for e in edges])
-    half = 0.5 * np.array([e.length for e in edges])
-    if orientation == "horizontal":
-        X = (0.5 * (p0[:, 0] + p1[:, 0]))[:, None] + half[:, None] * rule.nodes[None, :]
-        Y = np.broadcast_to(p0[:, 1][:, None], X.shape)
-        alpha, lo_side, hi_side = (0, 1), ("-", "-"), ("-", "+")
-    else:
-        Y = (0.5 * (p0[:, 1] + p1[:, 1]))[:, None] + half[:, None] * rule.nodes[None, :]
-        X = np.broadcast_to(p0[:, 0][:, None], Y.shape)
-        alpha, lo_side, hi_side = (1, 0), ("-", "-"), ("+", "-")
-    lo = poly.evaluate(X, Y, alpha[0], alpha[1], side=lo_side)
+    X, Y, half = _edge_points(edges, rule)
+    alpha, hi_side = ((0, 1), ("-", "+")) if horizontal else ((1, 0), ("+", "-"))
+    lo = poly.evaluate(X, Y, alpha[0], alpha[1], side=("-", "-"))
     hi = poly.evaluate(X, Y, alpha[0], alpha[1], side=hi_side)
     if field is not None:
         f = np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float)
@@ -195,24 +182,25 @@ def _jump_batch(field, poly, edges, rule, orientation):
     return half * ((jump * jump) @ rule.weights)
 
 
-def jump_norm_sum(field, interp, edges, rule: QuadratureRule | None = None) -> float:
+def jump_norm_sum(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None) -> float:
     """Sum over edges of the squared L2 norm of the normal-derivative jump.
 
     The jump is the trace from the lower-index element minus the trace
     from the higher one, matching normals that point in the increasing
-    coordinate direction.
+    coordinate direction.  The edges are summed in endpoint order
+    (x0, y0, x1, y1), so the result does not depend on their row order;
+    an empty set gives 0.0.
     """
     poly = _unwrap(interp)
     if rule is None:
         rule = gauss_rule()
-    ordered = sorted(edges, key=lambda e: e.endpoints)
-    if any(e.edge_type == "boundary" for e in ordered):
+    ordered = edges[np.lexsort((edges.y1, edges.x1, edges.y0, edges.x0))]
+    if np.any(ordered.edge_type == "boundary"):
         raise ValueError("jump norms are defined on interior edges only")
     contributions = np.zeros(len(ordered))
-    for orientation in ("horizontal", "vertical"):
-        idx = [k for k, e in enumerate(ordered) if e.orientation == orientation]
-        vals = _jump_batch(field, poly, [ordered[k] for k in idx], rule, orientation)
-        contributions[idx] = vals
+    for horizontal in (True, False):
+        rows = ordered.horizontal == horizontal
+        contributions[rows] = _jump_batch(field, poly, ordered[rows], rule, horizontal)
     return _pairwise_sum(contributions)
 
 
@@ -292,6 +280,5 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
     jump_sums = {}
     if edges is not None:
         for edge_type in ("I", "II", "III", "IV"):
-            subset = [e for e in edges if e.edge_type == edge_type]
-            jump_sums[edge_type] = jump_norm_sum(field, poly, subset, rule) if subset else 0.0
+            jump_sums[edge_type] = jump_norm_sum(field, poly, edges[edges.edge_type == edge_type], rule)
     return NormReport(regional, global_values, jump_sums)

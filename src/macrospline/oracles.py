@@ -23,6 +23,7 @@ from .interpolation import (
     interp_reduced_macro,
 )
 from .mesh import MacroMesh, build_macro_mesh
+from .norms import gauss_rule, seminorm
 from .spline_core import (
     DualWeight,
     KnotSequence,
@@ -622,21 +623,6 @@ def _apply_operator(spec: BoundSpec, field, bounds):
     raise ValueError(f"unknown operator {spec.operator!r}")
 
 
-def _macro_lhs(spec, field, poly):
-    gx, gy = poly.grid_x, poly.grid_y
-
-    def diff_sq(X, Y):
-        # interior Gauss points, so evaluate finds the element being integrated
-        d = field(X, Y, *spec.gamma) - poly.evaluate(X, Y, *spec.gamma)
-        return d * d
-
-    total = 0.0
-    for jy in range(len(gy) - 1):
-        for ix in range(len(gx) - 1):
-            total += _gauss_2d(diff_sq, gx[ix], gx[ix + 1], gy[jy], gy[jy + 1])
-    return math.sqrt(max(total, 0.0))
-
-
 def _macro_rhs(spec, field, bounds):
     x0, x1, y0, y1 = bounds
     h1, h2 = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
@@ -654,9 +640,11 @@ def _macro_rhs(spec, field, bounds):
 def bound_consistency(spec: BoundSpec, field, meshes, zero_rhs_tol: float = 1e-10) -> dict:
     """Sup of LHS/RHS over macros, per refinement level.
 
-    Macros with an (absolutely and relatively) vanishing right-hand side
+    The LHS is ``seminorm`` of D^gamma (field - interpolant) over the
+    macro's elements with 10-point Gauss rules.  Macros with an (absolutely and relatively) vanishing right-hand side
     must have a vanishing left-hand side instead of entering the ratio.
     """
+    rule = gauss_rule(10)
     sup_ratios = []
     zero_rhs_lhs = []
     for mesh in meshes:
@@ -668,7 +656,7 @@ def bound_consistency(spec: BoundSpec, field, meshes, zero_rhs_tol: float = 1e-1
         pairs = []
         for bounds in macro_list:
             poly = _apply_operator(spec, field, bounds)
-            pairs.append((_macro_lhs(spec, field, poly), _macro_rhs(spec, field, bounds)))
+            pairs.append((seminorm(field, poly, spec.gamma, rule=rule), _macro_rhs(spec, field, bounds)))
         rhs_scale = max((r for _, r in pairs), default=0.0)
         floor = 1e-12 * max(rhs_scale, 1.0)
         ratios = [l / r for l, r in pairs if r > floor]

@@ -272,8 +272,7 @@ def test_criterion_10_shishkin_composite():
     for f in (make_smooth_field("sin_sin"), make_layer_decomposition(1e-6, smooth="bounded_third").total):
         star = build_composite(f, mesh, sigma)
         for t in ("II", "IV"):
-            subset = [e for e in edges if e.edge_type == t]
-            worst_jump = max(worst_jump, jump_norm_sum(f, star, subset, rule))
+            worst_jump = max(worst_jump, jump_norm_sum(f, star, edges[edges.edge_type == t], rule))
     ok_a = worst_jump <= 1e-10
 
     # (b) global biquadratic reproduction

@@ -13,20 +13,14 @@ def _setup(eps=1e-6, N=16):
 
 
 def _value_jump_max(poly, edges, npts=7):
+    X = np.linspace(edges.x0, edges.x1, npts, axis=1)
+    Y = np.linspace(edges.y0, edges.y1, npts, axis=1)
     worst = 0.0
-    for e in edges:
-        (x0, y0), (x1, y1) = e.endpoints
-        if e.orientation == "horizontal":
-            xs = np.linspace(x0, x1, npts)
-            ys = np.full_like(xs, y0)
-            lo = poly.evaluate(xs, ys, side=("-", "-"))
-            hi = poly.evaluate(xs, ys, side=("-", "+"))
-        else:
-            ys = np.linspace(y0, y1, npts)
-            xs = np.full_like(ys, x0)
-            lo = poly.evaluate(xs, ys, side=("-", "-"))
-            hi = poly.evaluate(xs, ys, side=("+", "-"))
-        worst = max(worst, float(np.max(np.abs(lo - hi))))
+    for horizontal, hi_side in ((True, ("-", "+")), (False, ("+", "-"))):
+        rows = edges.horizontal == horizontal
+        lo = poly.evaluate(X[rows], Y[rows], side=("-", "-"))
+        hi = poly.evaluate(X[rows], Y[rows], side=hi_side)
+        worst = max(worst, float(np.max(np.abs(lo - hi), initial=0.0)))
     return worst
 
 
@@ -50,7 +44,8 @@ def test_composite_continuity_all_edges():
     mesh, sigma = _setup(1e-6, 16)
     f = make_smooth_field("sin_sin")
     star = build_composite(f, mesh, sigma)
-    interior = [e for e in classify_edges(mesh) if e.edge_type != "boundary"]
+    edges = classify_edges(mesh)
+    interior = edges[edges.edge_type != "boundary"]
     assert _value_jump_max(star.poly, interior) < 1e-10
 
 
@@ -61,12 +56,12 @@ def test_composite_normal_derivative_continuous_on_II_and_IV():
     for f in (make_smooth_field("sin_sin"), make_layer_decomposition(1e-6, smooth="bounded_third").total):
         star = build_composite(f, mesh, sigma)
         for t in ("II", "IV"):
-            subset = [e for e in edges if e.edge_type == t]
-            assert subset
+            subset = edges[edges.edge_type == t]
+            assert len(subset)
             assert jump_norm_sum(f, star, subset, rule) < 1e-10
         # types I and III do jump in general
         for t in ("I", "III"):
-            subset = [e for e in edges if e.edge_type == t]
+            subset = edges[edges.edge_type == t]
             assert jump_norm_sum(f, star, subset, rule) > 1e-12
 
 
@@ -74,7 +69,8 @@ def test_composite_layer_field_continuity():
     mesh, sigma = _setup(1e-8, 16)
     dec = make_layer_decomposition(1e-8, smooth="bounded_third")
     star = build_composite(dec.total, mesh, sigma)
-    interior = [e for e in classify_edges(mesh) if e.edge_type != "boundary"]
+    edges = classify_edges(mesh)
+    interior = edges[edges.edge_type != "boundary"]
     assert _value_jump_max(star.poly, interior) < 1e-10
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from macrospline.mesh import (
+    EdgeSet,
     Grid1D,
     SigmaEdge,
     build_macro_mesh,
@@ -92,6 +93,28 @@ def test_shishkin_region_labels():
     assert mesh.region[15, 0] == "omega23"
 
 
+@pytest.mark.parametrize("N", (8, 64))
+def test_region_matches_per_element_loop(N):
+    mesh = build_shishkin(1e-6, N)
+    table = {
+        ("coarse", "coarse"): "omega0",
+        ("coarse", "fine0"): "omega1",
+        ("fine0", "coarse"): "omega2",
+        ("coarse", "fine1"): "omega3",
+        ("fine1", "coarse"): "omega4",
+        ("fine0", "fine0"): "omega12",
+        ("fine0", "fine1"): "omega23",
+        ("fine1", "fine1"): "omega34",
+        ("fine1", "fine0"): "omega41",
+    }
+    expected = np.empty((N, N), dtype="<U8")
+    for jy in range(N):
+        for ix in range(N):
+            expected[jy, ix] = table[(mesh.band(ix), mesh.band(jy))]
+    assert mesh.region.dtype == expected.dtype
+    assert np.array_equal(mesh.region, expected)
+
+
 def test_shishkin_macro_kinds():
     mesh = build_shishkin(1e-6, 16)
     kinds = {}
@@ -156,9 +179,8 @@ def _brute_force_edge_counts(mesh):
 def test_edge_classification_against_enumeration_oracle():
     mesh = build_shishkin(1e-6, 16)
     edges = classify_edges(mesh)
-    got = {}
-    for e in edges:
-        got[e.edge_type] = got.get(e.edge_type, 0) + 1
+    types, counts = np.unique(edges.edge_type, return_counts=True)
+    got = dict(zip(types.tolist(), counts.tolist()))
     assert got == _brute_force_edge_counts(mesh)
     total = 2 * 16 * 17
     assert sum(got.values()) == total
@@ -168,28 +190,111 @@ def test_edge_examples():
     mesh = build_shishkin(1e-6, 16)
     edges = classify_edges(mesh)
     lam = mesh.lam
+    x0, y0 = edges.x0, edges.y0
 
-    def find(orientation, predicate):
-        for e in edges:
-            if e.orientation == orientation and predicate(e):
-                return e
-        raise AssertionError("edge not found")
+    def find(horizontal, predicate):
+        rows = np.flatnonzero((edges.horizontal == horizontal) & predicate)
+        if not rows.size:
+            raise AssertionError("edge not found")
+        return edges.edge_type[rows[0]]
 
     # interior horizontal edge deep inside the coarse region: type I
-    e = find("horizontal", lambda e: e.endpoints[0][0] > 0.4 and abs(e.endpoints[0][1] - 0.5) < 0.1 and e.edge_type != "boundary")
-    assert e.edge_type == "I"
+    assert find(True, (x0 > 0.4) & (np.abs(y0 - 0.5) < 0.1) & (edges.edge_type != "boundary")) == "I"
     # short (vertical) edge of a bottom-strip element: type III
-    e = find("vertical", lambda e: e.endpoints[0][1] < lam and 0.4 < e.endpoints[0][0] < 0.6)
-    assert e.edge_type == "III"
+    assert find(False, (y0 < lam) & (0.4 < x0) & (x0 < 0.6)) == "III"
     # long (horizontal) edge between two bottom-strip elements: type II
-    e = find("horizontal", lambda e: 0 < e.endpoints[0][1] < lam and 0.4 < e.endpoints[0][0] < 0.6)
-    assert e.edge_type == "II"
+    assert find(True, (0 < y0) & (y0 < lam) & (0.4 < x0) & (x0 < 0.6)) == "II"
 
 
-def test_every_interior_edge_has_two_neighbors():
-    mesh = build_shishkin(1e-4, 8)
-    for e in classify_edges(mesh):
-        assert len(e.neighbors) == (1 if e.edge_type == "boundary" else 2)
+def _per_edge_classification(mesh):
+    """The per-edge loop that classify_edges replaced: one (endpoints, orientation, normal, type) per edge."""
+    N = mesh.N
+    gx, gy, region = mesh.grid_x, mesh.grid_y, mesh.region
+
+    def interior_type(r1, r2, orientation):
+        for r in (r1, r2):
+            if r in ("omega1", "omega2", "omega3", "omega4"):
+                if r in ("omega1", "omega3"):
+                    return "II" if orientation == "horizontal" else "III"
+                return "II" if orientation == "vertical" else "III"
+        if r1 == "omega0" and r2 == "omega0":
+            return "I"
+        return "IV"
+
+    edges = []
+    for ix in range(N + 1):
+        for jy in range(N):
+            endpoints = ((gx[ix], gy[jy]), (gx[ix], gy[jy + 1]))
+            if ix == 0:
+                edges.append((endpoints, "vertical", (-1.0, 0.0), "boundary"))
+            elif ix == N:
+                edges.append((endpoints, "vertical", (1.0, 0.0), "boundary"))
+            else:
+                edges.append((endpoints, "vertical", (1.0, 0.0), interior_type(region[jy, ix - 1], region[jy, ix], "vertical")))
+    for jy in range(N + 1):
+        for ix in range(N):
+            endpoints = ((gx[ix], gy[jy]), (gx[ix + 1], gy[jy]))
+            if jy == 0:
+                edges.append((endpoints, "horizontal", (0.0, -1.0), "boundary"))
+            elif jy == N:
+                edges.append((endpoints, "horizontal", (0.0, 1.0), "boundary"))
+            else:
+                edges.append((endpoints, "horizontal", (0.0, 1.0), interior_type(region[jy - 1, ix], region[jy, ix], "horizontal")))
+    return edges
+
+
+def _per_edge_json(mesh, edges):
+    """mesh_to_json as it was written from one object per edge."""
+    payload = {
+        "schema": "macrospline-mesh/1",
+        "epsilon": mesh.epsilon,
+        "N": mesh.N,
+        "lambda0": mesh.lambda0,
+        "c_star": mesh.c_star,
+        "transition": mesh.lam,
+        "grid_x": mesh.grid_x.tolist(),
+        "grid_y": mesh.grid_y.tolist(),
+        "regions": mesh.region.tolist(),
+        "edges": [
+            {"endpoints": [list(p[0]), list(p[1])], "orientation": o, "normal": list(n), "type": t}
+            for p, o, n, t in edges
+        ],
+    }
+    return json.dumps(payload, indent=1)
+
+
+@pytest.mark.parametrize("eps", (1e-4, 1e-8))
+@pytest.mark.parametrize("N", (8, 16, 64))
+def test_classify_edges_matches_per_edge_loop(N, eps):
+    mesh = build_shishkin(eps, N)
+    edges = classify_edges(mesh)
+    expected = _per_edge_classification(mesh)
+    assert len(edges) == len(expected) == 2 * N * (N + 1)
+    points = np.array([p for p, _, _, _ in expected])
+    assert np.array_equal(edges.x0, points[:, 0, 0])
+    assert np.array_equal(edges.y0, points[:, 0, 1])
+    assert np.array_equal(edges.x1, points[:, 1, 0])
+    assert np.array_equal(edges.y1, points[:, 1, 1])
+    assert np.array_equal(edges.horizontal, np.array([o == "horizontal" for _, o, _, _ in expected]))
+    assert np.array_equal(edges.normal, np.array([n for _, _, n, _ in expected]))
+    assert np.array_equal(edges.edge_type, np.array([t for _, _, _, t in expected]))
+    text = _per_edge_json(mesh, expected)
+    assert mesh_to_json(mesh) == text
+    assert mesh_to_json(mesh, edges) == text
+
+
+def test_edge_set_selection():
+    edges = classify_edges(build_shishkin(1e-4, 8))
+    long_edges = edges[edges.edge_type == "II"]
+    assert isinstance(long_edges, EdgeSet)
+    assert len(long_edges) == np.count_nonzero(edges.edge_type == "II")
+    assert np.all(long_edges.edge_type == "II")
+    assert long_edges.normal.shape == (len(long_edges), 2)
+    rows = np.array([5, 0, 17])
+    picked = edges[rows]
+    assert np.array_equal(picked.x0, edges.x0[rows]) and np.array_equal(picked.edge_type, edges.edge_type[rows])
+    assert np.array_equal(picked.normal, edges.normal[rows])
+    assert len(edges[:0]) == 0 and len(edges[3:7]) == 4
 
 
 def test_sigma_left_on_uniform_macro_mesh():

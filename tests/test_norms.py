@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field
-from macrospline.interpolation import build_composite, interp_full, nodal_q2_mesh
-from macrospline.mesh import build_macro_mesh, build_shishkin, classify_edges, select_sigma
+from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, nodal_q2_mesh
+from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
 from macrospline.norms import (
     ORDERS,
     NormReport,
@@ -78,12 +78,45 @@ def test_edge_l2_and_jump_of_c1_interpolant():
     mesh = build_shishkin(1e-4, 8)
     edges = classify_edges(mesh)
     p = nodal_q2_mesh(f, mesh.grid_x, mesh.grid_y)
-    interior = [e for e in edges if e.edge_type != "boundary"]
-    e0 = interior[0]
-    val = edge_l2(f, p, e0)
-    assert val >= 0.0
+    interior = edges[edges.edge_type != "boundary"]
+    val = edge_l2(f, p, interior[:1])
+    assert val.shape == (1,)
+    assert val[0] >= 0.0
     with pytest.raises(ValueError):
-        jump_norm_sum(f, p, [e for e in edges if e.edge_type == "boundary"][:1])
+        jump_norm_sum(f, p, edges[edges.edge_type == "boundary"][:1])
+
+
+def _one_edge_l2(field, poly, x0, y0, x1, y1, horizontal, rule, alpha, side):
+    """The trace norm of one edge, as edge_l2 computed it one edge at a time."""
+    half = 0.5 * (abs(x1 - x0) + abs(y1 - y0))
+    if horizontal:
+        xs = 0.5 * (x0 + x1) + half * rule.nodes
+        ys, sides = np.full_like(xs, y0), ("-", side)
+    else:
+        ys = 0.5 * (y0 + y1) + half * rule.nodes
+        xs, sides = np.full_like(ys, x0), (side, "-")
+    vals = field(xs, ys, alpha[0], alpha[1]) - poly.evaluate(xs, ys, alpha[0], alpha[1], side=sides)
+    return float(np.sqrt(half * np.dot(rule.weights, vals * vals)))
+
+
+def test_edge_l2_matches_one_edge_traces():
+    # a discontinuous piecewise polynomial, so the side convention shows
+    mesh = build_shishkin(1e-4, 8)
+    rng = np.random.default_rng(11)
+    poly = PiecewisePoly2D(mesh.grid_x, mesh.grid_y, rng.normal(size=(8, 8, 3, 3)))
+    f = make_smooth_field("sin_sin")
+    edges = classify_edges(mesh)
+    rule = gauss_rule(4)
+    for alpha in ((0, 0), (1, 0), (0, 1)):
+        for side in ("-", "+"):
+            got = edge_l2(f, poly, edges, rule, alpha, side)
+            expected = [
+                _one_edge_l2(f, poly, *row, rule, alpha, side)
+                for row in zip(edges.x0, edges.y0, edges.x1, edges.y1, edges.horizontal)
+            ]
+            assert got.shape == (len(edges),)
+            assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+    assert not np.allclose(edge_l2(f, poly, edges, rule, side="-"), edge_l2(f, poly, edges, rule, side="+"))
 
 
 def test_jump_zero_for_globally_c1():
@@ -93,17 +126,68 @@ def test_jump_zero_for_globally_c1():
     rng = np.random.default_rng(3)
     mesh = build_macro_mesh(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
     p = random_c1q2(mesh, rng)
-    # build pseudo-edges across all interior element lines
-    from macrospline.mesh import EdgeInfo
-
+    # pseudo-edges on all interior vertical element lines
     gx, gy = p.grid_x, p.grid_y
-    edges = []
-    for ix in range(1, len(gx) - 1):
-        for jy in range(len(gy) - 1):
-            edges.append(
-                EdgeInfo(((gx[ix], gy[jy]), (gx[ix], gy[jy + 1])), "vertical", (1.0, 0.0), "I", ((ix - 1, jy), (ix, jy)))
-            )
+    ix, jy = (a.ravel() for a in np.meshgrid(np.arange(1, len(gx) - 1), np.arange(len(gy) - 1), indexing="ij"))
+    n = ix.size
+    edges = EdgeSet(gx[ix], gy[jy], gx[ix], gy[jy + 1], np.zeros(n, bool), np.tile([1.0, 0.0], (n, 1)), np.full(n, "I"))
+    assert len(edges) == 12
     assert jump_norm_sum(None, p, edges) < 1e-20
+
+
+def _per_edge_jump_sum(field, poly, edges, rule):
+    """jump_norm_sum as it was written over one object per edge: sorted by endpoints, one batch per orientation."""
+    rows = sorted(
+        zip(edges.x0, edges.y0, edges.x1, edges.y1, edges.horizontal),
+        key=lambda r: ((r[0], r[1]), (r[2], r[3])),
+    )
+    contributions = np.zeros(len(rows))
+    for horizontal in (True, False):
+        idx = [k for k, r in enumerate(rows) if r[4] == horizontal]
+        if not idx:
+            continue
+        p0 = np.array([rows[k][0:2] for k in idx])
+        p1 = np.array([rows[k][2:4] for k in idx])
+        half = 0.5 * np.array([abs(rows[k][2] - rows[k][0]) + abs(rows[k][3] - rows[k][1]) for k in idx])
+        if horizontal:
+            X = (0.5 * (p0[:, 0] + p1[:, 0]))[:, None] + half[:, None] * rule.nodes[None, :]
+            Y = np.broadcast_to(p0[:, 1][:, None], X.shape)
+            alpha, hi_side = (0, 1), ("-", "+")
+        else:
+            Y = (0.5 * (p0[:, 1] + p1[:, 1]))[:, None] + half[:, None] * rule.nodes[None, :]
+            X = np.broadcast_to(p0[:, 0][:, None], Y.shape)
+            alpha, hi_side = (1, 0), ("+", "-")
+        lo = poly.evaluate(X, Y, alpha[0], alpha[1], side=("-", "-"))
+        hi = poly.evaluate(X, Y, alpha[0], alpha[1], side=hi_side)
+        f = np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float)
+        jump = (f - lo) - (f - hi)
+        contributions[idx] = half * ((jump * jump) @ rule.weights)
+    return _pairwise_sum(contributions)
+
+
+def test_jump_norm_sum_is_independent_of_row_order():
+    mesh = build_shishkin(1e-6, 16)
+    f = make_layer_decomposition(1e-6, smooth="bounded_third").total
+    star = build_composite(f, mesh, select_sigma(mesh, "toward_corner"))
+    edges = classify_edges(mesh)
+    rule = gauss_rule(4)
+    rng = np.random.default_rng(5)
+    interior = edges[edges.edge_type != "boundary"]
+    for subset in [edges[edges.edge_type == t] for t in ("I", "II", "III", "IV")] + [interior]:
+        value = jump_norm_sum(f, star, subset, rule)
+        assert value == _per_edge_jump_sum(f, star.poly, subset, rule)
+        assert jump_norm_sum(f, star, subset[rng.permutation(len(subset))], rule) == value
+
+
+def test_jump_norm_sum_of_empty_edge_set_is_zero():
+    mesh = build_shishkin(1e-4, 8)
+    f = make_smooth_field("sin_sin")
+    p = nodal_q2_mesh(f, mesh.grid_x, mesh.grid_y)
+    edges = classify_edges(mesh)
+    for empty in (edges[:0], edges[edges.edge_type == "V"]):
+        assert len(empty) == 0
+        assert jump_norm_sum(f, p, empty) == 0.0
+        assert jump_norm_sum(None, p, empty, gauss_rule(4)) == 0.0
 
 
 def test_linf_sampled():
