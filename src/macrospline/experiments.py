@@ -217,8 +217,8 @@ def run_shishkin(config: ExperimentConfig) -> RateTable:
         mesh = build_shishkin(eps, N, config.lambda0, config.c_star)
         sigma = select_sigma(mesh, config.sigma)
         star = build_composite(u, mesh, sigma)
-        edges = classify_edges(mesh)
         l2, h1, h2 = _error_norms(u, star, rule)
+        edges = classify_edges(mesh)
         jumps = {}
         for t in ("I", "II", "III", "IV"):
             jumps[t] = jump_norm_sum(u, star, edges[edges.edge_type == t], rule)

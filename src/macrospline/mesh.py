@@ -444,35 +444,39 @@ def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float 
 
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     nx, ny = mesh.n_macros
-    for mi in range(nx):
-        for mj in range(ny):
-            x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
-            lo_x, hi_x, lo_y, hi_y = patch_bounds(mesh, selection, mi, mj)
-            if (hi_x - lo_x) > patch_factor * (x1 - x0) + 1e-12 or (hi_y - lo_y) > patch_factor * (y1 - y0) + 1e-12:
-                raise ValueError(f"associated patch of macro ({mi},{mj}) exceeds factor {patch_factor}")
-            # patch must stay within the one-ring macro neighbourhood
-            if lo_x < xs[max(mi - 1, 0)] - 1e-12 or hi_x > xs[min(mi + 2, nx)] + 1e-12:
-                raise ValueError(f"associated patch of macro ({mi},{mj}) leaves its neighbourhood")
-            if lo_y < ys[max(mj - 1, 0)] - 1e-12 or hi_y > ys[min(mj + 2, ny)] + 1e-12:
-                raise ValueError(f"associated patch of macro ({mi},{mj}) leaves its neighbourhood")
+    mi, mj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
+    lo_x, hi_x, lo_y, hi_y = patch_bounds(mesh, selection, mi, mj)
+    too_large = ((hi_x - lo_x) > patch_factor * (x1 - x0) + 1e-12) | ((hi_y - lo_y) > patch_factor * (y1 - y0) + 1e-12)
+    # patch must stay within the one-ring macro neighbourhood
+    outside = (lo_x < xs[np.maximum(mi - 1, 0)] - 1e-12) | (hi_x > xs[np.minimum(mi + 2, nx)] + 1e-12)
+    outside |= (lo_y < ys[np.maximum(mj - 1, 0)] - 1e-12) | (hi_y > ys[np.minimum(mj + 2, ny)] + 1e-12)
+    bad = np.flatnonzero(too_large | outside)  # (mi outer, mj inner) order
+    if bad.size:
+        macro = f"({mi.flat[bad[0]]},{mj.flat[bad[0]]})"
+        if too_large.flat[bad[0]]:
+            raise ValueError(f"associated patch of macro {macro} exceeds factor {patch_factor}")
+        raise ValueError(f"associated patch of macro {macro} leaves its neighbourhood")
 
 
-def patch_bounds(mesh: MacroMesh, selection: SigmaSelection, mi: int, mj: int) -> tuple:
+def patch_bounds(mesh: MacroMesh, selection: SigmaSelection, mi, mj) -> tuple:
     """Associated macro patch around macro (mi, mj) as (x0, x1, y0, y1).
 
     The hull of the macro and its nodes' sigma edges, snapped outward to
-    macro grid lines.
+    macro grid lines.  ``mi`` and ``mj`` may be integers or index arrays,
+    which broadcast; each bound then has their broadcast shape.
     """
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    mi, mj = np.broadcast_arrays(mi, mj)
     x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
-    for node in ((mi, mj), (mi + 1, mj), (mi, mj + 1), (mi + 1, mj + 1)):
-        e = selection.edges[node]
-        if e.orientation == "horizontal":
-            x0, x1 = min(x0, e.span[0]), max(x1, e.span[1])
-            y0, y1 = min(y0, e.level), max(y1, e.level)
-        else:
-            y0, y1 = min(y0, e.span[0]), max(y1, e.span[1])
-            x0, x1 = min(x0, e.level), max(x1, e.level)
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        nodes = zip((mi + di).ravel().tolist(), (mj + dj).ravel().tolist())
+        edges = (selection.edges[node] for node in nodes)
+        columns = np.array([(*e.span, e.level, e.orientation == "horizontal") for e in edges], dtype=float)
+        lo, hi, level, horizontal = columns.T.reshape(4, *mi.shape)
+        horizontal = horizontal == 1.0
+        x0, x1 = np.minimum(x0, np.where(horizontal, lo, level)), np.maximum(x1, np.where(horizontal, hi, level))
+        y0, y1 = np.minimum(y0, np.where(horizontal, level, lo)), np.maximum(y1, np.where(horizontal, level, hi))
     x0 = xs[np.searchsorted(xs, x0 + 1e-14, "right") - 1]
     x1 = xs[np.searchsorted(xs, x1 - 1e-14, "left")]
     y0 = ys[np.searchsorted(ys, y0 + 1e-14, "right") - 1]

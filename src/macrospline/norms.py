@@ -4,10 +4,13 @@ Norms of a difference field (analytic field minus interpolant) are
 computed by tensor Gauss rules per element and accumulated pairwise in a
 fixed element order, so a result depends only on its inputs.  The
 element quadrature points are built once for all derivative orders a
-caller asks for (``_seminorms``).  Broken second-order seminorms never
-integrate across element interfaces, where the interpolant's second
-derivatives jump.  Edge norms and jump sums take an ``EdgeSet`` and
-place the Gauss points of all its edges in one step (``_edge_points``).
+caller asks for (``_seminorms``).  Per derivative order, one GEMM with a
+single basis matrix, the local monomials at the tensor Gauss points,
+evaluates every cell polynomial (``_difference``), and one GEMV takes
+the weighted square sums.  Broken second-order seminorms never integrate
+across element interfaces, where the interpolant's second derivatives
+jump.  Edge norms and jump sums take an ``EdgeSet`` and place the Gauss
+points of all its edges in one step (``_edge_points``).
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _element_indices(poly: PiecewisePoly2D, region):
     nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
     if region is None:
         return np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx)
-    elements = np.array(list(region), dtype=int).reshape(-1, 2)
+    elements = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=int).reshape(-1, 2)
     order = np.lexsort((elements[:, 0], elements[:, 1]))
     return elements[order, 0], elements[order, 1]
 
@@ -94,13 +97,15 @@ def _element_points(poly, ix, jy, loc):
 def _difference(field, poly, points, loc, alpha):
     """D^alpha (field - poly) at ``points`` of ``_element_points``; ``field`` may be None.
 
-    Returns an array of shape (n_elements, len(loc), len(loc)).
+    The cell polynomials are evaluated at all tensor points as one GEMM,
+    ``c.reshape(E, -1) @ kron(P, Q).T``, with ``P`` and ``Q`` the local
+    monomials at ``loc``.  Returns an array of shape (E, len(loc), len(loc)).
     """
     ix, jy, wx, wy, X, Y = points
     c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
     P = loc[:, None] ** np.arange(c.shape[1])[None, :]
     Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
-    vals = np.einsum("ekl,pk,ql->epq", c, P, Q)
+    vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), len(loc), len(loc))
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
     if field is None:
         return -vals
@@ -124,9 +129,10 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
         return [0.0] * len(alphas)
     points = _element_points(poly, ix, jy, rule.nodes)
     jac = 0.25 * (poly.grid_x[ix + 1] - poly.grid_x[ix]) * (poly.grid_y[jy + 1] - poly.grid_y[jy])
+    weights = np.outer(rule.weights, rule.weights).ravel()
 
     def norm(diff):
-        contributions = jac * np.einsum("p,q,epq->e", rule.weights, rule.weights, diff * diff)
+        contributions = jac * ((diff * diff).reshape(len(jac), -1) @ weights)
         return float(np.sqrt(max(_pairwise_sum(contributions), 0.0)))
 
     return [norm(_difference(field, poly, points, rule.nodes, alpha)) for alpha in alphas]
@@ -254,14 +260,10 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
     poly = _unwrap(interp)
     if rule is None:
         rule = gauss_rule()
-    by_region = {}
-    N = mesh.N
-    for jy in range(N):
-        for ix in range(N):
-            by_region.setdefault(mesh.region[jy, ix], []).append((ix, jy))
-
     regional = {}
-    for region, elements in sorted(by_region.items()):
+    for region in np.unique(mesh.region):
+        jy, ix = np.nonzero(mesh.region == region)
+        elements = np.column_stack((ix, jy))
         l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, poly, ORDERS, elements, rule)
         h1 = np.sqrt(_pairwise_sum((h1x**2, h1y**2)))
         h2 = np.sqrt(_pairwise_sum((h2xx**2, h2xy**2, h2yy**2)))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import macrospline
 from macrospline.cli import main
 from macrospline.fields import ScalarField, get_field
 from macrospline.experiments import (
@@ -103,6 +107,27 @@ def test_cli_shishkin_runs(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("eps,N,L2")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--operator", "bfs", "--levels", "5"],
+        ["shishkin", "--N", "8", "16", "--eps", "1e-6"],
+    ],
+)
+def test_csv_does_not_depend_on_blas_threads(tmp_path, argv):
+    # The element quadrature runs through BLAS; its thread count must not change a byte.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macrospline.__file__)))
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "macrospline.cli", *argv, "--out", str(out), "--format", "csv"]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") > 2
 
 
 def test_cli_bad_config_exit_code():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from macrospline.mesh import (
     EdgeSet,
     Grid1D,
     SigmaEdge,
+    SigmaSelection,
+    _sigma_for_node,
     build_macro_mesh,
     build_shishkin,
     classify_edges,
@@ -330,6 +333,128 @@ def test_sigma_custom_violation_rejected():
     bad[(0, 0)] = SigmaEdge("horizontal", (0.5, 0.6), 0.0, "left")
     with pytest.raises(ValueError):
         select_sigma(mesh, "custom", custom=bad)
+
+
+def _graded_macro_mesh(rng, nx=7, ny=6):
+    """Random macro widths in [1, 2]: neighbouring macros differ by at most a factor 2."""
+    xs = np.cumsum(np.r_[0.0, rng.uniform(1.0, 2.0, nx)])
+    ys = np.cumsum(np.r_[0.0, rng.uniform(1.0, 2.0, ny)])
+    return build_macro_mesh(xs / xs[-1], ys / ys[-1])
+
+
+def _patch_bounds_per_macro(mesh, selection, mi, mj):
+    """Reference: the hull of one macro and its nodes' sigma edges, snapped outward."""
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
+    for node in ((mi, mj), (mi + 1, mj), (mi, mj + 1), (mi + 1, mj + 1)):
+        e = selection.edges[node]
+        if e.orientation == "horizontal":
+            x0, x1 = min(x0, e.span[0]), max(x1, e.span[1])
+            y0, y1 = min(y0, e.level), max(y1, e.level)
+        else:
+            y0, y1 = min(y0, e.span[0]), max(y1, e.span[1])
+            x0, x1 = min(x0, e.level), max(x1, e.level)
+    x0 = xs[np.searchsorted(xs, x0 + 1e-14, "right") - 1]
+    x1 = xs[np.searchsorted(xs, x1 - 1e-14, "left")]
+    y0 = ys[np.searchsorted(ys, y0 + 1e-14, "right") - 1]
+    y1 = ys[np.searchsorted(ys, y1 - 1e-14, "left")]
+    return (x0, x1, y0, y1)
+
+
+def _first_patch_violation(mesh, selection, patch_factor=3.0):
+    """Reference: the message of the per-macro patch checks (mi outer, mj inner), or None."""
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    nx, ny = mesh.n_macros
+    for mi in range(nx):
+        for mj in range(ny):
+            x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
+            lo_x, hi_x, lo_y, hi_y = _patch_bounds_per_macro(mesh, selection, mi, mj)
+            if (hi_x - lo_x) > patch_factor * (x1 - x0) + 1e-12 or (hi_y - lo_y) > patch_factor * (y1 - y0) + 1e-12:
+                return f"associated patch of macro ({mi},{mj}) exceeds factor {patch_factor}"
+            if lo_x < xs[max(mi - 1, 0)] - 1e-12 or hi_x > xs[min(mi + 2, nx)] + 1e-12:
+                return f"associated patch of macro ({mi},{mj}) leaves its neighbourhood"
+            if lo_y < ys[max(mj - 1, 0)] - 1e-12 or hi_y > ys[min(mj + 2, ny)] + 1e-12:
+                return f"associated patch of macro ({mi},{mj}) leaves its neighbourhood"
+    return None
+
+
+@pytest.mark.parametrize("strategy", ["left", "down", "toward_corner"])
+def test_patch_bounds_on_index_grids_matches_per_macro_loop(strategy):
+    mesh = _graded_macro_mesh(np.random.default_rng(11))
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    nodes = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
+    sel = SigmaSelection({n: _sigma_for_node(xs, ys, *n, strategy) for n in nodes}, strategy)
+    nx, ny = mesh.n_macros
+    want = [[_patch_bounds_per_macro(mesh, sel, mi, mj) for mj in range(ny)] for mi in range(nx)]
+    mi, mj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    got = patch_bounds(mesh, sel, mi, mj)
+    assert all(bound.shape == (nx, ny) for bound in got)
+    assert np.array_equal(np.stack(got, axis=-1), np.array(want))
+    row = patch_bounds(mesh, sel, np.arange(nx), 2)  # broadcast against a scalar index
+    assert np.array_equal(np.stack(row, axis=-1), np.array(want)[:, 2])
+    for i in range(nx):
+        for j in range(ny):
+            scalar = patch_bounds(mesh, sel, i, j)
+            assert scalar == want[i][j]
+            assert all(type(v) is np.float64 for v in scalar)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sigma_custom_violation_on_macro_mesh_rejected(seed):
+    rng = np.random.default_rng(seed)
+    mesh = _graded_macro_mesh(rng)
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    h = np.diff(xs)
+    base = select_sigma(mesh, "left")
+    j = int(rng.integers(1, len(ys)))
+
+    # a node off its own edge
+    i = int(rng.integers(0, len(xs)))
+    off = dict(base.edges)
+    e = off[(i, j)]
+    off[(i, j)] = SigmaEdge(e.orientation, e.span, e.level - 0.5 * np.min(np.diff(ys)), e.node_side)
+    with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {(i, j)} does not contain the node")):
+        select_sigma(mesh, "custom", custom=off)
+
+    # both nodes of an x-interval of a narrow macro walk outward: the patch
+    # spans the one-ring, wider than three macros
+    m = 1 + int(np.argmin(2 * h[1:-1] - h[:-2] - h[2:]))
+    assert h[m - 1] + h[m + 1] > 2 * h[m]
+    wide = dict(base.edges)
+    wide[(m + 1, j)] = SigmaEdge("horizontal", (xs[m + 1], xs[m + 2]), ys[j], "left")
+    message = f"associated patch of macro ({m},{j - 1}) exceeds factor 3.0"
+    assert _first_patch_violation(mesh, SigmaSelection(wide, "custom")) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select_sigma(mesh, "custom", custom=wide)
+
+    # a two-macro edge leaves the one-ring of a wide macro, within the factor
+    i = 2 + int(np.argmax(2 * h[2:] - h[:-2] - h[1:-1]))
+    assert h[i - 2] + h[i - 1] <= 2 * h[i]
+    far = dict(base.edges)
+    far[(i, j)] = SigmaEdge("horizontal", (xs[i - 2], xs[i]), ys[j], "right")
+    message = f"associated patch of macro ({i},{j - 1}) leaves its neighbourhood"
+    assert _first_patch_violation(mesh, SigmaSelection(far, "custom")) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select_sigma(mesh, "custom", custom=far)
+
+    # random edits: the same verdict and first violating macro as the per-macro loop
+    for _ in range(40):
+        custom = dict(base.edges)
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = int(rng.integers(0, len(xs))), int(rng.integers(0, len(ys)))
+            horizontal = bool(rng.integers(0, 2))
+            line, k = (xs, a) if horizontal else (ys, b)
+            lo = int(np.clip(k - rng.integers(0, 3), 0, len(line) - 2))
+            hi = int(np.clip(max(k, lo + 1) + rng.integers(0, 3), lo + 1, len(line) - 1))
+            level = ys[b] if horizontal else xs[a]
+            side = "left" if line[lo] == line[k] else "right"
+            custom[(a, b)] = SigmaEdge("horizontal" if horizontal else "vertical", (line[lo], line[hi]), level, side)
+        message = _first_patch_violation(mesh, SigmaSelection(custom, "custom"))
+        if message is None:
+            verify_sigma_selection(mesh, SigmaSelection(custom, "custom"))
+        else:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify_sigma_selection(mesh, SigmaSelection(custom, "custom"))
 
 
 def test_transition_point_stays_below_quarter():

@@ -7,6 +7,9 @@ from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify
 from macrospline.norms import (
     ORDERS,
     NormReport,
+    _difference,
+    _element_indices,
+    _element_points,
     _pairwise_sum,
     _seminorms,
     compute_norm_report,
@@ -251,7 +254,7 @@ def _seminorm_per_alpha(field, poly, alpha, region, rule):
     c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
     P = loc[:, None] ** np.arange(c.shape[1])[None, :]
     Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
-    vals = np.einsum("ekl,pk,ql->epq", c, P, Q)
+    vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), len(loc), len(loc))
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
     diff = -vals
     if field is not None:
@@ -259,7 +262,7 @@ def _seminorm_per_alpha(field, poly, alpha, region, rule):
         Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
         diff = np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
     jac = 0.25 * (gx[ix + 1] - gx[ix]) * (gy[jy + 1] - gy[jy])
-    contributions = jac * np.einsum("p,q,epq->e", rule.weights, rule.weights, diff * diff)
+    contributions = jac * ((diff * diff).reshape(len(jac), -1) @ np.outer(rule.weights, rule.weights).ravel())
     return float(np.sqrt(max(_pairwise_sum_of_list(contributions.tolist()), 0.0)))
 
 
@@ -276,3 +279,67 @@ def test_seminorms_match_per_alpha_seminorm():
                 got = _seminorms(field, star, ORDERS, region, rule)
                 assert got == [seminorm(field, star, a, region, rule) for a in ORDERS]
                 assert got == [_seminorm_per_alpha(field, star.poly, a, region, rule) for a in ORDERS]
+
+
+@pytest.mark.parametrize("order", [4, 5, 10])
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 4), (4, 2)])
+def test_element_kernel_matches_einsum(shape, order):
+    # The GEMM in _difference and the einsum it replaced both lie within a
+    # summation bound of an extended-precision reference.
+    rng = np.random.default_rng(sum(shape) * 100 + order)
+    grid_x = np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 6)])
+    grid_y = np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 5)])
+    coef = rng.normal(size=(5, 6, *shape)) * 10.0 ** rng.integers(-6, 6, size=(5, 6, *shape))
+    poly = PiecewisePoly2D(grid_x, grid_y, coef)
+    loc = gauss_rule(order).nodes
+    ix, jy = _element_indices(poly, None)
+    gemm = -_difference(None, poly, _element_points(poly, ix, jy, loc), loc, (0, 0))
+
+    c = coef[jy, ix]
+    P = loc[:, None] ** np.arange(shape[0])[None, :]
+    Q = loc[:, None] ** np.arange(shape[1])[None, :]
+    einsum = np.einsum("ekl,pk,ql->epq", c, P, Q)
+    ld = np.longdouble
+    reference = np.einsum("ekl,pk,ql->epq", c.astype(ld), P.astype(ld), Q.astype(ld))
+    magnitude = np.einsum("ekl,pk,ql->epq", np.abs(c), np.abs(P), np.abs(Q))
+    bound = (c[0].size + 2) * np.finfo(float).eps * magnitude
+    assert gemm.shape == einsum.shape == (len(ix), order, order)
+    assert np.all(np.abs(gemm - reference) <= bound)
+    assert np.all(np.abs(einsum - reference) <= bound)
+
+
+def _norm_report_by_loop_grouping(field, poly, mesh, edges, rule):
+    """Reference: compute_norm_report with the per-element dict grouping of regions."""
+    by_region = {}
+    for jy in range(mesh.N):
+        for ix in range(mesh.N):
+            by_region.setdefault(mesh.region[jy, ix], []).append((ix, jy))
+    regional = {}
+    for region, elements in sorted(by_region.items()):
+        l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, poly, ORDERS, elements, rule)
+        regional[region] = {
+            "L2": l2,
+            "H1_semi": float(np.sqrt(_pairwise_sum((h1x**2, h1y**2)))),
+            "broken_H2_semi": float(np.sqrt(_pairwise_sum((h2xx**2, h2xy**2, h2yy**2)))),
+            "Linf_sampled": linf_sampled(field, poly, elements, 4),
+        }
+    global_values = {
+        "L2": float(np.sqrt(_pairwise_sum(v["L2"] ** 2 for v in regional.values()))),
+        "H1_semi": float(np.sqrt(_pairwise_sum(v["H1_semi"] ** 2 for v in regional.values()))),
+        "broken_H2_semi": float(np.sqrt(_pairwise_sum(v["broken_H2_semi"] ** 2 for v in regional.values()))),
+        "Linf_sampled": max(v["Linf_sampled"] for v in regional.values()),
+    }
+    jump_sums = {t: jump_norm_sum(field, poly, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")}
+    return NormReport(regional, global_values, jump_sums)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_norm_report_grouping_matches_per_element_loop(N):
+    mesh = build_shishkin(1e-6, N)
+    u = make_layer_decomposition(1e-6, smooth="bounded_third").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    edges = classify_edges(mesh)
+    rule = gauss_rule(4)
+    report = compute_norm_report(u, star, mesh, edges, rule)
+    assert list(report.regional) == sorted(set(mesh.region.ravel().tolist()))
+    assert report.to_json() == _norm_report_by_loop_grouping(u, star.poly, mesh, edges, rule).to_json()
