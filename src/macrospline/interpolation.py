@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, horner2d
-from .mesh import MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect
+from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _edge_row
 from .spline_core import (
     DualWeight,
     HERMITE_DD_MATRIX,
@@ -445,26 +445,24 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
 # side, dotted with u_xy at mid + h * _SIGMA_T.
 _G5, _W5 = np.polynomial.legendre.leggauss(5)
 _SIGMA_T = np.concatenate([0.5 * (_G5 - 1.0), 0.5 * (_G5 + 1.0)])
-_SIDES = ("left", "right")
-_SIGMA_W = np.array([0.5 * np.tile(_W5, 2) * eval_dual_weight(DualWeight((-1.0, 1.0), s), _SIGMA_T) for s in _SIDES])
+_SIGMA_W = np.array([0.5 * np.tile(_W5, 2) * eval_dual_weight(DualWeight((-1.0, 1.0), s), _SIGMA_T) for s in ("left", "right")])
 
 
-def _sigma_averages(field, edges) -> np.ndarray:
-    """Weighted means of u_xy over the given sigma edges, in one field call."""
-    rows = [(*e.span, e.level, e.orientation == "horizontal", _SIDES.index(e.node_side)) for e in edges]
-    lo, hi, level, horizontal, side = np.array(rows, dtype=float).T
+def _sigma_averages(field, rows) -> np.ndarray:
+    """Weighted means of u_xy over sigma edges, selection rows of any shape, in one field call."""
+    lo, hi, level = rows["lo"], rows["hi"], rows["level"]
     if np.any(hi <= lo):
         raise ValueError("degenerate edge interval")
-    along = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _SIGMA_T
-    across = np.broadcast_to(level[:, None], along.shape)
-    horizontal = (horizontal > 0)[:, None]
+    along = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _SIGMA_T
+    across = np.broadcast_to(level[..., None], along.shape)
+    horizontal = rows["horizontal"][..., None]
     vals = field(np.where(horizontal, along, across), np.where(horizontal, across, along), 1, 1)
-    return np.sum(_SIGMA_W[side.astype(int)] * vals, axis=1)
+    return np.sum(_SIGMA_W[rows["upper"].astype(int)] * vals, axis=-1)
 
 
 def sigma_average(field, edge: SigmaEdge) -> float:
     """Weighted mean of the mixed derivative over one macro edge."""
-    return float(_sigma_averages(field, [edge])[0])
+    return float(_sigma_averages(field, np.array([_edge_row(edge, None)], _SIGMA_ROW))[0])
 
 
 def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
@@ -472,8 +470,7 @@ def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) 
     sigma average at its node; grid node (i, j) is sigma node
     (nodes_x[i], nodes_y[j])."""
     G = _gather(field, grid_x, grid_y, _HERMITE, _HERMITE)
-    edges = [sigma.edge((a, b)) for b in nodes_y for a in nodes_x]
-    A = _sigma_averages(field, edges).reshape(len(nodes_y), len(nodes_x))
+    A = _sigma_averages(field, sigma.rows(nodes_x[None, :], nodes_y[:, None]))
     ny, nx = G.shape[:2]
     hxy = _half_widths(grid_x)[None, :] * _half_widths(grid_y)[:, None]
     for p, di in ((1, 0), (3, 1)):
@@ -490,9 +487,8 @@ def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly
     every C1 biquadratic mesh function and any field that is biquadratic
     on the associated macro patch.
     """
-    nmx, nmy = mesh.n_macros
     mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
-    G = _quasi_data(field, mx, my, sigma, range(nmx + 1), range(nmy + 1))
+    G = _quasi_data(field, mx, my, sigma, np.arange(len(mx)), np.arange(len(my)))
     return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
 
 

@@ -3,12 +3,12 @@
 A macro mesh is refined into an element mesh by bisecting every macro
 interval at its midpoint.  The Shishkin generator builds the
 layer-adapted piecewise-uniform mesh on the unit square, labels every
-element with its subdomain, groups elements into the heterogeneous macro
-structure (2x2 macros near the corners, element pairs in the edge
-strips, single elements in the interior), classifies its element edges
-into the four interior types and the boundary (one ``EdgeSet`` of
-columns, one row per edge), and picks the averaging edges used by the
-quasi-interpolation operator.
+element with its subdomain, and classifies its element edges into the
+four interior types and the boundary (one ``EdgeSet`` of columns, one
+row per edge).  ``select_sigma`` picks the averaging edges used by the
+quasi-interpolation operator, one row of columns per node of a tensor
+node set (orientation, span, level, which end holds the node), filled by
+one walk per axis.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "mesh_to_json",
 ]
 
-CORNER_REGIONS = ("omega12", "omega23", "omega34", "omega41")
 STRIP_REGIONS = ("omega1", "omega2", "omega3", "omega4")
 
 
@@ -55,15 +54,6 @@ class Grid1D:
 
     def __len__(self):
         return len(self.coordinates)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        c = self.coordinates
-        return 0.5 * (c[:-1] + c[1:])
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.diff(self.coordinates)
 
 
 def _bisect(c: np.ndarray) -> np.ndarray:
@@ -97,9 +87,6 @@ class MacroMesh:
         mx, my = self.macro_x.coordinates, self.macro_y.coordinates
         return (mx[i], mx[i + 1], my[j], my[j + 1])
 
-    def node(self, i: int, j: int) -> tuple:
-        return (self.macro_x.coordinates[i], self.macro_y.coordinates[j])
-
 
 def build_macro_mesh(grid_x, grid_y) -> MacroMesh:
     """Wrap two 1D grids into a macro mesh of four-element macros."""
@@ -114,16 +101,6 @@ def build_macro_mesh(grid_x, grid_y) -> MacroMesh:
 
 
 @dataclass(frozen=True)
-class MacroCell:
-    """A group of elements acting as one macro: index window into the element grid."""
-
-    ix: tuple  # (first x element index, one past last)
-    jy: tuple
-    kind: str  # corner4 | strip2y | strip2x | single
-    region: str
-
-
-@dataclass(frozen=True)
 class ShishkinMesh:
     epsilon: float
     N: int
@@ -133,7 +110,6 @@ class ShishkinMesh:
     grid_x: np.ndarray
     grid_y: np.ndarray
     region: np.ndarray  # [jy, ix] subdomain name per element
-    macros: tuple  # MacroCell instances covering all elements
 
     @property
     def fine_step(self) -> float:
@@ -149,20 +125,6 @@ class ShishkinMesh:
         if index < 3 * self.N // 4:
             return "coarse"
         return "fine1"
-
-    def element_size(self, ix: int, jy: int) -> tuple:
-        return (self.grid_x[ix + 1] - self.grid_x[ix], self.grid_y[jy + 1] - self.grid_y[jy])
-
-    def corner_nodes(self):
-        """Element-grid index pairs (even) that are vertices of corner macros."""
-        n4 = self.N // 4
-        fine = list(range(0, n4 + 1, 2))
-        fine_hi = list(range(3 * n4, self.N + 1, 2))
-        nodes = []
-        for xs in (fine, fine_hi):
-            for ys in (fine, fine_hi):
-                nodes.extend((a, b) for a in xs for b in ys)
-        return nodes
 
 
 # Subdomain of an element by the bands of its x and y index (fine0, coarse, fine1).
@@ -206,27 +168,7 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
 
     band = np.repeat([0, 1, 2], [n4, n2, n4])  # ShishkinMesh.band per element index: fine0, coarse, fine1
     region = _REGIONS[band[None, :], band[:, None]]
-
-    macros = []
-    fine_pairs = [(k, k + 2) for k in range(0, n4, 2)] + [(k, k + 2) for k in range(3 * n4, N, 2)]
-    coarse_single = [(k, k + 1) for k in range(n4, 3 * n4)]
-    # corner regions: 2x2-element macros
-    for ix0, ix1 in fine_pairs:
-        for jy0, jy1 in fine_pairs:
-            macros.append(MacroCell((ix0, ix1), (jy0, jy1), "corner4", region[jy0, ix0]))
-    # bottom/top strips: one coarse element wide, element pair in y
-    for ix0, ix1 in coarse_single:
-        for jy0, jy1 in fine_pairs:
-            macros.append(MacroCell((ix0, ix1), (jy0, jy1), "strip2y", region[jy0, ix0]))
-    # left/right strips: element pair in x, one coarse element tall
-    for ix0, ix1 in fine_pairs:
-        for jy0, jy1 in coarse_single:
-            macros.append(MacroCell((ix0, ix1), (jy0, jy1), "strip2x", region[jy0, ix0]))
-    # interior: single elements
-    for ix0, ix1 in coarse_single:
-        for jy0, jy1 in coarse_single:
-            macros.append(MacroCell((ix0, ix1), (jy0, jy1), "single", "omega0"))
-    return ShishkinMesh(epsilon, N, lambda0, c_star, lam, grid, grid.copy(), region, tuple(macros))
+    return ShishkinMesh(epsilon, N, lambda0, c_star, lam, grid, grid.copy(), region)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +251,8 @@ def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
 # Sigma-edge selection for the quasi-interpolation operator.
 # ---------------------------------------------------------------------------
 
+_SIGMA_ROW = np.dtype([("horizontal", bool), ("lo", float), ("hi", float), ("level", float), ("upper", bool)])
+
 
 @dataclass(frozen=True)
 class SigmaEdge:
@@ -319,52 +263,79 @@ class SigmaEdge:
     level: float  # the fixed transverse coordinate
     node_side: str  # which end of the span carries the node: left | right
 
-    def contains(self, x: float, y: float, tol: float = 1e-12) -> bool:
-        along, across = (x, y) if self.orientation == "horizontal" else (y, x)
-        return abs(across - self.level) <= tol and self.span[0] - tol <= along <= self.span[1] + tol
-
 
 @dataclass(frozen=True)
 class SigmaSelection:
-    """Per-node averaging edges, keyed by macro-node index pair."""
+    """Averaging edges of the tensor node set ``nodes_x`` x ``nodes_y``.
 
-    edges: dict
+    ``edges`` is a record array, one row per node, x index outer (row ``i
+    * len(nodes_y) + j`` is node ``(nodes_x[i], nodes_y[j])``), with fields
+    ``horizontal`` (orientation), ``lo``/``hi`` (the span along the edge),
+    ``level`` (the fixed transverse coordinate) and ``upper`` (the node is
+    the span's upper end, node side right).
+    """
+
+    nodes_x: np.ndarray
+    nodes_y: np.ndarray
+    edges: np.ndarray
     strategy: str
 
+    def rows(self, a, b) -> np.ndarray:
+        """Rows of nodes (a, b); index arrays broadcast, and a node outside the set raises KeyError."""
+        a, b = np.broadcast_arrays(a, b)
+        i = np.searchsorted(self.nodes_x, a).clip(max=len(self.nodes_x) - 1)
+        j = np.searchsorted(self.nodes_y, b).clip(max=len(self.nodes_y) - 1)
+        outside = np.flatnonzero((self.nodes_x[i] != a) | (self.nodes_y[j] != b))
+        if outside.size:
+            raise KeyError((int(a.flat[outside[0]]), int(b.flat[outside[0]])))
+        return self.edges[i * len(self.nodes_y) + j]
+
     def edge(self, node) -> SigmaEdge:
-        return self.edges[tuple(node)]
+        row = self.rows(*node)
+        orientation = "horizontal" if row["horizontal"] else "vertical"
+        return SigmaEdge(orientation, (row["lo"], row["hi"]), row["level"], "right" if row["upper"] else "left")
 
 
-def _toward(coord, lo, hi):
-    """-1 to walk down/left, +1 to walk up/right, toward the nearer bound."""
-    return -1 if (coord - lo) <= (hi - coord) else 1
+def _edge_row(edge: SigmaEdge | None, node) -> tuple:
+    """One ``_SIGMA_ROW``; ValueError, naming ``node``, on no edge or an unknown orientation or node side."""
+    if edge is None:
+        raise ValueError(f"sigma edge for node {node} is missing")
+    if edge.orientation not in ("horizontal", "vertical") or edge.node_side not in ("left", "right"):
+        raise ValueError(f"sigma edge for node {node}: orientation {edge.orientation!r}, node_side {edge.node_side!r}")
+    return (edge.orientation == "horizontal", *edge.span, edge.level, edge.node_side == "right")
 
 
-def _sigma_for_node(xs, ys, i, j, strategy, domain=None):
-    """Pick a macro edge containing node (xs[i], ys[j]) on a tensor macro grid."""
-    nx, ny = len(xs) - 1, len(ys) - 1
-    if strategy == "left":
-        k = i - 1 if i >= 1 else 0
-        return SigmaEdge("horizontal", (xs[k], xs[k + 1]), ys[j], "right" if i >= 1 else "left")
-    if strategy == "down":
-        k = j - 1 if j >= 1 else 0
-        return SigmaEdge("vertical", (ys[k], ys[k + 1]), xs[i], "right" if j >= 1 else "left")
-    if strategy == "toward_corner":
-        xlo, xhi, ylo, yhi = domain if domain is not None else (xs[0], xs[-1], ys[0], ys[-1])
-        dx = _toward(xs[i], xlo, xhi)
-        dy = _toward(ys[j], ylo, yhi)
-        at_x_bound = (i == 0 and dx == -1) or (i == nx and dx == 1)
-        at_y_bound = (j == 0 and dy == -1) or (j == ny and dy == 1)
-        if not at_x_bound:
-            k = i - 1 if dx == -1 else i
-            return SigmaEdge("horizontal", (xs[k], xs[k + 1]), ys[j], "right" if dx == -1 else "left")
-        if not at_y_bound:
-            k = j - 1 if dy == -1 else j
-            return SigmaEdge("vertical", (ys[k], ys[k + 1]), xs[i], "right" if dy == -1 else "left")
-        # domain corner node: step along x away from the corner
-        k = i if i == 0 else i - 1
-        return SigmaEdge("horizontal", (xs[k], xs[k + 1]), ys[j], "left" if i == 0 else "right")
-    raise ValueError(f"unknown sigma strategy {strategy!r}")
+def _sigma_runs(mesh) -> tuple:
+    """The node lines ``xs``, ``ys`` and, per axis, the runs of sigma node indices on them.
+
+    On a macro mesh every macro node needs an edge: one run per axis.  On
+    a Shishkin mesh only the corner-macro vertices do, every other line of
+    the fine bands, and each band is a run of its own.
+    """
+    if isinstance(mesh, ShishkinMesh):
+        runs = (np.arange(0, mesh.N // 4 + 1, 2), np.arange(3 * mesh.N // 4, mesh.N + 1, 2))
+        return mesh.grid_x, mesh.grid_y, runs, runs
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    return xs, ys, (np.arange(len(xs)),), (np.arange(len(ys)),)
+
+
+def _walk(c, runs, strategy) -> tuple:
+    """Spans ``(lo, hi, upper), turned`` along the line ``c`` of the sigma nodes in ``runs``.
+
+    Each node steps to a neighbour in its run: down, or with
+    'toward_corner' toward the nearer end of ``c``, and turns inward at an
+    end of its run (``turned``).  ``upper`` marks a node at the upper end
+    of its span.
+    """
+    columns = []
+    for run in runs:
+        x, k = c[run], np.arange(len(run))
+        down = (x - c[0]) <= (c[-1] - x) if strategy == "toward_corner" else np.ones(len(x), bool)
+        turned = np.where(down, k == 0, k == len(x) - 1)
+        upper = down != turned
+        columns.append((x[k - upper], x[k - upper + 1], upper, turned))
+    lo, hi, upper, turned = map(np.concatenate, zip(*columns))
+    return (lo, hi, upper), turned
 
 
 def select_sigma(mesh, strategy: str = "toward_corner", custom: dict | None = None) -> SigmaSelection:
@@ -374,75 +345,77 @@ def select_sigma(mesh, strategy: str = "toward_corner", custom: dict | None = No
     Shishkin mesh only the corner-macro vertices need one, and the choice
     is constrained to the closed corner regions; 'toward_corner' walks
     toward the nearest domain corner and satisfies this by construction.
+    'left' and 'down' walk one macro left or down.  'custom' takes a
+    node -> ``SigmaEdge`` map holding exactly these nodes.  The result
+    passes ``verify_sigma_selection``.
     """
-    if strategy == "custom":
-        if custom is None:
-            raise ValueError("custom strategy requires an explicit node -> SigmaEdge map")
-        sel = SigmaSelection(dict(custom), "custom")
-        verify_sigma_selection(mesh, sel)
-        return sel
-
-    edges = {}
-    if isinstance(mesh, ShishkinMesh):
-        gx, gy = mesh.grid_x, mesh.grid_y
-        n4 = mesh.N // 4
-        for a, b in mesh.corner_nodes():
-            # restrict the walk to the fine corner band holding this node
-            xs = gx[0 : n4 + 1 : 2] if a <= n4 else gx[3 * n4 : mesh.N + 1 : 2]
-            ys = gy[0 : n4 + 1 : 2] if b <= n4 else gy[3 * n4 : mesh.N + 1 : 2]
-            ii = (a if a <= n4 else a - 3 * n4) // 2
-            jj = (b if b <= n4 else b - 3 * n4) // 2
-            edges[(a, b)] = _sigma_for_node(xs, ys, ii, jj, strategy, domain=(0.0, 1.0, 0.0, 1.0))
-        sel = SigmaSelection(edges, strategy)
-    else:
-        xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
-        for i in range(len(xs)):
-            for j in range(len(ys)):
-                edges[(i, j)] = _sigma_for_node(xs, ys, i, j, strategy)
-        sel = SigmaSelection(edges, strategy)
+    sel = _build_selection(mesh, strategy, custom)
     verify_sigma_selection(mesh, sel)
     return sel
 
 
-def _node_coords(mesh, node):
-    if isinstance(mesh, ShishkinMesh):
-        return (mesh.grid_x[node[0]], mesh.grid_y[node[1]])
-    return mesh.node(*node)
+def _build_selection(mesh, strategy: str, custom: dict | None = None) -> SigmaSelection:
+    """The selection of ``select_sigma``, not yet verified."""
+    xs, ys, runs_x, runs_y = _sigma_runs(mesh)
+    nodes_x, nodes_y = np.concatenate(runs_x), np.concatenate(runs_y)
+    if strategy == "custom":
+        if custom is None:
+            raise ValueError("custom strategy requires an explicit node -> SigmaEdge map")
+        nodes = [(a, b) for a in nodes_x.tolist() for b in nodes_y.tolist()]
+        extra = set(custom).difference(nodes)
+        if extra:
+            raise ValueError(f"node {next(n for n in custom if n in extra)} is not a sigma node of the mesh")
+        edges = np.rec.fromrecords([_edge_row(custom.get(node), node) for node in nodes], dtype=_SIGMA_ROW)
+    elif strategy in ("left", "down", "toward_corner"):
+        (x_spans, x_turned), (y_spans, y_turned) = _walk(xs, runs_x, strategy), _walk(ys, runs_y, strategy)
+        if strategy == "toward_corner":  # along x unless the x walk turned; at a domain corner, along x again
+            horizontal = ~x_turned[:, None] | y_turned
+        else:
+            horizontal = np.full((len(nodes_x), len(nodes_y)), strategy == "left")
+        lo, hi, upper = (np.where(horizontal, x[:, None], y) for x, y in zip(x_spans, y_spans))
+        level = np.where(horizontal, ys[nodes_y], xs[nodes_x][:, None])
+        edges = np.rec.fromarrays((horizontal, lo, hi, level, upper), dtype=_SIGMA_ROW)
+    else:
+        raise ValueError(f"unknown sigma strategy {strategy!r}")
+    return SigmaSelection(nodes_x, nodes_y, edges.ravel(), strategy)
 
 
 def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float = 3.0) -> None:
     """Check the selection invariants; raises ValueError on violation.
 
-    Every node must lie on its own edge.  On a Shishkin mesh the edge
-    must stay inside the closed corner region of its node.  On a plain
-    macro mesh the associated patch of each macro must stay within the
-    given size factor of the macro and inside the macro neighbourhood.
+    The selection must hold exactly the mesh's sigma nodes, and every
+    node must lie on its own edge, at the ``node_side`` end.  On a
+    Shishkin mesh the edge must stay inside the closed corner region of
+    its node.  On a plain macro mesh the associated patch of each macro
+    must stay within the given size factor of the macro and inside the
+    macro neighbourhood.
     """
-    for node, edge in selection.edges.items():
-        x, y = _node_coords(mesh, node)
-        if not edge.contains(x, y):
-            raise ValueError(f"sigma edge for node {node} does not contain the node")
-
+    xs, ys, runs_x, runs_y = _sigma_runs(mesh)
+    nodes_x, nodes_y = np.concatenate(runs_x), np.concatenate(runs_y)
+    if not (np.array_equal(selection.nodes_x, nodes_x) and np.array_equal(selection.nodes_y, nodes_y)):
+        raise ValueError("the selection's nodes are not the sigma nodes of the mesh")
+    e = selection.edges.reshape(len(nodes_x), len(nodes_y))
+    horizontal, lo, hi, level = e["horizontal"], e["lo"], e["hi"], e["level"]
+    x, y = xs[nodes_x][:, None], ys[nodes_y]
+    along, across = np.where(horizontal, x, y), np.where(horizontal, y, x)
+    tol = 1e-12
+    # each check holds where True; NaN columns fail them
+    checks = [
+        ((np.abs(across - level) <= tol) & (lo - tol <= along) & (along <= hi + tol), "does not contain the node"),
+        (np.abs(along - np.where(e["upper"], hi, lo)) <= tol, "does not end at the node on its node side"),
+    ]
+    if isinstance(mesh, ShishkinMesh):  # the level is in its node's band once the node is on the edge
+        low = along <= mesh.lam + tol
+        inside = (np.where(low, 0.0, 1.0 - mesh.lam) - tol <= lo) & (hi <= np.where(low, mesh.lam, 1.0) + tol)
+        checks.append((inside, "leaves the closed corner region"))
+    for ok, what in checks:
+        bad = np.flatnonzero(~ok)  # (node x index outer, y index inner) order
+        if bad.size:
+            i, j = divmod(int(bad[0]), len(nodes_y))
+            raise ValueError(f"sigma edge for node {(int(nodes_x[i]), int(nodes_y[j]))} {what}")
     if isinstance(mesh, ShishkinMesh):
-        lam, N = mesh.lam, mesh.N
-        tol = 1e-12
-        for node, edge in selection.edges.items():
-            x, y = _node_coords(mesh, node)
-            bands = []
-            for c in (x, y):
-                bands.append((0.0, lam) if c <= lam + tol else (1.0 - lam, 1.0))
-            (bx, by) = bands
-            if edge.orientation == "horizontal":
-                lo, hi, level = edge.span[0], edge.span[1], edge.level
-                ok = bx[0] - tol <= lo and hi <= bx[1] + tol and by[0] - tol <= level <= by[1] + tol
-            else:
-                lo, hi, level = edge.span[0], edge.span[1], edge.level
-                ok = by[0] - tol <= lo and hi <= by[1] + tol and bx[0] - tol <= level <= bx[1] + tol
-            if not ok:
-                raise ValueError(f"sigma edge for node {node} leaves the closed corner region")
         return
 
-    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     nx, ny = mesh.n_macros
     mi, mj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
@@ -470,11 +443,8 @@ def patch_bounds(mesh: MacroMesh, selection: SigmaSelection, mi, mj) -> tuple:
     mi, mj = np.broadcast_arrays(mi, mj)
     x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
     for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        nodes = zip((mi + di).ravel().tolist(), (mj + dj).ravel().tolist())
-        edges = (selection.edges[node] for node in nodes)
-        columns = np.array([(*e.span, e.level, e.orientation == "horizontal") for e in edges], dtype=float)
-        lo, hi, level, horizontal = columns.T.reshape(4, *mi.shape)
-        horizontal = horizontal == 1.0
+        e = selection.rows(mi + di, mj + dj)
+        horizontal, lo, hi, level = e["horizontal"], e["lo"], e["hi"], e["level"]
         x0, x1 = np.minimum(x0, np.where(horizontal, lo, level)), np.maximum(x1, np.where(horizontal, hi, level))
         y0, y1 = np.minimum(y0, np.where(horizontal, level, lo)), np.maximum(y1, np.where(horizontal, level, hi))
     x0 = xs[np.searchsorted(xs, x0 + 1e-14, "right") - 1]

@@ -88,12 +88,44 @@ def test_evaluate_wrapper_on_composite():
     assert abs(lo - hi) < 1e-11  # normal derivative continuous across y=lam
 
 
+def _macro_windows(mesh):
+    """The heterogeneous macro structure as ((ix0, ix1), (jy0, jy1), kind) element index windows:
+    2x2 macros in the corner regions, element pairs in the strips, single interior elements."""
+    N, n4 = mesh.N, mesh.N // 4
+    fine_pairs = [(k, k + 2) for k in range(0, n4, 2)] + [(k, k + 2) for k in range(3 * n4, N, 2)]
+    coarse_single = [(k, k + 1) for k in range(n4, 3 * n4)]
+    for ix in fine_pairs:
+        for jy in fine_pairs:
+            yield ix, jy, "corner4"
+    for ix in coarse_single:
+        for jy in fine_pairs:
+            yield ix, jy, "strip2y"
+    for ix in fine_pairs:
+        for jy in coarse_single:
+            yield ix, jy, "strip2x"
+    for ix in coarse_single:
+        for jy in coarse_single:
+            yield ix, jy, "single"
+
+
+def test_macro_windows_tile_the_mesh():
+    mesh = build_shishkin(1e-6, 16)
+    # every element belongs to exactly one macro
+    owned = np.zeros((16, 16), dtype=int)
+    kinds = {}
+    for (i0, i1), (j0, j1), kind in _macro_windows(mesh):
+        owned[j0:j1, i0:i1] += 1
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert np.all(owned == 1)
+    # 4 corner regions of 2x2 macros each, strips of 8x2, interior 8x8 singles
+    assert kinds == {"corner4": 4 * 4, "strip2y": 8 * 4, "strip2x": 8 * 4, "single": 64}
+
+
 def _macro_blocks(star, kinds):
     gx, gy = star.mesh.grid_x, star.mesh.grid_y
-    for m in star.mesh.macros:
-        if m.kind in kinds:
-            (i0, i1), (j0, j1) = m.ix, m.jy
-            yield m, (gx[i0], gx[i1], gy[j0], gy[j1]), star.poly.coef[j0:j1, i0:i1]
+    for (i0, i1), (j0, j1), kind in _macro_windows(star.mesh):
+        if kind in kinds:
+            yield kind, (gx[i0], gx[i1], gy[j0], gy[j1]), star.poly.coef[j0:j1, i0:i1]
 
 
 def test_composite_interior_is_nodal_interpolant():
@@ -113,9 +145,9 @@ def test_composite_strips_away_from_the_core_are_anisotropic_interpolants():
     for f in (make_smooth_field("exp_xy"), make_layer_decomposition(1e-6, smooth="bounded_third").total):
         star = build_composite(f, mesh, sigma)
         checked = 0
-        for m, bounds, coef in _macro_blocks(star, orientation):
+        for kind, bounds, coef in _macro_blocks(star, orientation):
             if not any(c in interfaces for c in bounds):
-                assert np.max(np.abs(coef - interp_aniso(f, bounds, orientation[m.kind]).coef)) == 0.0
+                assert np.max(np.abs(coef - interp_aniso(f, bounds, orientation[kind]).coef)) == 0.0
                 checked += 1
         assert checked == 4 * (mesh.N // 2 - 2) * (mesh.N // 8 - 1)
 

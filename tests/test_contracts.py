@@ -77,3 +77,70 @@ def test_moderate_aspect_silent():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build()
+
+
+def test_public_api_is_pinned():
+    import macrospline
+    import macrospline.mesh
+
+    assert macrospline.__all__ == [
+        "ScalarField",
+        "get_field",
+        "make_layer_decomposition",
+        "make_polynomial_field",
+        "make_smooth_field",
+        "CompositeInterpolant",
+        "PiecewisePoly2D",
+        "build_composite",
+        "evaluate",
+        "interp_aniso",
+        "interp_bfs",
+        "interp_full",
+        "interp_full_macro",
+        "interp_reduced",
+        "interp_reduced_macro",
+        "nodal_q2",
+        "quasi_interp",
+        "Grid1D",
+        "MacroMesh",
+        "ShishkinMesh",
+        "build_macro_mesh",
+        "build_shishkin",
+        "classify_edges",
+        "select_sigma",
+        "NormReport",
+        "compute_norm_report",
+        "edge_l2",
+        "gauss_rule",
+        "jump_norm_sum",
+        "linf_sampled",
+        "seminorm",
+        "DualWeight",
+        "HermiteData1D",
+        "KnotSequence",
+        "MacroSpline1D",
+        "divided_difference",
+        "eval_dual_weight",
+        "eval_ref_basis",
+        "eval_world_basis",
+        "hermite_interpolate_1d",
+        "integrate_dual_weight",
+        "__version__",
+    ]
+    assert macrospline.mesh.__all__ == [
+        "Grid1D",
+        "MacroMesh",
+        "ShishkinMesh",
+        "EdgeSet",
+        "SigmaEdge",
+        "SigmaSelection",
+        "build_macro_mesh",
+        "build_shishkin",
+        "classify_edges",
+        "select_sigma",
+        "verify_sigma_selection",
+        "mesh_to_json",
+    ]
+    for module in (macrospline, macrospline.mesh):
+        for name in module.__all__:
+            assert hasattr(module, name), name

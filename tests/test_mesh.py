@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from macrospline.mesh import (
     EdgeSet,
     Grid1D,
+    ShishkinMesh,
     SigmaEdge,
-    SigmaSelection,
-    _sigma_for_node,
+    _build_selection,
     build_macro_mesh,
     build_shishkin,
     classify_edges,
@@ -78,11 +79,6 @@ def test_shishkin_tiling_and_counts():
     area = float(np.outer(hy, hx).sum())
     assert area == pytest.approx(1.0, abs=1e-12)
     assert len(mesh.grid_x) == 17
-    # every element belongs to exactly one macro
-    owned = np.zeros((16, 16), dtype=int)
-    for m in mesh.macros:
-        owned[m.jy[0] : m.jy[1], m.ix[0] : m.ix[1]] += 1
-    assert np.all(owned == 1)
 
 
 def test_shishkin_region_labels():
@@ -116,19 +112,6 @@ def test_region_matches_per_element_loop(N):
             expected[jy, ix] = table[(mesh.band(ix), mesh.band(jy))]
     assert mesh.region.dtype == expected.dtype
     assert np.array_equal(mesh.region, expected)
-
-
-def test_shishkin_macro_kinds():
-    mesh = build_shishkin(1e-6, 16)
-    kinds = {}
-    for m in mesh.macros:
-        kinds.setdefault(m.kind, 0)
-        kinds[m.kind] += 1
-    # 4 corner regions of 2x2 macros each, strips of 8x2, interior 8x8 singles
-    assert kinds["corner4"] == 4 * 4
-    assert kinds["strip2y"] == 8 * 4
-    assert kinds["strip2x"] == 8 * 4
-    assert kinds["single"] == 64
 
 
 def _brute_force_edge_counts(mesh):
@@ -329,10 +312,71 @@ def test_sigma_toward_corner_on_shishkin():
 def test_sigma_custom_violation_rejected():
     mesh = build_shishkin(1e-6, 16)
     sel = select_sigma(mesh, "toward_corner")
-    bad = dict(sel.edges)
+    bad = _edge_map(sel)
     bad[(0, 0)] = SigmaEdge("horizontal", (0.5, 0.6), 0.0, "left")
     with pytest.raises(ValueError):
         select_sigma(mesh, "custom", custom=bad)
+
+
+def _edge_map(selection):
+    """A selection as the node -> SigmaEdge map that select_sigma(..., "custom") takes."""
+    return {(a, b): selection.edge((a, b)) for a in selection.nodes_x.tolist() for b in selection.nodes_y.tolist()}
+
+
+def _toward(coord, lo, hi):
+    """-1 to walk down/left, +1 to walk up/right, toward the nearer bound."""
+    return -1 if (coord - lo) <= (hi - coord) else 1
+
+
+def _sigma_for_node(xs, ys, i, j, strategy, domain=None):
+    """Reference: the per-node rule select_sigma replaced, an edge containing node (xs[i], ys[j])."""
+    nx, ny = len(xs) - 1, len(ys) - 1
+    if strategy == "left":
+        k = i - 1 if i >= 1 else 0
+        return SigmaEdge("horizontal", (xs[k], xs[k + 1]), ys[j], "right" if i >= 1 else "left")
+    if strategy == "down":
+        k = j - 1 if j >= 1 else 0
+        return SigmaEdge("vertical", (ys[k], ys[k + 1]), xs[i], "right" if j >= 1 else "left")
+    if strategy == "toward_corner":
+        xlo, xhi, ylo, yhi = domain if domain is not None else (xs[0], xs[-1], ys[0], ys[-1])
+        dx = _toward(xs[i], xlo, xhi)
+        dy = _toward(ys[j], ylo, yhi)
+        at_x_bound = (i == 0 and dx == -1) or (i == nx and dx == 1)
+        at_y_bound = (j == 0 and dy == -1) or (j == ny and dy == 1)
+        if not at_x_bound:
+            k = i - 1 if dx == -1 else i
+            return SigmaEdge("horizontal", (xs[k], xs[k + 1]), ys[j], "right" if dx == -1 else "left")
+        if not at_y_bound:
+            k = j - 1 if dy == -1 else j
+            return SigmaEdge("vertical", (ys[k], ys[k + 1]), xs[i], "right" if dy == -1 else "left")
+        # domain corner node: step along x away from the corner
+        k = i if i == 0 else i - 1
+        return SigmaEdge("horizontal", (xs[k], xs[k + 1]), ys[j], "left" if i == 0 else "right")
+    raise ValueError(f"unknown sigma strategy {strategy!r}")
+
+
+def _per_node_selection(mesh, strategy):
+    """Reference: the per-node loop select_sigma replaced, node -> SigmaEdge."""
+    edges = {}
+    if isinstance(mesh, ShishkinMesh):
+        gx, gy = mesh.grid_x, mesh.grid_y
+        n4 = mesh.N // 4
+        fine, fine_hi = list(range(0, n4 + 1, 2)), list(range(3 * n4, mesh.N + 1, 2))
+        for xs_ in (fine, fine_hi):
+            for ys_ in (fine, fine_hi):
+                for a, b in ((a, b) for a in xs_ for b in ys_):
+                    # restrict the walk to the fine corner band holding this node
+                    xs = gx[0 : n4 + 1 : 2] if a <= n4 else gx[3 * n4 : mesh.N + 1 : 2]
+                    ys = gy[0 : n4 + 1 : 2] if b <= n4 else gy[3 * n4 : mesh.N + 1 : 2]
+                    ii = (a if a <= n4 else a - 3 * n4) // 2
+                    jj = (b if b <= n4 else b - 3 * n4) // 2
+                    edges[(a, b)] = _sigma_for_node(xs, ys, ii, jj, strategy, domain=(0.0, 1.0, 0.0, 1.0))
+        return edges
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    for i in range(len(xs)):
+        for j in range(len(ys)):
+            edges[(i, j)] = _sigma_for_node(xs, ys, i, j, strategy)
+    return edges
 
 
 def _graded_macro_mesh(rng, nx=7, ny=6):
@@ -342,12 +386,104 @@ def _graded_macro_mesh(rng, nx=7, ny=6):
     return build_macro_mesh(xs / xs[-1], ys / ys[-1])
 
 
-def _patch_bounds_per_macro(mesh, selection, mi, mj):
-    """Reference: the hull of one macro and its nodes' sigma edges, snapped outward."""
+def _sigma_meshes():
+    rng = np.random.default_rng(5)
+    meshes = [_graded_macro_mesh(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(4)]
+    # uniform: the middle nodes are equally near both ends, and toward_corner then walks down
+    meshes.append(build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 7)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # eps=1e-4 at N=256 leaves the layers unresolved
+        meshes += [build_shishkin(eps, N) for N in (8, 64, 256) for eps in (1e-4, 1e-8)]
+    return meshes
+
+
+@pytest.mark.parametrize("strategy", ["left", "down", "toward_corner"])
+def test_sigma_columns_match_per_node_loop(strategy):
+    for mesh in _sigma_meshes():
+        sel = _build_selection(mesh, strategy)  # toward_corner fails the patch check on some graded meshes
+        expected = _per_node_selection(mesh, strategy)
+        nodes = [(a, b) for a in sel.nodes_x.tolist() for b in sel.nodes_y.tolist()]
+        assert len(sel.edges) == len(nodes) == len(expected) and set(nodes) == set(expected)
+        want = [expected[node] for node in nodes]
+        assert np.array_equal(sel.edges["horizontal"], np.array([e.orientation == "horizontal" for e in want]))
+        assert np.array_equal(sel.edges["lo"], np.array([e.span[0] for e in want]))
+        assert np.array_equal(sel.edges["hi"], np.array([e.span[1] for e in want]))
+        assert np.array_equal(sel.edges["level"], np.array([e.level for e in want]))
+        assert np.array_equal(sel.edges["upper"], np.array([e.node_side == "right" for e in want]))
+
+
+def test_sigma_edge_round_trips_and_rejects_outside_nodes():
+    for mesh in _sigma_meshes():
+        sel = select_sigma(mesh, "left")
+        expected = _per_node_selection(mesh, "left")
+        edges = _edge_map(sel)
+        assert edges == expected
+        again = select_sigma(mesh, "custom", custom=edges)
+        assert again.edges.dtype == sel.edges.dtype and np.all(again.edges == sel.edges)
+        assert np.array_equal(again.nodes_x, sel.nodes_x) and np.array_equal(again.nodes_y, sel.nodes_y)
+        outside = [(-1, 0), (0, int(sel.nodes_y[-1]) + 1)]
+        if isinstance(mesh, ShishkinMesh):
+            outside += [(1, 0), (0, mesh.N // 2)]  # odd, and coarse-band lines
+        for node in outside:
+            with pytest.raises(KeyError):
+                sel.edge(node)
+
+
+def test_sigma_custom_map_defects_rejected_naming_the_node():
+    mesh = build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
+    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    base = _edge_map(select_sigma(mesh, "left"))
+
+    missing = dict(base)
+    del missing[(2, 3)]
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (2, 3) is missing")):
+        select_sigma(mesh, "custom", custom=missing)
+
+    extra = dict(base)
+    extra[(5, 0)] = SigmaEdge("horizontal", (xs[3], xs[4]), ys[0], "right")
+    with pytest.raises(ValueError, match=re.escape("node (5, 0) is not a sigma node of the mesh")):
+        select_sigma(mesh, "custom", custom=extra)
+
+    diagonal = dict(base)
+    diagonal[(1, 1)] = SigmaEdge("diagonal", (xs[0], xs[1]), ys[1], "right")
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (1, 1): orientation 'diagonal'")):
+        select_sigma(mesh, "custom", custom=diagonal)
+
+    middle = dict(base)
+    middle[(1, 2)] = SigmaEdge("horizontal", (xs[0], xs[1]), ys[2], "middle")
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (1, 2): orientation 'horizontal', node_side 'middle'")):
+        select_sigma(mesh, "custom", custom=middle)
+
+    # node (2, 1) is the right end of its edge but claims the left one
+    wrong_end = dict(base)
+    wrong_end[(2, 1)] = SigmaEdge("horizontal", (xs[1], xs[2]), ys[1], "left")
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (2, 1) does not end at the node on its node side")):
+        select_sigma(mesh, "custom", custom=wrong_end)
+
+    # a selection checked against a mesh with other sigma nodes
+    with pytest.raises(ValueError, match="not the sigma nodes of the mesh"):
+        verify_sigma_selection(build_macro_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 5)), select_sigma(mesh, "left"))
+
+    shishkin = build_shishkin(1e-6, 16)
+    gx = shishkin.grid_x
+    corner = _edge_map(select_sigma(shishkin, "toward_corner"))
+    del corner[(14, 4)]
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (14, 4) is missing")):
+        select_sigma(shishkin, "custom", custom=corner)
+    # edges ending at their node on the band lines x = lam and x = 1 - lam, reaching into the coarse band
+    for node, span, side in (((4, 2), (gx[4], gx[6]), "left"), ((12, 2), (gx[10], gx[12]), "right")):
+        leaving = _edge_map(select_sigma(shishkin, "toward_corner"))
+        leaving[node] = SigmaEdge("horizontal", span, shishkin.grid_y[2], side)
+        with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {node} leaves the closed corner region")):
+            select_sigma(shishkin, "custom", custom=leaving)
+
+
+def _patch_bounds_per_macro(mesh, edges, mi, mj):
+    """Reference: the hull of one macro and its nodes' sigma edges (node -> SigmaEdge), snapped outward."""
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
     for node in ((mi, mj), (mi + 1, mj), (mi, mj + 1), (mi + 1, mj + 1)):
-        e = selection.edges[node]
+        e = edges[node]
         if e.orientation == "horizontal":
             x0, x1 = min(x0, e.span[0]), max(x1, e.span[1])
             y0, y1 = min(y0, e.level), max(y1, e.level)
@@ -361,14 +497,23 @@ def _patch_bounds_per_macro(mesh, selection, mi, mj):
     return (x0, x1, y0, y1)
 
 
-def _first_patch_violation(mesh, selection, patch_factor=3.0):
-    """Reference: the message of the per-macro patch checks (mi outer, mj inner), or None."""
+def _first_patch_violation(mesh, edges, patch_factor=3.0):
+    """Reference: the message of the first failed check, or None.
+
+    The node-end rule in (i outer, j inner) node order, then the
+    per-macro patch checks (mi outer, mj inner).
+    """
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    for node in sorted(edges):
+        e = edges[node]
+        along = xs[node[0]] if e.orientation == "horizontal" else ys[node[1]]
+        if abs(along - (e.span[1] if e.node_side == "right" else e.span[0])) > 1e-12:
+            return f"sigma edge for node {node} does not end at the node on its node side"
     nx, ny = mesh.n_macros
     for mi in range(nx):
         for mj in range(ny):
             x0, x1, y0, y1 = mesh.macro_bounds(mi, mj)
-            lo_x, hi_x, lo_y, hi_y = _patch_bounds_per_macro(mesh, selection, mi, mj)
+            lo_x, hi_x, lo_y, hi_y = _patch_bounds_per_macro(mesh, edges, mi, mj)
             if (hi_x - lo_x) > patch_factor * (x1 - x0) + 1e-12 or (hi_y - lo_y) > patch_factor * (y1 - y0) + 1e-12:
                 return f"associated patch of macro ({mi},{mj}) exceeds factor {patch_factor}"
             if lo_x < xs[max(mi - 1, 0)] - 1e-12 or hi_x > xs[min(mi + 2, nx)] + 1e-12:
@@ -381,11 +526,10 @@ def _first_patch_violation(mesh, selection, patch_factor=3.0):
 @pytest.mark.parametrize("strategy", ["left", "down", "toward_corner"])
 def test_patch_bounds_on_index_grids_matches_per_macro_loop(strategy):
     mesh = _graded_macro_mesh(np.random.default_rng(11))
-    xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
-    nodes = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-    sel = SigmaSelection({n: _sigma_for_node(xs, ys, *n, strategy) for n in nodes}, strategy)
+    sel = _build_selection(mesh, strategy)
+    edges = _per_node_selection(mesh, strategy)
     nx, ny = mesh.n_macros
-    want = [[_patch_bounds_per_macro(mesh, sel, mi, mj) for mj in range(ny)] for mi in range(nx)]
+    want = [[_patch_bounds_per_macro(mesh, edges, mi, mj) for mj in range(ny)] for mi in range(nx)]
     mi, mj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     got = patch_bounds(mesh, sel, mi, mj)
     assert all(bound.shape == (nx, ny) for bound in got)
@@ -405,12 +549,12 @@ def test_sigma_custom_violation_on_macro_mesh_rejected(seed):
     mesh = _graded_macro_mesh(rng)
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     h = np.diff(xs)
-    base = select_sigma(mesh, "left")
+    base = _edge_map(select_sigma(mesh, "left"))
     j = int(rng.integers(1, len(ys)))
 
     # a node off its own edge
     i = int(rng.integers(0, len(xs)))
-    off = dict(base.edges)
+    off = dict(base)
     e = off[(i, j)]
     off[(i, j)] = SigmaEdge(e.orientation, e.span, e.level - 0.5 * np.min(np.diff(ys)), e.node_side)
     with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {(i, j)} does not contain the node")):
@@ -420,26 +564,26 @@ def test_sigma_custom_violation_on_macro_mesh_rejected(seed):
     # spans the one-ring, wider than three macros
     m = 1 + int(np.argmin(2 * h[1:-1] - h[:-2] - h[2:]))
     assert h[m - 1] + h[m + 1] > 2 * h[m]
-    wide = dict(base.edges)
+    wide = dict(base)
     wide[(m + 1, j)] = SigmaEdge("horizontal", (xs[m + 1], xs[m + 2]), ys[j], "left")
     message = f"associated patch of macro ({m},{j - 1}) exceeds factor 3.0"
-    assert _first_patch_violation(mesh, SigmaSelection(wide, "custom")) == message
+    assert _first_patch_violation(mesh, wide) == message
     with pytest.raises(ValueError, match=re.escape(message)):
         select_sigma(mesh, "custom", custom=wide)
 
     # a two-macro edge leaves the one-ring of a wide macro, within the factor
     i = 2 + int(np.argmax(2 * h[2:] - h[:-2] - h[1:-1]))
     assert h[i - 2] + h[i - 1] <= 2 * h[i]
-    far = dict(base.edges)
+    far = dict(base)
     far[(i, j)] = SigmaEdge("horizontal", (xs[i - 2], xs[i]), ys[j], "right")
     message = f"associated patch of macro ({i},{j - 1}) leaves its neighbourhood"
-    assert _first_patch_violation(mesh, SigmaSelection(far, "custom")) == message
+    assert _first_patch_violation(mesh, far) == message
     with pytest.raises(ValueError, match=re.escape(message)):
         select_sigma(mesh, "custom", custom=far)
 
-    # random edits: the same verdict and first violating macro as the per-macro loop
+    # random edits: the same verdict and first violation as the reference
     for _ in range(40):
-        custom = dict(base.edges)
+        custom = dict(base)
         for _ in range(int(rng.integers(1, 4))):
             a, b = int(rng.integers(0, len(xs))), int(rng.integers(0, len(ys)))
             horizontal = bool(rng.integers(0, 2))
@@ -449,12 +593,12 @@ def test_sigma_custom_violation_on_macro_mesh_rejected(seed):
             level = ys[b] if horizontal else xs[a]
             side = "left" if line[lo] == line[k] else "right"
             custom[(a, b)] = SigmaEdge("horizontal" if horizontal else "vertical", (line[lo], line[hi]), level, side)
-        message = _first_patch_violation(mesh, SigmaSelection(custom, "custom"))
+        message = _first_patch_violation(mesh, custom)
         if message is None:
-            verify_sigma_selection(mesh, SigmaSelection(custom, "custom"))
+            select_sigma(mesh, "custom", custom=custom)
         else:
             with pytest.raises(ValueError, match=re.escape(message)):
-                verify_sigma_selection(mesh, SigmaSelection(custom, "custom"))
+                select_sigma(mesh, "custom", custom=custom)
 
 
 def test_transition_point_stays_below_quarter():

@@ -19,8 +19,9 @@ def test_xy_gives_unit_averages_and_exact_reproduction():
     mesh = _uniform(3)
     sigma = select_sigma(mesh, "left")
     f = get_field("xy")  # u_xy == 1
-    for node, edge in sigma.edges.items():
-        assert sigma_average(f, edge) == pytest.approx(1.0, abs=1e-13)
+    for a in sigma.nodes_x:
+        for b in sigma.nodes_y:
+            assert sigma_average(f, sigma.edge((a, b))) == pytest.approx(1.0, abs=1e-13)
     p = quasi_interp(f, mesh, sigma)
     X, Y = np.meshgrid(np.linspace(0, 1, 13), np.linspace(0, 1, 13), indexing="ij")
     assert np.max(np.abs(p.evaluate(X, Y) - f(X, Y))) < 1e-13
