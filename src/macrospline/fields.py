@@ -81,11 +81,7 @@ def make_polynomial_field(coefficients) -> ScalarField:
     coef = np.atleast_2d(np.asarray(coefficients, dtype=float))
 
     def ev(x, y, ax, ay):
-        c = coef
-        for _ in range(ax):
-            c = np.polynomial.polynomial.polyder(c, axis=0)
-        for _ in range(ay):
-            c = np.polynomial.polynomial.polyder(c, axis=1)
+        c = np.polynomial.polynomial.polyder(np.polynomial.polynomial.polyder(coef, ax, axis=0), ay, axis=1)
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return horner2d(lambda kx, ky: c[kx, ky], c.shape, xb, yb)
 
@@ -169,9 +165,7 @@ def _poly1d(coef):
     c = np.asarray(coef, dtype=float)
 
     def f(t, order):
-        d = c
-        for _ in range(order):
-            d = np.polynomial.polynomial.polyder(d)
+        d = np.polynomial.polynomial.polyder(c, order)
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), d) * np.ones(np.shape(t) or ())
 
     return f

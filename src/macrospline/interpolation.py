@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, horner2d
-from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _edge_row
+from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row
+from .quadrature import gauss_rule
 from .spline_core import (
     DualWeight,
     HERMITE_DD_MATRIX,
@@ -115,13 +116,14 @@ class PiecewisePoly2D:
         idx = np.searchsorted(grid, v, side="left" if side == "-" else "right") - 1
         return np.clip(idx, 0, len(grid) - 2)
 
-    def _deriv_coef(self, ax, ay):
-        c = self.coef
-        for _ in range(ax):
-            c = np.polynomial.polynomial.polyder(c, axis=2)
-        for _ in range(ay):
-            c = np.polynomial.polynomial.polyder(c, axis=3)
-        return c
+    def _deriv_coef(self, ax, ay, cells=...):
+        """Local coefficients of D^(ax,ay) on the cells ``coef[cells]``, all by default; C-contiguous, so callers reshape without a copy."""
+        c = self.coef[cells]
+        if ax:
+            c = np.polynomial.polynomial.polyder(c, ax, axis=-2)
+        if ay:
+            c = np.polynomial.polynomial.polyder(c, ay, axis=-1)
+        return np.ascontiguousarray(c)
 
     def evaluate(self, x, y, ax: int = 0, ay: int = 0, side=("-", "-")):
         """Pointwise D^(ax,ay) values; ``side`` picks the element at grid lines.
@@ -443,9 +445,9 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
 # kink.  The weight scales like 1/h and the rule like h, so the average
 # over an edge of half-length h is a fixed weight vector, one per node
 # side, dotted with u_xy at mid + h * _SIGMA_T.
-_G5, _W5 = np.polynomial.legendre.leggauss(5)
-_SIGMA_T = np.concatenate([0.5 * (_G5 - 1.0), 0.5 * (_G5 + 1.0)])
-_SIGMA_W = np.array([0.5 * np.tile(_W5, 2) * eval_dual_weight(DualWeight((-1.0, 1.0), s), _SIGMA_T) for s in ("left", "right")])
+_SIGMA_RULE = gauss_rule(5, split=True)
+_SIGMA_T = _SIGMA_RULE.nodes
+_SIGMA_W = np.array([_SIGMA_RULE.weights * eval_dual_weight(DualWeight((-1.0, 1.0), s), _SIGMA_T) for s in ("left", "right")])
 
 
 def _sigma_averages(field, rows) -> np.ndarray:
@@ -468,9 +470,11 @@ def sigma_average(field, edge: SigmaEdge) -> float:
 def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
     """Hermite data on a macro grid with every mixed entry replaced by the
     sigma average at its node; grid node (i, j) is sigma node
-    (nodes_x[i], nodes_y[j])."""
+    (nodes_x[i], nodes_y[j]), and ValueError names a node not on its edge."""
+    rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
+    _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None])
     G = _gather(field, grid_x, grid_y, _HERMITE, _HERMITE)
-    A = _sigma_averages(field, sigma.rows(nodes_x[None, :], nodes_y[:, None]))
+    A = _sigma_averages(field, rows)
     ny, nx = G.shape[:2]
     hxy = _half_widths(grid_x)[None, :] * _half_widths(grid_y)[:, None]
     for p, di in ((1, 0), (3, 1)):

@@ -143,7 +143,11 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
 
     The transition point is min(1/4, lambda0*sqrt(epsilon)*ln(N)/c_star).
     Each fine band is split into N/4 equal subintervals and the interior
-    into N/2, giving steps h = 4*lam/N and H = 2(1-2*lam)/N.
+    into N/2, giving steps h = 4*lam/N and H = 2(1-2*lam)/N.  The fine
+    step h is rounded down to a multiple of 2^-52 and lam is then set to
+    (N/4)*h, so every fine node k*h and 1 - lam + k*h is exact and all
+    fine widths are equal bit for bit: a C1 macro spline keeps its knot
+    at the exact midpoint of each fine macro pair.
     """
     if N % 8 != 0 or N <= 0:
         raise ValueError("N must be a positive multiple of 8")
@@ -156,15 +160,13 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
     if math.sqrt(epsilon) > 1.0 / N:
         warnings.warn("sqrt(epsilon) exceeds 1/N; the layers are not mesh-resolved", stacklevel=2)
     lam = min(0.25, lambda0 * math.sqrt(epsilon) * math.log(N) / c_star)
-
+    h = math.ldexp(math.floor(math.ldexp(4.0 * lam / N, 52)), -52)
+    if h == 0.0:
+        raise ValueError("epsilon is too small for a fine step of at least 2^-52")
     n4, n2 = N // 4, N // 2
-    grid = np.concatenate(
-        [
-            np.linspace(0.0, lam, n4 + 1),
-            np.linspace(lam, 1.0 - lam, n2 + 1)[1:],
-            np.linspace(1.0 - lam, 1.0, n4 + 1)[1:],
-        ]
-    )
+    lam = n4 * h
+    fine = h * np.arange(n4 + 1)
+    grid = np.concatenate([fine, np.linspace(lam, 1.0 - lam, n2 + 1)[1:], (1.0 - lam + fine)[1:]])
 
     band = np.repeat([0, 1, 2], [n4, n2, n4])  # ShishkinMesh.band per element index: fine0, coarse, fine1
     region = _REGIONS[band[None, :], band[:, None]]
@@ -251,6 +253,7 @@ def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
 # Sigma-edge selection for the quasi-interpolation operator.
 # ---------------------------------------------------------------------------
 
+_TOL = 1e-12  # node-on-edge tolerance
 _SIGMA_ROW = np.dtype([("horizontal", bool), ("lo", float), ("hi", float), ("level", float), ("upper", bool)])
 
 
@@ -338,6 +341,27 @@ def _walk(c, runs, strategy) -> tuple:
     return (lo, hi, upper), turned
 
 
+def _check_on_edge(rows, x, y, node_x, node_y, extra=()) -> None:
+    """ValueError unless each node (x, y) lies on its sigma edge ``rows``, at the node-side end.
+
+    All arguments broadcast to one shape; ``extra`` holds more ``(ok,
+    what)`` checks of that shape, tested last.  The error names the first
+    failing node, in row-major order, by its indices (node_x, node_y).
+    """
+    along, across = np.where(rows["horizontal"], x, y), np.where(rows["horizontal"], y, x)
+    # each check holds where True; NaN columns fail them
+    checks = [
+        ((np.abs(across - rows["level"]) <= _TOL) & (rows["lo"] - _TOL <= along) & (along <= rows["hi"] + _TOL), "does not contain the node"),
+        (np.abs(along - np.where(rows["upper"], rows["hi"], rows["lo"])) <= _TOL, "does not end at the node on its node side"),
+        *extra,
+    ]
+    node_x, node_y = np.broadcast_arrays(node_x, node_y, along)[:2]
+    for ok, what in checks:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ValueError(f"sigma edge for node {(int(node_x.flat[bad[0]]), int(node_y.flat[bad[0]]))} {what}")
+
+
 def select_sigma(mesh, strategy: str = "toward_corner", custom: dict | None = None) -> SigmaSelection:
     """Assign an averaging macro edge to every relevant macro node.
 
@@ -395,24 +419,13 @@ def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float 
     if not (np.array_equal(selection.nodes_x, nodes_x) and np.array_equal(selection.nodes_y, nodes_y)):
         raise ValueError("the selection's nodes are not the sigma nodes of the mesh")
     e = selection.edges.reshape(len(nodes_x), len(nodes_y))
-    horizontal, lo, hi, level = e["horizontal"], e["lo"], e["hi"], e["level"]
     x, y = xs[nodes_x][:, None], ys[nodes_y]
-    along, across = np.where(horizontal, x, y), np.where(horizontal, y, x)
-    tol = 1e-12
-    # each check holds where True; NaN columns fail them
-    checks = [
-        ((np.abs(across - level) <= tol) & (lo - tol <= along) & (along <= hi + tol), "does not contain the node"),
-        (np.abs(along - np.where(e["upper"], hi, lo)) <= tol, "does not end at the node on its node side"),
-    ]
+    extra = []
     if isinstance(mesh, ShishkinMesh):  # the level is in its node's band once the node is on the edge
-        low = along <= mesh.lam + tol
-        inside = (np.where(low, 0.0, 1.0 - mesh.lam) - tol <= lo) & (hi <= np.where(low, mesh.lam, 1.0) + tol)
-        checks.append((inside, "leaves the closed corner region"))
-    for ok, what in checks:
-        bad = np.flatnonzero(~ok)  # (node x index outer, y index inner) order
-        if bad.size:
-            i, j = divmod(int(bad[0]), len(nodes_y))
-            raise ValueError(f"sigma edge for node {(int(nodes_x[i]), int(nodes_y[j]))} {what}")
+        low = np.where(e["horizontal"], x, y) <= mesh.lam + _TOL
+        inside = (np.where(low, 0.0, 1.0 - mesh.lam) - _TOL <= e["lo"]) & (e["hi"] <= np.where(low, mesh.lam, 1.0) + _TOL)
+        extra.append((inside, "leaves the closed corner region"))
+    _check_on_edge(e, x, y, nodes_x[:, None], nodes_y, extra)
     if isinstance(mesh, ShishkinMesh):
         return
 

@@ -1,8 +1,9 @@
 """Quadrature-based error norms over element meshes.
 
 Norms of a difference field (analytic field minus interpolant) are
-computed by tensor Gauss rules per element and accumulated pairwise in a
-fixed element order, so a result depends only on its inputs.  The
+computed by tensor Gauss rules from ``quadrature``, per element, and
+accumulated pairwise in a fixed element order, so a result depends
+only on its inputs.  The
 element quadrature points are built once for all derivative orders a
 caller asks for (``_seminorms``).  Per derivative order, one GEMM with a
 single basis matrix, the local monomials at the tensor Gauss points,
@@ -22,6 +23,7 @@ import numpy as np
 
 from .interpolation import CompositeInterpolant, PiecewisePoly2D
 from .mesh import EdgeSet
+from .quadrature import QuadratureRule, gauss_rule
 
 __all__ = [
     "QuadratureRule",
@@ -37,20 +39,6 @@ __all__ = [
 FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights on [-1, 1]; exact through degree 2*order-1."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_rule(order: int = 5) -> QuadratureRule:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(order, nodes, weights)
 
 
 def _pairwise_sum(values) -> float:
@@ -102,7 +90,7 @@ def _difference(field, poly, points, loc, alpha):
     monomials at ``loc``.  Returns an array of shape (E, len(loc), len(loc)).
     """
     ix, jy, wx, wy, X, Y = points
-    c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
+    c = poly._deriv_coef(alpha[0], alpha[1], (jy, ix))
     P = loc[:, None] ** np.arange(c.shape[1])[None, :]
     Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
     vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), len(loc), len(loc))
@@ -148,7 +136,7 @@ def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | No
 
 
 def _edge_points(edges: EdgeSet, rule: QuadratureRule):
-    """Gauss points ``X, Y`` of shape (len(edges), rule.order) and the half-lengths."""
+    """Gauss points ``X, Y`` of shape (len(edges), len(rule.nodes)) and the half-lengths."""
     half = 0.5 * (np.abs(edges.x1 - edges.x0) + np.abs(edges.y1 - edges.y0))
     offset = half[:, None] * rule.nodes[None, :]
     horizontal = edges.horizontal[:, None]

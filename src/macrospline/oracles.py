@@ -1,11 +1,14 @@
 """Independent verification oracles.
 
 Everything here re-derives quantities through a second route: finite
-differences against analytic derivatives, naive recursive divided
-differences against the table algorithm, quadrature evaluations of the
+differences against analytic derivatives, one naive divided-difference
+recursion against the table algorithm, quadrature evaluations of the
 dual/associated functionals against their closed forms, and
 bound-consistency ratios that track the right-hand sides of the error
-estimates across refinement levels.
+estimates across refinement levels.  The integrals use 10-point Gauss
+rules from ``quadrature``; a split rule, one rule per half of [-1, 1],
+integrates the spline derivatives and dual weights that kink at the
+midpoint.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .interpolation import (
     interp_reduced_macro,
 )
 from .mesh import MacroMesh, build_macro_mesh
-from .norms import gauss_rule, seminorm
+from .norms import seminorm
+from .quadrature import gauss_rule, integrate, integrate2d
 from .spline_core import (
     DualWeight,
     KnotSequence,
@@ -117,47 +121,25 @@ def fd_check(target, alpha, points, step=None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dd(zs, f):
+    """Divided difference over the sorted knots ``zs`` by the naive recursion; ``f(z, n)`` is the n-th derivative.
+
+    Coincident knots, a single knot included, give f(z, n) / n!.
+    """
+    if zs[0] == zs[-1]:
+        n = len(zs) - 1
+        return f(zs[0], n) / math.factorial(n)
+    return (_dd(zs[1:], f) - _dd(zs[:-1], f)) / (zs[-1] - zs[0])
+
+
 def brute_force_divided_difference(knots: KnotSequence, field1d) -> float:
     """Naive recursion straight from the definition; ``field1d(x, order)``."""
-
-    def rec(zs):
-        if len(zs) == 1:
-            return field1d(zs[0], 0)
-        if zs[0] == zs[-1]:
-            n = len(zs) - 1
-            return field1d(zs[0], n) / math.factorial(n)
-        return (rec(zs[1:]) - rec(zs[:-1])) / (zs[-1] - zs[0])
-
-    return float(rec(tuple(knots.expanded())))
+    return float(_dd(tuple(knots.expanded()), field1d))
 
 
 def divided_difference_2d(fn, xseq, yseq) -> float:
-    """Two-dimensional divided difference of ``fn(x, y, ax, ay)``.
-
-    The parametrized one-dimensional divided difference along x is
-    differentiated in y through the coincident-knot branch.
-    """
-
-    def dd_x(y, ay):
-        def rec(zs):
-            if len(zs) == 1:
-                return fn(zs[0], y, 0, ay)
-            if zs[0] == zs[-1]:
-                n = len(zs) - 1
-                return fn(zs[0], y, n, ay) / math.factorial(n)
-            return (rec(zs[1:]) - rec(zs[:-1])) / (zs[-1] - zs[0])
-
-        return rec(tuple(xseq))
-
-    def rec_y(zs):
-        if len(zs) == 1:
-            return dd_x(zs[0], 0)
-        if zs[0] == zs[-1]:
-            n = len(zs) - 1
-            return dd_x(zs[0], n) / math.factorial(n)
-        return (rec_y(zs[1:]) - rec_y(zs[:-1])) / (zs[-1] - zs[0])
-
-    return float(rec_y(tuple(yseq)))
+    """Two-dimensional divided difference of ``fn(x, y, ax, ay)``: the one along x, differentiated in y."""
+    return float(_dd(tuple(yseq), lambda y, ay: _dd(tuple(xseq), lambda x, ax: fn(x, y, ax, ay))))
 
 
 HERMITE_NODE_SEQS = {1: (-1.0,), 2: (-1.0, -1.0), 3: (-1.0, -1.0, 1.0), 4: (-1.0, -1.0, 1.0, 1.0)}
@@ -165,24 +147,18 @@ LAGRANGE_NODE_SEQS = {1: (-1.0,), 2: (-1.0, 0.0), 3: (-1.0, 0.0, 1.0)}
 
 
 # ---------------------------------------------------------------------------
-# Quadrature helpers on the reference square.
+# Quadrature on the reference square.
 # ---------------------------------------------------------------------------
 
-_GLN, _GLW = np.polynomial.legendre.leggauss(10)
+_RULE = gauss_rule(10)
+_SPLIT = gauss_rule(10, split=True)
 
 
-def _gauss_1d(fn, a, b):
-    half = 0.5 * (b - a)
-    pts = 0.5 * (a + b) + half * _GLN
-    return half * float(np.dot(_GLW, fn(pts)))
-
-
-def _gauss_2d(fn, ax0, ax1, ay0, ay1):
-    hx, hy = 0.5 * (ax1 - ax0), 0.5 * (ay1 - ay0)
-    X = 0.5 * (ax0 + ax1) + hx * _GLN
-    Y = 0.5 * (ay0 + ay1) + hy * _GLN
-    XX, YY = np.meshgrid(X, Y, indexing="ij")
-    return hx * hy * float(np.einsum("i,j,ij->", _GLW, _GLW, fn(XX, YY)))
+def _line(v, level, ax, ay, horizontal=True):
+    """Integral over [-1, 1] of v(t, level) (horizontal) or v(level, t), split at t = 0."""
+    if horizontal:
+        return integrate(lambda t: v(t, np.full_like(t, level), ax, ay), -1.0, 1.0, _SPLIT)
+    return integrate(lambda t: v(np.full_like(t, level), t, ax, ay), -1.0, 1.0, _SPLIT)
 
 
 def _s_weight(k):
@@ -234,16 +210,12 @@ def dual_weight_checks() -> list:
     """Unit integral and duality system on uniform and 10:1-graded edges."""
     out = []
     for tag, (a, b) in (("uniform", (0.0, 1.0)), ("graded", (2.0, 2.1))):
-        mid = 0.5 * (a + b)
         for dual_side in ("left", "right"):
             w = DualWeight((a, b), dual_side)
-            unit = sum(_gauss_1d(lambda t: eval_dual_weight(w, t), lo, hi) for lo, hi in ((a, mid), (mid, b)))
+            unit = integrate(lambda t: eval_dual_weight(w, t), a, b, _SPLIT)
             out.append(CheckResult(f"dual_unit_integral[{tag},{dual_side}]", abs(unit - 1.0), 1e-12))
             for basis_side in ("left", "right"):
-                pair = sum(
-                    _gauss_1d(lambda t: eval_dual_weight(w, t) * edge_spline_basis((a, b), basis_side, 1, t), lo, hi)
-                    for lo, hi in ((a, mid), (mid, b))
-                )
+                pair = integrate(lambda t: eval_dual_weight(w, t) * edge_spline_basis((a, b), basis_side, 1, t), a, b, _SPLIT)
                 want = 1.0 if dual_side == basis_side else 0.0
                 out.append(CheckResult(f"dual_duality[{tag},{dual_side},{basis_side}]", abs(pair - want), 1e-12))
     return out
@@ -253,17 +225,13 @@ def orthogonality_checks() -> list:
     """The averaging space is L2-orthogonal to the hat-function slopes."""
     out = []
     for tag, (a, b) in (("uniform", (0.0, 1.0)), ("nonuniform", (0.7, 0.775))):
-        mid = 0.5 * (a + b)
 
         def psum(t):
             return edge_spline_basis((a, b), "left", 0, t) + edge_spline_basis((a, b), "right", 0, t)
 
         for hat_side in ("left", "right"):
             for fname, fn in (("psi_sum", psum), ("theta", lambda t: edge_theta((a, b), t))):
-                val = sum(
-                    _gauss_1d(lambda t: fn(t) * edge_hat_basis((a, b), hat_side, 1, t), lo, hi)
-                    for lo, hi in ((a, mid), (mid, b))
-                )
+                val = integrate(lambda t: fn(t) * edge_hat_basis((a, b), hat_side, 1, t), a, b, _SPLIT)
                 out.append(CheckResult(f"orthogonality[{tag},{fname},phi_{hat_side}']", abs(val), 1e-12))
     return out
 
@@ -279,9 +247,7 @@ def peano_checks(rng=None) -> list:
             lhs = brute_force_divided_difference(
                 KnotSequence(((-1.0, 2), (1.0, i))), lambda x, o, f=fn: f(x, o)
             )
-            rhs = _gauss_1d(lambda t, f=fn: s(t) * f(t, 2), -1.0, 0.0) + _gauss_1d(
-                lambda t, f=fn: s(t) * f(t, 2), 0.0, 1.0
-            )
+            rhs = integrate(lambda t, f=fn: s(t) * f(t, 2), -1.0, 1.0, _SPLIT)
             out.append(CheckResult(f"peano[{label},order{i + 1}]", abs(lhs - rhs), 1e-10))
 
     for trial in range(20):
@@ -289,9 +255,7 @@ def peano_checks(rng=None) -> list:
         a_, b_ = rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)
 
         def poly_trig(x, order, c=c, a_=a_, b_=b_):
-            d = np.asarray(c)
-            for _ in range(order):
-                d = np.polynomial.polynomial.polyder(d)
+            d = np.polynomial.polynomial.polyder(c, order)
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d) + a_**order * np.sin(
                 a_ * np.asarray(x, dtype=float) + b_ + order * math.pi / 2
             )
@@ -334,9 +298,9 @@ def reduced_functional_checks(rng=None) -> list:
 
         # identity chain: edge mean of u_x equals the corner difference,
         # edge mean of u_xy the corner difference of u_y
-        f5_u = 0.5 * (_gauss_1d(lambda x: u(x, np.full_like(x, -1.0), 1, 0), -1.0, 0.0) + _gauss_1d(lambda x: u(x, np.full_like(x, -1.0), 1, 0), 0.0, 1.0))
+        f5_u = 0.5 * _line(u, -1.0, 1, 0)
         out.append(CheckResult(f"reduced_F5_identity[{trial}]", abs(f5_u - 0.5 * (u(1, -1) - u(-1, -1))), 1e-10))
-        f7_u = 0.5 * (_gauss_1d(lambda x: u(x, np.full_like(x, -1.0), 1, 1), -1.0, 0.0) + _gauss_1d(lambda x: u(x, np.full_like(x, -1.0), 1, 1), 0.0, 1.0))
+        f7_u = 0.5 * _line(u, -1.0, 1, 1)
         out.append(CheckResult(f"reduced_F7_identity[{trial}]", abs(f7_u - 0.5 * (u(1, -1, 0, 1) - u(-1, -1, 0, 1))), 1e-10))
 
         # invariance of the eight functionals for the x-derivative
@@ -345,30 +309,17 @@ def reduced_functional_checks(rng=None) -> list:
             sx = "-" if corner[0] > 0 else "+"
             sy = "-" if corner[1] > 0 else "+"
             worst = max(worst, abs(u(*corner, 1, 0) - p.evaluate(*corner, 1, 0, side=(sx, sy))))
-        for ylevel, yside in ((-1.0, "-"), (1.0, "-")):
+        for ylevel in (-1.0, 1.0):
             for dy in (0, 1):
-                fu = 0.5 * (
-                    _gauss_1d(lambda x: u(x, np.full_like(x, ylevel), 1, dy), -1.0, 0.0)
-                    + _gauss_1d(lambda x: u(x, np.full_like(x, ylevel), 1, dy), 0.0, 1.0)
-                )
-                fp = 0.5 * (
-                    _gauss_1d(lambda x: p.evaluate(x, np.full_like(x, ylevel), 1, dy), -1.0, 0.0)
-                    + _gauss_1d(lambda x: p.evaluate(x, np.full_like(x, ylevel), 1, dy), 0.0, 1.0)
-                )
-                worst = max(worst, abs(fu - fp))
+                worst = max(worst, 0.5 * abs(_line(u, ylevel, 1, dy) - _line(pu, ylevel, 1, dy)))
         out.append(CheckResult(f"reduced_dx_invariance[{trial}]", worst, 1e-10))
 
         # mixed-derivative functionals: four edge integrals and the area mean
         worst = 0.0
-        edges = (
-            (lambda v: _gauss_1d(lambda x: v(x, np.full_like(x, -1.0), 1, 1), -1.0, 0.0) + _gauss_1d(lambda x: v(x, np.full_like(x, -1.0), 1, 1), 0.0, 1.0)),
-            (lambda v: _gauss_1d(lambda x: v(x, np.full_like(x, 1.0), 1, 1), -1.0, 0.0) + _gauss_1d(lambda x: v(x, np.full_like(x, 1.0), 1, 1), 0.0, 1.0)),
-            (lambda v: _gauss_1d(lambda y: v(np.full_like(y, -1.0), y, 1, 1), -1.0, 0.0) + _gauss_1d(lambda y: v(np.full_like(y, -1.0), y, 1, 1), 0.0, 1.0)),
-            (lambda v: _gauss_1d(lambda y: v(np.full_like(y, 1.0), y, 1, 1), -1.0, 0.0) + _gauss_1d(lambda y: v(np.full_like(y, 1.0), y, 1, 1), 0.0, 1.0)),
-            (lambda v: sum(_gauss_2d(lambda X, Y: v(X, Y, 1, 1), a0, a1, b0, b1) for a0, a1 in ((-1.0, 0.0), (0.0, 1.0)) for b0, b1 in ((-1.0, 0.0), (0.0, 1.0)))),
-        )
-        for k, F in enumerate(edges):
-            worst = max(worst, abs(F(lambda x, y, ax, ay: u(x, y, ax, ay)) - F(pu)))
+        functionals = [lambda v, level=level, h=h: _line(v, level, 1, 1, h) for h in (True, False) for level in (-1.0, 1.0)]
+        functionals.append(lambda v: integrate2d(lambda X, Y: v(X, Y, 1, 1), -1.0, 1.0, -1.0, 1.0, _SPLIT))
+        for F in functionals:
+            worst = max(worst, abs(F(u) - F(pu)))
         out.append(CheckResult(f"reduced_dxy_invariance[{trial}]", worst, 1e-10))
     return out
 
@@ -387,31 +338,15 @@ def _aniso_table_entries():
     """
 
     def int_x(v, a, b, ay=0):
-        return _gauss_1d(lambda x: v(x, np.full_like(x, -1.0), 0, ay), a, b)
+        return integrate(lambda x: v(x, np.full_like(x, -1.0), 0, ay), a, b, _RULE)
 
     def sy_line(v, k, x, ax, ay):
         s = _s_weight(k)
-
-        def f(y):
-            y = np.atleast_1d(y)
-            return v(np.full_like(y, x), y, ax, ay)
-
-        return _gauss_1d(lambda y: s(y) * f(y), -1.0, 0.0) + _gauss_1d(lambda y: s(y) * f(y), 0.0, 1.0)
+        return integrate(lambda y: s(y) * v(np.full_like(y, x), y, ax, ay), -1.0, 1.0, _SPLIT)
 
     def sy_strip(v, k, a, b, ax, ay):
         s = _s_weight(k)
-
-        def fn(X, Y):
-            return v(X, Y, ax, ay)
-
-        total = 0.0
-        for y0, y1 in ((-1.0, 0.0), (0.0, 1.0)):
-            hx, hy = 0.5 * (b - a), 0.5 * (y1 - y0)
-            X = 0.5 * (a + b) + hx * _GLN
-            Y = 0.5 * (y0 + y1) + hy * _GLN
-            XX, YY = np.meshgrid(X, Y, indexing="ij")
-            total += hx * hy * float(np.einsum("i,j,ij->", _GLW, _GLW * s(Y), fn(XX, YY)))
-        return total
+        return integrate2d(lambda X, Y: s(Y) * v(X, Y, ax, ay), a, b, -1.0, 1.0, _SPLIT)
 
     entries = []
     # gamma = (1, 0)
@@ -508,11 +443,9 @@ def check_trace_inequality(field, element, p: int = 2) -> tuple:
         raise ValueError("only the L2 case is implemented")
     x0, x1, y0, y1 = element
     hx = x1 - x0
-    lhs = _gauss_1d(lambda y: field(np.full_like(y, x0), y) ** 2, y0, y1) + _gauss_1d(
-        lambda y: field(np.full_like(y, x1), y) ** 2, y0, y1
-    )
-    nrm = math.sqrt(_gauss_2d(lambda X, Y: field(X, Y) ** 2, x0, x1, y0, y1))
-    nrm_x = math.sqrt(_gauss_2d(lambda X, Y: field(X, Y, 1, 0) ** 2, x0, x1, y0, y1))
+    lhs = sum(integrate(lambda y: field(np.full_like(y, x), y) ** 2, y0, y1, _RULE) for x in (x0, x1))
+    nrm = math.sqrt(integrate2d(lambda X, Y: field(X, Y) ** 2, x0, x1, y0, y1, _RULE))
+    nrm_x = math.sqrt(integrate2d(lambda X, Y: field(X, Y, 1, 0) ** 2, x0, x1, y0, y1, _RULE))
     rhs = 2.0 * nrm * nrm_x + 2.0 / hx * nrm * nrm
     return lhs, rhs
 
@@ -630,9 +563,9 @@ def _macro_rhs(spec, field, bounds):
     for term in spec.terms:
         w = h1 ** term.weight[0] * h2 ** term.weight[1]
         if term.kind == "seminorm":
-            val = math.sqrt(_gauss_2d(lambda X, Y: field(X, Y, *term.total) ** 2, x0, x1, y0, y1))
+            val = math.sqrt(integrate2d(lambda X, Y: field(X, Y, *term.total) ** 2, x0, x1, y0, y1, _RULE))
         else:
-            val = abs(_gauss_2d(lambda X, Y: field(X, Y, *term.total), x0, x1, y0, y1))
+            val = abs(integrate2d(lambda X, Y: field(X, Y, *term.total), x0, x1, y0, y1, _RULE))
         total += w * val
     return total
 
@@ -644,7 +577,6 @@ def bound_consistency(spec: BoundSpec, field, meshes, zero_rhs_tol: float = 1e-1
     macro's elements with 10-point Gauss rules.  Macros with an (absolutely and relatively) vanishing right-hand side
     must have a vanishing left-hand side instead of entering the ratio.
     """
-    rule = gauss_rule(10)
     sup_ratios = []
     zero_rhs_lhs = []
     for mesh in meshes:
@@ -656,7 +588,7 @@ def bound_consistency(spec: BoundSpec, field, meshes, zero_rhs_tol: float = 1e-1
         pairs = []
         for bounds in macro_list:
             poly = _apply_operator(spec, field, bounds)
-            pairs.append((seminorm(field, poly, spec.gamma, rule=rule), _macro_rhs(spec, field, bounds)))
+            pairs.append((seminorm(field, poly, spec.gamma, rule=_RULE), _macro_rhs(spec, field, bounds)))
         rhs_scale = max((r for _, r in pairs), default=0.0)
         floor = 1e-12 * max(rhs_scale, 1.0)
         ratios = [l / r for l, r in pairs if r > floor]

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .quadrature import gauss_rule, integrate
+
 __all__ = [
     "KnotSequence",
     "HermiteData1D",
@@ -67,10 +69,7 @@ LAGRANGE3 = {
 
 
 def _poly_eval(coef, x, order):
-    c = np.asarray(coef)
-    for _ in range(order):
-        c = np.polynomial.polynomial.polyder(c)
-    return np.polynomial.polynomial.polyval(x, c)
+    return np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coef, order))
 
 
 def _rebase(coef, scale, shift):
@@ -447,12 +446,4 @@ def eval_dual_weight(weight: DualWeight, x):
 
 def integrate_dual_weight(weight: DualWeight, npoints: int = 3) -> float:
     """Integrate the dual weight over its edge by per-piece Gauss rules."""
-    a, b = weight.edge_interval
-    mid = 0.5 * (a + b)
-    nodes, wts = np.polynomial.legendre.leggauss(npoints)
-    total = 0.0
-    for lo, hi in ((a, mid), (mid, b)):
-        half = 0.5 * (hi - lo)
-        pts = 0.5 * (lo + hi) + half * nodes
-        total += half * float(np.dot(wts, eval_dual_weight(weight, pts)))
-    return total
+    return integrate(lambda t: eval_dual_weight(weight, t), *weight.edge_interval, gauss_rule(npoints, split=True))

@@ -308,3 +308,19 @@ def test_criterion_10_shishkin_composite():
         f"jump2 II/IV {worst_jump:.1e} (1e-10); Q2 dev {dev_b:.1e} (1e-9); "
         f"L2 orders ok={orders_ok}, jumpI orders ok={jump_orders_ok}, C spread {const_spread:.2f} (<2), {elapsed:.1f}s (<60)",
     )
+
+
+def test_criterion_10_continuity_down_to_eps_1e_14():
+    # Exact fine nodes keep u* C1 to roundoff where the layers are thinnest.
+    cfg = ExperimentConfig(
+        mesh_family="shishkin",
+        N_list=(8, 16, 32, 64),
+        eps_list=(1e-10, 1e-12, 1e-14),
+        smooth_variant="bounded_third",
+        smooth_amplitude=10.0,
+        edge_amplitude=0.05,
+    )
+    table = run_shishkin(cfg)
+    cols = [table.columns.index(f"jump2_{t}") for t in ("II", "IV")]
+    worst = max(row[c] for row in table.rows for c in cols)
+    _report("10 Shishkin continuity at small eps", worst <= 1e-10, f"jump2 II/IV {worst:.1e} (1e-10), N 8..64, eps 1e-10..1e-14")

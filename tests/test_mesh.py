@@ -70,6 +70,18 @@ def test_shishkin_validation():
         build_shishkin(-1.0, 16)
     with pytest.raises(ValueError):
         build_shishkin(1e-6, 16, lambda0=2.0)
+    with pytest.raises(ValueError, match="too small"):
+        build_shishkin(1e-40, 8)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-14])
+@pytest.mark.parametrize("N", [8, 24, 256])
+def test_shishkin_fine_widths_equal_bit_for_bit(N, eps):
+    mesh = build_shishkin(eps, N)
+    widths = np.diff(mesh.grid_x)
+    fine = np.r_[widths[: N // 4], widths[-(N // 4) :]]
+    assert np.all(fine == mesh.fine_step)
+    assert mesh.lam == N // 4 * mesh.fine_step and mesh.grid_x[-1] == 1.0
 
 
 def test_shishkin_tiling_and_counts():

@@ -4,6 +4,7 @@ import pytest
 from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field
 from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, nodal_q2_mesh
 from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
+from macrospline import norms, quadrature
 from macrospline.norms import (
     ORDERS,
     NormReport,
@@ -19,6 +20,7 @@ from macrospline.norms import (
     linf_sampled,
     seminorm,
 )
+from macrospline.quadrature import integrate, integrate2d
 
 
 def _unit_mesh_poly(n=2):
@@ -29,7 +31,9 @@ def _unit_mesh_poly(n=2):
 
 
 def test_quadrature_exactness():
+    P = np.polynomial.polynomial
     rng = np.random.default_rng(0)
+    assert norms.gauss_rule is quadrature.gauss_rule and norms.QuadratureRule is quadrature.QuadratureRule
     for order in (3, 4, 5):
         rule = gauss_rule(order)
         deg = 2 * order - 1
@@ -37,6 +41,35 @@ def test_quadrature_exactness():
         exact = sum(c / (k + 1) * (1 - (-1) ** (k + 1)) for k, c in enumerate(coefs))
         approx = float(np.dot(rule.weights, np.polynomial.polynomial.polyval(rule.nodes, coefs)))
         assert approx == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+        # a split rule is exact on each half: one polynomial of degree 2n-1
+        # on [a, mid], another on [mid, b]
+        left, right = rng.normal(size=(2, deg + 1))
+        a, b = -0.7, 1.9
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+        def kinked(x):
+            t = (x - mid) / half
+            return np.where(t < 0.0, P.polyval(t, left), P.polyval(t, right))
+
+        il, ir = P.polyint(left), P.polyint(right)
+        exact = half * (P.polyval(0.0, il) - P.polyval(-1.0, il) + P.polyval(1.0, ir) - P.polyval(0.0, ir))
+        split = gauss_rule(order, split=True)
+        assert len(split.nodes) == 2 * order and np.all(split.nodes[:order] < 0.0) and np.all(split.nodes[order:] > 0.0)
+        assert integrate(kinked, a, b, split) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+        assert integrate(kinked, a, b, gauss_rule(2 * order)) != pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("order", [2, 3, 5])
+def test_integrate2d_exact_on_tensor_monomials(order):
+    x0, x1, y0, y1 = 0.3, 1.1, -2.0, -0.5
+    for split in (False, True):
+        rule = gauss_rule(order, split)
+        for i in range(2 * order):
+            for j in range(2 * order):
+                exact = (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1) * (y1 ** (j + 1) - y0 ** (j + 1)) / (j + 1)
+                got = integrate2d(lambda X, Y: X**i * Y**j, x0, x1, y0, y1, rule)
+                assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
 def test_seminorm_constant_and_linear():

@@ -3,12 +3,13 @@ import pytest
 
 from macrospline.fields import get_field, make_polynomial_field, make_smooth_field
 from macrospline.interpolation import (
+    build_composite,
     interp_reduced,
     quasi_interp,
     random_c1q2,
     sigma_average,
 )
-from macrospline.mesh import build_macro_mesh, select_sigma
+from macrospline.mesh import build_macro_mesh, build_shishkin, select_sigma
 
 
 def _uniform(n):
@@ -54,6 +55,20 @@ def test_projector_on_nonuniform_mesh():
     v = random_c1q2(mesh, rng)
     p = quasi_interp(v.as_field(), mesh, sigma)
     assert np.max(np.abs(p.coef - v.coef)) < 1e-10
+
+
+def test_selection_of_another_mesh_is_rejected_naming_the_node():
+    # A 4x4 selection covers the node indices of a 2x2 mesh, but its edges
+    # lie on the 4x4 grid lines; used silently, it spoils reproduction.
+    f = make_polynomial_field(np.random.default_rng(3).normal(size=(3, 3)))
+    graded = build_macro_mesh([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
+    with pytest.raises(ValueError, match=r"sigma edge for node \(1, 0\) does not contain the node"):
+        quasi_interp(f, graded, select_sigma(_uniform(4), "toward_corner"))
+    with pytest.raises(ValueError, match="sigma edge for node"):
+        build_composite(f, build_shishkin(1e-6, 8), select_sigma(build_shishkin(1e-4, 8), "toward_corner"))
+    p = quasi_interp(f, graded, select_sigma(graded, "toward_corner"))
+    X, Y = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 9), indexing="ij")
+    assert np.max(np.abs(p.evaluate(X, Y) - f(X, Y))) < 1e-13
 
 
 def test_biquadratic_field_reproduced():
