@@ -98,6 +98,8 @@ class PiecewisePoly2D:
 
     ``coef[jy, ix, kx, ky]`` multiplies xi^kx * eta^ky with xi, eta in
     [-1, 1] over element (ix, jy).  All elements share one degree.
+    ``coef`` is not mutated after construction: ``evaluate`` keeps the
+    whole-mesh derivative coefficients of each (ax, ay) it is asked for.
     """
 
     def __init__(self, grid_x, grid_y, coef):
@@ -107,6 +109,7 @@ class PiecewisePoly2D:
         ny, nx = len(self.grid_y) - 1, len(self.grid_x) - 1
         if self.coef.shape[:2] != (ny, nx):
             raise ValueError("coefficient grid does not match the element mesh")
+        self._derivs = {}
 
     @property
     def degree(self) -> tuple:
@@ -142,7 +145,9 @@ class PiecewisePoly2D:
         flat_x, flat_y = xb.ravel(), yb.ravel()
         ix = self._locate(self.grid_x, flat_x, side[0])
         jy = self._locate(self.grid_y, flat_y, side[1])
-        c = self._deriv_coef(ax, ay)
+        if (ax, ay) not in self._derivs:
+            self._derivs[ax, ay] = self._deriv_coef(ax, ay)
+        c = self._derivs[ax, ay]
         wx = self.grid_x[ix + 1] - self.grid_x[ix]
         wy = self.grid_y[jy + 1] - self.grid_y[jy]
         xi = (2.0 * flat_x - self.grid_x[ix] - self.grid_x[ix + 1]) / wx

@@ -3,15 +3,20 @@
 Norms of a difference field (analytic field minus interpolant) are
 computed by tensor Gauss rules from ``quadrature``, per element, and
 accumulated pairwise in a fixed element order, so a result depends
-only on its inputs.  The
-element quadrature points are built once for all derivative orders a
-caller asks for (``_seminorms``).  Per derivative order, one GEMM with a
-single basis matrix, the local monomials at the tensor Gauss points,
-evaluates every cell polynomial (``_difference``), and one GEMV takes
-the weighted square sums.  Broken second-order seminorms never integrate
-across element interfaces, where the interpolant's second derivatives
-jump.  Edge norms and jump sums take an ``EdgeSet`` and place the Gauss
-points of all its edges in one step (``_edge_points``).
+only on its inputs.  The element quadrature points are built once for
+all derivative orders a caller asks for (``_seminorms``), on the open
+grid of the elements' distinct columns and rows (``_element_points``).
+Per derivative order, the field is called once on that grid,
+``field(X[None, :, :, None], Y[:, None, None, :], ax, ay)``, so each
+separable factor sees every Gauss abscissa once; a field broadcasts
+over its arguments and may return any shape that broadcasts to the
+grid.  One GEMM with a single basis matrix, the local monomials at the
+tensor Gauss points, evaluates every cell polynomial (``_difference``),
+and one GEMV takes the weighted square sums.  Broken second-order
+seminorms never integrate across element interfaces, where the
+interpolant's second derivatives jump.  Edge norms and jump sums take
+an ``EdgeSet`` and place the Gauss points of all its edges in one step
+(``_edge_points``).
 """
 
 from __future__ import annotations
@@ -63,41 +68,75 @@ def _unwrap(interp):
 
 
 def _element_indices(poly: PiecewisePoly2D, region):
-    """Index arrays (ix, jy) of ``region`` in (jy, ix) order; the whole mesh for None."""
+    """Index arrays (ix, jy) of ``region`` in (jy, ix) order; the whole mesh for None.
+
+    Raises ValueError naming the first element of ``region`` that lies
+    outside the mesh, or else the first that repeats an earlier one.
+    """
     nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
     if region is None:
         return np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx)
     elements = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=int).reshape(-1, 2)
-    order = np.lexsort((elements[:, 0], elements[:, 1]))
+    outside = np.flatnonzero((elements < 0).any(axis=1) | (elements[:, 0] >= nx) | (elements[:, 1] >= ny))
+    if outside.size:
+        raise ValueError(f"element {tuple(elements[outside[0]].tolist())} lies outside the {nx}x{ny} element mesh")
+    key = elements[:, 1] * nx + elements[:, 0]
+    first = np.unique(key, return_index=True)[1]
+    if first.size < key.size:
+        repeated = np.setdiff1d(np.arange(key.size), first)[0]
+        raise ValueError(f"element {tuple(elements[repeated].tolist())} appears more than once in the region")
+    order = np.argsort(key)
     return elements[order, 0], elements[order, 1]
 
 
 def _element_points(poly, ix, jy, loc):
-    """``(ix, jy, wx, wy, X, Y)``: element widths and the world coordinates of ``loc``."""
+    """``(ix, jy, wx, wy, X, Y, cells)``: the points ``loc`` on the open grid of the elements.
+
+    ``X`` (nux, len(loc)) and ``Y`` (nuy, len(loc)) are the world
+    coordinates of ``loc`` on the distinct element columns and rows, in
+    increasing order; ``wx``, ``wy`` are the widths of each element.
+    ``cells`` picks each element, in (jy, ix) order, from the nuy * nux
+    cells of that grid, and is None when the elements are the whole
+    grid, whose C order is already (jy, ix).
+    """
     gx, gy = poly.grid_x, poly.grid_y
-    wx = gx[ix + 1] - gx[ix]
-    wy = gy[jy + 1] - gy[jy]
-    X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
-    Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
-    return ix, jy, wx, wy, X, Y
+    ux, cx = np.unique(ix, return_inverse=True)
+    uy, cy = np.unique(jy, return_inverse=True)
+    X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
+    Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
+    cells = None if ix.size == ux.size * uy.size else cy * ux.size + cx
+    return ix, jy, gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy], X, Y, cells
 
 
 def _difference(field, poly, points, loc, alpha):
     """D^alpha (field - poly) at ``points`` of ``_element_points``; ``field`` may be None.
 
-    The cell polynomials are evaluated at all tensor points as one GEMM,
+    The field is called once, on the open grid
+    ``field(X[None, :, :, None], Y[:, None, None, :], ax, ay)``.  It must
+    broadcast over its arguments, and may return any shape that
+    broadcasts to the grid (nuy, nux, p, p), p = len(loc).  The cell
+    polynomials are evaluated at all tensor points as one GEMM,
     ``c.reshape(E, -1) @ kron(P, Q).T``, with ``P`` and ``Q`` the local
-    monomials at ``loc``.  Returns an array of shape (E, len(loc), len(loc)).
+    monomials at ``loc``, and the difference is formed in that GEMM's
+    buffer.  Returns an array of shape (E, p, p).
     """
-    ix, jy, wx, wy, X, Y = points
+    ix, jy, wx, wy, X, Y, cells = points
+    p = len(loc)
+    f = None
+    if field is not None:
+        f = np.asarray(field(X[None, :, :, None], Y[:, None, None, :], alpha[0], alpha[1]), dtype=float)
+        if cells is not None:
+            f = np.broadcast_to(f, (len(Y), len(X), p, p)).reshape(-1, p, p)[cells]
     c = poly._deriv_coef(alpha[0], alpha[1], (jy, ix))
     P = loc[:, None] ** np.arange(c.shape[1])[None, :]
     Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
-    vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), len(loc), len(loc))
+    vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), p, p)
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
-    if field is None:
-        return -vals
-    return np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+    if f is None:
+        return np.negative(vals, out=vals)
+    out = vals if cells is not None else vals.reshape(len(Y), len(X), p, p)
+    np.subtract(f, out, out=out)
+    return vals
 
 
 def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None = None) -> list:

@@ -381,6 +381,32 @@ def test_evaluate_matches_per_element_polyval2d(degree):
                         assert got == _evaluate_per_element(poly, x, y, ax, ay, side)
 
 
+def test_evaluate_reuses_derivative_coefficients(monkeypatch):
+    # Whole-mesh derivative coefficients are kept per (ax, ay): repeated and
+    # interleaved calls give the values of a fresh polynomial per call, and
+    # each alpha is differentiated once.
+    rng = np.random.default_rng(17)
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, 6)])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(1e-4, 1.0, 4)])
+    coef = rng.normal(size=(4, 6, 3, 4))
+    xs, ys = rng.uniform(gx[0], gx[-1], 50), rng.uniform(gy[0], gy[-1], 50)
+    alphas = [(0, 0), (1, 0), (2, 1), (1, 0), (0, 3), (0, 0), (2, 1), (3, 2), (1, 0)]
+    differentiated = []
+    deriv_coef = PiecewisePoly2D._deriv_coef
+
+    def counted(self, ax, ay, cells=...):
+        differentiated.append((ax, ay))
+        return deriv_coef(self, ax, ay, cells)
+
+    fresh = {a: PiecewisePoly2D(gx, gy, coef).evaluate(xs, ys, *a, side=("+", "-")) for a in alphas}
+    monkeypatch.setattr(PiecewisePoly2D, "_deriv_coef", counted)
+    poly = PiecewisePoly2D(gx, gy, coef)
+    for _ in range(2):
+        for a in alphas:
+            assert np.array_equal(poly.evaluate(xs, ys, *a, side=("+", "-")), fresh[a])
+    assert sorted(differentiated) == sorted(set(alphas))
+
+
 def test_gather_rejects_non_finite_field_values():
     base = make_smooth_field("sin_sin")
 

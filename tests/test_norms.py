@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field
+from macrospline.fields import ScalarField, exp_profile, make_layer_decomposition, make_polynomial_field, make_smooth_field, separable_field, sin_profile
 from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, nodal_q2_mesh
 from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
 from macrospline import norms, quadrature
@@ -273,30 +277,51 @@ def test_pairwise_sum_matches_list_reduction():
         assert _pairwise_sum(x for x in v.tolist()) == want
 
 
-def _seminorm_per_alpha(field, poly, alpha, region, rule):
-    """Reference: one element list sorted by (jy, ix) and one field call per multi-index."""
-    nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
-    elements = region if region is not None else [(ix, jy) for jy in range(ny) for ix in range(nx)]
-    elements = sorted(elements, key=lambda e: (e[1], e[0]))
-    if not elements:
-        return 0.0
+def _difference_per_element(field, poly, alpha, elements, loc):
+    """Reference: D^alpha (field - poly) with one row of coordinates per element, ``field(X[:, :, None], Y[:, None, :])``."""
     ix = np.array([e[0] for e in elements], dtype=int)
     jy = np.array([e[1] for e in elements], dtype=int)
-    gx, gy, loc = poly.grid_x, poly.grid_y, rule.nodes
+    gx, gy = poly.grid_x, poly.grid_y
     wx, wy = gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy]
     c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
     P = loc[:, None] ** np.arange(c.shape[1])[None, :]
     Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
     vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), len(loc), len(loc))
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
-    diff = -vals
-    if field is not None:
-        X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
-        Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
-        diff = np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+    if field is None:
+        return -vals
+    X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
+    Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
+    return np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+
+
+def _sorted_elements(poly, region):
+    nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
+    elements = region if region is not None else [(ix, jy) for jy in range(ny) for ix in range(nx)]
+    return sorted(elements, key=lambda e: (e[1], e[0]))
+
+
+def _seminorm_per_alpha(field, poly, alpha, region, rule):
+    """Reference: one element list sorted by (jy, ix) and one field call per multi-index."""
+    elements = _sorted_elements(poly, region)
+    if not elements:
+        return 0.0
+    diff = _difference_per_element(field, poly, alpha, elements, rule.nodes)
+    ix = np.array([e[0] for e in elements], dtype=int)
+    jy = np.array([e[1] for e in elements], dtype=int)
+    gx, gy = poly.grid_x, poly.grid_y
     jac = 0.25 * (gx[ix + 1] - gx[ix]) * (gy[jy + 1] - gy[jy])
     contributions = jac * ((diff * diff).reshape(len(jac), -1) @ np.outer(rule.weights, rule.weights).ravel())
     return float(np.sqrt(max(_pairwise_sum_of_list(contributions.tolist()), 0.0)))
+
+
+def _linf_per_element(field, poly, region, samples):
+    """Reference ``linf_sampled``: the per-element field call."""
+    elements = _sorted_elements(poly, region)
+    if not elements:
+        return 0.0
+    diff = _difference_per_element(field, poly, (0, 0), elements, np.linspace(-1.0, 1.0, samples))
+    return float(np.max(np.abs(diff)))
 
 
 def test_seminorms_match_per_alpha_seminorm():
@@ -312,6 +337,134 @@ def test_seminorms_match_per_alpha_seminorm():
                 got = _seminorms(field, star, ORDERS, region, rule)
                 assert got == [seminorm(field, star, a, region, rule) for a in ORDERS]
                 assert got == [_seminorm_per_alpha(field, star.poly, a, region, rule) for a in ORDERS]
+
+
+# Fields for the open-grid tests: separable, non-separable, the layer sum,
+# one that depends on x alone and returns only x's shape (it broadcasts to
+# the grid), and one that returns a Python float.
+_OPEN_GRID_FIELDS = {
+    "sin_sin": make_smooth_field("sin_sin"),
+    "exp_xy": make_smooth_field("exp_xy"),
+    "layer_total": make_layer_decomposition(1e-4, smooth="bounded_third").total,
+    "x_only": ScalarField("x", lambda x, y, ax, ay: np.sin(x) if ax == ay == 0 else 0 * x),
+    "constant": ScalarField("c", lambda x, y, ax, ay: 0.75 if ax == ay == 0 else 0.0),
+}
+
+
+def _graded_grid(draw, n):
+    steps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    grid = np.r_[0.0, np.cumsum(steps)] / steps.sum()
+    grid[-1] = 1.0
+    gap = draw(st.sampled_from([0.0, 2.0**-20, 2.0**-40, 2.0**-50]))
+    if gap and grid[-2] < 1.0 - gap:  # an element a few ulp wide at 1
+        grid = np.r_[grid[:-1], 1.0 - gap, 1.0]
+    return grid
+
+
+@st.composite
+def _open_grid_case(draw):
+    gx, gy = _graded_grid(draw, draw(st.integers(1, 7))), _graded_grid(draw, draw(st.integers(1, 7)))
+    nx, ny = len(gx) - 1, len(gy) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.sampled_from([(2, 2), (3, 3), (2, 3)]))
+    poly = PiecewisePoly2D(gx, gy, rng.normal(size=(ny, nx, degree[0] + 1, degree[1] + 1)))
+    cells = [(ix, jy) for jy in range(ny) for ix in range(nx)]
+    kind = draw(st.sampled_from(["whole", "block", "scattered"]))
+    if kind == "whole":
+        region = None
+    elif kind == "block":
+        x0, y0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        x1, y1 = draw(st.integers(x0 + 1, nx)), draw(st.integers(y0 + 1, ny))
+        block = [(ix, jy) for ix in range(x0, x1) for jy in range(y0, y1)]
+        region = [block[k] for k in rng.permutation(len(block))]
+    else:
+        region = [cells[k] for k in rng.permutation(len(cells))[: draw(st.integers(1, len(cells)))]]
+    field = _OPEN_GRID_FIELDS[draw(st.sampled_from(sorted(_OPEN_GRID_FIELDS)))]
+    return poly, region, field
+
+
+@settings(max_examples=80, deadline=None)
+@given(_open_grid_case(), st.sampled_from([4, 5]))
+def test_open_grid_matches_per_element_field_call(case, order):
+    poly, region, field = case
+    rule = gauss_rule(order)
+    got = _seminorms(field, poly, ORDERS, region, rule)
+    assert got == [_seminorm_per_alpha(field, poly, a, region, rule) for a in ORDERS]
+    assert linf_sampled(field, poly, region, order) == _linf_per_element(field, poly, region, order)
+
+
+def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates():
+    rng = np.random.default_rng(21)
+    nx, ny, p = 6, 5, 5
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, nx)])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, ny)])
+    poly = PiecewisePoly2D(gx, gy, rng.normal(size=(ny, nx, 3, 3)))
+    calls, factor_points = [], {"x": [], "y": []}
+
+    def counted(profile, axis):
+        def f(t, order):
+            factor_points[axis].append(np.size(t))
+            return profile(t, order)
+
+        return f
+
+    product = separable_field("counted", counted(sin_profile(), "x"), counted(exp_profile(2.0), "y"))
+
+    def recorded(x, y, ax, ay):
+        calls.append((x.shape, y.shape, ax, ay))
+        return product(x, y, ax, ay)
+
+    field = ScalarField("recorded", recorded)
+    _seminorms(field, poly, ORDERS, None, gauss_rule(p))
+    assert calls == [((1, nx, p, 1), (ny, 1, 1, p), *a) for a in ORDERS]
+    assert factor_points == {"x": [nx * p] * len(ORDERS), "y": [ny * p] * len(ORDERS)}
+    linf_sampled(field, poly, None, 4)
+    assert calls[-1] == ((1, nx, 4, 1), (ny, 1, 1, 4), 0, 0)
+    assert factor_points["x"][-1] <= nx * 4 and factor_points["y"][-1] <= ny * 4
+
+    # a region is evaluated on its distinct columns and rows only
+    calls.clear()
+    _seminorms(field, poly, ((0, 0),), [(4, 3), (1, 0), (4, 0)], gauss_rule(p))
+    assert calls == [((1, 2, p, 1), (2, 1, 1, p), 0, 0)]
+
+
+def test_region_elements_outside_the_mesh_or_repeated_are_rejected():
+    f = make_smooth_field("sin_sin")
+    p = interp_full(f, build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 5)))  # 8x8 elements
+    bad = {
+        "element (-1, 0) lies outside the 8x8 element mesh": [(-1, 0)],
+        "element (8, 0) lies outside": [(0, 0), (8, 0)],
+        "element (2, 8) lies outside": [(2, 8), (9, 9)],
+        "element (0, 0) appears more than once": [(0, 0), (0, 0)],
+        "element (1, 1) appears more than once": [(1, 1), (0, 0), (1, 0), (1, 1), (0, 0)],
+    }
+    for message, region in bad.items():
+        for norm in (lambda r: seminorm(f, p, (0, 0), r), lambda r: linf_sampled(f, p, r), lambda r: _seminorms(f, p, ORDERS, r)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                norm(region)
+    # four elements that only look like a 2x2 block by their count
+    with pytest.raises(ValueError, match="appears more than once"):
+        seminorm(f, p, (0, 0), [(0, 0), (0, 0), (1, 1), (1, 1)])
+    assert seminorm(f, p, (0, 0), [(0, 0), (1, 1), (1, 0), (0, 1)]) == _seminorm_per_alpha(f, p, (0, 0), [(0, 0), (1, 0), (0, 1), (1, 1)], gauss_rule())
+
+
+def test_jump_sums_differentiate_each_alpha_once(monkeypatch):
+    mesh = build_shishkin(1e-6, 16)
+    u = make_layer_decomposition(1e-6, smooth="bounded_third").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    edges = classify_edges(mesh)
+    rule = gauss_rule(4)
+    expected = [jump_norm_sum(u, PiecewisePoly2D(star.poly.grid_x, star.poly.grid_y, star.poly.coef), edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")]
+    differentiated = []
+    deriv_coef = PiecewisePoly2D._deriv_coef
+
+    def counted(self, ax, ay, cells=...):
+        differentiated.append((ax, ay))
+        return deriv_coef(self, ax, ay, cells)
+
+    monkeypatch.setattr(PiecewisePoly2D, "_deriv_coef", counted)
+    assert [jump_norm_sum(u, star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")] == expected
+    assert sorted(differentiated) == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("order", [4, 5, 10])
