@@ -11,7 +11,9 @@ import json
 import sys
 
 from .experiments import (
-    ExperimentConfig,
+    ConvergenceConfig,
+    ShishkinConfig,
+    _fmt,
     run_convergence,
     run_shishkin,
     verification_suite,
@@ -30,32 +32,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="optional JSON report path")
     p_verify.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sigma", default="toward_corner", choices=("toward_corner", "left", "down"))
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--sigma", choices=("toward_corner", "left", "down"))
     common.add_argument("--out", default=None, help="output path (suffix chosen by --format)")
     common.add_argument("--format", dest="fmt", choices=("csv", "json", "both"), default="csv")
 
-    p_conv = sub.add_parser("converge", parents=[common], help="uniform-mesh convergence study")
-    p_conv.add_argument("--operator", default="full", choices=("full", "reduced", "quasi", "bfs", "nodal", "aniso_y"))
-    p_conv.add_argument("--field", default="sin_sin")
-    p_conv.add_argument("--levels", type=int, default=4)
-    p_conv.add_argument("--base-n", type=int, default=2)
+    p_conv = sub.add_parser("converge", parents=[common], argument_default=argparse.SUPPRESS, help="uniform-mesh convergence study")
+    p_conv.add_argument("--operator", choices=("full", "reduced", "quasi", "bfs", "nodal", "aniso_y"))
+    p_conv.add_argument("--field")
+    p_conv.add_argument("--levels", type=int)
+    p_conv.add_argument("--base-n", type=int)
 
-    p_shi = sub.add_parser("shishkin", parents=[common], help="layer-adapted composite study")
-    p_shi.add_argument("--N", type=int, nargs="+", default=[8, 16, 32, 64])
-    p_shi.add_argument("--eps", type=float, nargs="+", default=[1e-4, 1e-6, 1e-8])
-    p_shi.add_argument("--lambda0", type=float, default=3.0)
-    p_shi.add_argument("--cstar", type=float, default=1.0)
-    p_shi.add_argument("--smooth", default="bounded_third", choices=("default", "bounded_third", "eps_growth"))
-    p_shi.add_argument("--smooth-amplitude", type=float, default=1.0)
-    p_shi.add_argument("--edge-amplitude", type=float, default=1.0)
+    p_shi = sub.add_parser("shishkin", parents=[common], argument_default=argparse.SUPPRESS, help="layer-adapted composite study")
+    p_shi.add_argument("--N", dest="N_list", metavar="N", type=int, nargs="+")
+    p_shi.add_argument("--eps", dest="eps_list", metavar="EPS", type=float, nargs="+")
+    p_shi.add_argument("--lambda0", type=float)
+    p_shi.add_argument("--cstar", dest="c_star", metavar="CSTAR", type=float)
+    p_shi.add_argument("--smooth", dest="smooth_variant", choices=("default", "bounded_third", "eps_growth"))
+    p_shi.add_argument("--smooth-amplitude", type=float)
+    p_shi.add_argument("--edge-amplitude", type=float)
     return parser
 
 
 def _emit(table, out, fmt):
     if out is None:
         for row in table.rows:
-            print(",".join("" if v is None else (f"{v:.17g}" if isinstance(v, float) else str(v)) for v in row))
+            print(",".join(_fmt(v) for v in row))
         return
     if fmt in ("csv", "both"):
         write_csv(table, out if out.endswith(".csv") or fmt == "csv" else out + ".csv")
@@ -86,35 +88,19 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _config(config_class, args):
+    """The config of the study options given (lists become tuples); one left out takes its field's default."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out", "fmt")}
+    return config_class(**{k: tuple(v) if isinstance(v, list) else v for k, v in options.items()})
+
+
 def cmd_converge(args) -> int:
-    config = ExperimentConfig(
-        operator=args.operator,
-        field=args.field,
-        levels=args.levels,
-        base_n=args.base_n,
-        sigma=args.sigma,
-    )
-    config.validate()
-    table = run_convergence(config)
-    _emit(table, args.out, args.fmt)
+    _emit(run_convergence(_config(ConvergenceConfig, args)), args.out, args.fmt)
     return 0
 
 
 def cmd_shishkin(args) -> int:
-    config = ExperimentConfig(
-        mesh_family="shishkin",
-        N_list=tuple(args.N),
-        eps_list=tuple(args.eps),
-        lambda0=args.lambda0,
-        c_star=args.cstar,
-        sigma=args.sigma,
-        smooth_variant=args.smooth,
-        smooth_amplitude=args.smooth_amplitude,
-        edge_amplitude=args.edge_amplitude,
-    )
-    config.validate()
-    table = run_shishkin(config)
-    _emit(table, args.out, args.fmt)
+    _emit(run_shishkin(_config(ShishkinConfig, args)), args.out, args.fmt)
     return 0
 
 
@@ -124,17 +110,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    commands = {"verify": cmd_verify, "converge": cmd_converge, "shishkin": cmd_shishkin}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "converge":
-            return cmd_converge(args)
-        if args.command == "shishkin":
-            return cmd_shishkin(args)
+        return commands[args.command](args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

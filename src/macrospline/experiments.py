@@ -3,9 +3,10 @@
 Experiments collect errors over refinement levels or (epsilon, N) grids,
 fit observed orders, and serialize rate tables to CSV and JSON.  Levels
 and grid points run one after another in one thread; each computes all
-its error norms in one pass over its mesh.  ``ExperimentConfig.validate``
-rejects a run whose finest mesh would exceed ``MAX_ELEMENTS`` before
-anything is allocated.
+its error norms in one pass over its mesh.  A ``ConvergenceConfig`` or
+``ShishkinConfig`` checks itself when it is made, so bad input, such as
+a finest mesh over ``MAX_ELEMENTS`` elements or a repeated N or eps, is
+rejected before anything is built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .fields import get_field, make_layer_decomposition, make_polynomial_field, 
 from .interpolation import (
     build_composite,
     interp_aniso_mesh,
+    interp_bfs,
     interp_bfs_mesh,
     interp_full,
     interp_full_macro,
@@ -35,7 +37,8 @@ from .norms import ORDERS, _seminorms, gauss_rule, jump_norm_sum
 from .oracles import CheckResult
 
 __all__ = [
-    "ExperimentConfig",
+    "ConvergenceConfig",
+    "ShishkinConfig",
     "RateTable",
     "observed_orders",
     "ls_slope",
@@ -46,22 +49,50 @@ __all__ = [
     "write_json",
 ]
 
-OPERATORS = ("full", "reduced", "quasi", "bfs", "nodal", "aniso_y")
 # Elements each operator puts in one cell of the n x n uniform grid.
 ELEMENTS_PER_CELL = {"full": 4, "reduced": 4, "quasi": 4, "bfs": 1, "nodal": 1, "aniso_y": 2}
+OPERATORS = tuple(ELEMENTS_PER_CELL)
 # Largest finest mesh a run may build.  A Shishkin point peaks at about
 # 2.2 KiB per element (182 MiB at N=256), so the budget is about 2.3 GiB.
 MAX_ELEMENTS = 2**20
 FLOAT_FMT = "%.17g"
 
 
+def _check_budget(config):
+    elements = config.finest_elements()
+    if elements > MAX_ELEMENTS:
+        raise ValueError(f"the finest mesh would have {elements} elements, over the budget of {MAX_ELEMENTS}")
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ConvergenceConfig:
+    """Uniform refinement of one operator: ``levels`` meshes of base_n * 2**k cells per side."""
+
     operator: str = "full"
     field: str = "sin_sin"
-    mesh_family: str = "uniform"  # uniform | shishkin
     levels: int = 4
     base_n: int = 2
+    sigma: str = "toward_corner"
+
+    def __post_init__(self):
+        if self.operator not in OPERATORS:
+            raise ValueError(f"operator must be one of {OPERATORS}")
+        if self.levels < 3:
+            raise ValueError("rate fitting needs at least 3 levels")
+        if self.base_n < 1:
+            raise ValueError("base n must be positive")
+        _check_budget(self)
+
+    def finest_elements(self) -> int:
+        """Elements of the finest mesh the run builds."""
+        n = self.base_n * 2 ** (self.levels - 1)
+        return ELEMENTS_PER_CELL[self.operator] * n**2
+
+
+@dataclass(frozen=True)
+class ShishkinConfig:
+    """The composite interpolant of a layer decomposition over an (eps, N) grid of Shishkin meshes."""
+
     N_list: tuple = (8, 16, 32, 64)
     eps_list: tuple = (1e-4, 1e-6, 1e-8)
     lambda0: float = 3.0
@@ -71,26 +102,19 @@ class ExperimentConfig:
     smooth_amplitude: float = 1.0
     edge_amplitude: float = 1.0
 
-    def validate(self):
-        if self.operator not in OPERATORS:
-            raise ValueError(f"operator must be one of {OPERATORS}")
-        if self.mesh_family == "shishkin":
-            if any(n <= 0 or n % 8 != 0 for n in self.N_list):
-                raise ValueError("Shishkin N values must be positive multiples of 8")
-        elif self.levels < 3:
-            raise ValueError("rate fitting needs at least 3 levels")
-        elif self.base_n < 1:
-            raise ValueError("base n must be positive")
-        elements = self.finest_elements()
-        if elements > MAX_ELEMENTS:
-            raise ValueError(f"the finest mesh would have {elements} elements, over the budget of {MAX_ELEMENTS}")
+    def __post_init__(self):
+        if not self.N_list or any(n <= 0 or n % 8 != 0 for n in self.N_list):
+            raise ValueError("Shishkin N values must be positive multiples of 8")
+        if not self.eps_list or not all(0.0 < eps < 1.0 for eps in self.eps_list):
+            raise ValueError("epsilon must lie in (0, 1)")
+        for name, values in (("N", self.N_list), ("eps", self.eps_list)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"Shishkin {name} values must not repeat")
+        _check_budget(self)
 
     def finest_elements(self) -> int:
         """Elements of the finest mesh the run builds."""
-        if self.mesh_family == "shishkin":
-            return max(self.N_list) ** 2
-        n = self.base_n * 2 ** (self.levels - 1)
-        return ELEMENTS_PER_CELL[self.operator] * n**2
+        return max(self.N_list) ** 2
 
 
 @dataclass
@@ -115,6 +139,15 @@ def observed_orders(errors, hs):
         else:
             orders.append(float("nan"))
     return orders
+
+
+def _rate_rows(rows, columns, hs) -> list:
+    """``rows`` (dicts) as tuples in ``columns`` order; an ``order_*`` column gets the observed orders of the column before it."""
+    for k, name in enumerate(columns):
+        if name.startswith("order_"):
+            for row, order in zip(rows, observed_orders([r[columns[k - 1]] for r in rows], hs)):
+                row[name] = order
+    return [tuple(row[c] for c in columns) for row in rows]
 
 
 def ls_slope(errors, hs, tail: int = 3):
@@ -155,33 +188,31 @@ def _error_norms(field, interp, rule):
     return l2, math.sqrt(h1x**2 + h1y**2), math.sqrt(h2xx**2 + h2xy**2 + h2yy**2)
 
 
-def run_convergence(config: ExperimentConfig) -> RateTable:
+CONVERGENCE_COLUMNS = ("n", "h", "L2", "order_L2", "H1", "order_H1", "brokenH2", "order_H2")
+
+
+def run_convergence(config: ConvergenceConfig) -> RateTable:
     """Uniform-refinement errors and observed orders for one operator."""
-    config.validate()
     field = get_field(config.field)
     rule = gauss_rule(5)
 
-    results = []
+    rows = []
     for level in range(config.levels):
         n = config.base_n * 2**level
         poly, h = _apply_mesh_operator(config.operator, field, n, config.sigma)
-        results.append((n, h, *_error_norms(field, poly, rule)))
+        l2, h1, h2 = _error_norms(field, poly, rule)
+        rows.append({"n": n, "h": h, "L2": l2, "H1": h1, "brokenH2": h2})
 
-    ns, hs, l2s, h1s, h2s = zip(*results)
-    o_l2 = observed_orders(l2s, hs)
-    o_h1 = observed_orders(h1s, hs)
-    o_h2 = observed_orders(h2s, hs)
-    table = RateTable(("n", "h", "L2", "order_L2", "H1", "order_H1", "brokenH2", "order_H2"))
-    for k in range(len(ns)):
-        table.rows.append((ns[k], hs[k], l2s[k], o_l2[k], h1s[k], o_h1[k], h2s[k], o_h2[k]))
+    hs = [r["h"] for r in rows]
+    table = RateTable(CONVERGENCE_COLUMNS, _rate_rows(rows, CONVERGENCE_COLUMNS, hs))
     table.meta = {
         "schema": "macrospline-rates/1",
         "experiment": "converge",
         "operator": config.operator,
         "field": config.field,
-        "ls_order_L2": ls_slope(l2s, hs),
-        "ls_order_H1": ls_slope(h1s, hs),
-        "ls_order_H2": ls_slope(h2s, hs),
+        "ls_order_L2": ls_slope(table.column("L2"), hs),
+        "ls_order_H1": ls_slope(table.column("H1"), hs),
+        "ls_order_H2": ls_slope(table.column("brokenH2"), hs),
     }
     return table
 
@@ -193,106 +224,64 @@ SHISHKIN_MODELS = {
     "jump2_I": lambda N, eps: N**-3.0,
     "jump2_III": lambda N, eps: eps**-0.5 * N**-3.0 * math.log(N) ** 4,
 }
+SHISHKIN_COLUMNS = (
+    "eps",
+    "N",
+    "L2",
+    "order_L2",
+    "weighted_H1",
+    "weighted_H2",
+    "jump2_I",
+    "order_jump2_I",
+    "jump2_II",
+    "jump2_III",
+    "jump2_IV",
+    *(f"C_{name}" for name in SHISHKIN_MODELS),
+)
 
 
-def run_shishkin(config: ExperimentConfig) -> RateTable:
+def _shishkin_point(config: ShishkinConfig, eps, N, rule) -> dict:
+    """Weighted errors of u - u*, jump sums per edge type and model constants at one (eps, N)."""
+    u = make_layer_decomposition(
+        eps,
+        config.c_star,
+        smooth=config.smooth_variant,
+        edge_amplitude=config.edge_amplitude,
+        smooth_amplitude=config.smooth_amplitude,
+    ).total
+    mesh = build_shishkin(eps, N, config.lambda0, config.c_star)
+    sigma = select_sigma(mesh, config.sigma)
+    star = build_composite(u, mesh, sigma)
+    l2, h1, h2 = _error_norms(u, star, rule)
+    row = {"eps": eps, "N": N, "L2": l2, "weighted_H1": eps**0.25 * h1, "weighted_H2": eps**0.75 * h2}
+    edges = classify_edges(mesh)
+    for t in ("I", "II", "III", "IV"):
+        row[f"jump2_{t}"] = jump_norm_sum(u, star, edges[edges.edge_type == t], rule)
+    for name, model in SHISHKIN_MODELS.items():
+        row[f"C_{name}"] = row[name] / model(N, eps)
+    return row
+
+
+def run_shishkin(config: ShishkinConfig) -> RateTable:
     """Composite-interpolant error survey over an (epsilon, N) grid.
 
     Per grid point: weighted error norms of u - u*, the squared
     normal-derivative jump sums per edge type, and fitted constants
-    against the model rates.
+    against the model rates.  Rows run over N in increasing order for
+    each eps in turn.
     """
-    config.validate()
     rule = gauss_rule(4)
-
-    def job(eps, N):
-        dec = make_layer_decomposition(
-            eps,
-            config.c_star,
-            smooth=config.smooth_variant,
-            edge_amplitude=config.edge_amplitude,
-            smooth_amplitude=config.smooth_amplitude,
-        )
-        u = dec.total
-        mesh = build_shishkin(eps, N, config.lambda0, config.c_star)
-        sigma = select_sigma(mesh, config.sigma)
-        star = build_composite(u, mesh, sigma)
-        l2, h1, h2 = _error_norms(u, star, rule)
-        edges = classify_edges(mesh)
-        jumps = {}
-        for t in ("I", "II", "III", "IV"):
-            jumps[t] = jump_norm_sum(u, star, edges[edges.edge_type == t], rule)
-        row = {
-            "eps": eps,
-            "N": N,
-            "L2": l2,
-            "weighted_H1": eps**0.25 * h1,
-            "weighted_H2": eps**0.75 * h2,
-            "jump2_I": jumps["I"],
-            "jump2_II": jumps["II"],
-            "jump2_III": jumps["III"],
-            "jump2_IV": jumps["IV"],
-        }
-        for name, model in SHISHKIN_MODELS.items():
-            row[f"C_{name}"] = row[name] / model(N, eps)
-        return row
-
-    results = {}
-    for eps in config.eps_list:
-        for N in config.N_list:
-            results[eps, N] = job(eps, N)
-
-    columns = (
-        "eps",
-        "N",
-        "L2",
-        "order_L2",
-        "weighted_H1",
-        "weighted_H2",
-        "jump2_I",
-        "order_jump2_I",
-        "jump2_II",
-        "jump2_III",
-        "jump2_IV",
-        "C_L2",
-        "C_weighted_H1",
-        "C_weighted_H2",
-        "C_jump2_I",
-        "C_jump2_III",
-    )
-    table = RateTable(columns)
+    table = RateTable(SHISHKIN_COLUMNS)
     meta_orders = {}
     for eps in config.eps_list:
-        sub = [results[(eps, N)] for N in sorted(config.N_list)]
-        hs = [1.0 / r["N"] for r in sub]
-        o_l2 = observed_orders([r["L2"] for r in sub], hs)
-        o_j1 = observed_orders([r["jump2_I"] for r in sub], hs)
+        rows = [_shishkin_point(config, eps, N, rule) for N in sorted(config.N_list)]
+        hs = [1.0 / r["N"] for r in rows]
         meta_orders[str(eps)] = {
-            "ls_order_L2": ls_slope([r["L2"] for r in sub], hs),
-            "ls_order_jump2_I": ls_slope([r["jump2_I"] for r in sub], hs),
-            "C_L2_values": [r["C_L2"] for r in sub],
+            "ls_order_L2": ls_slope([r["L2"] for r in rows], hs),
+            "ls_order_jump2_I": ls_slope([r["jump2_I"] for r in rows], hs),
+            "C_L2_values": [r["C_L2"] for r in rows],
         }
-        for k, r in enumerate(sub):
-            table.rows.append(
-                (
-                    r["eps"],
-                    r["N"],
-                    r["L2"],
-                    o_l2[k],
-                    r["weighted_H1"],
-                    r["weighted_H2"],
-                    r["jump2_I"],
-                    o_j1[k],
-                    r["jump2_II"],
-                    r["jump2_III"],
-                    r["jump2_IV"],
-                    r["C_L2"],
-                    r["C_weighted_H1"],
-                    r["C_weighted_H2"],
-                    r["C_jump2_I"],
-                    r["C_jump2_III"],
-                )
-            )
+        table.rows += _rate_rows(rows, SHISHKIN_COLUMNS, hs)
     table.meta = {
         "schema": "macrospline-rates/1",
         "experiment": "shishkin",
@@ -307,6 +296,13 @@ def run_shishkin(config: ExperimentConfig) -> RateTable:
 # ---------------------------------------------------------------------------
 
 
+def _reproduction_error(p, f, macro) -> float:
+    """Largest |p - f| on a 9 x 9 grid over the macro, relative to max(1, max |f|) there."""
+    x0, x1, y0, y1 = macro
+    X, Y = np.meshgrid(np.linspace(x0, x1, 9), np.linspace(y0, y1, 9), indexing="ij")
+    return float(np.max(np.abs(p.evaluate(X, Y) - f(X, Y)))) / max(1.0, float(np.max(np.abs(f(X, Y)))))
+
+
 def verification_suite(rng_seed: int = 2026) -> list:
     """All identity/reproduction/continuity checks as CheckResult items."""
     rng = np.random.default_rng(rng_seed)
@@ -317,24 +313,12 @@ def verification_suite(rng_seed: int = 2026) -> list:
     for aspect in (1.0, 1e3, 1e6):
         f = make_polynomial_field(rng.normal(size=(3, 3)))
         macro = (0.0, 1.0, 0.0, 1.0 / aspect)
-        p = interp_full_macro(f, macro)
-        X, Y = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1.0 / aspect, 9), indexing="ij")
-        scale = max(1.0, float(np.max(np.abs(f(X, Y)))))
-        worst = max(worst, float(np.max(np.abs(p.evaluate(X, Y) - f(X, Y)))) / scale)
+        worst = max(worst, _reproduction_error(interp_full_macro(f, macro), f, macro))
     out.append(CheckResult("reproduction_full_q2", worst, 1e-9))
 
     f = make_polynomial_field(rng.normal(size=(4, 4)))
-    from .interpolation import interp_bfs
-
-    p = interp_bfs(f, (0.0, 1.0, 0.0, 0.5))
-    X, Y = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 0.5, 9), indexing="ij")
-    out.append(
-        CheckResult(
-            "reproduction_bfs_q3",
-            float(np.max(np.abs(p.evaluate(X, Y) - f(X, Y)))) / max(1.0, float(np.max(np.abs(f(X, Y))))),
-            1e-9,
-        )
-    )
+    element = (0.0, 1.0, 0.0, 0.5)
+    out.append(CheckResult("reproduction_bfs_q3", _reproduction_error(interp_bfs(f, element), f, element), 1e-9))
 
     mesh = build_macro_mesh(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
     sigma = select_sigma(mesh, "toward_corner")
@@ -396,6 +380,6 @@ def write_csv(table: RateTable, path: str) -> None:
 def write_json(table: RateTable, path: str) -> None:
     payload = dict(table.meta)
     payload["columns"] = list(table.columns)
-    payload["rows"] = [[None if v is None else v for v in row] for row in table.rows]
+    payload["rows"] = [list(row) for row in table.rows]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)

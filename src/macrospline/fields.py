@@ -283,9 +283,7 @@ def make_layer_decomposition(
 
 def field_registry() -> dict:
     return {
-        "sin_sin": lambda: make_smooth_field("sin_sin"),
-        "exp_xy": lambda: make_smooth_field("exp_xy"),
-        "runge": lambda: make_smooth_field("runge"),
+        **_SMOOTH,
         "sin_plus_sin": lambda: separable_field("sx", sin_profile(), _one)
         + separable_field("sy", _one, sin_profile()),
         "xy": lambda: make_polynomial_field([[0.0, 0.0], [0.0, 1.0]]),

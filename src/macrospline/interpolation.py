@@ -203,17 +203,20 @@ def evaluate(interpolant, x, y, alpha=(0, 0), side=("-", "-")):
 # ---------------------------------------------------------------------------
 
 
-def _check_macro(x0, x1, y0, y1):
-    if not (x1 > x0 and y1 > y0):
+def _check_widths(hx, hy, stacklevel=3):
+    """Reject cell widths (or half-widths) ``hx``, ``hy`` that are not positive; warn on an aspect ratio over ``ASPECT_WARN``."""
+    hx, hy = np.asarray(hx, dtype=float), np.asarray(hy, dtype=float)
+    if not (np.all(hx > 0) and np.all(hy > 0)):
         raise ValueError("degenerate macro bounds")
-    aspect = max((x1 - x0) / (y1 - y0), (y1 - y0) / (x1 - x0))
+    aspect = max(hx.max() / hy.min(), hy.max() / hx.min())
     if aspect > ASPECT_WARN:
-        warnings.warn(f"macro aspect ratio {aspect:.2e} may lose precision", stacklevel=3)
+        warnings.warn(f"macro aspect ratio {aspect:.2e} may lose precision", stacklevel=stacklevel)
 
 
 def _hermite_data(field, x0, x1, y0, y1):
     """4x4 matrix of scaled corner data in the Hermite row/column order."""
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    _check_widths(hx, hy, stacklevel=4)
     xs, ys = np.array([x0, x1]), np.array([y0, y1])
     G = np.empty((4, 4))
     for px in (0, 1):
@@ -235,11 +238,7 @@ def _blocks_from_newton(G):
 def _macro_poly(x0, x1, y0, y1, blocks) -> PiecewisePoly2D:
     gx = np.array([x0, 0.5 * (x0 + x1), x1])
     gy = np.array([y0, 0.5 * (y0 + y1), y1])
-    coef = np.empty((2, 2, 3, 3))
-    for sy in (0, 1):
-        for sx in (0, 1):
-            coef[sy, sx] = blocks[sy][sx]
-    return PiecewisePoly2D(gx, gy, coef)
+    return PiecewisePoly2D(gx, gy, np.array(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,6 @@ def interp_full_macro(field, macro, assembly: str = "lagrange") -> PiecewisePoly
     field at the four macro vertices; reproduces biquadratics exactly.
     """
     x0, x1, y0, y1 = macro
-    _check_macro(x0, x1, y0, y1)
     G = _hermite_data(field, x0, x1, y0, y1)
     if assembly == "lagrange":
         blocks = _blocks_from_hermite(G)
@@ -268,7 +266,6 @@ def interp_full_macro(field, macro, assembly: str = "lagrange") -> PiecewisePoly
 def interp_reduced_macro(field, macro) -> PiecewisePoly2D:
     """Reduced macro interpolant: mixed-derivative coefficients set to zero."""
     x0, x1, y0, y1 = macro
-    _check_macro(x0, x1, y0, y1)
     G = _hermite_data(field, x0, x1, y0, y1)
     G[1, 1] = G[1, 3] = G[3, 1] = G[3, 3] = 0.0
     return _macro_poly(x0, x1, y0, y1, _blocks_from_hermite(G))
@@ -277,7 +274,6 @@ def interp_reduced_macro(field, macro) -> PiecewisePoly2D:
 def interp_bfs(field, element) -> PiecewisePoly2D:
     """Bicubic Hermite interpolant on one element from the 16 corner functionals."""
     x0, x1, y0, y1 = element
-    _check_macro(x0, x1, y0, y1)
     G = _hermite_data(field, x0, x1, y0, y1)
     F = HERMITE_DD_MATRIX @ G @ HERMITE_DD_MATRIX.T
     C = _BFSN.T @ F @ _BFSN
@@ -287,7 +283,7 @@ def interp_bfs(field, element) -> PiecewisePoly2D:
 def nodal_q2(field, element) -> PiecewisePoly2D:
     """Standard biquadratic nodal interpolant on one element (3x3 nodes)."""
     x0, x1, y0, y1 = element
-    _check_macro(x0, x1, y0, y1)
+    _check_widths(x1 - x0, y1 - y0)
     xs = np.array([x0, 0.5 * (x0 + x1), x1])
     ys = np.array([y0, 0.5 * (y0 + y1), y1])
     V = np.asarray(field(xs[:, None], ys[None, :], 0, 0))
@@ -326,15 +322,12 @@ def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "l
     on the two long edges.  ``x_spline`` swaps the roles.
     """
     x0, x1, y0, y1 = macro
-    _check_macro(x0, x1, y0, y1)
+    _check_widths(x1 - x0, y1 - y0)
     if orientation == "y_spline":
         blocks = _aniso_blocks_y(field, x0, x1, y0, y1, assembly)
         gx = np.array([x0, x1])
         gy = np.array([y0, 0.5 * (y0 + y1), y1])
-        coef = np.empty((2, 1, 3, 3))
-        for sy in (0, 1):
-            coef[sy, 0] = blocks[sy]
-        return PiecewisePoly2D(gx, gy, coef)
+        return PiecewisePoly2D(gx, gy, np.array([[block] for block in blocks]))
     if orientation == "x_spline":
         swapped = interp_aniso(_Transposed(field), (y0, y1, x0, x1), "y_spline", assembly)
         coef = np.transpose(swapped.coef, (1, 0, 3, 2))
@@ -367,11 +360,7 @@ def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
     sx, sy = rows_x[-1][0], rows_y[-1][0]
     hx, hy = _half_widths(gx, sx), _half_widths(gy, sy)
-    if not (np.all(hx > 0) and np.all(hy > 0)):
-        raise ValueError("degenerate macro bounds")
-    aspect = max(hx.max() / hy.min(), hy.max() / hx.min())
-    if aspect > ASPECT_WARN:
-        warnings.warn(f"macro aspect ratio {aspect:.2e} may lose precision", stacklevel=3)
+    _check_widths(hx, hy, stacklevel=4)
     nx, ny = len(hx), len(hy)
     G = np.empty((ny, nx, len(rows_x), len(rows_y)))
     values = {}

@@ -285,8 +285,6 @@ class NormReport:
 def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | None = None, samples_per_element: int = 4) -> NormReport:
     """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain."""
     poly = _unwrap(interp)
-    if rule is None:
-        rule = gauss_rule()
     regional = {}
     for region in np.unique(mesh.region):
         jy, ix = np.nonzero(mesh.region == region)

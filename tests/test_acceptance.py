@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from macrospline.experiments import ExperimentConfig, run_convergence, run_shishkin
+from macrospline.experiments import ConvergenceConfig, ShishkinConfig, run_convergence, run_shishkin
 from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field, separable_field, sin_profile
 from macrospline.interpolation import (
     build_composite,
@@ -192,19 +192,19 @@ def test_criterion_6_anisotropy_invariance():
 
 def test_criterion_7_uniform_orders():
     checks = []
-    t = run_convergence(ExperimentConfig(operator="full", field="sin_sin", levels=4))
+    t = run_convergence(ConvergenceConfig(operator="full", field="sin_sin", levels=4))
     checks.append(("full", t.meta["ls_order_L2"], 2.9))
     checks.append(("full", t.meta["ls_order_H1"], 1.9))
     checks.append(("full", t.meta["ls_order_H2"], 0.9))
-    t = run_convergence(ExperimentConfig(operator="bfs", field="sin_sin", levels=4))
+    t = run_convergence(ConvergenceConfig(operator="bfs", field="sin_sin", levels=4))
     checks.append(("bfs", t.meta["ls_order_L2"], 3.9))
     checks.append(("bfs", t.meta["ls_order_H1"], 2.9))
     checks.append(("bfs", t.meta["ls_order_H2"], 1.9))
-    t = run_convergence(ExperimentConfig(operator="quasi", field="sin_sin", levels=4, sigma="left"))
+    t = run_convergence(ConvergenceConfig(operator="quasi", field="sin_sin", levels=4, sigma="left"))
     checks.append(("quasi", t.meta["ls_order_L2"], 2.9))
     checks.append(("quasi", t.meta["ls_order_H1"], 1.9))
     checks.append(("quasi", t.meta["ls_order_H2"], 0.9))
-    t = run_convergence(ExperimentConfig(operator="reduced", field="sin_plus_sin", levels=4))
+    t = run_convergence(ConvergenceConfig(operator="reduced", field="sin_plus_sin", levels=4))
     checks.append(("reduced(uxy=0)", t.meta["ls_order_H1"], 1.9))
     ok = all(order >= floor for _, order, floor in checks)
     detail = "; ".join(f"{name} {order:.2f}>={floor}" for name, order, floor in checks)
@@ -284,8 +284,7 @@ def test_criterion_10_shishkin_composite():
     ok_b = dev_b <= 1e-9
 
     # (c) the (eps, N) grid with the bounded-third-derivative smooth part
-    cfg = ExperimentConfig(
-        mesh_family="shishkin",
+    cfg = ShishkinConfig(
         N_list=(8, 16, 32, 64),
         eps_list=(1e-4, 1e-6, 1e-8),
         smooth_variant="bounded_third",
@@ -312,8 +311,7 @@ def test_criterion_10_shishkin_composite():
 
 def test_criterion_10_continuity_down_to_eps_1e_14():
     # Exact fine nodes keep u* C1 to roundoff where the layers are thinnest.
-    cfg = ExperimentConfig(
-        mesh_family="shishkin",
+    cfg = ShishkinConfig(
         N_list=(8, 16, 32, 64),
         eps_list=(1e-10, 1e-12, 1e-14),
         smooth_variant="bounded_third",

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import macrospline
-from macrospline.cli import main
+from macrospline.cli import build_parser, main
 from macrospline.fields import ScalarField, get_field
 from macrospline.experiments import (
     ELEMENTS_PER_CELL,
     MAX_ELEMENTS,
-    ExperimentConfig,
+    ConvergenceConfig,
+    ShishkinConfig,
     _apply_mesh_operator,
     ls_slope,
     observed_orders,
@@ -33,15 +34,15 @@ def test_observed_orders_synthetic():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(operator="nope").validate()
+        ConvergenceConfig(operator="nope")
     with pytest.raises(ValueError):
-        ExperimentConfig(levels=2).validate()
+        ConvergenceConfig(levels=2)
     with pytest.raises(ValueError):
-        ExperimentConfig(mesh_family="shishkin", N_list=(12,)).validate()
+        ShishkinConfig(N_list=(12,))
 
 
 def test_csv_has_17_significant_digits(tmp_path):
-    cfg = ExperimentConfig(operator="nodal", field="sin_sin", levels=3)
+    cfg = ConvergenceConfig(operator="nodal", field="sin_sin", levels=3)
     table = run_convergence(cfg)
     path = tmp_path / "rates.csv"
     write_csv(table, str(path))
@@ -164,19 +165,27 @@ def test_cli_options_belong_to_their_subcommand(tmp_path, capsys):
 
 def test_element_budget():
     # the largest benchmark meshes: converge at 7 levels and one Shishkin point at N=256
-    assert ExperimentConfig(operator="full", levels=7).finest_elements() == 65536
-    assert ExperimentConfig(mesh_family="shishkin", N_list=(8, 256)).finest_elements() == 65536
+    assert ConvergenceConfig(operator="full", levels=7).finest_elements() == 65536
+    assert ShishkinConfig(N_list=(8, 256)).finest_elements() == 65536
     assert 16 * 65536 <= MAX_ELEMENTS
     with pytest.raises(ValueError, match="budget"):
-        ExperimentConfig(levels=12).validate()
+        ConvergenceConfig(levels=12)
     with pytest.raises(ValueError, match="budget"):
-        ExperimentConfig(mesh_family="shishkin", N_list=(8, 4096)).validate()
-    ExperimentConfig(operator="bfs", levels=10).validate()  # 1024^2 elements, exactly the budget
+        ShishkinConfig(N_list=(8, 4096))
+    ConvergenceConfig(operator="bfs", levels=10)  # 1024^2 elements, exactly the budget
     with pytest.raises(ValueError, match="budget"):
-        ExperimentConfig(operator="full", levels=10).validate()
-    for config in (ExperimentConfig(base_n=0), ExperimentConfig(mesh_family="shishkin", N_list=(0,))):
-        with pytest.raises(ValueError):
-            config.validate()
+        ConvergenceConfig(operator="full", levels=10)
+    with pytest.raises(ValueError):
+        ConvergenceConfig(base_n=0)
+    with pytest.raises(ValueError):
+        ShishkinConfig(N_list=(0,))
+
+
+def test_shishkin_config_counts_shishkin_elements():
+    # an N x N Shishkin mesh has N^2 elements: N=2048 is four times the budget, N=1024 exactly it
+    with pytest.raises(ValueError, match="budget"):
+        ShishkinConfig(N_list=(2048,))
+    assert ShishkinConfig(N_list=(1024,)).finest_elements() == MAX_ELEMENTS
 
 
 @pytest.mark.parametrize("operator", sorted(ELEMENTS_PER_CELL))
@@ -204,3 +213,42 @@ def test_cli_rejects_non_finite_field_values(monkeypatch, capsys):
     monkeypatch.setattr(experiments_mod, "get_field", lambda name: ScalarField(name, nan_at_origin))
     assert main(["converge", "--levels", "3"]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+def test_cli_rejects_repeated_values(capsys):
+    assert main(["shishkin", "--N", "8", "8", "--eps", "1e-4"]) == 2
+    assert main(["shishkin", "--N", "8", "--eps", "1e-4", "1e-4"]) == 2
+    assert capsys.readouterr().err.count("must not repeat") == 2
+
+
+def test_cli_rejects_eps_before_building_a_mesh(monkeypatch, capsys):
+    import macrospline.experiments as experiments_mod
+
+    built = []
+    monkeypatch.setattr(experiments_mod, "build_shishkin", lambda *args: built.append(args))
+    for eps in ("2", "1", "0", "-0.5", "nan"):
+        assert main(["shishkin", "--N", "256", "--eps", "1e-6", eps]) == 2
+    assert built == []
+    assert capsys.readouterr().err.count("epsilon must lie in (0, 1)") == 5
+
+
+def test_cli_study_defaults_come_from_the_configs():
+    parser = build_parser()
+    for command in ("converge", "shishkin"):
+        assert vars(parser.parse_args([command])) == {"command": command, "out": None, "fmt": "csv"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--operator", "quasi", "--levels", "3"],
+        ["shishkin", "--N", "8", "16", "--eps", "1e-4", "1e-6"],
+    ],
+)
+def test_cli_stdout_rows_match_the_csv(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "rates.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    data_rows = out.read_text().splitlines(keepends=True)[1:]
+    assert data_rows and printed == "".join(data_rows)
