@@ -11,6 +11,7 @@ import json
 import sys
 
 from .experiments import (
+    OPERATORS,
     ConvergenceConfig,
     ShishkinConfig,
     _fmt,
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("csv", "json", "both"), default="csv")
 
     p_conv = sub.add_parser("converge", parents=[common], argument_default=argparse.SUPPRESS, help="uniform-mesh convergence study")
-    p_conv.add_argument("--operator", choices=("full", "reduced", "quasi", "bfs", "nodal", "aniso_y"))
+    p_conv.add_argument("--operator", choices=OPERATORS)
     p_conv.add_argument("--field")
     p_conv.add_argument("--levels", type=int)
     p_conv.add_argument("--base-n", type=int)

@@ -15,13 +15,13 @@ bit for bit.  Quasi-interpolation replaces the mixed entries of G by
 weighted edge averages of u_xy; the Shishkin composite glues quasi,
 anisotropic and nodal interpolation, with interface slopes taken from
 the interior so the normal derivative is continuous across long edges.
+The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,12 +176,12 @@ class PiecewisePoly2D:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewisePoly2D":
+    @staticmethod
+    def from_json(text: str) -> "PiecewisePoly2D":
         data = json.loads(text)
         if data.get("schema") != "macrospline-poly/1":
             raise ValueError("unrecognized serialization schema")
-        return cls(data["grid_x"], data["grid_y"], np.asarray(data["coef"]))
+        return PiecewisePoly2D(data["grid_x"], data["grid_y"], np.asarray(data["coef"]))
 
     def to_csv_rows(self):
         ny, nx, dx, dy = self.coef.shape
@@ -193,9 +193,8 @@ class PiecewisePoly2D:
 
 
 def evaluate(interpolant, x, y, alpha=(0, 0), side=("-", "-")):
-    """Evaluate an interpolant (or composite) with an explicit side convention."""
-    poly = interpolant.poly if isinstance(interpolant, CompositeInterpolant) else interpolant
-    return poly.evaluate(x, y, alpha[0], alpha[1], side=side)
+    """Evaluate an interpolant with an explicit side convention."""
+    return interpolant.evaluate(x, y, alpha[0], alpha[1], side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +513,12 @@ def random_c1q2(mesh: MacroMesh, rng) -> PiecewisePoly2D:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositeInterpolant:
-    """Region-wise interpolant on a Shishkin mesh, stored as one global
-    piecewise biquadratic plus the interface-matching coefficients."""
+class CompositeInterpolant(PiecewisePoly2D):
+    """Region-wise interpolant ``u*``: a piecewise biquadratic on a Shishkin mesh's element grid, which it keeps as ``mesh``."""
 
-    poly: PiecewisePoly2D
-    mesh: ShishkinMesh
-    modifications: dict
-
-    def __call__(self, x, y, ax=0, ay=0):
-        return self.poly.evaluate(x, y, ax, ay)
+    def __init__(self, mesh: ShishkinMesh, coef):
+        super().__init__(mesh.grid_x, mesh.grid_y, coef)
+        self.mesh = mesh
 
 
 def _edge_slope(v, w):
@@ -555,10 +549,6 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     wx, wy = np.diff(gx[core]), np.diff(gy[core])
     slope_y = (_edge_slope(V[0], wy[0]), -_edge_slope(V[-1, :, :, ::-1], wy[-1]))
     slope_x = (_edge_slope(V[:, 0].swapaxes(1, 2), wx[0]), -_edge_slope(V[:, -1, ::-1].swapaxes(1, 2), wx[-1]))
-    modifications = {}
-    for axis, grid, slopes in (("y", gy, slope_y), ("x", gx, slope_x)):
-        for level, s in zip((n4, 3 * n4), slopes):
-            modifications.update({(axis, grid[level], n4 + k): row for k, row in enumerate(s)})
 
     # Edge strips: one anisotropic gather per band, with the spline slopes
     # on the core-facing edge taken from the interior.  The x-strips are
@@ -582,4 +572,4 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
             G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(gy[yl])[j] * slope_y[b][-a, 2 * a]
             coef[ye, xe] = _c1_coef(G)
 
-    return CompositeInterpolant(PiecewisePoly2D(gx, gy, coef), mesh, modifications)
+    return CompositeInterpolant(mesh, coef)

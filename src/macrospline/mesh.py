@@ -138,16 +138,11 @@ _REGIONS = np.array(
 )
 
 
-def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float = 1.0) -> ShishkinMesh:
-    """Layer-adapted piecewise-uniform mesh on the unit square.
+def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tuple:
+    """Transition point and fine step ``(lam, h)``; ValueError if no mesh can be built.
 
-    The transition point is min(1/4, lambda0*sqrt(epsilon)*ln(N)/c_star).
-    Each fine band is split into N/4 equal subintervals and the interior
-    into N/2, giving steps h = 4*lam/N and H = 2(1-2*lam)/N.  The fine
-    step h is rounded down to a multiple of 2^-52 and lam is then set to
-    (N/4)*h, so every fine node k*h and 1 - lam + k*h is exact and all
-    fine widths are equal bit for bit: a C1 macro spline keeps its knot
-    at the exact midpoint of each fine macro pair.
+    lam = min(1/4, lambda0*sqrt(epsilon)*ln(N)/c_star) gives h = 4*lam/N,
+    rounded down to a multiple of 2^-52, and lam is then reset to (N/4)*h.
     """
     if N % 8 != 0 or N <= 0:
         raise ValueError("N must be a positive multiple of 8")
@@ -157,14 +152,24 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
         raise ValueError("lambda0 must be at least 3")
     if c_star <= 0:
         raise ValueError("c_star must be positive")
-    if math.sqrt(epsilon) > 1.0 / N:
-        warnings.warn("sqrt(epsilon) exceeds 1/N; the layers are not mesh-resolved", stacklevel=2)
     lam = min(0.25, lambda0 * math.sqrt(epsilon) * math.log(N) / c_star)
     h = math.ldexp(math.floor(math.ldexp(4.0 * lam / N, 52)), -52)
     if h == 0.0:
         raise ValueError("epsilon is too small for a fine step of at least 2^-52")
+    return (N // 4) * h, h
+
+
+def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float = 1.0) -> ShishkinMesh:
+    """Layer-adapted piecewise-uniform mesh on the unit square.
+
+    N/4 cells of width h in each fine band of width lam (``_shishkin_steps``),
+    N/2 in the interior.  Fine nodes k*h and 1 - lam + k*h are exact, so a
+    C1 macro spline keeps its knot at the midpoint of each fine macro pair.
+    """
+    lam, h = _shishkin_steps(epsilon, N, lambda0, c_star)
+    if math.sqrt(epsilon) > 1.0 / N:
+        warnings.warn("sqrt(epsilon) exceeds 1/N; the layers are not mesh-resolved", stacklevel=2)
     n4, n2 = N // 4, N // 2
-    lam = n4 * h
     fine = h * np.arange(n4 + 1)
     grid = np.concatenate([fine, np.linspace(lam, 1.0 - lam, n2 + 1)[1:], (1.0 - lam + fine)[1:]])
 

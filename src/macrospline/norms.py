@@ -16,7 +16,8 @@ and one GEMV takes the weighted square sums.  Broken second-order
 seminorms never integrate across element interfaces, where the
 interpolant's second derivatives jump.  Edge norms and jump sums take
 an ``EdgeSet`` and place the Gauss points of all its edges in one step
-(``_edge_points``).
+(``_edge_points``).  A jump sum takes no field: it depends only on the
+interpolant, as a smooth field's normal derivative cancels from a jump.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .interpolation import CompositeInterpolant, PiecewisePoly2D
 from .mesh import EdgeSet
 from .quadrature import QuadratureRule, gauss_rule
 
@@ -61,13 +61,7 @@ def _pairwise_sum(values) -> float:
     return float(v[0])
 
 
-def _unwrap(interp):
-    if isinstance(interp, CompositeInterpolant):
-        return interp.poly
-    return interp
-
-
-def _element_indices(poly: PiecewisePoly2D, region):
+def _element_indices(poly, region):
     """Index arrays (ix, jy) of ``region`` in (jy, ix) order; the whole mesh for None.
 
     Raises ValueError naming the first element of ``region`` that lies
@@ -146,23 +140,22 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
     each alpha then makes the same field call and the same sums as a
     ``seminorm`` call of its own, so the values are the same bit for bit.
     """
-    poly = _unwrap(interp)
     if rule is None:
         rule = gauss_rule()
-    if poly is None:
+    if interp is None:
         raise ValueError("an interpolant is required to define the element mesh")
-    ix, jy = _element_indices(poly, region)
+    ix, jy = _element_indices(interp, region)
     if not ix.size:
         return [0.0] * len(alphas)
-    points = _element_points(poly, ix, jy, rule.nodes)
-    jac = 0.25 * (poly.grid_x[ix + 1] - poly.grid_x[ix]) * (poly.grid_y[jy + 1] - poly.grid_y[jy])
+    points = _element_points(interp, ix, jy, rule.nodes)
+    jac = 0.25 * (interp.grid_x[ix + 1] - interp.grid_x[ix]) * (interp.grid_y[jy + 1] - interp.grid_y[jy])
     weights = np.outer(rule.weights, rule.weights).ravel()
 
     def norm(diff):
         contributions = jac * ((diff * diff).reshape(len(jac), -1) @ weights)
         return float(np.sqrt(max(_pairwise_sum(contributions), 0.0)))
 
-    return [norm(_difference(field, poly, points, rule.nodes, alpha)) for alpha in alphas]
+    return [norm(_difference(field, interp, points, rule.nodes, alpha)) for alpha in alphas]
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:
@@ -186,37 +179,31 @@ def _edge_points(edges: EdgeSet, rule: QuadratureRule):
 
 def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> np.ndarray:
     """Per-edge L2 norms of the difference trace, one-sided: ``side`` picks the element across each edge."""
-    poly = _unwrap(interp)
     if rule is None:
         rule = gauss_rule()
     X, Y, half = _edge_points(edges, rule)
     trace = np.zeros(X.shape)
-    if poly is not None:
+    if interp is not None:
         for horizontal, sides in ((True, ("-", side)), (False, (side, "-"))):
             rows = edges.horizontal == horizontal
-            trace[rows] = poly.evaluate(X[rows], Y[rows], alpha[0], alpha[1], side=sides)
+            trace[rows] = interp.evaluate(X[rows], Y[rows], alpha[0], alpha[1], side=sides)
     vals = -trace if field is None else np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float) - trace
     return np.sqrt(half * ((vals * vals) @ rule.weights))
 
 
-def _jump_batch(field, poly, edges: EdgeSet, rule, horizontal: bool):
+def _jump_batch(interp, edges: EdgeSet, rule, horizontal: bool):
     """Per-edge squared normal-derivative jump integrals over edges of one orientation."""
     if not len(edges):
         return np.zeros(0)
     X, Y, half = _edge_points(edges, rule)
     alpha, hi_side = ((0, 1), ("-", "+")) if horizontal else ((1, 0), ("+", "-"))
-    lo = poly.evaluate(X, Y, alpha[0], alpha[1], side=("-", "-"))
-    hi = poly.evaluate(X, Y, alpha[0], alpha[1], side=hi_side)
-    if field is not None:
-        f = np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float)
-        jump = (f - lo) - (f - hi)
-    else:
-        jump = lo - hi
+    jump = interp.evaluate(X, Y, alpha[0], alpha[1], side=("-", "-"))
+    jump -= interp.evaluate(X, Y, alpha[0], alpha[1], side=hi_side)
     return half * ((jump * jump) @ rule.weights)
 
 
-def jump_norm_sum(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None) -> float:
-    """Sum over edges of the squared L2 norm of the normal-derivative jump.
+def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) -> float:
+    """Sum over edges of the squared L2 norm of the interpolant's normal-derivative jump.
 
     The jump is the trace from the lower-index element minus the trace
     from the higher one, matching normals that point in the increasing
@@ -224,7 +211,6 @@ def jump_norm_sum(field, interp, edges: EdgeSet, rule: QuadratureRule | None = N
     (x0, y0, x1, y1), so the result does not depend on their row order;
     an empty set gives 0.0.
     """
-    poly = _unwrap(interp)
     if rule is None:
         rule = gauss_rule()
     ordered = edges[np.lexsort((edges.y1, edges.x1, edges.y0, edges.x0))]
@@ -233,18 +219,17 @@ def jump_norm_sum(field, interp, edges: EdgeSet, rule: QuadratureRule | None = N
     contributions = np.zeros(len(ordered))
     for horizontal in (True, False):
         rows = ordered.horizontal == horizontal
-        contributions[rows] = _jump_batch(field, poly, ordered[rows], rule, horizontal)
+        contributions[rows] = _jump_batch(interp, ordered[rows], rule, horizontal)
     return _pairwise_sum(contributions)
 
 
 def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> float:
     """Max |difference| over a deterministic tensor sample grid."""
-    poly = _unwrap(interp)
-    ix, jy = _element_indices(poly, region)
+    ix, jy = _element_indices(interp, region)
     if not ix.size:
         return 0.0
     loc = np.linspace(-1.0, 1.0, samples_per_element)
-    diff = _difference(field, poly, _element_points(poly, ix, jy, loc), loc, (0, 0))
+    diff = _difference(field, interp, _element_points(interp, ix, jy, loc), loc, (0, 0))
     return float(np.max(np.abs(diff)))
 
 
@@ -284,19 +269,18 @@ class NormReport:
 
 def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | None = None, samples_per_element: int = 4) -> NormReport:
     """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain."""
-    poly = _unwrap(interp)
     regional = {}
     for region in np.unique(mesh.region):
         jy, ix = np.nonzero(mesh.region == region)
         elements = np.column_stack((ix, jy))
-        l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, poly, ORDERS, elements, rule)
+        l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, interp, ORDERS, elements, rule)
         h1 = np.sqrt(_pairwise_sum((h1x**2, h1y**2)))
         h2 = np.sqrt(_pairwise_sum((h2xx**2, h2xy**2, h2yy**2)))
         regional[region] = {
             "L2": l2,
             "H1_semi": float(h1),
             "broken_H2_semi": float(h2),
-            "Linf_sampled": linf_sampled(field, poly, elements, samples_per_element),
+            "Linf_sampled": linf_sampled(field, interp, elements, samples_per_element),
         }
     global_values = {
         "L2": float(np.sqrt(_pairwise_sum(v["L2"] ** 2 for v in regional.values()))),
@@ -307,5 +291,5 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
     jump_sums = {}
     if edges is not None:
         for edge_type in ("I", "II", "III", "IV"):
-            jump_sums[edge_type] = jump_norm_sum(field, poly, edges[edges.edge_type == edge_type], rule)
+            jump_sums[edge_type] = jump_norm_sum(interp, edges[edges.edge_type == edge_type], rule)
     return NormReport(regional, global_values, jump_sums)

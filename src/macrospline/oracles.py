@@ -433,14 +433,12 @@ def check_duality_and_functionals() -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_trace_inequality(field, element, p: int = 2) -> tuple:
+def check_trace_inequality(field, element) -> tuple:
     """(lhs, rhs) of the trace inequality on the two x-normal edges.
 
     lhs = ||v||^2 over both vertical edges; rhs = 2 ||v|| ||v_x|| +
     (2/h_x) ||v||^2 with norms over the element.
     """
-    if p != 2:
-        raise ValueError("only the L2 case is implemented")
     x0, x1, y0, y1 = element
     hx = x1 - x0
     lhs = sum(integrate(lambda y: field(np.full_like(y, x), y) ** 2, y0, y1, _RULE) for x in (x0, x1))

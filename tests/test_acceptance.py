@@ -254,7 +254,7 @@ def test_criterion_9_trace_inequality():
             el = (0.0, 1.0, 0.0, 1.0 / aspect)
         else:
             el = (0.0, 1.0 / aspect, 0.0, 1.0)
-        lhs, rhs = check_trace_inequality(f, el, p=2)
+        lhs, rhs = check_trace_inequality(f, el)
         worst = max(worst, (lhs - rhs) / max(rhs, 1e-300))
     _report("9 anisotropic multiplicative trace inequality", worst <= 1e-10, f"max relative excess {worst:.2e}")
 
@@ -272,7 +272,7 @@ def test_criterion_10_shishkin_composite():
     for f in (make_smooth_field("sin_sin"), make_layer_decomposition(1e-6, smooth="bounded_third").total):
         star = build_composite(f, mesh, sigma)
         for t in ("II", "IV"):
-            worst_jump = max(worst_jump, jump_norm_sum(f, star, edges[edges.edge_type == t], rule))
+            worst_jump = max(worst_jump, jump_norm_sum(star, edges[edges.edge_type == t], rule))
     ok_a = worst_jump <= 1e-10
 
     # (b) global biquadratic reproduction
@@ -280,7 +280,7 @@ def test_criterion_10_shishkin_composite():
     q2 = make_polynomial_field(rng.normal(size=(3, 3)))
     star = build_composite(q2, mesh, sigma)
     X, Y = np.meshgrid(np.linspace(0, 1, 33), np.linspace(0, 1, 33), indexing="ij")
-    dev_b = float(np.max(np.abs(star.poly.evaluate(X, Y) - q2(X, Y))))
+    dev_b = float(np.max(np.abs(star.evaluate(X, Y) - q2(X, Y))))
     ok_b = dev_b <= 1e-9
 
     # (c) the (eps, N) grid with the bounded-third-derivative smooth part
@@ -331,5 +331,5 @@ def test_criterion_10_continuity_down_to_eps_1e_14():
         star = build_composite(u, mesh, select_sigma(mesh, cfg.sigma))
         edges = classify_edges(mesh)
         for t in ("II", "IV"):
-            worst = max(worst, jump_norm_sum(u, star, edges[edges.edge_type == t], rule))
+            worst = max(worst, jump_norm_sum(star, edges[edges.edge_type == t], rule))
     _report("10 Shishkin continuity at small eps", worst <= 1e-10, f"jump2 II/IV {worst:.1e} (1e-10), N 8..256, eps 1e-10..1e-14")

@@ -190,7 +190,7 @@ def test_shishkin_config_counts_shishkin_elements():
 
 @pytest.mark.parametrize("operator", sorted(ELEMENTS_PER_CELL))
 def test_elements_per_cell_matches_operator(operator):
-    poly, _ = _apply_mesh_operator(operator, get_field("sin_sin"), 3)
+    poly, _ = _apply_mesh_operator(operator, get_field("sin_sin"), 3, "left")
     assert poly.coef.shape[0] * poly.coef.shape[1] == ELEMENTS_PER_CELL[operator] * 3**2
 
 
@@ -230,6 +230,16 @@ def test_cli_rejects_eps_before_building_a_mesh(monkeypatch, capsys):
         assert main(["shishkin", "--N", "256", "--eps", "1e-6", eps]) == 2
     assert built == []
     assert capsys.readouterr().err.count("epsilon must lie in (0, 1)") == 5
+
+
+def test_cli_rejects_eps_too_small_for_the_fine_step_before_building_a_mesh(monkeypatch, capsys):
+    import macrospline.experiments as experiments_mod
+
+    built = []
+    monkeypatch.setattr(experiments_mod, "build_shishkin", lambda *args: built.append(args))
+    assert main(["shishkin", "--N", "256", "--eps", "1e-6", "1e-40"]) == 2
+    assert built == []
+    assert "epsilon is too small for a fine step of at least 2^-52" in capsys.readouterr().err
 
 
 def test_cli_study_defaults_come_from_the_configs():

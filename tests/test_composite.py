@@ -30,14 +30,26 @@ def test_composite_reproduces_global_q2():
     f = make_polynomial_field(rng.normal(size=(3, 3)))
     star = build_composite(f, mesh, sigma)
     X, Y = np.meshgrid(np.linspace(0, 1, 41), np.linspace(0, 1, 41), indexing="ij")
-    assert np.max(np.abs(star.poly.evaluate(X, Y) - f(X, Y))) < 1e-9
+    assert np.max(np.abs(star.evaluate(X, Y) - f(X, Y))) < 1e-9
     # interface slopes coincide with the exact transverse derivative, so
-    # the modification leaves the anisotropic interpolant untouched
-    for (axis, level, k0), vals in star.modifications.items():
-        g = mesh.grid_x
-        pts = np.array([g[k0], 0.5 * (g[k0] + g[k0 + 1]), g[k0 + 1]])
-        exact = f(pts, level, 0, 1) if axis == "y" else f(level, pts, 1, 0)
-        assert np.max(np.abs(vals - exact)) < 1e-9
+    # the modification leaves the anisotropic interpolant untouched: on the
+    # four core interface lines, at the Lagrange points of each core
+    # element k along them, the normal derivative from the strip side is exact
+    n4 = mesh.N // 4
+    k = np.arange(n4, 3 * n4)
+    gx, gy = mesh.grid_x, mesh.grid_y
+
+    def lagrange(g):
+        """(side along the line that keeps the point in element k, points) for each Lagrange point."""
+        return (("+", g[k]), ("+", 0.5 * (g[k] + g[k + 1])), ("-", g[k + 1]))
+
+    for strip, j in (("-", n4), ("+", 3 * n4)):  # a strip lies below the low interface, above the high one
+        for along, x in lagrange(gx):
+            y = np.full_like(x, gy[j])
+            assert np.max(np.abs(star.evaluate(x, y, 0, 1, side=(along, strip)) - f(x, y, 0, 1))) < 1e-9
+        for along, y in lagrange(gy):
+            x = np.full_like(y, gx[j])
+            assert np.max(np.abs(star.evaluate(x, y, 1, 0, side=(strip, along)) - f(x, y, 1, 0))) < 1e-9
 
 
 def test_composite_continuity_all_edges():
@@ -46,7 +58,7 @@ def test_composite_continuity_all_edges():
     star = build_composite(f, mesh, sigma)
     edges = classify_edges(mesh)
     interior = edges[edges.edge_type != "boundary"]
-    assert _value_jump_max(star.poly, interior) < 1e-10
+    assert _value_jump_max(star, interior) < 1e-10
 
 
 def test_composite_normal_derivative_continuous_on_II_and_IV():
@@ -58,11 +70,11 @@ def test_composite_normal_derivative_continuous_on_II_and_IV():
         for t in ("II", "IV"):
             subset = edges[edges.edge_type == t]
             assert len(subset)
-            assert jump_norm_sum(f, star, subset, rule) < 1e-10
+            assert jump_norm_sum(star, subset, rule) < 1e-10
         # types I and III do jump in general
         for t in ("I", "III"):
             subset = edges[edges.edge_type == t]
-            assert jump_norm_sum(f, star, subset, rule) > 1e-12
+            assert jump_norm_sum(star, subset, rule) > 1e-12
 
 
 def test_composite_layer_field_continuity():
@@ -71,7 +83,7 @@ def test_composite_layer_field_continuity():
     star = build_composite(dec.total, mesh, sigma)
     edges = classify_edges(mesh)
     interior = edges[edges.edge_type != "boundary"]
-    assert _value_jump_max(star.poly, interior) < 1e-10
+    assert _value_jump_max(star, interior) < 1e-10
 
 
 def test_evaluate_wrapper_on_composite():
@@ -81,7 +93,7 @@ def test_evaluate_wrapper_on_composite():
     f = make_smooth_field("sin_sin")
     star = build_composite(f, mesh, sigma)
     x, y = 0.51, 0.52
-    assert evaluate(star, x, y, alpha=(1, 0)) == star.poly.evaluate(x, y, 1, 0)
+    assert evaluate(star, x, y, alpha=(1, 0)) == star.evaluate(x, y, 1, 0)
     lam = mesh.lam
     lo = evaluate(star, 0.5, lam, alpha=(0, 1), side=("-", "-"))
     hi = evaluate(star, 0.5, lam, alpha=(0, 1), side=("-", "+"))
@@ -125,7 +137,7 @@ def _macro_blocks(star, kinds):
     gx, gy = star.mesh.grid_x, star.mesh.grid_y
     for (i0, i1), (j0, j1), kind in _macro_windows(star.mesh):
         if kind in kinds:
-            yield kind, (gx[i0], gx[i1], gy[j0], gy[j1]), star.poly.coef[j0:j1, i0:i1]
+            yield kind, (gx[i0], gx[i1], gy[j0], gy[j1]), star.coef[j0:j1, i0:i1]
 
 
 def test_composite_interior_is_nodal_interpolant():

@@ -12,6 +12,7 @@ from macrospline.mesh import (
     ShishkinMesh,
     SigmaEdge,
     _build_selection,
+    _shishkin_steps,
     build_macro_mesh,
     build_shishkin,
     classify_edges,
@@ -72,6 +73,16 @@ def test_shishkin_validation():
         build_shishkin(1e-6, 16, lambda0=2.0)
     with pytest.raises(ValueError, match="too small"):
         build_shishkin(1e-40, 8)
+
+
+@pytest.mark.parametrize("eps", [0.25, 1e-6, 1e-14])
+@pytest.mark.parametrize("N", [8, 256])
+def test_shishkin_steps_are_the_mesh_steps(N, eps):
+    lam, h = _shishkin_steps(eps, N, 3.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mesh = build_shishkin(eps, N)
+    assert (lam, h) == (mesh.lam, mesh.grid_x[1])
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-14])

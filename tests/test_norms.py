@@ -123,7 +123,7 @@ def test_edge_l2_and_jump_of_c1_interpolant():
     assert val.shape == (1,)
     assert val[0] >= 0.0
     with pytest.raises(ValueError):
-        jump_norm_sum(f, p, edges[edges.edge_type == "boundary"][:1])
+        jump_norm_sum(p, edges[edges.edge_type == "boundary"][:1])
 
 
 def _one_edge_l2(field, poly, x0, y0, x1, y1, horizontal, rule, alpha, side):
@@ -172,10 +172,10 @@ def test_jump_zero_for_globally_c1():
     n = ix.size
     edges = EdgeSet(gx[ix], gy[jy], gx[ix], gy[jy + 1], np.zeros(n, bool), np.tile([1.0, 0.0], (n, 1)), np.full(n, "I"))
     assert len(edges) == 12
-    assert jump_norm_sum(None, p, edges) < 1e-20
+    assert jump_norm_sum(p, edges) < 1e-20
 
 
-def _per_edge_jump_sum(field, poly, edges, rule):
+def _per_edge_jump_sum(poly, edges, rule):
     """jump_norm_sum as it was written over one object per edge: sorted by endpoints, one batch per orientation."""
     rows = sorted(
         zip(edges.x0, edges.y0, edges.x1, edges.y1, edges.horizontal),
@@ -199,8 +199,7 @@ def _per_edge_jump_sum(field, poly, edges, rule):
             alpha, hi_side = (1, 0), ("+", "-")
         lo = poly.evaluate(X, Y, alpha[0], alpha[1], side=("-", "-"))
         hi = poly.evaluate(X, Y, alpha[0], alpha[1], side=hi_side)
-        f = np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float)
-        jump = (f - lo) - (f - hi)
+        jump = lo - hi
         contributions[idx] = half * ((jump * jump) @ rule.weights)
     return _pairwise_sum(contributions)
 
@@ -214,9 +213,9 @@ def test_jump_norm_sum_is_independent_of_row_order():
     rng = np.random.default_rng(5)
     interior = edges[edges.edge_type != "boundary"]
     for subset in [edges[edges.edge_type == t] for t in ("I", "II", "III", "IV")] + [interior]:
-        value = jump_norm_sum(f, star, subset, rule)
-        assert value == _per_edge_jump_sum(f, star.poly, subset, rule)
-        assert jump_norm_sum(f, star, subset[rng.permutation(len(subset))], rule) == value
+        value = jump_norm_sum(star, subset, rule)
+        assert value == _per_edge_jump_sum(star, subset, rule)
+        assert jump_norm_sum(star, subset[rng.permutation(len(subset))], rule) == value
 
 
 def test_jump_norm_sum_of_empty_edge_set_is_zero():
@@ -226,8 +225,8 @@ def test_jump_norm_sum_of_empty_edge_set_is_zero():
     edges = classify_edges(mesh)
     for empty in (edges[:0], edges[edges.edge_type == "V"]):
         assert len(empty) == 0
-        assert jump_norm_sum(f, p, empty) == 0.0
-        assert jump_norm_sum(None, p, empty, gauss_rule(4)) == 0.0
+        assert jump_norm_sum(p, empty) == 0.0
+        assert jump_norm_sum(p, empty, gauss_rule(4)) == 0.0
 
 
 def test_linf_sampled():
@@ -336,7 +335,7 @@ def test_seminorms_match_per_alpha_seminorm():
             for rule in (gauss_rule(4), gauss_rule(5)):
                 got = _seminorms(field, star, ORDERS, region, rule)
                 assert got == [seminorm(field, star, a, region, rule) for a in ORDERS]
-                assert got == [_seminorm_per_alpha(field, star.poly, a, region, rule) for a in ORDERS]
+                assert got == [_seminorm_per_alpha(field, star, a, region, rule) for a in ORDERS]
 
 
 # Fields for the open-grid tests: separable, non-separable, the layer sum,
@@ -448,13 +447,36 @@ def test_region_elements_outside_the_mesh_or_repeated_are_rejected():
     assert seminorm(f, p, (0, 0), [(0, 0), (1, 1), (1, 0), (0, 1)]) == _seminorm_per_alpha(f, p, (0, 0), [(0, 0), (1, 0), (0, 1), (1, 1)], gauss_rule())
 
 
+def test_composite_is_measured_as_its_piecewise_polynomial():
+    from macrospline.interpolation import evaluate
+
+    mesh = build_shishkin(1e-6, 16)
+    u = make_layer_decomposition(1e-6, smooth="bounded_third").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    assert isinstance(star, PiecewisePoly2D)
+    plain = PiecewisePoly2D(star.grid_x, star.grid_y, star.coef)
+    edges = classify_edges(mesh)
+    interior = edges[edges.edge_type != "boundary"]
+    rule = gauss_rule(4)
+    region = [(ix, jy) for jy in range(3, 9) for ix in range(2, 7)]
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 13), mesh.grid_y, indexing="ij")
+    for alpha in ORDERS:
+        assert seminorm(u, star, alpha, region, rule) == seminorm(u, plain, alpha, region, rule)
+        assert np.array_equal(evaluate(star, x, y, alpha, ("+", "-")), evaluate(plain, x, y, alpha, ("+", "-")))
+    assert _seminorms(u, star, ORDERS, rule=rule) == _seminorms(u, plain, ORDERS, rule=rule)
+    assert linf_sampled(u, star, region) == linf_sampled(u, plain, region)
+    assert np.array_equal(edge_l2(u, star, interior, rule, (0, 1), "+"), edge_l2(u, plain, interior, rule, (0, 1), "+"))
+    for t in ("I", "II", "III", "IV"):
+        assert jump_norm_sum(star, edges[edges.edge_type == t], rule) == jump_norm_sum(plain, edges[edges.edge_type == t], rule)
+
+
 def test_jump_sums_differentiate_each_alpha_once(monkeypatch):
     mesh = build_shishkin(1e-6, 16)
     u = make_layer_decomposition(1e-6, smooth="bounded_third").total
     star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
     edges = classify_edges(mesh)
     rule = gauss_rule(4)
-    expected = [jump_norm_sum(u, PiecewisePoly2D(star.poly.grid_x, star.poly.grid_y, star.poly.coef), edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")]
+    expected = [jump_norm_sum(PiecewisePoly2D(star.grid_x, star.grid_y, star.coef), edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")]
     differentiated = []
     deriv_coef = PiecewisePoly2D._deriv_coef
 
@@ -463,7 +485,7 @@ def test_jump_sums_differentiate_each_alpha_once(monkeypatch):
         return deriv_coef(self, ax, ay, cells)
 
     monkeypatch.setattr(PiecewisePoly2D, "_deriv_coef", counted)
-    assert [jump_norm_sum(u, star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")] == expected
+    assert [jump_norm_sum(star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")] == expected
     assert sorted(differentiated) == [(0, 1), (1, 0)]
 
 
@@ -515,7 +537,7 @@ def _norm_report_by_loop_grouping(field, poly, mesh, edges, rule):
         "broken_H2_semi": float(np.sqrt(_pairwise_sum(v["broken_H2_semi"] ** 2 for v in regional.values()))),
         "Linf_sampled": max(v["Linf_sampled"] for v in regional.values()),
     }
-    jump_sums = {t: jump_norm_sum(field, poly, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")}
+    jump_sums = {t: jump_norm_sum(poly, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")}
     return NormReport(regional, global_values, jump_sums)
 
 
@@ -528,4 +550,4 @@ def test_norm_report_grouping_matches_per_element_loop(N):
     rule = gauss_rule(4)
     report = compute_norm_report(u, star, mesh, edges, rule)
     assert list(report.regional) == sorted(set(mesh.region.ravel().tolist()))
-    assert report.to_json() == _norm_report_by_loop_grouping(u, star.poly, mesh, edges, rule).to_json()
+    assert report.to_json() == _norm_report_by_loop_grouping(u, star, mesh, edges, rule).to_json()
