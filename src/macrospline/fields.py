@@ -6,6 +6,18 @@ boundary/corner-layer decompositions whose components copy the decay
 structure of the reaction-diffusion solution split, so interpolation
 experiments run on functions with closed-form derivatives instead of PDE
 solves.
+
+A separable field also carries its rank-one terms ``((c, fx, fy), ...)``,
+u = sum c * fx(x) * fy(y), with ``f(t, order)`` a 1-D derivative
+evaluator.  ``separable_field`` makes one term, ``make_polynomial_field``
+one per nonzero coefficient, ``scaled`` scales each c, and ``+`` joins
+the terms of two fields that both have them.  The terms ride on the
+field's ``_eval`` callable, as its ``terms`` attribute, so a field rebuilt
+as ``ScalarField(name, f._eval)`` keeps them.  ``ScalarField.grid`` uses
+them to evaluate a field on an open grid as one GEMM per derivative
+order (sum factorisation); a field without terms (``exp_xy``, a mesh
+function, any plain callable) is called on the broadcast grid instead.
+Pointwise calls always go through ``_eval`` and never use the terms.
 """
 
 from __future__ import annotations
@@ -29,6 +41,11 @@ __all__ = [
 MAX_ORDER = 4
 
 
+def _check_orders(ax, ay):
+    if not (0 <= ax <= MAX_ORDER and 0 <= ay <= MAX_ORDER):
+        raise ValueError("derivative orders must lie in 0..4")
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar function on the plane with exact derivatives.
@@ -40,22 +57,64 @@ class ScalarField:
     name: str
     _eval: Callable
 
+    @property
+    def terms(self):
+        """The rank-one terms ``((c, fx, fy), ...)`` whose sum is this field, or None."""
+        return getattr(self._eval, "terms", None)
+
     def __call__(self, x, y, ax: int = 0, ay: int = 0):
-        if not (0 <= ax <= MAX_ORDER and 0 <= ay <= MAX_ORDER):
-            raise ValueError("derivative orders must lie in 0..4")
+        _check_orders(ax, ay)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = self._eval(x, y, ax, ay)
         return out if np.ndim(out) else float(out)
 
+    def grid(self, X, Y, ax: int = 0, ay: int = 0) -> np.ndarray:
+        """D^(ax,ay) u on the open grid of ``X`` (nx, p) and ``Y`` (ny, p).
+
+        Returns shape (ny, nx, p, p), entry [jy, ix, a, b] at
+        (X[ix, a], Y[jy, b]), possibly as a read-only or transposed view.
+        With terms, each distinct factor is evaluated once per axis and
+        the sum over terms is one GEMM, ``Fy.T @ Fx``; without, the field
+        is called once on the broadcast grid.
+        """
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        (nx, p), ny = X.shape, len(Y)
+        terms = self.terms
+        if terms is None:
+            return np.broadcast_to(np.asarray(self(X[None, :, :, None], Y[:, None, None, :], ax, ay), dtype=float), (ny, nx, p, p))
+        _check_orders(ax, ay)
+        fx_values, fy_values = {}, {}
+        Fx, Fy = np.empty((len(terms), nx * p)), np.empty((len(terms), ny * p))
+        for k, (c, fx, fy) in enumerate(terms):
+            if fx not in fx_values:
+                fx_values[fx] = np.broadcast_to(fx(X, ax), X.shape).ravel()
+            if fy not in fy_values:
+                fy_values[fy] = np.broadcast_to(fy(Y, ay), Y.shape).ravel()
+            np.multiply(c, fx_values[fx], out=Fx[k])
+            Fy[k] = fy_values[fy]
+        return (Fy.T @ Fx).reshape(ny, p, nx, p).transpose(0, 2, 3, 1)
+
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(
-            f"{self.name}+{other.name}",
-            lambda x, y, ax, ay: self._eval(x, y, ax, ay) + other._eval(x, y, ax, ay),
-        )
+        def ev(x, y, ax, ay):
+            return self._eval(x, y, ax, ay) + other._eval(x, y, ax, ay)
+
+        both = self.terms is not None and other.terms is not None
+        return _field(f"{self.name}+{other.name}", ev, self.terms + other.terms if both else None)
 
     def scaled(self, c: float) -> "ScalarField":
-        return ScalarField(f"{c}*{self.name}", lambda x, y, ax, ay: c * self._eval(x, y, ax, ay))
+        def ev(x, y, ax, ay):
+            return c * self._eval(x, y, ax, ay)
+
+        terms = None if self.terms is None else tuple((c * k, fx, fy) for k, fx, fy in self.terms)
+        return _field(f"{c}*{self.name}", ev, terms)
+
+
+def _field(name: str, ev: Callable, terms=None) -> ScalarField:
+    """``ScalarField(name, ev)``, with ``terms`` (unless None) stored on ``ev``, a callable made for this field only."""
+    if terms is not None:
+        ev.terms = tuple(terms)
+    return ScalarField(name, ev)
 
 
 def horner2d(coef, shape, x, y):
@@ -76,8 +135,24 @@ def horner2d(coef, shape, x, y):
     return out
 
 
+def _monomial(k: int):
+    """t -> t^k with derivatives k!/(k-order)! t^(k-order), zero for order > k."""
+
+    def f(t, order):
+        t = np.asarray(t, dtype=float)
+        if order > k:
+            return np.zeros_like(t)
+        return math.perm(k, order) * t ** (k - order)
+
+    return f
+
+
 def make_polynomial_field(coefficients) -> ScalarField:
-    """Field sum_ij c[i,j] x^i y^j with derivatives by term differentiation."""
+    """Field sum_ij c[i,j] x^i y^j with derivatives by term differentiation.
+
+    Pointwise values come from Horner's rule; the terms are the nonzero
+    c[i,j] x^i y^j, with one monomial factor per power shared by them.
+    """
     coef = np.atleast_2d(np.asarray(coefficients, dtype=float))
 
     def ev(x, y, ax, ay):
@@ -85,7 +160,8 @@ def make_polynomial_field(coefficients) -> ScalarField:
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return horner2d(lambda kx, ky: c[kx, ky], c.shape, xb, yb)
 
-    return ScalarField("poly", ev)
+    monomials = [_monomial(k) for k in range(max(coef.shape))]
+    return _field("poly", ev, ((float(c), monomials[i], monomials[j]) for (i, j), c in np.ndenumerate(coef) if c != 0.0))
 
 
 def separable_field(name: str, fx: Callable, fy: Callable) -> ScalarField:
@@ -94,7 +170,7 @@ def separable_field(name: str, fx: Callable, fy: Callable) -> ScalarField:
     def ev(x, y, ax, ay):
         return fx(x, ax) * fy(y, ay)
 
-    return ScalarField(name, ev)
+    return _field(name, ev, ((1.0, fx, fy),))
 
 
 def sin_profile(freq: float = math.pi, shift: float = 0.0):

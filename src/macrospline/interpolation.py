@@ -119,9 +119,9 @@ class PiecewisePoly2D:
         idx = np.searchsorted(grid, v, side="left" if side == "-" else "right") - 1
         return np.clip(idx, 0, len(grid) - 2)
 
-    def _deriv_coef(self, ax, ay, cells=...):
-        """Local coefficients of D^(ax,ay) on the cells ``coef[cells]``, all by default; C-contiguous, so callers reshape without a copy."""
-        c = self.coef[cells]
+    def _deriv_coef(self, ax, ay):
+        """Local coefficients of D^(ax,ay) on every cell; C-contiguous, so callers reshape without a copy."""
+        c = self.coef
         if ax:
             c = np.polynomial.polynomial.polyder(c, ax, axis=-2)
         if ay:

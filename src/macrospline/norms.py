@@ -3,19 +3,21 @@
 Norms of a difference field (analytic field minus interpolant) are
 computed by tensor Gauss rules from ``quadrature``, per element, and
 accumulated pairwise in a fixed element order, so a result depends
-only on its inputs.  The element quadrature points are built once for
-all derivative orders a caller asks for (``_seminorms``), on the open
-grid of the elements' distinct columns and rows (``_element_points``).
-Per derivative order, the field is called once on that grid,
-``field(X[None, :, :, None], Y[:, None, None, :], ax, ay)``, so each
-separable factor sees every Gauss abscissa once; a field broadcasts
-over its arguments and may return any shape that broadcasts to the
-grid.  One GEMM with a single basis matrix, the local monomials at the
-tensor Gauss points, evaluates every cell polynomial (``_difference``),
-and one GEMV takes the weighted square sums.  Broken second-order
-seminorms never integrate across element interfaces, where the
-interpolant's second derivatives jump.  Edge norms and jump sums take
-an ``EdgeSet`` and place the Gauss points of all its edges in one step
+only on its inputs.  The element quadrature points and the elements'
+coefficients are gathered once for all derivative orders a caller asks
+for (``_seminorms``), on the open grid of the elements' distinct columns
+and rows (``_element_points``).  Per derivative order, the field values
+come from one ``field.grid(X, Y, ax, ay)`` call on that grid: a field
+with rank-one terms evaluates each factor once per axis and sums the
+terms as one GEMM, and any other field is called once on the broadcast
+grid.  A region that is not a block takes its cells from that grid by
+index.  One GEMM with the derivative basis, the derivatives of the local
+monomials at the tensor Gauss points, evaluates every cell polynomial
+(``_difference``), so the norm pass differentiates no coefficients, and
+one GEMV takes the weighted square sums.  Broken second-order seminorms
+never integrate across element interfaces, where the interpolant's
+second derivatives jump.  Edge norms and jump sums take an ``EdgeSet``
+and place the Gauss points of all its edges in one step
 (``_edge_points``).  A jump sum takes no field: it depends only on the
 interpolant, as a smooth field's normal derivative cancels from a jump.
 """
@@ -64,9 +66,12 @@ def _pairwise_sum(values) -> float:
 def _element_indices(poly, region):
     """Index arrays (ix, jy) of ``region`` in (jy, ix) order; the whole mesh for None.
 
-    Raises ValueError naming the first element of ``region`` that lies
-    outside the mesh, or else the first that repeats an earlier one.
+    Raises ValueError when ``poly`` is None, or names the first element
+    of ``region`` that lies outside the mesh, or else the first that
+    repeats an earlier one.
     """
+    if poly is None:
+        raise ValueError("an interpolant is required to define the element mesh")
     nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
     if region is None:
         return np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx)
@@ -84,50 +89,55 @@ def _element_indices(poly, region):
 
 
 def _element_points(poly, ix, jy, loc):
-    """``(ix, jy, wx, wy, X, Y, cells)``: the points ``loc`` on the open grid of the elements.
+    """``(wx, wy, X, Y, cells, coef)``: the points ``loc`` on the open grid of the elements.
 
     ``X`` (nux, len(loc)) and ``Y`` (nuy, len(loc)) are the world
     coordinates of ``loc`` on the distinct element columns and rows, in
     increasing order; ``wx``, ``wy`` are the widths of each element.
-    ``cells`` picks each element, in (jy, ix) order, from the nuy * nux
-    cells of that grid, and is None when the elements are the whole
-    grid, whose C order is already (jy, ix).
+    ``cells``, a pair of index arrays (rows, columns), picks each
+    element, in (jy, ix) order, from the nuy x nux cells of that grid,
+    and is None when the elements are the whole grid, whose C order is
+    already (jy, ix).  ``coef`` (E, kx, ky) holds the elements' local
+    coefficients, gathered once for every derivative order.
     """
     gx, gy = poly.grid_x, poly.grid_y
     ux, cx = np.unique(ix, return_inverse=True)
     uy, cy = np.unique(jy, return_inverse=True)
     X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
     Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
-    cells = None if ix.size == ux.size * uy.size else cy * ux.size + cx
-    return ix, jy, gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy], X, Y, cells
+    cells = None if ix.size == ux.size * uy.size else (cy, cx)
+    return gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy], X, Y, cells, poly.coef[jy, ix]
 
 
-def _difference(field, poly, points, loc, alpha):
+def _derivative_basis(loc, n, a):
+    """(len(loc), n) matrix of the a-th derivatives of the monomials t^k, k < n, at ``loc``."""
+    k = np.arange(n)
+    falling = np.prod(k[None, :] - np.arange(a)[:, None], axis=0)  # k!/(k-a)!, 0 for k < a
+    return falling * loc[:, None] ** np.maximum(k - a, 0)[None, :]
+
+
+def _difference(field, points, loc, alpha):
     """D^alpha (field - poly) at ``points`` of ``_element_points``; ``field`` may be None.
 
-    The field is called once, on the open grid
-    ``field(X[None, :, :, None], Y[:, None, None, :], ax, ay)``.  It must
-    broadcast over its arguments, and may return any shape that
-    broadcasts to the grid (nuy, nux, p, p), p = len(loc).  The cell
+    The field values come from one ``field.grid(X, Y, ax, ay)`` call on
+    the open grid, shape (nuy, nux, p, p), p = len(loc); a region that is
+    not a block takes its cells from that grid by index.  The cell
     polynomials are evaluated at all tensor points as one GEMM,
-    ``c.reshape(E, -1) @ kron(P, Q).T``, with ``P`` and ``Q`` the local
-    monomials at ``loc``, and the difference is formed in that GEMM's
-    buffer.  Returns an array of shape (E, p, p).
+    ``coef.reshape(E, -1) @ kron(D^ax P, D^ay Q).T``, where ``D^a P``
+    holds the a-th derivatives of the local monomials at ``loc``, so no
+    coefficient is differentiated; the difference is formed in that
+    GEMM's buffer.  Returns an array of shape (E, p, p).
     """
-    ix, jy, wx, wy, X, Y, cells = points
+    wx, wy, X, Y, cells, coef = points
     p = len(loc)
-    f = None
-    if field is not None:
-        f = np.asarray(field(X[None, :, :, None], Y[:, None, None, :], alpha[0], alpha[1]), dtype=float)
-        if cells is not None:
-            f = np.broadcast_to(f, (len(Y), len(X), p, p)).reshape(-1, p, p)[cells]
-    c = poly._deriv_coef(alpha[0], alpha[1], (jy, ix))
-    P = loc[:, None] ** np.arange(c.shape[1])[None, :]
-    Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
-    vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), p, p)
+    basis = np.kron(_derivative_basis(loc, coef.shape[1], alpha[0]), _derivative_basis(loc, coef.shape[2], alpha[1]))
+    vals = (coef.reshape(len(coef), -1) @ basis.T).reshape(len(coef), p, p)
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
-    if f is None:
+    if field is None:
         return np.negative(vals, out=vals)
+    f = field.grid(X, Y, alpha[0], alpha[1])
+    if cells is not None:
+        f = f[cells]
     out = vals if cells is not None else vals.reshape(len(Y), len(X), p, p)
     np.subtract(f, out, out=out)
     return vals
@@ -136,14 +146,13 @@ def _difference(field, poly, points, loc, alpha):
 def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None = None) -> list:
     """``seminorm`` for each multi-index in ``alphas``, in one pass.
 
-    The element indices, quadrature points and Jacobians are built once;
-    each alpha then makes the same field call and the same sums as a
-    ``seminorm`` call of its own, so the values are the same bit for bit.
+    The element indices, quadrature points, coefficients and Jacobians
+    are built once; each alpha then makes the same field call and the
+    same sums as a ``seminorm`` call of its own, so the values are the
+    same bit for bit.
     """
     if rule is None:
         rule = gauss_rule()
-    if interp is None:
-        raise ValueError("an interpolant is required to define the element mesh")
     ix, jy = _element_indices(interp, region)
     if not ix.size:
         return [0.0] * len(alphas)
@@ -155,14 +164,15 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
         contributions = jac * ((diff * diff).reshape(len(jac), -1) @ weights)
         return float(np.sqrt(max(_pairwise_sum(contributions), 0.0)))
 
-    return [norm(_difference(field, interp, points, rule.nodes, alpha)) for alpha in alphas]
+    return [norm(_difference(field, points, rule.nodes, alpha)) for alpha in alphas]
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:
     """L2 norm of D^alpha (field - interp) over a set of elements.
 
     ``region`` is an iterable of element indices (ix, jy); the whole mesh
-    by default.  Either the field or the interpolant may be None.
+    by default.  The field may be None, which measures the interpolant
+    itself; the interpolant defines the element mesh and may not.
     """
     return _seminorms(field, interp, (alpha,), region, rule)[0]
 
@@ -229,7 +239,7 @@ def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> fl
     if not ix.size:
         return 0.0
     loc = np.linspace(-1.0, 1.0, samples_per_element)
-    diff = _difference(field, interp, _element_points(interp, ix, jy, loc), loc, (0, 0))
+    diff = _difference(field, _element_points(interp, ix, jy, loc), loc, (0, 0))
     return float(np.max(np.abs(diff)))
 
 

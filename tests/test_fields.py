@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from macrospline.fields import (
+    ScalarField,
+    exp_profile,
+    field_registry,
     get_field,
     make_layer_decomposition,
     make_polynomial_field,
     make_smooth_field,
+    separable_field,
+    sin_profile,
 )
+from macrospline.interpolation import PiecewisePoly2D
+from macrospline.norms import ORDERS
+from macrospline.quadrature import gauss_rule
 
 # 4th-order central difference weights for first/second derivative
 _D1 = ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12])
@@ -184,3 +192,112 @@ def test_polynomial_field_matches_polyval2d():
                 assert np.array_equal(f(x, y, ax, ay), np.polynomial.polynomial.polyval2d(x, y, d))
                 assert np.array_equal(f(x[:, None], y[None, :], ax, ay), np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x[:, None], y[None, :]), d))
                 assert f(x[0], y[0], ax, ay) == np.polynomial.polynomial.polyval2d(x[0], y[0], d)
+
+
+# ---------------------------------------------------------------------------
+# Rank-one terms and the open-grid GEMM.
+# ---------------------------------------------------------------------------
+
+
+def _graded_grid(rng, n):
+    """n random steps on [0, 1], the last element 2^-50 wide at 1."""
+    grid = np.r_[0.0, np.cumsum(rng.uniform(1e-3, 1.0, n - 1))]
+    grid = (1.0 - 2.0**-50) * grid / grid[-1]
+    return np.r_[grid[:-1], 1.0 - 2.0**-50, 1.0]
+
+
+def _open_grid_points(rng, nx, ny, p):
+    loc = gauss_rule(p).nodes
+    gx, gy = _graded_grid(rng, nx), _graded_grid(rng, ny)
+    X = (0.5 * (gx[:-1] + gx[1:]))[:, None] + (0.5 * np.diff(gx))[:, None] * loc[None, :]
+    Y = (0.5 * (gy[:-1] + gy[1:]))[:, None] + (0.5 * np.diff(gy))[:, None] * loc[None, :]
+    return X, Y
+
+
+def _terms_reference(field, X, Y, ax, ay):
+    """Extended-precision sum of the field's terms on the open grid, and the sum of their magnitudes."""
+    ld = np.longdouble
+    total = np.zeros((len(Y), len(X), X.shape[1], Y.shape[1]), dtype=ld)
+    magnitude = np.zeros(total.shape)
+    for c, fx, fy in field.terms:
+        term = ld(c) * np.broadcast_to(fx(X, ax), X.shape).astype(ld)[None, :, :, None] * np.broadcast_to(fy(Y, ay), Y.shape).astype(ld)[:, None, None, :]
+        total += term
+        magnitude += np.abs(term).astype(float)
+    return total, (len(field.terms) + 2) * np.finfo(float).eps * magnitude
+
+
+@pytest.mark.parametrize("smooth", ["default", "bounded_third", "eps_growth"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_grid_is_within_a_summation_bound_of_the_terms(smooth, eps):
+    # Both the GEMM and the broadcast pointwise call lie within
+    # (r + 2) eps sum|c fx fy| of an extended-precision sum of the terms.
+    rng = np.random.default_rng(round(-math.log10(eps)) * 10 + len(smooth))
+    fields = (make_layer_decomposition(eps, smooth=smooth).total, make_layer_decomposition(eps, smooth=smooth, smooth_amplitude=10.0, edge_amplitude=0.05).total)
+    for u in fields:
+        for nx, ny, p in ((9, 6, 4), (5, 12, 5)):
+            X, Y = _open_grid_points(rng, nx, ny, p)
+            for ax, ay in ORDERS:
+                reference, bound = _terms_reference(u, X, Y, ax, ay)
+                grid = u.grid(X, Y, ax, ay)
+                broadcast = u(X[None, :, :, None], Y[:, None, None, :], ax, ay)
+                assert grid.shape == broadcast.shape == (ny, nx, p, p)
+                assert np.all(np.abs(grid - reference) <= bound)
+                assert np.all(np.abs(broadcast - reference) <= bound)
+
+
+def test_grid_layout_on_an_asymmetric_field():
+    # sin(x) e^(2y) + x^2 y on a grid with nx != ny: entry [jy, ix, a, b] is at (X[ix, a], Y[jy, b]).
+    u = separable_field("sin_exp", sin_profile(1.0), exp_profile(2.0)) + make_polynomial_field([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert len(u.terms) == 2
+    rng = np.random.default_rng(4)
+    X, Y = _open_grid_points(rng, 7, 3, 4)
+    for ax, ay in ORDERS:
+        bound = _terms_reference(u, X, Y, ax, ay)[1]
+        broadcast = u(X[None, :, :, None], Y[:, None, None, :], ax, ay)
+        assert np.all(np.abs(u.grid(X, Y, ax, ay) - broadcast) <= bound)
+
+
+def test_grid_without_terms_is_the_broadcast_call():
+    X, Y = _open_grid_points(np.random.default_rng(6), 4, 3, 3)
+    x_only = ScalarField("x", lambda x, y, ax, ay: np.sin(x) if ax == ay == 0 else 0.0)
+    for field in (make_smooth_field("exp_xy"), x_only):
+        for ax, ay in ORDERS:
+            grid = field.grid(X, Y, ax, ay)
+            assert grid.shape == (3, 4, 3, 3)
+            assert np.array_equal(grid, np.broadcast_to(field(X[None, :, :, None], Y[:, None, None, :], ax, ay), grid.shape))
+    with pytest.raises(ValueError, match="derivative orders"):
+        make_smooth_field("sin_sin").grid(X, Y, 5, 0)
+
+
+def test_terms_ride_on_eval():
+    decompositions = [make_layer_decomposition(1e-6, smooth=s) for s in ("default", "bounded_third", "eps_growth")]
+    fields = [make() for make in field_registry().values()] + [d.total for d in decompositions]
+    for f in fields:
+        assert ScalarField(f.name, f._eval).terms == f.terms
+    assert all(f.terms for f in fields if f.name != "exp_xy")
+    assert [len(d.total.terms) for d in decompositions] == [10, 10, 11]
+    assert len(get_field("q2_random").terms) == 9 and len(get_field("x3y3").terms) == 1
+
+    # a field without terms, and any sum with one, has none
+    poly = PiecewisePoly2D([0.0, 1.0], [0.0, 1.0], np.ones((1, 1, 2, 2)))
+    sin_sin = make_smooth_field("sin_sin")
+    for plain in (make_smooth_field("exp_xy"), poly.as_field()):
+        assert plain.terms is None
+        assert (sin_sin + plain).terms is None and (plain + sin_sin).terms is None
+        assert plain.scaled(2.0).terms is None
+
+    # pointwise values compose as before: + adds the two calls, scaled multiplies one
+    rng = np.random.default_rng(9)
+    x, y = rng.uniform(0.0, 1.0, (2, 40))
+    exp_xy = make_smooth_field("exp_xy")
+    for ax in range(3):
+        for ay in range(3):
+            for d in decompositions:
+                parts = list(d.components().values())
+                want = parts[0](x, y, ax, ay)
+                for part in parts[1:]:
+                    want = want + part(x, y, ax, ay)
+                assert np.array_equal(d.total(x, y, ax, ay), want)
+            assert np.array_equal((sin_sin + exp_xy)(x, y, ax, ay), sin_sin(x, y, ax, ay) + exp_xy(x, y, ax, ay))
+            assert np.array_equal(sin_sin.scaled(0.3)(x, y, ax, ay), 0.3 * sin_sin(x, y, ax, ay))
+            assert np.array_equal(sin_sin(x, y, ax, ay), sin_profile()(x, ax) * sin_profile()(y, ay))

@@ -277,21 +277,35 @@ def test_pairwise_sum_matches_list_reduction():
 
 
 def _difference_per_element(field, poly, alpha, elements, loc):
-    """Reference: D^alpha (field - poly) with one row of coordinates per element, ``field(X[:, :, None], Y[:, None, :])``."""
+    """Reference: D^alpha (field - poly), element by element.
+
+    The cell values come from the derivative basis, the a-th derivatives
+    of the local monomials at ``loc``.  A field with terms takes its
+    values from one ``field.grid`` call on the distinct columns and rows
+    of ``elements``, picked per element; a field without terms is called
+    with one row of coordinates per element, ``field(X[:, :, None], Y[:, None, :])``.
+    """
     ix = np.array([e[0] for e in elements], dtype=int)
     jy = np.array([e[1] for e in elements], dtype=int)
     gx, gy = poly.grid_x, poly.grid_y
     wx, wy = gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy]
-    c = poly._deriv_coef(alpha[0], alpha[1])[jy, ix]
-    P = loc[:, None] ** np.arange(c.shape[1])[None, :]
-    Q = loc[:, None] ** np.arange(c.shape[2])[None, :]
-    vals = (c.reshape(len(c), -1) @ np.kron(P, Q).T).reshape(len(c), len(loc), len(loc))
+    c = poly.coef[jy, ix]
+    basis = np.kron(norms._derivative_basis(loc, c.shape[1], alpha[0]), norms._derivative_basis(loc, c.shape[2], alpha[1]))
+    vals = (c.reshape(len(c), -1) @ basis.T).reshape(len(c), len(loc), len(loc))
     vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
     if field is None:
         return -vals
-    X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
-    Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
-    return np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+    if field.terms is None:
+        X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
+        Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
+        return np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+    columns, rows = sorted(set(ix.tolist())), sorted(set(jy.tolist()))
+    ux, uy = np.array(columns), np.array(rows)
+    X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
+    Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
+    grid = field.grid(X, Y, alpha[0], alpha[1])
+    f = np.array([grid[rows.index(j), columns.index(i)] for i, j in elements])
+    return f - vals
 
 
 def _sorted_elements(poly, region):
@@ -340,13 +354,15 @@ def test_seminorms_match_per_alpha_seminorm():
 
 # Fields for the open-grid tests: separable, non-separable, the layer sum,
 # one that depends on x alone and returns only x's shape (it broadcasts to
-# the grid), and one that returns a Python float.
+# the grid), one that returns a Python float, and a polynomial whose nine
+# terms share their monomial factors.
 _OPEN_GRID_FIELDS = {
     "sin_sin": make_smooth_field("sin_sin"),
     "exp_xy": make_smooth_field("exp_xy"),
     "layer_total": make_layer_decomposition(1e-4, smooth="bounded_third").total,
     "x_only": ScalarField("x", lambda x, y, ax, ay: np.sin(x) if ax == ay == 0 else 0 * x),
     "constant": ScalarField("c", lambda x, y, ax, ay: 0.75 if ax == ay == 0 else 0.0),
+    "q2_random": make_polynomial_field(np.random.default_rng(0).normal(size=(3, 3))),
 }
 
 
@@ -427,6 +443,48 @@ def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates():
     assert calls == [((1, 2, p, 1), (2, 1, 1, p), 0, 0)]
 
 
+def test_norm_pass_evaluates_each_factor_of_a_separable_field_once_per_order(monkeypatch):
+    monkeypatch.setattr(PiecewisePoly2D, "_deriv_coef", None)  # the norm pass differentiates no coefficients
+    rng = np.random.default_rng(22)
+    nx, ny, p = 6, 5, 5
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, nx)])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, ny)])
+    poly = PiecewisePoly2D(gx, gy, rng.normal(size=(ny, nx, 3, 3)))
+    calls, factor_points = [], {"x": [], "y": []}
+
+    def counted(profile, axis):
+        def f(t, order):
+            factor_points[axis].append(np.size(t))
+            return profile(t, order)
+
+        return f
+
+    product = separable_field("counted", counted(sin_profile(), "x"), counted(exp_profile(2.0), "y"))
+
+    def recorded(x, y, ax, ay):
+        calls.append((ax, ay))
+        return product._eval(x, y, ax, ay)
+
+    recorded.terms = product.terms
+    field = ScalarField("recorded", recorded)
+    expected = _seminorms(ScalarField("plain", product._eval), poly, ORDERS, None, gauss_rule(p))
+    for points in factor_points.values():
+        points.clear()
+    assert _seminorms(field, poly, ORDERS, None, gauss_rule(p)) == expected
+    assert calls == []
+    assert factor_points == {"x": [nx * p] * len(ORDERS), "y": [ny * p] * len(ORDERS)}
+    linf_sampled(field, poly, [(4, 3), (1, 0), (4, 0)], 4)
+    assert calls == []
+    assert factor_points["x"][-1] == 2 * 4 and factor_points["y"][-1] == 2 * 4
+
+
+def test_a_missing_interpolant_is_rejected():
+    f = make_smooth_field("sin_sin")
+    for norm in (lambda: seminorm(f, None), lambda: linf_sampled(f, None), lambda: _seminorms(f, None, ORDERS)):
+        with pytest.raises(ValueError, match="an interpolant is required to define the element mesh"):
+            norm()
+
+
 def test_region_elements_outside_the_mesh_or_repeated_are_rejected():
     f = make_smooth_field("sin_sin")
     p = interp_full(f, build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 5)))  # 8x8 elements
@@ -480,9 +538,9 @@ def test_jump_sums_differentiate_each_alpha_once(monkeypatch):
     differentiated = []
     deriv_coef = PiecewisePoly2D._deriv_coef
 
-    def counted(self, ax, ay, cells=...):
+    def counted(self, ax, ay):
         differentiated.append((ax, ay))
-        return deriv_coef(self, ax, ay, cells)
+        return deriv_coef(self, ax, ay)
 
     monkeypatch.setattr(PiecewisePoly2D, "_deriv_coef", counted)
     assert [jump_norm_sum(star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")] == expected
@@ -492,8 +550,10 @@ def test_jump_sums_differentiate_each_alpha_once(monkeypatch):
 @pytest.mark.parametrize("order", [4, 5, 10])
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 4), (4, 2)])
 def test_element_kernel_matches_einsum(shape, order):
-    # The GEMM in _difference and the einsum it replaced both lie within a
-    # summation bound of an extended-precision reference.
+    # For every derivative order, the GEMM with the derivative basis in
+    # _difference and an einsum over the same factors both lie within a
+    # summation bound of an extended-precision reference that
+    # differentiates the coefficients.
     rng = np.random.default_rng(sum(shape) * 100 + order)
     grid_x = np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 6)])
     grid_y = np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 5)])
@@ -501,19 +561,24 @@ def test_element_kernel_matches_einsum(shape, order):
     poly = PiecewisePoly2D(grid_x, grid_y, coef)
     loc = gauss_rule(order).nodes
     ix, jy = _element_indices(poly, None)
-    gemm = -_difference(None, poly, _element_points(poly, ix, jy, loc), loc, (0, 0))
-
+    points = _element_points(poly, ix, jy, loc)
     c = coef[jy, ix]
-    P = loc[:, None] ** np.arange(shape[0])[None, :]
-    Q = loc[:, None] ** np.arange(shape[1])[None, :]
-    einsum = np.einsum("ekl,pk,ql->epq", c, P, Q)
     ld = np.longdouble
-    reference = np.einsum("ekl,pk,ql->epq", c.astype(ld), P.astype(ld), Q.astype(ld))
-    magnitude = np.einsum("ekl,pk,ql->epq", np.abs(c), np.abs(P), np.abs(Q))
-    bound = (c[0].size + 2) * np.finfo(float).eps * magnitude
-    assert gemm.shape == einsum.shape == (len(ix), order, order)
-    assert np.all(np.abs(gemm - reference) <= bound)
-    assert np.all(np.abs(einsum - reference) <= bound)
+    for ax, ay in ORDERS:
+        gemm = -_difference(None, points, loc, (ax, ay))
+        P, Q = norms._derivative_basis(loc, shape[0], ax), norms._derivative_basis(loc, shape[1], ay)
+        scale = ((2.0 / (grid_x[ix + 1] - grid_x[ix])) ** ax * (2.0 / (grid_y[jy + 1] - grid_y[jy])) ** ay)[:, None, None]
+        einsum = np.einsum("ekl,pk,ql->epq", c, P, Q) * scale
+        d = np.polynomial.polynomial.polyder(np.polynomial.polynomial.polyder(c.astype(ld), ax, axis=1), ay, axis=2)
+        Pld = loc.astype(ld)[:, None] ** np.arange(d.shape[1])[None, :]
+        Qld = loc.astype(ld)[:, None] ** np.arange(d.shape[2])[None, :]
+        scale_ld = ((ld(2) / (grid_x[ix + 1] - grid_x[ix]).astype(ld)) ** ax * (ld(2) / (grid_y[jy + 1] - grid_y[jy]).astype(ld)) ** ay)[:, None, None]
+        reference = np.einsum("ekl,pk,ql->epq", d, Pld, Qld) * scale_ld
+        magnitude = np.einsum("ekl,pk,ql->epq", np.abs(c), np.abs(P), np.abs(Q)) * scale
+        bound = (c[0].size + 2) * np.finfo(float).eps * magnitude
+        assert gemm.shape == einsum.shape == (len(ix), order, order)
+        assert np.all(np.abs(gemm - reference) <= bound)
+        assert np.all(np.abs(einsum - reference) <= bound)
 
 
 def _norm_report_by_loop_grouping(field, poly, mesh, edges, rule):
