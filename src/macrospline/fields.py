@@ -15,8 +15,9 @@ the terms of two fields that both have them.  The terms ride on the
 field's ``_eval`` callable, as its ``terms`` attribute, so a field rebuilt
 as ``ScalarField(name, f._eval)`` keeps them.  ``ScalarField.grid`` uses
 them to evaluate a field on an open grid as one GEMM per derivative
-order (sum factorisation); a field without terms (``exp_xy``, a mesh
-function, any plain callable) is called on the broadcast grid instead.
+order (sum factorisation), or as the outer product of its two factors
+for one term; a field without terms (``exp_xy``, a mesh function, any
+plain callable) is called on the broadcast grid instead.
 Pointwise calls always go through ``_eval`` and never use the terms.
 """
 
@@ -75,8 +76,9 @@ class ScalarField:
         Returns shape (ny, nx, p, p), entry [jy, ix, a, b] at
         (X[ix, a], Y[jy, b]), possibly as a read-only or transposed view.
         With terms, each distinct factor is evaluated once per axis and
-        the sum over terms is one GEMM, ``Fy.T @ Fx``; without, the field
-        is called once on the broadcast grid.
+        the sum over terms is one GEMM, ``Fy.T @ Fx`` (an outer product
+        for one term); without, the field is called once on the
+        broadcast grid.
         """
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         (nx, p), ny = X.shape, len(Y)
@@ -93,7 +95,8 @@ class ScalarField:
                 fy_values[fy] = np.broadcast_to(fy(Y, ay), Y.shape).ravel()
             np.multiply(c, fx_values[fx], out=Fx[k])
             Fy[k] = fy_values[fy]
-        return (Fy.T @ Fx).reshape(ny, p, nx, p).transpose(0, 2, 3, 1)
+        grid = np.multiply.outer(Fy[0], Fx[0]) if len(terms) == 1 else Fy.T @ Fx  # faster than a K = 1 GEMM, and as exact
+        return grid.reshape(ny, p, nx, p).transpose(0, 2, 3, 1)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         def ev(x, y, ax, ay):
@@ -117,24 +120,6 @@ def _field(name: str, ev: Callable, terms=None) -> ScalarField:
     return ScalarField(name, ev)
 
 
-def horner2d(coef, shape, x, y):
-    """sum over kx, ky of coef(kx, ky) x^kx y^ky, by Horner in x, then in y.
-
-    ``coef(kx, ky)`` returns one coefficient, a scalar or one per point,
-    and ``shape`` is (degree in x + 1, degree in y + 1).  The order of
-    operations is numpy's ``polyval2d``, so the results agree with it bit
-    for bit, but only one coefficient is held at a time.
-    """
-    dx, dy = shape
-    out = None
-    for ky in range(dy - 1, -1, -1):
-        column = coef(dx - 1, ky) + x * 0
-        for kx in range(dx - 2, -1, -1):
-            column = coef(kx, ky) + column * x
-        out = column + y * 0 if out is None else column + out * y
-    return out
-
-
 def _monomial(k: int):
     """t -> t^k with derivatives k!/(k-order)! t^(k-order), zero for order > k."""
 
@@ -150,15 +135,15 @@ def _monomial(k: int):
 def make_polynomial_field(coefficients) -> ScalarField:
     """Field sum_ij c[i,j] x^i y^j with derivatives by term differentiation.
 
-    Pointwise values come from Horner's rule; the terms are the nonzero
-    c[i,j] x^i y^j, with one monomial factor per power shared by them.
+    Pointwise values come from ``polyval2d`` of the differentiated
+    coefficients; the terms are the nonzero c[i,j] x^i y^j, with one
+    monomial factor per power shared by them.
     """
     coef = np.atleast_2d(np.asarray(coefficients, dtype=float))
 
     def ev(x, y, ax, ay):
         c = np.polynomial.polynomial.polyder(np.polynomial.polynomial.polyder(coef, ax, axis=0), ay, axis=1)
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return horner2d(lambda kx, ky: c[kx, ky], c.shape, xb, yb)
+        return np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x, y), c)
 
     monomials = [_monomial(k) for k in range(max(coef.shape))]
     return _field("poly", ev, ((float(c), monomials[i], monomials[j]) for (i, j), c in np.ndenumerate(coef) if c != 0.0))

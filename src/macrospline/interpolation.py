@@ -16,16 +16,19 @@ weighted edge averages of u_xy; the Shishkin composite glues quasi,
 anisotropic and nodal interpolation, with interface slopes taken from
 the interior so the normal derivative is continuous across long edges.
 The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
+``evaluate``, the norm pass and jump sums all read the cells one way: as
+weights of ``_derivative_basis``, the local monomials' derivatives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 
 import numpy as np
 
-from .fields import ScalarField, horner2d
+from .fields import ScalarField
 from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row
 from .quadrature import gauss_rule
 from .spline_core import (
@@ -93,47 +96,57 @@ _BFSN = np.array(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _falling_powers(n, a):
+    """k!/(k-a)! (0 for k < a) and the exponents max(k - a, 0), k < n: the a-th derivatives of t^k; read-only, as every caller shares them."""
+    k = np.arange(n)
+    falling, powers = np.prod(k[None, :] - np.arange(a)[:, None], axis=0), np.maximum(k - a, 0)
+    falling.flags.writeable = powers.flags.writeable = False
+    return falling, powers
+
+
+def _derivative_basis(loc, n, a):
+    """(len(loc), n) matrix of the a-th derivatives of the monomials t^k, k < n, at ``loc``."""
+    falling, powers = _falling_powers(n, a)
+    return falling * loc[:, None] ** powers
+
+
 class PiecewisePoly2D:
     """Per-element tensor polynomial in element-local coordinates.
 
     ``coef[jy, ix, kx, ky]`` multiplies xi^kx * eta^ky with xi, eta in
-    [-1, 1] over element (ix, jy).  All elements share one degree.
-    ``coef`` is not mutated after construction: ``evaluate`` keeps the
-    whole-mesh derivative coefficients of each (ax, ay) it is asked for.
+    [-1, 1] over element (ix, jy).  All elements share one degree.  The
+    grids must be 1-D, strictly increasing and at least 2 nodes long,
+    and ``coef`` 4-D, or ``ValueError`` is raised.
     """
 
     def __init__(self, grid_x, grid_y, coef):
         self.grid_x = np.asarray(grid_x, dtype=float)
         self.grid_y = np.asarray(grid_y, dtype=float)
         self.coef = np.asarray(coef, dtype=float)
-        ny, nx = len(self.grid_y) - 1, len(self.grid_x) - 1
-        if self.coef.shape[:2] != (ny, nx):
-            raise ValueError("coefficient grid does not match the element mesh")
-        self._derivs = {}
+        for name, grid in (("grid_x", self.grid_x), ("grid_y", self.grid_y)):
+            if grid.ndim != 1 or len(grid) < 2 or not np.all(grid[1:] > grid[:-1]):
+                raise ValueError(f"{name} must be 1-D and strictly increasing, with at least 2 nodes")
+        if self.coef.ndim != 4 or self.coef.shape[:2] != (len(self.grid_y) - 1, len(self.grid_x) - 1):
+            raise ValueError(f"coefficient grid of shape {self.coef.shape} does not match the element mesh: it must be 4-D, (jy, ix, kx, ky)")
 
     @property
     def degree(self) -> tuple:
         return (self.coef.shape[2] - 1, self.coef.shape[3] - 1)
 
     def _locate(self, grid, v, side):
+        if side not in ("-", "+"):
+            raise ValueError(f"side entries must be '-' or '+', not {side!r}")
         idx = np.searchsorted(grid, v, side="left" if side == "-" else "right") - 1
         return np.clip(idx, 0, len(grid) - 2)
-
-    def _deriv_coef(self, ax, ay):
-        """Local coefficients of D^(ax,ay) on every cell; C-contiguous, so callers reshape without a copy."""
-        c = self.coef
-        if ax:
-            c = np.polynomial.polynomial.polyder(c, ax, axis=-2)
-        if ay:
-            c = np.polynomial.polynomial.polyder(c, ay, axis=-1)
-        return np.ascontiguousarray(c)
 
     def evaluate(self, x, y, ax: int = 0, ay: int = 0, side=("-", "-")):
         """Pointwise D^(ax,ay) values; ``side`` picks the element at grid lines.
 
         The default takes the element with the lowest index whose closed
-        bounding box contains the point; jump computations request the
-        other limit explicitly.
+        bounding box contains the point; "+" takes the other limit, and
+        any other entry raises ``ValueError``.  Each point's cell is
+        applied to the derivative basis at its local (xi, eta).
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -145,16 +158,12 @@ class PiecewisePoly2D:
         flat_x, flat_y = xb.ravel(), yb.ravel()
         ix = self._locate(self.grid_x, flat_x, side[0])
         jy = self._locate(self.grid_y, flat_y, side[1])
-        if (ax, ay) not in self._derivs:
-            self._derivs[ax, ay] = self._deriv_coef(ax, ay)
-        c = self._derivs[ax, ay]
         wx = self.grid_x[ix + 1] - self.grid_x[ix]
         wy = self.grid_y[jy + 1] - self.grid_y[jy]
         xi = (2.0 * flat_x - self.grid_x[ix] - self.grid_x[ix + 1]) / wx
         eta = (2.0 * flat_y - self.grid_y[jy] - self.grid_y[jy + 1]) / wy
-        cells = c.reshape(-1, *c.shape[2:])
-        key = jy * (len(self.grid_x) - 1) + ix
-        out = horner2d(lambda kx, ky: cells[key, kx, ky], c.shape[2:], xi, eta)
+        cells = self.coef[jy, ix]
+        out = np.einsum("pk,pkl,pl->p", _derivative_basis(xi, cells.shape[1], ax), cells, _derivative_basis(eta, cells.shape[2], ay))
         out *= (2.0 / wx) ** ax * (2.0 / wy) ** ay
         out = out.reshape(xb.shape)
         return out if out.ndim else float(out)

@@ -286,7 +286,6 @@ class SigmaSelection:
     nodes_x: np.ndarray
     nodes_y: np.ndarray
     edges: np.ndarray
-    strategy: str
 
     def rows(self, a, b) -> np.ndarray:
         """Rows of nodes (a, b); index arrays broadcast, and a node outside the set raises KeyError."""
@@ -406,7 +405,7 @@ def _build_selection(mesh, strategy: str, custom: dict | None = None) -> SigmaSe
         edges = np.rec.fromarrays((horizontal, lo, hi, level, upper), dtype=_SIGMA_ROW)
     else:
         raise ValueError(f"unknown sigma strategy {strategy!r}")
-    return SigmaSelection(nodes_x, nodes_y, edges.ravel(), strategy)
+    return SigmaSelection(nodes_x, nodes_y, edges.ravel())
 
 
 def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float = 3.0) -> None:

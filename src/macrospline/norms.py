@@ -3,23 +3,18 @@
 Norms of a difference field (analytic field minus interpolant) are
 computed by tensor Gauss rules from ``quadrature``, per element, and
 accumulated pairwise in a fixed element order, so a result depends
-only on its inputs.  The element quadrature points and the elements'
-coefficients are gathered once for all derivative orders a caller asks
-for (``_seminorms``), on the open grid of the elements' distinct columns
-and rows (``_element_points``).  Per derivative order, the field values
-come from one ``field.grid(X, Y, ax, ay)`` call on that grid: a field
-with rank-one terms evaluates each factor once per axis and sums the
-terms as one GEMM, and any other field is called once on the broadcast
-grid.  A region that is not a block takes its cells from that grid by
-index.  One GEMM with the derivative basis, the derivatives of the local
-monomials at the tensor Gauss points, evaluates every cell polynomial
-(``_difference``), so the norm pass differentiates no coefficients, and
-one GEMV takes the weighted square sums.  Broken second-order seminorms
-never integrate across element interfaces, where the interpolant's
-second derivatives jump.  Edge norms and jump sums take an ``EdgeSet``
-and place the Gauss points of all its edges in one step
-(``_edge_points``).  A jump sum takes no field: it depends only on the
-interpolant, as a smooth field's normal derivative cancels from a jump.
+only on its inputs.  ``_seminorms`` gathers the elements' coefficients
+and their quadrature points, on the open grid of their distinct columns
+and rows (``_element_points``), once for all derivative orders.  Per
+order, the field values come from one ``field.grid(X, Y, ax, ay)`` call
+on that grid, and every cell polynomial is evaluated by one GEMM with
+the derivative basis of ``interpolation`` (``_difference``).  Broken
+second-order seminorms never integrate across element interfaces, where
+the interpolant's second derivatives jump.  Edge norms evaluate the
+interpolant at the Gauss points of all edges at once.  A jump sum takes
+no field, as a smooth field's normal derivative cancels from a jump,
+and locates no point: it reads each edge's two cells off the grid and
+applies the same basis to their coefficients.
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .interpolation import _derivative_basis
 from .mesh import EdgeSet
 from .quadrature import QuadratureRule, gauss_rule
 
@@ -109,13 +105,6 @@ def _element_points(poly, ix, jy, loc):
     return gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy], X, Y, cells, poly.coef[jy, ix]
 
 
-def _derivative_basis(loc, n, a):
-    """(len(loc), n) matrix of the a-th derivatives of the monomials t^k, k < n, at ``loc``."""
-    k = np.arange(n)
-    falling = np.prod(k[None, :] - np.arange(a)[:, None], axis=0)  # k!/(k-a)!, 0 for k < a
-    return falling * loc[:, None] ** np.maximum(k - a, 0)[None, :]
-
-
 def _difference(field, points, loc, alpha):
     """D^alpha (field - poly) at ``points`` of ``_element_points``; ``field`` may be None.
 
@@ -177,21 +166,14 @@ def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | No
     return _seminorms(field, interp, (alpha,), region, rule)[0]
 
 
-def _edge_points(edges: EdgeSet, rule: QuadratureRule):
-    """Gauss points ``X, Y`` of shape (len(edges), len(rule.nodes)) and the half-lengths."""
-    half = 0.5 * (np.abs(edges.x1 - edges.x0) + np.abs(edges.y1 - edges.y0))
-    offset = half[:, None] * rule.nodes[None, :]
-    horizontal = edges.horizontal[:, None]
-    X = np.where(horizontal, (0.5 * (edges.x0 + edges.x1))[:, None] + offset, edges.x0[:, None])
-    Y = np.where(horizontal, edges.y0[:, None], (0.5 * (edges.y0 + edges.y1))[:, None] + offset)
-    return X, Y, half
-
-
 def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> np.ndarray:
     """Per-edge L2 norms of the difference trace, one-sided: ``side`` picks the element across each edge."""
     if rule is None:
         rule = gauss_rule()
-    X, Y, half = _edge_points(edges, rule)
+    half = 0.5 * (np.abs(edges.x1 - edges.x0) + np.abs(edges.y1 - edges.y0))
+    offset = half[:, None] * rule.nodes[None, :]
+    X = np.where(edges.horizontal[:, None], (0.5 * (edges.x0 + edges.x1))[:, None] + offset, edges.x0[:, None])
+    Y = np.where(edges.horizontal[:, None], edges.y0[:, None], (0.5 * (edges.y0 + edges.y1))[:, None] + offset)
     trace = np.zeros(X.shape)
     if interp is not None:
         for horizontal, sides in ((True, ("-", side)), (False, (side, "-"))):
@@ -201,25 +183,18 @@ def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, a
     return np.sqrt(half * ((vals * vals) @ rule.weights))
 
 
-def _jump_batch(interp, edges: EdgeSet, rule, horizontal: bool):
-    """Per-edge squared normal-derivative jump integrals over edges of one orientation."""
-    if not len(edges):
-        return np.zeros(0)
-    X, Y, half = _edge_points(edges, rule)
-    alpha, hi_side = ((0, 1), ("-", "+")) if horizontal else ((1, 0), ("+", "-"))
-    jump = interp.evaluate(X, Y, alpha[0], alpha[1], side=("-", "-"))
-    jump -= interp.evaluate(X, Y, alpha[0], alpha[1], side=hi_side)
-    return half * ((jump * jump) @ rule.weights)
-
-
 def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) -> float:
     """Sum over edges of the squared L2 norm of the interpolant's normal-derivative jump.
 
     The jump is the trace from the lower-index element minus the trace
     from the higher one, matching normals that point in the increasing
-    coordinate direction.  The edges are summed in endpoint order
-    (x0, y0, x1, y1), so the result does not depend on their row order;
-    an empty set gives 0.0.
+    coordinate direction.  Each edge's two cells are found by
+    ``searchsorted`` of its ends on the grid, and their traces at the
+    Gauss nodes come from the coefficients, ``(coef[cells] @ D^1 Q(±1))
+    @ D^0 P(nodes).T`` scaled by 2/w; ``ValueError`` names any edge that
+    is not an interior element edge of the grid.  The edges are summed
+    in endpoint order (x0, y0, x1, y1), so the result does not depend on
+    their row order; an empty set gives 0.0.
     """
     if rule is None:
         rule = gauss_rule()
@@ -229,7 +204,24 @@ def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) ->
     contributions = np.zeros(len(ordered))
     for horizontal in (True, False):
         rows = ordered.horizontal == horizontal
-        contributions[rows] = _jump_batch(interp, ordered[rows], rule, horizontal)
+        e = ordered[rows]
+        # an edge runs from a0 to a1 on the line b0 = b1; a vertical one is a horizontal one of the transposed grid
+        along, across = (interp.grid_x, interp.grid_y) if horizontal else (interp.grid_y, interp.grid_x)
+        a0, a1, b0, b1 = (e.x0, e.x1, e.y0, e.y1) if horizontal else (e.y0, e.y1, e.x0, e.x1)
+        coef = interp.coef if horizontal else interp.coef.transpose(1, 0, 3, 2)
+        i = np.searchsorted(along, a0).clip(max=len(along) - 2)
+        j = np.searchsorted(across, b0).clip(1, len(across) - 1)
+        bad = np.flatnonzero((along[i] != a0) | (along[i + 1] != a1) | (across[j] != b0) | (b1 != b0) | (j == len(across) - 1))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"edge ({e.x0[k]}, {e.y0[k]})-({e.x1[k]}, {e.y1[k]}) is not an interior element edge of the grid")
+        tangent = _derivative_basis(rule.nodes, coef.shape[2], 0)
+        lo, hi = (
+            (2.0 / w)[:, None] * ((cells @ _derivative_basis(np.array([s]), coef.shape[3], 1)[0]) @ tangent.T)
+            for cells, s, w in ((coef[j - 1, i], 1.0, across[j] - across[j - 1]), (coef[j, i], -1.0, across[j + 1] - across[j]))
+        )
+        jump = lo - hi
+        contributions[rows] = 0.5 * (a1 - a0) * ((jump * jump) @ rule.weights)
     return _pairwise_sum(contributions)
 
 

@@ -257,6 +257,20 @@ def test_grid_layout_on_an_asymmetric_field():
         assert np.all(np.abs(u.grid(X, Y, ax, ay) - broadcast) <= bound)
 
 
+def test_one_term_grid_is_the_broadcast_call():
+    # One term is one product per entry, so the outer product of the two
+    # factors equals the pointwise call bit for bit.
+    X, Y = _open_grid_points(np.random.default_rng(8), 6, 5, 4)
+    for name in ("sin_sin", "runge"):
+        field = make_smooth_field(name)
+        assert len(field.terms) == 1
+        for ax in range(4):
+            for ay in range(4):
+                grid = field.grid(X, Y, ax, ay)
+                assert grid.shape == (5, 6, 4, 4)
+                assert np.array_equal(grid, field(X[None, :, :, None], Y[:, None, None, :], ax, ay))
+
+
 def test_grid_without_terms_is_the_broadcast_call():
     X, Y = _open_grid_points(np.random.default_rng(6), 4, 3, 3)
     x_only = ScalarField("x", lambda x, y, ax, ay: np.sin(x) if ax == ay == 0 else 0.0)
