@@ -13,11 +13,13 @@ evaluator.  ``separable_field`` makes one term, ``make_polynomial_field``
 one per nonzero coefficient, ``scaled`` scales each c, and ``+`` joins
 the terms of two fields that both have them.  The terms ride on the
 field's ``_eval`` callable, as its ``terms`` attribute, so a field rebuilt
-as ``ScalarField(name, f._eval)`` keeps them.  ``ScalarField.grid`` uses
-them to evaluate a field on an open grid as one GEMM per derivative
-order (sum factorisation), or as the outer product of its two factors
-for one term; a field without terms (``exp_xy``, a mesh function, any
-plain callable) is called on the broadcast grid instead.
+as ``ScalarField(name, f._eval)`` keeps them.  ``ScalarField.factors``
+evaluates each distinct factor once on the rows and the columns of an
+open grid, so the values on any block of its rows are one GEMM,
+``Fy[:, rows].T @ Fx`` (sum factorisation), or the outer product of
+two factors for one term; it returns None for a field without terms
+(``exp_xy``, a mesh function, any plain callable), which the norm pass
+calls on the points instead.
 Pointwise calls always go through ``_eval`` and never use the terms.
 """
 
@@ -70,33 +72,31 @@ class ScalarField:
         out = self._eval(x, y, ax, ay)
         return out if np.ndim(out) else float(out)
 
-    def grid(self, X, Y, ax: int = 0, ay: int = 0) -> np.ndarray:
-        """D^(ax,ay) u on the open grid of ``X`` (nx, p) and ``Y`` (ny, p).
+    def factors(self, x, y, ax: int = 0, ay: int = 0):
+        """Rank-one factors ``(Fx, Fy)`` of D^(ax,ay) u on the open grid of ``x`` and ``y``, or None without terms.
 
-        Returns shape (ny, nx, p, p), entry [jy, ix, a, b] at
-        (X[ix, a], Y[jy, b]), possibly as a read-only or transposed view.
-        With terms, each distinct factor is evaluated once per axis and
-        the sum over terms is one GEMM, ``Fy.T @ Fx`` (an outer product
-        for one term); without, the field is called once on the
-        broadcast grid.
+        ``x`` and ``y`` are 1-D; row k of Fx (K, len(x)) is c * D^ax fx(x)
+        and of Fy (K, len(y)) D^ay fy(y) for the k-th term (c, fx, fy),
+        and each distinct factor is evaluated once.  The values at
+        (x[i], y[j]) are the matrix ``Fy.T @ Fx``, rows along y, or for
+        one term ``np.multiply.outer(Fy[0], Fx[0])``, which equals a
+        pointwise call bit for bit when c is 1.
         """
-        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-        (nx, p), ny = X.shape, len(Y)
         terms = self.terms
         if terms is None:
-            return np.broadcast_to(np.asarray(self(X[None, :, :, None], Y[:, None, None, :], ax, ay), dtype=float), (ny, nx, p, p))
+            return None
         _check_orders(ax, ay)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         fx_values, fy_values = {}, {}
-        Fx, Fy = np.empty((len(terms), nx * p)), np.empty((len(terms), ny * p))
+        Fx, Fy = np.empty((len(terms), x.size)), np.empty((len(terms), y.size))
         for k, (c, fx, fy) in enumerate(terms):
             if fx not in fx_values:
-                fx_values[fx] = np.broadcast_to(fx(X, ax), X.shape).ravel()
+                fx_values[fx] = np.broadcast_to(fx(x, ax), x.shape)
             if fy not in fy_values:
-                fy_values[fy] = np.broadcast_to(fy(Y, ay), Y.shape).ravel()
+                fy_values[fy] = np.broadcast_to(fy(y, ay), y.shape)
             np.multiply(c, fx_values[fx], out=Fx[k])
             Fy[k] = fy_values[fy]
-        grid = np.multiply.outer(Fy[0], Fx[0]) if len(terms) == 1 else Fy.T @ Fx  # faster than a K = 1 GEMM, and as exact
-        return grid.reshape(ny, p, nx, p).transpose(0, 2, 3, 1)
+        return Fx, Fy
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         def ev(x, y, ax, ay):

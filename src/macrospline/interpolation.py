@@ -9,12 +9,13 @@ functions (full and reduced C1 macro, bicubic Hermite, biquadratic
 nodal, anisotropic two-element macro) spell this out for one macro and
 are the reference.  The mesh-level operators run the same recipe for all
 cells at once: ``_gather`` makes one field call per derivative order on
-the tensor grid of nodes and returns G for every cell, and the matrices
-act on the stacked array, which reproduces the per-macro coefficients
-bit for bit.  Quasi-interpolation replaces the mixed entries of G by
-weighted edge averages of u_xy; the Shishkin composite glues quasi,
-anisotropic and nodal interpolation, with interface slopes taken from
-the interior so the normal derivative is continuous across long edges.
+the tensor grid of nodes and returns G for every cell, and the fixed
+matrices act on the stacked array, one direction at a time, which
+reproduces the per-macro coefficients bit for bit.  Quasi-interpolation
+replaces the mixed entries of G by weighted edge averages of u_xy; the
+Shishkin composite glues quasi, anisotropic and nodal interpolation,
+with interface slopes taken from the interior so the normal derivative
+is continuous across long edges.
 The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
 ``evaluate``, the norm pass and jump sums all read the cells one way: as
 weights of ``_derivative_basis``, the local monomials' derivatives.
@@ -384,22 +385,35 @@ def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
     return G
 
 
+_HB2T = np.ascontiguousarray(np.hstack([_HB[0], _HB[1]]).T)  # both Hermite bases, rows (side, k)
+_LG3T = np.ascontiguousarray(_LG3.T)
+
+
+def _assemble(BxT, G, By) -> np.ndarray:
+    """Biquadratic cells ``Bx[sx].T @ G[j, i] @ By[sy]`` of every macro (i, j), interleaved into one element grid.
+
+    ``BxT`` stacks the transposed x bases, rows (sx, kx); ``By`` lists
+    the y bases.  The sums run along x first, as one batched product,
+    then along y, as one GEMM per macro row and y side written straight
+    into the element grid, so each cell associates its sums as the
+    per-macro operators do and equals theirs bit for bit.
+    """
+    ny = len(G)
+    A = np.matmul(BxT, G).reshape(ny, -1, G.shape[3])  # macro row j: rows (i, sx, kx)
+    coef = np.empty((ny, len(By), A.shape[1], 3))  # element row 2j + sy: rows (i, sx, kx)
+    for sy, B in enumerate(By):
+        np.matmul(A, B, out=coef[:, sy])
+    return coef.reshape(len(By) * ny, -1, 3, 3)
+
+
 def _c1_coef(G) -> np.ndarray:
     """Element coefficients of the C1 macro interpolant from Hermite data G."""
-    ny, nx = G.shape[:2]
-    coef = np.empty((2 * ny, 2 * nx, 3, 3))
-    for sy in (0, 1):
-        for sx in (0, 1):
-            coef[sy::2, sx::2] = _HB[sx].T @ G @ _HB[sy]
-    return coef
+    return _assemble(_HB2T, G, (_HB[0], _HB[1]))
 
 
 def _aniso_coef(G) -> np.ndarray:
     """Element coefficients of the y-spline anisotropic operator from G."""
-    coef = np.empty((2 * G.shape[0], G.shape[1], 3, 3))
-    for sy in (0, 1):
-        coef[sy::2] = _LG3.T @ G @ _HB[sy]
-    return coef
+    return _assemble(_LG3T, G, (_HB[0], _HB[1]))
 
 
 def interp_full(field, mesh: MacroMesh) -> PiecewisePoly2D:

@@ -3,23 +3,30 @@
 Norms of a difference field (analytic field minus interpolant) are
 computed by tensor Gauss rules from ``quadrature``, per element, and
 accumulated pairwise in a fixed element order, so a result depends
-only on its inputs.  ``_seminorms`` gathers the elements' coefficients
-and their quadrature points, on the open grid of their distinct columns
-and rows (``_element_points``), once for all derivative orders.  Per
-order, the field values come from one ``field.grid(X, Y, ax, ay)`` call
-on that grid, and every cell polynomial is evaluated by one GEMM with
-the derivative basis of ``interpolation`` (``_difference``).  Broken
-second-order seminorms never integrate across element interfaces, where
-the interpolant's second derivatives jump.  Edge norms evaluate the
-interpolant at the Gauss points of all edges at once.  A jump sum takes
-no field, as a smooth field's normal derivative cancels from a jump,
-and locates no point: it reads each edge's two cells off the grid and
-applies the same basis to their coefficients.
+only on its inputs.  One kernel, ``_per_cell``, serves ``seminorm``,
+``_seminorms`` (every derivative order in one pass), ``linf_sampled``
+and ``compute_norm_report``.  It lays the points of a set of elements
+out as one matrix on the open grid of their distinct rows and columns,
+rows (jy, b) along y and columns (ix, a) along x, and walks it in
+blocks of whole element rows small enough to stay in the L2 cache,
+into buffers made once per call.  Per block, the cell polynomials are
+evaluated by sum factorisation with the derivative basis of
+``interpolation`` (along y, then along x), and the field values come in
+the same layout from its rank-one factors (``ScalarField.factors``, a
+GEMM or an outer product) or from one call on the block's points;
+each cell's weighted squares or largest value is then reduced in place.
+Broken second-order seminorms never integrate across element
+interfaces, where the interpolant's second derivatives jump.  Edge
+norms evaluate the interpolant at the Gauss points of all edges at
+once.  A jump sum takes no field, as a smooth field's normal derivative
+cancels from a jump, and locates no point: it reads each edge's two
+cells off the grid and applies the same basis to their coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -42,6 +49,7 @@ __all__ = [
 FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
+_BLOCK_VALUES = 2**16  # values of one block of the norm pass: 512 KiB, well inside L2
 
 
 def _pairwise_sum(values) -> float:
@@ -59,18 +67,22 @@ def _pairwise_sum(values) -> float:
     return float(v[0])
 
 
-def _element_indices(poly, region):
-    """Index arrays (ix, jy) of ``region`` in (jy, ix) order; the whole mesh for None.
+def _open_grid(poly, region):
+    """``(ux, uy, cells)``: the open grid of ``region``'s elements (ix, jy); the whole mesh for None.
 
-    Raises ValueError when ``poly`` is None, or names the first element
-    of ``region`` that lies outside the mesh, or else the first that
-    repeats an earlier one.
+    ``ux`` and ``uy`` are the distinct element columns and rows, in
+    increasing order.  ``cells``, a pair of index arrays (rows, columns),
+    picks the elements in (jy, ix) order from the nuy x nux cells of that
+    grid, and is None when they are all of its cells, whose C order is
+    already (jy, ix).  Raises ValueError when ``poly`` is None, or names
+    the first element of ``region`` that lies outside the mesh, or else
+    the first that repeats an earlier one.
     """
     if poly is None:
         raise ValueError("an interpolant is required to define the element mesh")
     nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
     if region is None:
-        return np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx)
+        return np.arange(nx), np.arange(ny), None
     elements = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=int).reshape(-1, 2)
     outside = np.flatnonzero((elements < 0).any(axis=1) | (elements[:, 0] >= nx) | (elements[:, 1] >= ny))
     if outside.size:
@@ -81,79 +93,94 @@ def _element_indices(poly, region):
         repeated = np.setdiff1d(np.arange(key.size), first)[0]
         raise ValueError(f"element {tuple(elements[repeated].tolist())} appears more than once in the region")
     order = np.argsort(key)
-    return elements[order, 0], elements[order, 1]
+    ux, cx = np.unique(elements[order, 0], return_inverse=True)
+    uy, cy = np.unique(elements[order, 1], return_inverse=True)
+    return ux, uy, None if key.size == ux.size * uy.size else (cy, cx)
 
 
-def _element_points(poly, ix, jy, loc):
-    """``(wx, wy, X, Y, cells, coef)``: the points ``loc`` on the open grid of the elements.
+def _per_cell(field, interp, region, loc, alphas, reduce):
+    """Per multi-index in ``alphas``, ``reduce`` of D^alpha (field - interp) on each element of ``region``.
 
-    ``X`` (nux, len(loc)) and ``Y`` (nuy, len(loc)) are the world
-    coordinates of ``loc`` on the distinct element columns and rows, in
-    increasing order; ``wx``, ``wy`` are the widths of each element.
-    ``cells``, a pair of index arrays (rows, columns), picks each
-    element, in (jy, ix) order, from the nuy x nux cells of that grid,
-    and is None when the elements are the whole grid, whose C order is
-    already (jy, ix).  ``coef`` (E, kx, ky) holds the elements' local
-    coefficients, gathered once for every derivative order.
+    Yields one 1-D array per alpha, one value per element in (jy, ix)
+    order; the array is reused, so take what is needed before the next.
+    The points are ``loc`` x ``loc`` in every cell of the region's open
+    grid, laid out as one matrix: row (jy, b) at y = Y[jy, b], column
+    (ix, a) at x = X[ix, a].  The grid is walked in blocks of whole
+    element rows of about ``_BLOCK_VALUES`` values, into buffers made
+    once per call.  In a block, the cell values come by sum
+    factorisation, ``D^ay Q @ coef`` along y, scaled by (2/wy)^ay
+    (2/wx)^ax, then ``@ (D^ax P).T`` along x, where ``D^a P`` holds the
+    a-th derivatives of the local monomials at ``loc``.  A field with
+    terms fills the block from ``field.factors`` on all rows and columns,
+    made once per alpha; a field without terms is called once per block
+    on its rows against all columns; None measures the interpolant.
+    ``reduce(D, wx, wy)`` takes the block's differences as an
+    (rows, p, columns, p) array, which it may overwrite, and the widths
+    of its columns and rows, and returns (rows, columns) cell values.
     """
-    gx, gy = poly.grid_x, poly.grid_y
-    ux, cx = np.unique(ix, return_inverse=True)
-    uy, cy = np.unique(jy, return_inverse=True)
-    X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
-    Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
-    cells = None if ix.size == ux.size * uy.size else (cy, cx)
-    return gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy], X, Y, cells, poly.coef[jy, ix]
-
-
-def _difference(field, points, loc, alpha):
-    """D^alpha (field - poly) at ``points`` of ``_element_points``; ``field`` may be None.
-
-    The field values come from one ``field.grid(X, Y, ax, ay)`` call on
-    the open grid, shape (nuy, nux, p, p), p = len(loc); a region that is
-    not a block takes its cells from that grid by index.  The cell
-    polynomials are evaluated at all tensor points as one GEMM,
-    ``coef.reshape(E, -1) @ kron(D^ax P, D^ay Q).T``, where ``D^a P``
-    holds the a-th derivatives of the local monomials at ``loc``, so no
-    coefficient is differentiated; the difference is formed in that
-    GEMM's buffer.  Returns an array of shape (E, p, p).
-    """
-    wx, wy, X, Y, cells, coef = points
-    p = len(loc)
-    basis = np.kron(_derivative_basis(loc, coef.shape[1], alpha[0]), _derivative_basis(loc, coef.shape[2], alpha[1]))
-    vals = (coef.reshape(len(coef), -1) @ basis.T).reshape(len(coef), p, p)
-    vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
-    if field is None:
-        return np.negative(vals, out=vals)
-    f = field.grid(X, Y, alpha[0], alpha[1])
-    if cells is not None:
-        f = f[cells]
-    out = vals if cells is not None else vals.reshape(len(Y), len(X), p, p)
-    np.subtract(f, out, out=out)
-    return vals
+    ux, uy, cells = _open_grid(interp, region)
+    gx, gy = interp.grid_x, interp.grid_y
+    wx, wy = gx[ux + 1] - gx[ux], gy[uy + 1] - gy[uy]
+    x = ((0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]).ravel()
+    y = ((0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]).ravel()
+    coef = interp.coef if region is None else interp.coef[np.ix_(uy, ux)]
+    (nuy, nux, kx, ky), p = coef.shape, len(loc)
+    rows = max(1, min(nuy, _BLOCK_VALUES // max(1, p * p * nux)))
+    T = np.empty((rows, p, nux * kx))
+    V = np.empty((rows * p, nux * p))
+    D = np.empty_like(V)
+    values = np.empty((nuy, nux))
+    for ax, ay in alphas:
+        Q, PT = _derivative_basis(loc, ky, ay), _derivative_basis(loc, kx, ax).T.copy()  # BLAS takes a contiguous PT 4x faster
+        sx, sy = np.repeat((2.0 / wx) ** ax, kx), (2.0 / wy) ** ay
+        factors = None if field is None else field.factors(x, y, ax, ay)
+        if factors is not None:
+            Fx, FyT = factors[0], factors[1].T.copy()
+        # every BLAS call below covers one element row, so a row's values do not depend on the block size
+        for j0 in range(0, nuy, rows):
+            n = min(rows, nuy - j0)
+            t, v, d, at = T[:n], V[: n * p], D[: n * p], slice(j0 * p, (j0 + n) * p)
+            np.matmul(Q, coef[j0 : j0 + n].reshape(n, nux * kx, ky).transpose(0, 2, 1), out=t)
+            if ax or ay:
+                np.multiply(t, (sy[j0 : j0 + n, None] * sx)[:, None, :], out=t)
+            np.matmul(t.reshape(n, p * nux, kx), PT, out=v.reshape(n, p * nux, p))
+            if field is None:
+                np.negative(v, out=d)
+            else:
+                if factors is None:
+                    d[...] = field(x[None, :], y[at, None], ax, ay)
+                elif len(Fx) == 1:
+                    np.multiply.outer(FyT[at, 0], Fx[0], out=d)  # faster than a K = 1 GEMM, and as exact
+                else:
+                    np.matmul(FyT[at].reshape(n, p, -1), Fx, out=d.reshape(n, p, nux * p))
+                np.subtract(d, v, out=d)
+            values[j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
+        yield values.ravel() if cells is None else values[cells]
 
 
 def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None = None) -> list:
     """``seminorm`` for each multi-index in ``alphas``, in one pass.
 
-    The element indices, quadrature points, coefficients and Jacobians
-    are built once; each alpha then makes the same field call and the
-    same sums as a ``seminorm`` call of its own, so the values are the
-    same bit for bit.
+    Each cell contributes (wx wy / 4) sum_b w_b sum_a w_a D[b, a]^2,
+    both sums taken in index order, and the contributions are added
+    pairwise in (jy, ix) order; a ``seminorm`` call of its own makes the
+    same sums, so the values are the same bit for bit.
     """
     if rule is None:
         rule = gauss_rule()
-    ix, jy = _element_indices(interp, region)
-    if not ix.size:
-        return [0.0] * len(alphas)
-    points = _element_points(interp, ix, jy, rule.nodes)
-    jac = 0.25 * (interp.grid_x[ix + 1] - interp.grid_x[ix]) * (interp.grid_y[jy + 1] - interp.grid_y[jy])
-    weights = np.outer(rule.weights, rule.weights).ravel()
+    w = rule.weights
 
-    def norm(diff):
-        contributions = jac * ((diff * diff).reshape(len(jac), -1) @ weights)
-        return float(np.sqrt(max(_pairwise_sum(contributions), 0.0)))
+    def weighted_squares(d, wx, wy):
+        n, p, nux = d.shape[:3]
+        np.multiply(d, d, out=d)
+        inner = np.matmul(d.reshape(n, p * nux, p), w).reshape(n, p, nux)
+        cell = inner[:, 0] * w[0]
+        for b in range(1, p):
+            cell += inner[:, b] * w[b]
+        cell *= 0.25 * wy[:, None] * wx[None, :]
+        return cell
 
-    return [norm(_difference(field, points, rule.nodes, alpha)) for alpha in alphas]
+    return [float(np.sqrt(max(_pairwise_sum(c), 0.0))) for c in _per_cell(field, interp, region, rule.nodes, alphas, weighted_squares)]
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:
@@ -226,13 +253,15 @@ def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) ->
 
 
 def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> float:
-    """Max |difference| over a deterministic tensor sample grid."""
-    ix, jy = _element_indices(interp, region)
-    if not ix.size:
-        return 0.0
-    loc = np.linspace(-1.0, 1.0, samples_per_element)
-    diff = _difference(field, _element_points(interp, ix, jy, loc), loc, (0, 0))
-    return float(np.max(np.abs(diff)))
+    """Max |difference| over a deterministic tensor sample grid of ``samples_per_element`` points per axis in each element."""
+    if not isinstance(samples_per_element, numbers.Integral) or samples_per_element < 1:
+        raise ValueError(f"samples_per_element must be an integer of at least 1, not {samples_per_element!r}")
+
+    def largest(d, wx, wy):
+        return np.abs(d, out=d).max(axis=(1, 3))
+
+    (cells,) = _per_cell(field, interp, region, np.linspace(-1.0, 1.0, samples_per_element), ((0, 0),), largest)
+    return float(cells.max()) if cells.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from macrospline.fields import (
     sin_profile,
 )
 from macrospline.interpolation import PiecewisePoly2D
-from macrospline.norms import ORDERS
+from macrospline.norms import ORDERS, _per_cell
 from macrospline.quadrature import gauss_rule
 
 # 4th-order central difference weights for first/second derivative
@@ -195,7 +195,7 @@ def test_polynomial_field_matches_polyval2d():
 
 
 # ---------------------------------------------------------------------------
-# Rank-one terms and the open-grid GEMM.
+# Rank-one terms and their factors on an open grid.
 # ---------------------------------------------------------------------------
 
 
@@ -226,11 +226,19 @@ def _terms_reference(field, X, Y, ax, ay):
     return total, (len(field.terms) + 2) * np.finfo(float).eps * magnitude
 
 
+def _open_grid_matrix(field, X, Y, ax, ay):
+    """``field.factors`` on the rows and columns of the open grid, multiplied out as (ny, nx, p, p), entry [jy, ix, a, b] at (X[ix, a], Y[jy, b])."""
+    Fx, Fy = field.factors(X.ravel(), Y.ravel(), ax, ay)
+    assert Fx.shape == (len(field.terms), X.size) and Fy.shape == (len(field.terms), Y.size)
+    matrix = np.multiply.outer(Fy[0], Fx[0]) if len(Fx) == 1 else Fy.T @ Fx  # rows (jy, b), columns (ix, a)
+    return matrix.reshape(len(Y), Y.shape[1], len(X), X.shape[1]).transpose(0, 2, 3, 1)
+
+
 @pytest.mark.parametrize("smooth", ["default", "bounded_third", "eps_growth"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
 def test_grid_is_within_a_summation_bound_of_the_terms(smooth, eps):
-    # Both the GEMM and the broadcast pointwise call lie within
-    # (r + 2) eps sum|c fx fy| of an extended-precision sum of the terms.
+    # Both the GEMM of the factors and the broadcast pointwise call lie
+    # within (r + 2) eps sum|c fx fy| of an extended-precision sum of the terms.
     rng = np.random.default_rng(round(-math.log10(eps)) * 10 + len(smooth))
     fields = (make_layer_decomposition(eps, smooth=smooth).total, make_layer_decomposition(eps, smooth=smooth, smooth_amplitude=10.0, edge_amplitude=0.05).total)
     for u in fields:
@@ -238,7 +246,7 @@ def test_grid_is_within_a_summation_bound_of_the_terms(smooth, eps):
             X, Y = _open_grid_points(rng, nx, ny, p)
             for ax, ay in ORDERS:
                 reference, bound = _terms_reference(u, X, Y, ax, ay)
-                grid = u.grid(X, Y, ax, ay)
+                grid = _open_grid_matrix(u, X, Y, ax, ay)
                 broadcast = u(X[None, :, :, None], Y[:, None, None, :], ax, ay)
                 assert grid.shape == broadcast.shape == (ny, nx, p, p)
                 assert np.all(np.abs(grid - reference) <= bound)
@@ -246,7 +254,7 @@ def test_grid_is_within_a_summation_bound_of_the_terms(smooth, eps):
 
 
 def test_grid_layout_on_an_asymmetric_field():
-    # sin(x) e^(2y) + x^2 y on a grid with nx != ny: entry [jy, ix, a, b] is at (X[ix, a], Y[jy, b]).
+    # sin(x) e^(2y) + x^2 y on a grid with nx != ny: Fy.T @ Fx has row (jy, b) at Y[jy, b] and column (ix, a) at X[ix, a].
     u = separable_field("sin_exp", sin_profile(1.0), exp_profile(2.0)) + make_polynomial_field([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     assert len(u.terms) == 2
     rng = np.random.default_rng(4)
@@ -254,7 +262,11 @@ def test_grid_layout_on_an_asymmetric_field():
     for ax, ay in ORDERS:
         bound = _terms_reference(u, X, Y, ax, ay)[1]
         broadcast = u(X[None, :, :, None], Y[:, None, None, :], ax, ay)
-        assert np.all(np.abs(u.grid(X, Y, ax, ay) - broadcast) <= bound)
+        assert np.all(np.abs(_open_grid_matrix(u, X, Y, ax, ay) - broadcast) <= bound)
+        Fx, Fy = u.factors(X.ravel(), Y.ravel(), ax, ay)
+        matrix = Fy.T @ Fx
+        assert matrix.shape == (3 * 4, 7 * 4)
+        assert np.all(np.abs(matrix - u(X.ravel()[None, :], Y.ravel()[:, None], ax, ay)) <= bound.transpose(0, 3, 1, 2).reshape(matrix.shape))
 
 
 def test_one_term_grid_is_the_broadcast_call():
@@ -266,21 +278,32 @@ def test_one_term_grid_is_the_broadcast_call():
         assert len(field.terms) == 1
         for ax in range(4):
             for ay in range(4):
-                grid = field.grid(X, Y, ax, ay)
+                grid = _open_grid_matrix(field, X, Y, ax, ay)
                 assert grid.shape == (5, 6, 4, 4)
                 assert np.array_equal(grid, field(X[None, :, :, None], Y[:, None, None, :], ax, ay))
 
 
 def test_grid_without_terms_is_the_broadcast_call():
-    X, Y = _open_grid_points(np.random.default_rng(6), 4, 3, 3)
+    # A field without terms has no factors; the norm pass calls it on the
+    # broadcast of its rows against its columns instead, here on the
+    # open grid of a zero interpolant, so the difference is the field.
+    rng = np.random.default_rng(6)
+    loc = gauss_rule(3).nodes
+    gx, gy = _graded_grid(rng, 4), _graded_grid(rng, 3)
+    X = (0.5 * (gx[:-1] + gx[1:]))[:, None] + (0.5 * np.diff(gx))[:, None] * loc[None, :]
+    Y = (0.5 * (gy[:-1] + gy[1:]))[:, None] + (0.5 * np.diff(gy))[:, None] * loc[None, :]
+    zero = PiecewisePoly2D(gx, gy, np.zeros((3, 4, 3, 3)))
     x_only = ScalarField("x", lambda x, y, ax, ay: np.sin(x) if ax == ay == 0 else 0.0)
     for field in (make_smooth_field("exp_xy"), x_only):
         for ax, ay in ORDERS:
-            grid = field.grid(X, Y, ax, ay)
+            assert field.factors(X.ravel(), Y.ravel(), ax, ay) is None
+            blocks = []
+            next(_per_cell(field, zero, None, loc, ((ax, ay),), lambda d, wx, wy: blocks.append(d.copy()) or np.zeros(d.shape[::2])))
+            grid = np.concatenate(blocks).transpose(0, 2, 3, 1)
             assert grid.shape == (3, 4, 3, 3)
             assert np.array_equal(grid, np.broadcast_to(field(X[None, :, :, None], Y[:, None, None, :], ax, ay), grid.shape))
     with pytest.raises(ValueError, match="derivative orders"):
-        make_smooth_field("sin_sin").grid(X, Y, 5, 0)
+        make_smooth_field("sin_sin").factors(X.ravel(), Y.ravel(), 5, 0)
 
 
 def test_terms_ride_on_eval():

@@ -10,7 +10,11 @@ from macrospline.fields import (
     make_smooth_field,
 )
 from macrospline.interpolation import (
+    _HB,
+    _LG3,
     PiecewisePoly2D,
+    _aniso_coef,
+    _c1_coef,
     interp_aniso,
     interp_aniso_mesh,
     interp_bfs,
@@ -451,3 +455,32 @@ def test_gather_rejects_non_finite_field_values():
             with pytest.raises(ValueError, match="not finite"):
                 build(field)
     interp_full(bad_at(np.nan, (0.3, 0.3)), build_macro_mesh(gx, gy))  # NaN off the nodes is never read
+
+
+def _c1_coef_by_cell(G):
+    """The C1 assembly as four batched two-matmul products with strided stores."""
+    coef = np.empty((2 * G.shape[0], 2 * G.shape[1], 3, 3))
+    for sy in (0, 1):
+        for sx in (0, 1):
+            coef[sy::2, sx::2] = _HB[sx].T @ G @ _HB[sy]
+    return coef
+
+
+def _aniso_coef_by_cell(G):
+    """The y-spline anisotropic assembly as two batched two-matmul products with strided stores."""
+    coef = np.empty((2 * G.shape[0], G.shape[1], 3, 3))
+    for sy in (0, 1):
+        coef[sy::2] = _LG3.T @ G @ _HB[sy]
+    return coef
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 48)])
+def test_fixed_matrix_assembly_matches_the_two_matmul_form(shape):
+    # Bound 0: the fixed matrices contract along x first, then along y,
+    # as the per-cell products do, so the coefficients agree bit for bit.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for cols in (4, 3):
+        G = rng.normal(size=(*shape, cols, 4)) * 10.0 ** rng.integers(-12, 12, size=(*shape, cols, 4))
+        coef, by_cell = (_c1_coef(G), _c1_coef_by_cell(G)) if cols == 4 else (_aniso_coef(G), _aniso_coef_by_cell(G))
+        assert coef.shape == by_cell.shape
+        assert np.array_equal(coef, by_cell)

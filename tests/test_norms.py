@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,8 @@ from macrospline import norms, quadrature
 from macrospline.norms import (
     ORDERS,
     NormReport,
-    _difference,
-    _element_indices,
-    _element_points,
     _pairwise_sum,
+    _per_cell,
     _seminorms,
     compute_norm_report,
     edge_l2,
@@ -331,35 +331,43 @@ def test_pairwise_sum_matches_list_reduction():
 
 
 def _difference_per_element(field, poly, alpha, elements, loc):
-    """Reference: D^alpha (field - poly), element by element.
+    """Reference: D^alpha (field - poly), element by element, shape (E, p, p) with entry [e, b, a] at (X[a], Y[b]).
 
-    The cell values come from the derivative basis, the a-th derivatives
-    of the local monomials at ``loc``.  A field with terms takes its
-    values from one ``field.grid`` call on the distinct columns and rows
-    of ``elements``, picked per element; a field without terms is called
-    with one row of coordinates per element, ``field(X[:, :, None], Y[:, None, :])``.
+    The cell values are sum-factorised with the derivative basis of the
+    local monomials at ``loc``: ``D^ay Q @ coef.T`` along y, scaled by
+    (2/wy)^ay (2/wx)^ax, then ``@ (D^ax P).T`` along x.  A field with
+    terms takes its factors from one ``field.factors`` call on the
+    distinct columns and rows of ``elements`` and multiplies each
+    element's own slices; a field without terms is called with one row
+    of coordinates per element, ``field(X[:, None, :], Y[:, :, None])``.
     """
     ix = np.array([e[0] for e in elements], dtype=int)
     jy = np.array([e[1] for e in elements], dtype=int)
     gx, gy = poly.grid_x, poly.grid_y
     wx, wy = gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy]
     c = poly.coef[jy, ix]
-    basis = np.kron(norms._derivative_basis(loc, c.shape[1], alpha[0]), norms._derivative_basis(loc, c.shape[2], alpha[1]))
-    vals = (c.reshape(len(c), -1) @ basis.T).reshape(len(c), len(loc), len(loc))
-    vals *= ((2.0 / wx) ** alpha[0] * (2.0 / wy) ** alpha[1])[:, None, None]
+    p, (kx, ky) = len(loc), c.shape[1:]
+    Q, PT = norms._derivative_basis(loc, ky, alpha[1]), norms._derivative_basis(loc, kx, alpha[0]).T.copy()
+    t = np.matmul(Q, c.transpose(0, 2, 1))
+    if alpha != (0, 0):
+        t *= ((2.0 / wy) ** alpha[1] * (2.0 / wx) ** alpha[0])[:, None, None]
+    vals = (t.reshape(-1, kx) @ PT).reshape(len(c), p, p)
     if field is None:
         return -vals
     if field.terms is None:
         X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
         Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
-        return np.asarray(field(X[:, :, None], Y[:, None, :], alpha[0], alpha[1]), dtype=float) - vals
+        return np.asarray(field(X[:, None, :], Y[:, :, None], alpha[0], alpha[1]), dtype=float) - vals
     columns, rows = sorted(set(ix.tolist())), sorted(set(jy.tolist()))
     ux, uy = np.array(columns), np.array(rows)
     X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
     Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
-    grid = field.grid(X, Y, alpha[0], alpha[1])
-    f = np.array([grid[rows.index(j), columns.index(i)] for i, j in elements])
-    return f - vals
+    Fx, Fy = (F.reshape(len(F), -1, p) for F in field.factors(X.ravel(), Y.ravel(), alpha[0], alpha[1]))
+    f = []
+    for i, j in elements:
+        fx, fy = Fx[:, columns.index(i)], Fy[:, rows.index(j)]
+        f.append(np.multiply.outer(fy[0], fx[0]) if len(fx) == 1 else fy.T @ fx)
+    return np.array(f) - vals
 
 
 def _sorted_elements(poly, region):
@@ -369,7 +377,7 @@ def _sorted_elements(poly, region):
 
 
 def _seminorm_per_alpha(field, poly, alpha, region, rule):
-    """Reference: one element list sorted by (jy, ix) and one field call per multi-index."""
+    """Reference: one element list sorted by (jy, ix), one field call per multi-index, and per cell (wx wy / 4) sum_b w_b sum_a w_a D^2."""
     elements = _sorted_elements(poly, region)
     if not elements:
         return 0.0
@@ -377,8 +385,12 @@ def _seminorm_per_alpha(field, poly, alpha, region, rule):
     ix = np.array([e[0] for e in elements], dtype=int)
     jy = np.array([e[1] for e in elements], dtype=int)
     gx, gy = poly.grid_x, poly.grid_y
-    jac = 0.25 * (gx[ix + 1] - gx[ix]) * (gy[jy + 1] - gy[jy])
-    contributions = jac * ((diff * diff).reshape(len(jac), -1) @ np.outer(rule.weights, rule.weights).ravel())
+    w = rule.weights
+    inner = ((diff * diff).reshape(-1, len(w)) @ w).reshape(len(elements), len(w))
+    cell = inner[:, 0] * w[0]
+    for b in range(1, len(w)):
+        cell += inner[:, b] * w[b]
+    contributions = cell * (0.25 * (gy[jy + 1] - gy[jy]) * (gx[ix + 1] - gx[ix]))
     return float(np.sqrt(max(_pairwise_sum_of_list(contributions.tolist()), 0.0)))
 
 
@@ -462,7 +474,64 @@ def test_open_grid_matches_per_element_field_call(case, order):
     assert linf_sampled(field, poly, region, order) == _linf_per_element(field, poly, region, order)
 
 
-def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates():
+def _one_block_and_row_blocks(monkeypatch, norm):
+    """``norm()`` with the whole open grid in one block, and with one element row per block."""
+    monkeypatch.setattr(norms, "_BLOCK_VALUES", 2**62)
+    whole = norm()
+    monkeypatch.setattr(norms, "_BLOCK_VALUES", 1)
+    return whole, norm()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_open_grid_case(), st.sampled_from([4, 5]), st.booleans())
+def test_blocks_of_element_rows_match_one_block(case, order, measure_interpolant):
+    poly, region, field = case
+    field = None if measure_interpolant else field
+    rule = gauss_rule(order)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        whole, rows = _one_block_and_row_blocks(monkeypatch, lambda: (_seminorms(field, poly, ORDERS, region, rule), linf_sampled(field, poly, region, order)))
+    assert whole == rows
+
+
+def test_blocks_of_element_rows_match_one_block_on_the_composite(monkeypatch):
+    mesh = build_shishkin(1e-8, 32)
+    u = make_layer_decomposition(1e-8, smooth="eps_growth").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    regions = {r: np.column_stack(np.nonzero(mesh.region == r)[::-1]) for r in np.unique(mesh.region)}
+    for rule in (gauss_rule(4), gauss_rule(5)):
+        for region in (None, *regions.values()):
+            whole, rows = _one_block_and_row_blocks(monkeypatch, lambda: (_seminorms(u, star, ORDERS, region, rule), linf_sampled(u, star, region, 4)))
+            assert whole == rows
+    whole, rows = _one_block_and_row_blocks(monkeypatch, lambda: compute_norm_report(u, star, mesh, rule=gauss_rule(4)).to_json())
+    assert whole == rows
+
+
+def test_norm_pass_memory_stays_within_a_few_blocks():
+    # 256 x 256 elements, p = 5: one field or difference matrix is 13 MB,
+    # a block of the pass 0.5 MiB.
+    f = make_smooth_field("sin_sin")
+    poly = interp_full(f, build_macro_mesh(np.linspace(0.0, 1.0, 129), np.linspace(0.0, 1.0, 129)))
+    _seminorms(f, poly, ORDERS)
+    tracemalloc.start()
+    try:
+        _seminorms(f, poly, ORDERS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_linf_sampled_rejects_a_sample_count_that_is_not_a_positive_integer():
+    f = make_smooth_field("sin_sin")
+    p = _unit_mesh_poly()
+    for samples in (0, -3, 2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match=re.escape(f"samples_per_element must be an integer of at least 1, not {samples!r}")):
+            linf_sampled(f, p, None, samples)
+    # one sample per axis: the lower-left corner of each element, (0.5, 0.5) among them
+    assert linf_sampled(f, p, None, np.int64(1)) == linf_sampled(f, p, None, 1) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates(monkeypatch):
     rng = np.random.default_rng(21)
     nx, ny, p = 6, 5, 5
     gx = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, nx)])
@@ -480,21 +549,31 @@ def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates():
     product = separable_field("counted", counted(sin_profile(), "x"), counted(exp_profile(2.0), "y"))
 
     def recorded(x, y, ax, ay):
-        calls.append((x.shape, y.shape, ax, ay))
+        calls.append((x, y, ax, ay))
         return product(x, y, ax, ay)
 
     field = ScalarField("recorded", recorded)
+    # two element rows per block: the field is called once per block, on
+    # the block's rows against every column
+    monkeypatch.setattr(norms, "_BLOCK_VALUES", 2 * p * p * nx)
     _seminorms(field, poly, ORDERS, None, gauss_rule(p))
-    assert calls == [((1, nx, p, 1), (ny, 1, 1, p), *a) for a in ORDERS]
-    assert factor_points == {"x": [nx * p] * len(ORDERS), "y": [ny * p] * len(ORDERS)}
+    assert [(ax, ay) for _, _, ax, ay in calls] == [a for a in ORDERS for _ in range(3)]
+    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (2 * p, 1)), ((1, nx * p), (2 * p, 1)), ((1, nx * p), (p, 1))] * len(ORDERS)
+    for k in range(len(ORDERS)):
+        blocks = calls[3 * k : 3 * k + 3]
+        assert all(np.array_equal(x, blocks[0][0]) for x, _, _, _ in blocks)
+        rows = np.concatenate([y.ravel() for _, y, _, _ in blocks])
+        assert np.unique(blocks[0][0]).size == nx * p and np.unique(rows).size == rows.size == ny * p  # every point once
+    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [2 * p, 2 * p, p] * len(ORDERS)}
+    calls.clear()
     linf_sampled(field, poly, None, 4)
-    assert calls[-1] == ((1, nx, 4, 1), (ny, 1, 1, 4), 0, 0)
+    assert [(x.shape, y.shape, ax, ay) for x, y, ax, ay in calls] == [((1, nx * 4), (12, 1), 0, 0), ((1, nx * 4), (8, 1), 0, 0)]
     assert factor_points["x"][-1] <= nx * 4 and factor_points["y"][-1] <= ny * 4
 
     # a region is evaluated on its distinct columns and rows only
     calls.clear()
     _seminorms(field, poly, ((0, 0),), [(4, 3), (1, 0), (4, 0)], gauss_rule(p))
-    assert calls == [((1, 2, p, 1), (2, 1, 1, p), 0, 0)]
+    assert [(x.shape, y.shape, ax, ay) for x, y, ax, ay in calls] == [((1, 2 * p), (2 * p, 1), 0, 0)]
 
 
 def test_norm_pass_evaluates_each_factor_of_a_separable_field_once_per_order(monkeypatch):
@@ -593,25 +672,49 @@ def test_jump_sums_make_no_pointwise_evaluation(monkeypatch):
     assert [jump_norm_sum(star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")] == expected
 
 
+def _cell_values(poly, loc, alpha, region=None):
+    """The norm pass's values of D^alpha poly on the open grid of ``region``, shape (nuy, p, nux, p), entry [jy, b, ix, a] at (X[ix, a], Y[jy, b])."""
+    blocks = []
+
+    def keep(d, wx, wy):
+        blocks.append(-d)
+        return np.zeros(d.shape[::2])
+
+    next(_per_cell(None, poly, region, loc, (alpha,), keep))
+    return np.concatenate(blocks)
+
+
+def _graded(rng, n):
+    """n random steps on [0, 1], the last element 2^-50 wide at 1."""
+    grid = np.r_[0.0, np.cumsum(rng.uniform(1e-3, 1.0, n - 1))]
+    return np.r_[(1.0 - 2.0**-50) * grid[:-1] / grid[-1], 1.0 - 2.0**-50, 1.0]
+
+
+# Largest |pass - reference| / bound over the cases below, measured with
+# numpy 2.4 and OpenBLAS 0.3.31 on x86-64: 0.20 for the pass and 0.27 for the
+# einsum, on either mesh.
 @pytest.mark.parametrize("order", [4, 5, 10])
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 4), (4, 2)])
 def test_element_kernel_matches_einsum(shape, order):
-    # For every derivative order, the GEMM with the derivative basis in
-    # _difference and an einsum over the same factors both lie within a
-    # summation bound of an extended-precision reference that
-    # differentiates the coefficients.
+    # For every derivative order, the sum-factorised cell values of the
+    # norm pass and an einsum over the same factors both lie within
+    # (k + 2) eps sum |c P Q| (2/w)^a, k = kx * ky coefficients, of an
+    # extended-precision reference that differentiates the coefficients,
+    # on a mesh of widths 0.5..2 and on a graded one whose last element
+    # is 2^-50 wide.
     rng = np.random.default_rng(sum(shape) * 100 + order)
-    grid_x = np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 6)])
-    grid_y = np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 5)])
+    widths = (np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 6)]), np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, 5)]))
     coef = rng.normal(size=(5, 6, *shape)) * 10.0 ** rng.integers(-6, 6, size=(5, 6, *shape))
-    poly = PiecewisePoly2D(grid_x, grid_y, coef)
+    meshes = (widths, (_graded(rng, 6), _graded(rng, 5)))
     loc = gauss_rule(order).nodes
-    ix, jy = _element_indices(poly, None)
-    points = _element_points(poly, ix, jy, loc)
+    jy, ix = (a.ravel() for a in np.meshgrid(np.arange(5), np.arange(6), indexing="ij"))
     c = coef[jy, ix]
     ld = np.longdouble
-    for ax, ay in ORDERS:
-        gemm = -_difference(None, points, loc, (ax, ay))
+    for (grid_x, grid_y), (ax, ay) in itertools.product(meshes, ORDERS):
+        poly = PiecewisePoly2D(grid_x, grid_y, coef)
+        kernel = _cell_values(poly, loc, (ax, ay))
+        assert kernel.shape == (5, order, 6, order)
+        kernel = kernel.transpose(0, 2, 3, 1).reshape(len(ix), order, order)  # [e, a, b]
         P, Q = norms._derivative_basis(loc, shape[0], ax), norms._derivative_basis(loc, shape[1], ay)
         scale = ((2.0 / (grid_x[ix + 1] - grid_x[ix])) ** ax * (2.0 / (grid_y[jy + 1] - grid_y[jy])) ** ay)[:, None, None]
         einsum = np.einsum("ekl,pk,ql->epq", c, P, Q) * scale
@@ -622,8 +725,7 @@ def test_element_kernel_matches_einsum(shape, order):
         reference = np.einsum("ekl,pk,ql->epq", d, Pld, Qld) * scale_ld
         magnitude = np.einsum("ekl,pk,ql->epq", np.abs(c), np.abs(P), np.abs(Q)) * scale
         bound = (c[0].size + 2) * np.finfo(float).eps * magnitude
-        assert gemm.shape == einsum.shape == (len(ix), order, order)
-        assert np.all(np.abs(gemm - reference) <= bound)
+        assert np.all(np.abs(kernel - reference) <= bound)
         assert np.all(np.abs(einsum - reference) <= bound)
 
 
