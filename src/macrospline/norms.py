@@ -17,10 +17,9 @@ GEMM or an outer product) or from one call on the block's points;
 each cell's weighted squares or largest value is then reduced in place.
 Broken second-order seminorms never integrate across element
 interfaces, where the interpolant's second derivatives jump.  Edge
-norms evaluate the interpolant at the Gauss points of all edges at
-once.  A jump sum takes no field, as a smooth field's normal derivative
-cancels from a jump, and locates no point: it reads each edge's two
-cells off the grid and applies the same basis to their coefficients.
+norms and jump sums locate no point: they read each edge's cells off
+the grid and apply the same basis to their coefficients.  A jump sum
+takes no field, as a smooth field's normal derivative cancels from it.
 """
 
 from __future__ import annotations
@@ -193,8 +192,47 @@ def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | No
     return _seminorms(field, interp, (alpha,), region, rule)[0]
 
 
+def _edge_traces(interp, e, horizontal, nodes, alpha, interior):
+    """``[lo, hi]``: D^alpha of ``interp`` at ``nodes`` on the edges ``e`` of one orientation.
+
+    ``lo`` reads the cell below or left of each edge and ``hi`` the one
+    above or right of it; on a boundary line both read the one cell there.
+    An edge runs from a0 to a1 on the line b0 = b1, and a vertical one is a
+    horizontal one of the transposed grid, so ``alpha`` is (along, across).
+    Each edge's cells are found by ``searchsorted`` on the grid, and a
+    cell's trace is ``(coef[cell] @ D^across Q(±1)) @ D^along P(nodes).T``
+    scaled by (2/w)^alpha.  ``ValueError`` names the first edge that is not
+    an element edge of the grid, or with ``interior`` one on the boundary.
+    """
+    along, across = (interp.grid_x, interp.grid_y) if horizontal else (interp.grid_y, interp.grid_x)
+    a0, a1, b0, b1 = (e.x0, e.x1, e.y0, e.y1) if horizontal else (e.y0, e.y1, e.x0, e.x1)
+    coef = interp.coef if horizontal else interp.coef.transpose(1, 0, 3, 2)
+    i = np.searchsorted(along, a0).clip(max=len(along) - 2)
+    j = np.searchsorted(across, b0).clip(max=len(across) - 1)
+    bad = np.flatnonzero((along[i] != a0) | (along[i + 1] != a1) | (across[j] != b0) | (b1 != b0) | (interior & ((j == 0) | (j == len(across) - 1))))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"edge ({e.x0[k]}, {e.y0[k]})-({e.x1[k]}, {e.y1[k]}) is not {'an interior' if interior else 'an'} element edge of the grid")
+    tangent = _derivative_basis(nodes, coef.shape[2], alpha[0])
+    normal = _derivative_basis(np.array([-1.0, 1.0]), coef.shape[3], alpha[1])  # row j - cell: the line is at +1 in the cell below it
+    traces = []
+    for cell in (np.maximum(j - 1, 0), np.minimum(j, len(across) - 2)):
+        scale = (2.0 / (across[cell + 1] - across[cell])) ** alpha[1] * (2.0 / (a1 - a0)) ** alpha[0]
+        traces.append(scale[:, None] * (np.einsum("ekl,el->ek", coef[cell, i], normal[j - cell]) @ tangent.T))
+    return traces
+
+
 def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> np.ndarray:
-    """Per-edge L2 norms of the difference trace, one-sided: ``side`` picks the element across each edge."""
+    """Per-edge L2 norms of the difference trace, one-sided: ``side`` picks the element across each edge.
+
+    "-" reads the element below or left of an edge and "+" the one above or
+    right of it; a boundary edge reads its one element either way.  The
+    interpolant's trace comes from its cell coefficients, the field's from
+    the Gauss points of each edge.  ``ValueError`` names the first edge that
+    is not an element edge of ``interp``'s grid.
+    """
+    if side not in ("-", "+"):
+        raise ValueError(f"side entries must be '-' or '+', not {side!r}")
     if rule is None:
         rule = gauss_rule()
     half = 0.5 * (np.abs(edges.x1 - edges.x0) + np.abs(edges.y1 - edges.y0))
@@ -203,9 +241,9 @@ def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, a
     Y = np.where(edges.horizontal[:, None], edges.y0[:, None], (0.5 * (edges.y0 + edges.y1))[:, None] + offset)
     trace = np.zeros(X.shape)
     if interp is not None:
-        for horizontal, sides in ((True, ("-", side)), (False, (side, "-"))):
+        for horizontal in (True, False):
             rows = edges.horizontal == horizontal
-            trace[rows] = interp.evaluate(X[rows], Y[rows], alpha[0], alpha[1], side=sides)
+            trace[rows] = _edge_traces(interp, edges[rows], horizontal, rule.nodes, alpha if horizontal else alpha[::-1], False)[side == "+"]
     vals = -trace if field is None else np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float) - trace
     return np.sqrt(half * ((vals * vals) @ rule.weights))
 
@@ -215,40 +253,21 @@ def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) ->
 
     The jump is the trace from the lower-index element minus the trace
     from the higher one, matching normals that point in the increasing
-    coordinate direction.  Each edge's two cells are found by
-    ``searchsorted`` of its ends on the grid, and their traces at the
-    Gauss nodes come from the coefficients, ``(coef[cells] @ D^1 Q(±1))
-    @ D^0 P(nodes).T`` scaled by 2/w; ``ValueError`` names any edge that
-    is not an interior element edge of the grid.  The edges are summed
-    in endpoint order (x0, y0, x1, y1), so the result does not depend on
-    their row order; an empty set gives 0.0.
+    coordinate direction; both come from ``_edge_traces``, which names any
+    edge that is not an interior element edge of the grid.  The edges are
+    summed in endpoint order (x0, y0, x1, y1), so the result does not
+    depend on their row order; an empty set gives 0.0.
     """
     if rule is None:
         rule = gauss_rule()
     ordered = edges[np.lexsort((edges.y1, edges.x1, edges.y0, edges.x0))]
-    if np.any(ordered.edge_type == "boundary"):
-        raise ValueError("jump norms are defined on interior edges only")
     contributions = np.zeros(len(ordered))
     for horizontal in (True, False):
         rows = ordered.horizontal == horizontal
         e = ordered[rows]
-        # an edge runs from a0 to a1 on the line b0 = b1; a vertical one is a horizontal one of the transposed grid
-        along, across = (interp.grid_x, interp.grid_y) if horizontal else (interp.grid_y, interp.grid_x)
-        a0, a1, b0, b1 = (e.x0, e.x1, e.y0, e.y1) if horizontal else (e.y0, e.y1, e.x0, e.x1)
-        coef = interp.coef if horizontal else interp.coef.transpose(1, 0, 3, 2)
-        i = np.searchsorted(along, a0).clip(max=len(along) - 2)
-        j = np.searchsorted(across, b0).clip(1, len(across) - 1)
-        bad = np.flatnonzero((along[i] != a0) | (along[i + 1] != a1) | (across[j] != b0) | (b1 != b0) | (j == len(across) - 1))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"edge ({e.x0[k]}, {e.y0[k]})-({e.x1[k]}, {e.y1[k]}) is not an interior element edge of the grid")
-        tangent = _derivative_basis(rule.nodes, coef.shape[2], 0)
-        lo, hi = (
-            (2.0 / w)[:, None] * ((cells @ _derivative_basis(np.array([s]), coef.shape[3], 1)[0]) @ tangent.T)
-            for cells, s, w in ((coef[j - 1, i], 1.0, across[j] - across[j - 1]), (coef[j, i], -1.0, across[j + 1] - across[j]))
-        )
+        lo, hi = _edge_traces(interp, e, horizontal, rule.nodes, (0, 1), True)
         jump = lo - hi
-        contributions[rows] = 0.5 * (a1 - a0) * ((jump * jump) @ rule.weights)
+        contributions[rows] = 0.5 * (e.x1 - e.x0 if horizontal else e.y1 - e.y0) * ((jump * jump) @ rule.weights)
     return _pairwise_sum(contributions)
 
 
@@ -300,6 +319,8 @@ class NormReport:
 
 def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | None = None, samples_per_element: int = 4) -> NormReport:
     """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain."""
+    if not isinstance(samples_per_element, numbers.Integral) or samples_per_element < 1:
+        raise ValueError(f"samples_per_element must be an integer of at least 1, not {samples_per_element!r}")
     regional = {}
     for region in np.unique(mesh.region):
         jy, ix = np.nonzero(mesh.region == region)

@@ -35,9 +35,6 @@ __all__ = [
     "edge_theta",
 ]
 
-C1_TOL = 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Reference basis on [-1, 1] with knot at 0.
 #
@@ -268,7 +265,7 @@ def _spline_from_ref_pieces(ref_left, ref_right, a, b):
     return MacroSpline1D(interval=(a, b), knot=knot, pieces=(out[0], out[1]))
 
 
-def hermite_interpolate_1d(data: HermiteData1D, interval=(-1.0, 1.0), knot=None, assembly: str = "newton") -> MacroSpline1D:
+def hermite_interpolate_1d(data: HermiteData1D, interval=(-1.0, 1.0), assembly: str = "newton") -> MacroSpline1D:
     """Interpolate two-point Hermite data by the C1 quadratic macro-spline.
 
     Both the Newton assembly and the Lagrange-basis assembly are available;
@@ -278,9 +275,6 @@ def hermite_interpolate_1d(data: HermiteData1D, interval=(-1.0, 1.0), knot=None,
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("degenerate interval")
-    mid = 0.5 * (a + b)
-    if knot is not None and abs(knot - mid) > C1_TOL * max(1.0, abs(b - a)):
-        raise ValueError("only the midpoint knot is supported")
     if assembly not in ("newton", "lagrange"):
         raise ValueError("assembly must be 'newton' or 'lagrange'")
     w = 0.5 * (b - a)
