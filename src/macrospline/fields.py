@@ -1,6 +1,6 @@
 """Analytic scalar test fields with exact partial derivatives.
 
-Every field evaluates D^(ax,ay) u(x, y) for orders up to 3 in each
+Every field evaluates D^(ax,ay) u(x, y) for orders up to 4 in each
 variable, vectorized over numpy arrays.  This includes manufactured
 boundary/corner-layer decompositions whose components copy the decay
 structure of the reaction-diffusion solution split, so interpolation
@@ -53,8 +53,8 @@ def _check_orders(ax, ay):
 class ScalarField:
     """Scalar function on the plane with exact derivatives.
 
-    Orders up to (3,3) are guaranteed by every field; most also supply
-    fourth derivatives, which the error-bound oracles consume.
+    Every order up to (4, 4) is supported; any other raises
+    ``ValueError``, from ``__call__`` and ``factors`` alike.
     """
 
     name: str
@@ -82,10 +82,10 @@ class ScalarField:
         one term ``np.multiply.outer(Fy[0], Fx[0])``, which equals a
         pointwise call bit for bit when c is 1.
         """
+        _check_orders(ax, ay)
         terms = self.terms
         if terms is None:
             return None
-        _check_orders(ax, ay)
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         fx_values, fy_values = {}, {}
         Fx, Fy = np.empty((len(terms), x.size)), np.empty((len(terms), y.size))

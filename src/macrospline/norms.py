@@ -14,7 +14,9 @@ evaluated by sum factorisation with the derivative basis of
 ``interpolation`` (along y, then along x), and the field values come in
 the same layout from its rank-one factors (``ScalarField.factors``, a
 GEMM or an outer product) or from one call on the block's points;
-each cell's weighted squares or largest value is then reduced in place.
+each cell is then reduced in place to its weighted sum of squares or
+of signed values (``_weighted_sum``, also the reducer of
+``oracles.bound_consistency``) or to its largest value.
 Broken second-order seminorms never integrate across element
 interfaces, where the interpolant's second derivatives jump.  Edge
 norms and jump sums locate no point: they read each edge's cells off
@@ -157,21 +159,13 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
         yield values.ravel() if cells is None else values[cells]
 
 
-def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None = None) -> list:
-    """``seminorm`` for each multi-index in ``alphas``, in one pass.
+def _weighted_sum(w, square=False):
+    """A ``_per_cell`` reducer: each cell's (wx wy / 4) sum_b w_b sum_a w_a D[b, a] (D[b, a]^2, squared in place, with ``square``), both sums in index order."""
 
-    Each cell contributes (wx wy / 4) sum_b w_b sum_a w_a D[b, a]^2,
-    both sums taken in index order, and the contributions are added
-    pairwise in (jy, ix) order; a ``seminorm`` call of its own makes the
-    same sums, so the values are the same bit for bit.
-    """
-    if rule is None:
-        rule = gauss_rule()
-    w = rule.weights
-
-    def weighted_squares(d, wx, wy):
+    def reduce(d, wx, wy):
         n, p, nux = d.shape[:3]
-        np.multiply(d, d, out=d)
+        if square:
+            np.multiply(d, d, out=d)
         inner = np.matmul(d.reshape(n, p * nux, p), w).reshape(n, p, nux)
         cell = inner[:, 0] * w[0]
         for b in range(1, p):
@@ -179,7 +173,20 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
         cell *= 0.25 * wy[:, None] * wx[None, :]
         return cell
 
-    return [float(np.sqrt(max(_pairwise_sum(c), 0.0))) for c in _per_cell(field, interp, region, rule.nodes, alphas, weighted_squares)]
+    return reduce
+
+
+def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None = None) -> list:
+    """``seminorm`` for each multi-index in ``alphas``, in one pass.
+
+    Each cell contributes its ``_weighted_sum`` of squares, and the
+    contributions are added pairwise in (jy, ix) order; a ``seminorm``
+    call of its own makes the same sums, so the values are the same bit
+    for bit.
+    """
+    if rule is None:
+        rule = gauss_rule()
+    return [float(np.sqrt(max(_pairwise_sum(c), 0.0))) for c in _per_cell(field, interp, region, rule.nodes, alphas, _weighted_sum(rule.weights, square=True))]
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:

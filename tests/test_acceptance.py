@@ -213,7 +213,7 @@ def test_criterion_7_uniform_orders():
 
 def test_criterion_8_bound_consistency():
     specs = bound_spec_catalog()
-    meshes = [build_macro_mesh(np.linspace(0, 1, n + 1), np.linspace(0, 1, n + 1)) for n in (2, 4, 8, 16)]
+    meshes = [build_macro_mesh(np.linspace(0, 1, n + 1), np.linspace(0, 1, n + 1)) for n in (2, 4, 8, 16, 32, 64)]
     sin2 = make_smooth_field("sin_sin")
     p2 = make_polynomial_field([[0.0, 0.5, 1.0], [0.25, 1.0, 0.0], [1.0, 0.0, 0.0]])  # generic P2
     p1 = make_polynomial_field([[0.5, 1.0], [0.25, 0.0]])

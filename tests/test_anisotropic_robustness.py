@@ -14,13 +14,8 @@ from macrospline.oracles import bound_consistency, bound_spec_catalog
 
 
 def _aniso_macro_sequence(aspect, levels=(2, 4, 8, 16)):
-    """Two-element-macro bound lists with x-width = aspect * y-height."""
-    out = []
-    for n in levels:
-        xs = np.linspace(0.0, 1.0, n + 1)
-        ys = np.linspace(0.0, 1.0 / aspect, n + 1)
-        out.append([(xs[i], xs[i + 1], ys[j], ys[j + 1]) for j in range(n) for i in range(n)])
-    return out
+    """Macro meshes of n x n macros with x-width = aspect * y-height."""
+    return [build_macro_mesh(np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0 / aspect, n + 1)) for n in levels]
 
 
 @pytest.mark.parametrize("spec_name", ["aniso_g00", "aniso_g01", "aniso_xx", "aniso_l2_suboptimal"])

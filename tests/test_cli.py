@@ -11,6 +11,7 @@ from macrospline.cli import build_parser, main
 from macrospline.fields import ScalarField, get_field
 from macrospline.experiments import (
     ELEMENTS_PER_CELL,
+    ELEMENTS_PER_MACRO,
     MAX_ELEMENTS,
     ConvergenceConfig,
     ShishkinConfig,
@@ -190,8 +191,11 @@ def test_shishkin_config_counts_shishkin_elements():
 
 @pytest.mark.parametrize("operator", sorted(ELEMENTS_PER_CELL))
 def test_elements_per_cell_matches_operator(operator):
-    poly, _ = _apply_mesh_operator(operator, get_field("sin_sin"), 3, "left")
-    assert poly.coef.shape[0] * poly.coef.shape[1] == ELEMENTS_PER_CELL[operator] * 3**2
+    # 3 x 2 macros, so a swapped (ex, ey) shows
+    poly = _apply_mesh_operator(operator, get_field("sin_sin"), np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3), "left")
+    ex, ey = ELEMENTS_PER_MACRO[operator]
+    assert poly.coef.shape[:2] == (2 * ey, 3 * ex)
+    assert ELEMENTS_PER_CELL[operator] == ex * ey
 
 
 def test_cli_rejects_runs_over_the_element_budget(capsys):

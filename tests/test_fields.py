@@ -338,3 +338,23 @@ def test_terms_ride_on_eval():
             assert np.array_equal((sin_sin + exp_xy)(x, y, ax, ay), sin_sin(x, y, ax, ay) + exp_xy(x, y, ax, ay))
             assert np.array_equal(sin_sin.scaled(0.3)(x, y, ax, ay), 0.3 * sin_sin(x, y, ax, ay))
             assert np.array_equal(sin_sin(x, y, ax, ay), sin_profile()(x, ax) * sin_profile()(y, ay))
+
+
+_ALL_FIELDS = {
+    **{name: make for name, make in field_registry().items()},
+    **{f"layer_{smooth}": lambda smooth=smooth: make_layer_decomposition(1e-6, smooth=smooth).total for smooth in ("default", "bounded_third", "eps_growth")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_FIELDS))
+def test_orders_up_to_four_are_finite_and_others_are_rejected(name):
+    f = _ALL_FIELDS[name]()
+    x, y = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
+    assert np.all(np.isfinite(f(x[:, None], y[None, :], 4, 4)))
+    factors = f.factors(x, y, 4, 4)
+    assert factors is None or all(np.all(np.isfinite(F)) for F in factors)
+    for order in ((5, 0), (-1, 0), (0, 5), (0, -1)):
+        with pytest.raises(ValueError, match="0..4"):
+            f(x, y, *order)
+        with pytest.raises(ValueError, match="0..4"):
+            f.factors(x, y, *order)

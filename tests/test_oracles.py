@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from macrospline.fields import make_polynomial_field, make_smooth_field
-from macrospline.interpolation import interp_full_macro
+from macrospline.interpolation import interp_aniso, interp_bfs, interp_full_macro, interp_reduced_macro
 from macrospline.mesh import build_macro_mesh
+from macrospline.norms import seminorm
 from macrospline.oracles import (
     HERMITE_NODE_SEQS,
+    BoundSpec,
     KnotSequence,
     aniso_functional_checks,
     bound_consistency,
@@ -21,6 +25,7 @@ from macrospline.oracles import (
     peano_checks,
     reduced_functional_checks,
 )
+from macrospline.quadrature import gauss_rule, integrate2d
 from macrospline.spline_core import divided_difference
 
 
@@ -165,3 +170,79 @@ def test_bound_consistency_bounded_ratios_smoke():
         res = bound_consistency(specs[name], f, meshes)
         assert res["max_over_min"] < 4.0
         assert res["zero_rhs_ok"]
+
+
+def test_bound_consistency_rejects_other_meshes_and_operators():
+    spec = bound_spec_catalog()["full_g00"]
+    f = make_smooth_field("sin_sin")
+    with pytest.raises(ValueError, match="not list"):
+        bound_consistency(spec, f, [[(0.0, 1.0, 0.0, 1.0)]])
+    mesh = build_macro_mesh([0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="'cubic'"):
+        bound_consistency(BoundSpec("bad", "cubic", (0, 0), spec.terms), f, [mesh])
+
+
+_RULE10 = gauss_rule(10)
+_MACRO_OPERATORS = {
+    "full": interp_full_macro,
+    "reduced": interp_reduced_macro,
+    "bfs": interp_bfs,
+    "aniso_y": lambda field, bounds: interp_aniso(field, bounds, "y_spline"),
+}
+
+
+def _macro_rhs(spec, field, bounds):
+    x0, x1, y0, y1 = bounds
+    h1, h2 = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    total = 0.0
+    for term in spec.terms:
+        w = h1 ** term.weight[0] * h2 ** term.weight[1]
+        if term.kind == "seminorm":
+            val = math.sqrt(integrate2d(lambda X, Y: field(X, Y, *term.total) ** 2, x0, x1, y0, y1, _RULE10))
+        else:
+            val = abs(integrate2d(lambda X, Y: field(X, Y, *term.total), x0, x1, y0, y1, _RULE10))
+        total += w * val
+    return total
+
+
+def _per_macro_bound_consistency(spec, field, meshes):
+    """The per-macro loop over the paper-level definitions: a scalar operator, ``seminorm`` and one ``integrate2d`` per term."""
+    sup_ratios, zero_rhs_lhs = [], []
+    for mesh in meshes:
+        nmx, nmy = mesh.n_macros
+        pairs = []
+        for bounds in (mesh.macro_bounds(i, j) for j in range(nmy) for i in range(nmx)):
+            poly = _MACRO_OPERATORS[spec.operator](field, bounds)
+            pairs.append((seminorm(field, poly, spec.gamma, rule=_RULE10), _macro_rhs(spec, field, bounds)))
+        floor = 1e-12 * max(max(r for _, r in pairs), 1.0)
+        ratios = [lhs / rhs for lhs, rhs in pairs if rhs > floor]
+        zero_rhs_lhs.extend(lhs for lhs, rhs in pairs if rhs <= floor)
+        if ratios:
+            sup_ratios.append(max(ratios))
+    return {"sup_ratios": sup_ratios, "zero_rhs_ok": all(lhs <= 1e-10 for lhs in zero_rhs_lhs)}
+
+
+def _square_and_graded_meshes(aspect):
+    meshes = [build_macro_mesh(np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0 / aspect, n + 1)) for n in (2, 4, 8, 16)]
+    # macro rows and columns differ in number and in width, so a macro that takes another's elements shows
+    meshes.append(build_macro_mesh(np.linspace(0.0, 1.0, 4) ** 1.5, np.linspace(0.0, 1.0, 6) ** 2 / aspect))
+    return meshes
+
+
+@pytest.mark.parametrize("name", sorted(bound_spec_catalog()))
+def test_bound_consistency_matches_the_per_macro_loop(name):
+    spec = bound_spec_catalog()[name]
+    cases = [(make_smooth_field(f), _square_and_graded_meshes(aspect)) for f in ("sin_sin", "exp_xy") for aspect in (1.0, 100.0)]
+    # the zero-RHS fields of criterion 8, each on the two coarsest square meshes
+    p1 = make_polynomial_field([[0.5, 1.0], [0.25, 0.0]])
+    p2 = make_polynomial_field([[0.0, 0.5, 1.0], [0.25, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    p3 = make_polynomial_field([[0.0, 0.5, 1.0, 0.5], [0.25, 1.0, 0.5, 0.0], [1.0, 0.5, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
+    x2 = make_polynomial_field([[0.0], [0.0], [1.0]])
+    for f in (p1, p2, p3, x2):
+        cases.append((f, _square_and_graded_meshes(1.0)[:2]))
+    for field, meshes in cases:
+        got = bound_consistency(spec, field, meshes)
+        want = _per_macro_bound_consistency(spec, field, meshes)
+        assert got["zero_rhs_ok"] == want["zero_rhs_ok"]
+        assert len(got["sup_ratios"]) == len(want["sup_ratios"])
+        np.testing.assert_allclose(got["sup_ratios"], want["sup_ratios"], rtol=1e-14, atol=0.0)
