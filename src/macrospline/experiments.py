@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import oracles
 from .fields import get_field, make_layer_decomposition, make_polynomial_field, make_smooth_field
 from .interpolation import (
     build_composite,
@@ -33,7 +32,6 @@ from .interpolation import (
 )
 from .mesh import _shishkin_steps, build_macro_mesh, build_shishkin, classify_edges, select_sigma
 from .norms import ORDERS, _seminorms, gauss_rule, jump_norm_sum
-from .oracles import CheckResult
 
 __all__ = [
     "ConvergenceConfig",
@@ -111,6 +109,9 @@ class ShishkinConfig:
         for name, values in (("N", self.N_list), ("eps", self.eps_list)):
             if len(set(values)) != len(values):
                 raise ValueError(f"Shishkin {name} values must not repeat")
+        for name in ("smooth_amplitude", "edge_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         _check_budget(self)
         for eps in self.eps_list:
             for N in self.N_list:
@@ -308,6 +309,9 @@ def _reproduction_error(p, f, macro) -> float:
 
 def verification_suite(rng_seed: int = 2026) -> list:
     """All identity/reproduction/continuity checks as CheckResult items."""
+    from . import oracles  # only this battery needs the oracles; they import this module
+    from .oracles import CheckResult
+
     rng = np.random.default_rng(rng_seed)
     out = list(oracles.check_duality_and_functionals())
 

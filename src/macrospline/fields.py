@@ -7,26 +7,26 @@ structure of the reaction-diffusion solution split, so interpolation
 experiments run on functions with closed-form derivatives instead of PDE
 solves.
 
-A separable field also carries its rank-one terms ``((c, fx, fy), ...)``,
+A separable field is its rank-one terms ``((c, fx, fy), ...)``,
 u = sum c * fx(x) * fy(y), with ``f(t, order)`` a 1-D derivative
-evaluator.  ``separable_field`` makes one term, ``make_polynomial_field``
-one per nonzero coefficient, ``scaled`` scales each c, and ``+`` joins
-the terms of two fields that both have them.  The terms ride on the
-field's ``_eval`` callable, as its ``terms`` attribute, so a field rebuilt
-as ``ScalarField(name, f._eval)`` keeps them.  ``ScalarField.factors``
-evaluates each distinct factor once on the rows and the columns of an
-open grid, so the values on any block of its rows are one GEMM,
-``Fy[:, rows].T @ Fx`` (sum factorisation), or the outer product of
-two factors for one term; it returns None for a field without terms
-(``exp_xy``, a mesh function, any plain callable), which the norm pass
-calls on the points instead.
-Pointwise calls always go through ``_eval`` and never use the terms.
+evaluator: its ``_eval`` is a ``_Terms`` object, which called returns
+that sum in term order.  ``separable_field`` makes one term, ``scaled``
+scales each c, and ``+`` joins the terms of two fields that both have
+them.  ``ScalarField.terms`` reads ``_eval.terms``, so a field rebuilt as
+``ScalarField(name, f._eval)`` keeps them.  Polynomial fields are the one
+exception: their callable carries monomial terms, but pointwise values
+come from ``polyval2d``.  The pointwise call and ``ScalarField.factors``
+share one loop that evaluates each distinct factor once per axis;
+``factors`` stacks the values on the rows and the columns of an open
+grid, so the values on any block of its rows are one GEMM (sum
+factorisation).  A field without terms (``exp_xy``, a mesh function, any
+plain callable) has none, and a sum or scale with one adds or scales calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,37 +87,54 @@ class ScalarField:
         if terms is None:
             return None
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        fx_values, fy_values = {}, {}
         Fx, Fy = np.empty((len(terms), x.size)), np.empty((len(terms), y.size))
-        for k, (c, fx, fy) in enumerate(terms):
-            if fx not in fx_values:
-                fx_values[fx] = np.broadcast_to(fx(x, ax), x.shape)
-            if fy not in fy_values:
-                fy_values[fy] = np.broadcast_to(fy(y, ay), y.shape)
-            np.multiply(c, fx_values[fx], out=Fx[k])
-            Fy[k] = fy_values[fy]
+        for k, (c, vx, vy) in enumerate(_term_values(terms, x, y, ax, ay)):
+            np.multiply(c, vx, out=Fx[k])
+            Fy[k] = vy
         return Fx, Fy
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
+        if self.terms is not None and other.terms is not None:
+            return ScalarField(f"{self.name}+{other.name}", _Terms(self.terms + other.terms))
+
         def ev(x, y, ax, ay):
             return self._eval(x, y, ax, ay) + other._eval(x, y, ax, ay)
 
-        both = self.terms is not None and other.terms is not None
-        return _field(f"{self.name}+{other.name}", ev, self.terms + other.terms if both else None)
+        return ScalarField(f"{self.name}+{other.name}", ev)
 
     def scaled(self, c: float) -> "ScalarField":
+        if self.terms is not None:
+            return ScalarField(f"{c}*{self.name}", _Terms((c * k, fx, fy) for k, fx, fy in self.terms))
+
         def ev(x, y, ax, ay):
             return c * self._eval(x, y, ax, ay)
 
-        terms = None if self.terms is None else tuple((c * k, fx, fy) for k, fx, fy in self.terms)
-        return _field(f"{c}*{self.name}", ev, terms)
+        return ScalarField(f"{c}*{self.name}", ev)
 
 
-def _field(name: str, ev: Callable, terms=None) -> ScalarField:
-    """``ScalarField(name, ev)``, with ``terms`` (unless None) stored on ``ev``, a callable made for this field only."""
-    if terms is not None:
-        ev.terms = tuple(terms)
-    return ScalarField(name, ev)
+def _term_values(terms, x, y, ax, ay):
+    """``(c, D^ax fx(x), D^ay fy(y))`` per term, in order, each distinct factor evaluated once per axis."""
+    fx_values, fy_values = {}, {}
+    for c, fx, fy in terms:
+        if fx not in fx_values:
+            fx_values[fx] = np.broadcast_to(fx(x, ax), np.shape(x))
+        if fy not in fy_values:
+            fy_values[fy] = np.broadcast_to(fy(y, ay), np.shape(y))
+        yield c, fx_values[fx], fy_values[fy]
+
+
+class _Terms:
+    """The ``_eval`` of a field with rank-one terms: called, the left fold of c * (fx(x) * fy(y)) over ``terms``."""
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+
+    def __call__(self, x, y, ax, ay):
+        total = np.zeros(np.broadcast(x, y).shape) if not self.terms else None
+        for c, vx, vy in _term_values(self.terms, x, y, ax, ay):
+            term = c * (vx * vy)
+            total = term if total is None else total + term
+        return total
 
 
 def _monomial(k: int):
@@ -146,16 +163,13 @@ def make_polynomial_field(coefficients) -> ScalarField:
         return np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x, y), c)
 
     monomials = [_monomial(k) for k in range(max(coef.shape))]
-    return _field("poly", ev, ((float(c), monomials[i], monomials[j]) for (i, j), c in np.ndenumerate(coef) if c != 0.0))
+    ev.terms = tuple((float(c), monomials[i], monomials[j]) for (i, j), c in np.ndenumerate(coef) if c != 0.0)
+    return ScalarField("poly", ev)
 
 
 def separable_field(name: str, fx: Callable, fy: Callable) -> ScalarField:
     """Product field u(x,y) = fx(x) * fy(y) from 1D derivative evaluators."""
-
-    def ev(x, y, ax, ay):
-        return fx(x, ax) * fy(y, ay)
-
-    return _field(name, ev, ((1.0, fx, fy),))
+    return ScalarField(name, _Terms(((1.0, fx, fy),)))
 
 
 def sin_profile(freq: float = math.pi, shift: float = 0.0):
@@ -224,17 +238,12 @@ def make_smooth_field(name: str) -> ScalarField:
 
 def _poly1d(coef):
     c = np.asarray(coef, dtype=float)
+    derivatives = [np.polynomial.polynomial.polyder(c, order) for order in range(MAX_ORDER + 1)]
 
     def f(t, order):
-        d = np.polynomial.polynomial.polyder(c, order)
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), d) * np.ones(np.shape(t) or ())
+        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), derivatives[order]) * np.ones(np.shape(t) or ())
 
     return f
-
-
-def _one(t, order):
-    t = np.asarray(t, dtype=float)
-    return np.ones_like(t) if order == 0 else np.zeros_like(t)
 
 
 def _reflect(profile):
@@ -264,24 +273,15 @@ class LayerDecomposition:
 
     @property
     def total(self) -> ScalarField:
-        parts = (self.smooth,) + self.edge_layers + self.corner_layers
+        parts = list(self.components().values())
         total = parts[0]
         for p in parts[1:]:
             total = total + p
         return ScalarField("layer_total", total._eval)
 
     def components(self):
-        return {
-            "S": self.smooth,
-            "E1": self.edge_layers[0],
-            "E2": self.edge_layers[1],
-            "E3": self.edge_layers[2],
-            "E4": self.edge_layers[3],
-            "E12": self.corner_layers[0],
-            "E23": self.corner_layers[1],
-            "E34": self.corner_layers[2],
-            "E41": self.corner_layers[3],
-        }
+        names = ("S", "E1", "E2", "E3", "E4", "E12", "E23", "E34", "E41")
+        return dict(zip(names, (self.smooth,) + self.edge_layers + self.corner_layers))
 
 
 def make_layer_decomposition(
@@ -345,8 +345,8 @@ def make_layer_decomposition(
 def field_registry() -> dict:
     return {
         **_SMOOTH,
-        "sin_plus_sin": lambda: separable_field("sx", sin_profile(), _one)
-        + separable_field("sy", _one, sin_profile()),
+        "sin_plus_sin": lambda: separable_field("sx", sin_profile(), _monomial(0))
+        + separable_field("sy", _monomial(0), sin_profile()),
         "xy": lambda: make_polynomial_field([[0.0, 0.0], [0.0, 1.0]]),
         "x3y3": lambda: make_polynomial_field([[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1.0]]),
         "q2_random": lambda: make_polynomial_field(np.random.default_rng(0).normal(size=(3, 3))),

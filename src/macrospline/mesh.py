@@ -148,10 +148,10 @@ def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tu
         raise ValueError("N must be a positive multiple of 8")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if lambda0 < 3.0:
-        raise ValueError("lambda0 must be at least 3")
-    if c_star <= 0:
-        raise ValueError("c_star must be positive")
+    if not (math.isfinite(lambda0) and lambda0 >= 3.0):
+        raise ValueError(f"lambda0 must be finite and at least 3, not {lambda0}")
+    if not (math.isfinite(c_star) and c_star > 0):
+        raise ValueError(f"c_star must be finite and positive, not {c_star}")
     lam = min(0.25, lambda0 * math.sqrt(epsilon) * math.log(N) / c_star)
     h = math.ldexp(math.floor(math.ldexp(4.0 * lam / N, 52)), -52)
     if h == 0.0:

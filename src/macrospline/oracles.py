@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiments import ELEMENTS_PER_MACRO, _apply_mesh_operator
 from .interpolation import (
     PiecewisePoly2D,
     assemble_from_nodal_data,
@@ -556,8 +557,6 @@ def bound_consistency(spec: BoundSpec, field, meshes) -> dict:
     vanishing RHS must have an LHS of at most ``ZERO_RHS_TOL`` instead of
     entering the ratio.
     """
-    from .experiments import ELEMENTS_PER_MACRO, _apply_mesh_operator  # experiments imports this module
-
     squares, signed = _weighted_sum(_RULE.weights, square=True), _weighted_sum(_RULE.weights)
     sup_ratios = []
     zero_rhs_lhs = np.empty(0)

@@ -246,6 +246,25 @@ def test_cli_rejects_eps_too_small_for_the_fine_step_before_building_a_mesh(monk
     assert "epsilon is too small for a fine step of at least 2^-52" in capsys.readouterr().err
 
 
+def test_cli_rejects_non_finite_shishkin_parameters_before_building_a_mesh(monkeypatch, capsys):
+    import macrospline.experiments as experiments_mod
+
+    built = []
+    monkeypatch.setattr(experiments_mod, "build_shishkin", lambda *args: built.append(args))
+    for option, name in (("--lambda0", "lambda0"), ("--cstar", "c_star"), ("--smooth-amplitude", "smooth_amplitude"), ("--edge-amplitude", "edge_amplitude")):
+        for value in ("nan", "inf"):
+            assert main(["shishkin", "--N", "8", "--eps", "1e-4", option, value]) == 2
+            assert f"{name} must be finite" in capsys.readouterr().err
+    assert built == []
+
+
+def test_cli_import_leaves_the_oracles_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macrospline.__file__)))
+    code = "import sys, macrospline.cli; print('macrospline.oracles' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_cli_study_defaults_come_from_the_configs():
     parser = build_parser()
     for command in ("converge", "shishkin"):

@@ -1,8 +1,12 @@
+import functools
 import math
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import macrospline.fields as fields_mod
 from macrospline.fields import (
     ScalarField,
     exp_profile,
@@ -338,6 +342,65 @@ def test_terms_ride_on_eval():
             assert np.array_equal((sin_sin + exp_xy)(x, y, ax, ay), sin_sin(x, y, ax, ay) + exp_xy(x, y, ax, ay))
             assert np.array_equal(sin_sin.scaled(0.3)(x, y, ax, ay), 0.3 * sin_sin(x, y, ax, ay))
             assert np.array_equal(sin_sin(x, y, ax, ay), sin_profile()(x, ax) * sin_profile()(y, ay))
+
+
+@pytest.fixture
+def counted_layer_total(monkeypatch):
+    """The acceptance layer total built from factor factories whose factors log each call by factory name, and the log."""
+    calls = []
+    for name in ("exp_profile", "_poly1d", "sin_profile", "_monomial"):
+
+        def factory(*args, _make=getattr(fields_mod, name), _name=name):
+            f = _make(*args)
+            return lambda t, order: calls.append(_name) or f(t, order)
+
+        monkeypatch.setattr(fields_mod, name, factory)
+    total = make_layer_decomposition(1e-6, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
+    assert len(total.terms) == 10
+    return total, calls
+
+
+def test_layer_total_evaluates_each_distinct_factor_once_per_axis(counted_layer_total):
+    # 10 terms share 5 distinct factors per axis: sin, the constant monomial,
+    # 1 + t(1-t) and the two decays, the reflected one calling exp once more.
+    total, calls = counted_layer_total
+    x, y = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)[:, None]
+    for ax, ay in ORDERS:
+        calls.clear()
+        assert total(x, y, ax, ay).shape == (7, 9)
+        assert Counter(calls) == {"sin_profile": 2, "_monomial": 2, "_poly1d": 2, "exp_profile": 4}
+
+
+def test_layer_total_call_differentiates_no_polynomial(counted_layer_total, monkeypatch):
+    total, _ = counted_layer_total
+    polyder_calls = []
+    polyder = np.polynomial.polynomial.polyder
+    monkeypatch.setattr(np.polynomial.polynomial, "polyder", lambda *args, **kwargs: polyder_calls.append(args) or polyder(*args, **kwargs))
+    for ax in range(5):
+        for ay in range(5):
+            total(0.3, 0.7, ax, ay)
+    assert polyder_calls == []
+
+
+def test_a_sum_of_many_fields_is_one_flat_sum():
+    # a sum of fields with terms is their joined terms, not a chain of
+    # nested calls, so its depth does not grow with the number of fields
+    sin_sin = make_smooth_field("sin_sin")
+    n = 1200
+    total = functools.reduce(operator.add, [sin_sin] * n)
+    assert len(total.terms) == n
+    x, y = np.random.default_rng(12).uniform(0.0, 1.0, (2, 50))
+    for ax, ay in ((0, 0), (1, 2), (4, 4)):
+        one = sin_sin(x, y, ax, ay)
+        assert np.all(np.abs(total(x, y, ax, ay) - n * one) <= n * n * np.finfo(float).eps * np.abs(one))
+
+
+def test_a_field_whose_terms_are_all_zero_is_zero():
+    zero = make_polynomial_field(np.zeros((2, 2)))
+    x, y = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3)[:, None]
+    for f in (zero, zero.scaled(2.0), zero + zero):
+        assert f.terms == ()
+        assert np.array_equal(f(x, y, 1, 0), np.zeros((3, 4)))
 
 
 _ALL_FIELDS = {

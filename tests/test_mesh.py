@@ -75,6 +75,17 @@ def test_shishkin_validation():
         build_shishkin(1e-40, 8)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_shishkin_steps_reject_non_finite_parameters(value):
+    # NaN compares False with everything, so a plain range check would let it through
+    with pytest.raises(ValueError, match="lambda0 must be finite"):
+        _shishkin_steps(1e-4, 8, value, 1.0)
+    with pytest.raises(ValueError, match="c_star must be finite"):
+        _shishkin_steps(1e-4, 8, 3.0, value)
+    with pytest.raises(ValueError, match="c_star must be finite"):
+        build_shishkin(1e-4, 8, c_star=value)
+
+
 @pytest.mark.parametrize("eps", [0.25, 1e-6, 1e-14])
 @pytest.mark.parametrize("N", [8, 256])
 def test_shishkin_steps_are_the_mesh_steps(N, eps):
