@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .experiments import (
@@ -25,8 +26,21 @@ from .experiments import (
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a negative number in exponent form, such as -1e-3, as a value.
+
+    argparse on Python 3.10 and 3.11 takes only -1 and -0.5 for negative
+    numbers, and anything else after a dash for an option flag.  Its
+    subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="macrospline", description=__doc__)
+    parser = _Parser(prog="macrospline", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all identity and reproduction suites")

@@ -31,7 +31,7 @@ from .interpolation import (
     random_c1q2,
 )
 from .mesh import _shishkin_steps, build_macro_mesh, build_shishkin, classify_edges, select_sigma
-from .norms import ORDERS, _seminorms, gauss_rule, jump_norm_sum
+from .norms import JUMP_TYPES, ORDERS, _jump_sums, _seminorms, gauss_rule
 
 __all__ = [
     "ConvergenceConfig",
@@ -51,7 +51,7 @@ ELEMENTS_PER_MACRO = {"full": (2, 2), "reduced": (2, 2), "quasi": (2, 2), "bfs":
 ELEMENTS_PER_CELL = {operator: ex * ey for operator, (ex, ey) in ELEMENTS_PER_MACRO.items()}
 OPERATORS = tuple(ELEMENTS_PER_MACRO)
 # Largest finest mesh a run may build.  `macrospline shishkin --N <N> --eps 1e-6` peaks
-# (ru_maxrss) at 62 MiB at N=256 and 493 MiB at N=1024, the budget: about 0.45 KiB per
+# (ru_maxrss) at 58 MiB at N=256 and 443 MiB at N=1024, the budget: about 0.40 KiB per
 # element over the 33 MiB of the imported package (2-core x86_64 Xeon, Python 3.11, numpy 2.4).
 MAX_ELEMENTS = 2**20
 FLOAT_FMT = "%.17g"
@@ -259,8 +259,8 @@ def _shishkin_point(config: ShishkinConfig, eps, N, rule) -> dict:
     l2, h1, h2 = _error_norms(u, star, rule)
     row = {"eps": eps, "N": N, "L2": l2, "weighted_H1": eps**0.25 * h1, "weighted_H2": eps**0.75 * h2}
     edges = classify_edges(mesh)
-    for t in ("I", "II", "III", "IV"):
-        row[f"jump2_{t}"] = jump_norm_sum(star, edges[edges.edge_type == t], rule)
+    for t, jump in zip(JUMP_TYPES, _jump_sums(star, edges, [edges.edge_type == t for t in JUMP_TYPES], rule)):
+        row[f"jump2_{t}"] = jump
     for name, model in SHISHKIN_MODELS.items():
         row[f"C_{name}"] = row[name] / model(N, eps)
     return row
@@ -349,8 +349,7 @@ def verification_suite(rng_seed: int = 2026) -> list:
     mesh_s = build_shishkin(1e-6, 8)
     star = build_composite(smooth, mesh_s, select_sigma(mesh_s, "toward_corner"))
     edges = classify_edges(mesh_s)
-    for t in ("II", "IV"):
-        jump = jump_norm_sum(star, edges[edges.edge_type == t], gauss_rule(4))
+    for t, jump in zip(("II", "IV"), _jump_sums(star, edges, [edges.edge_type == "II", edges.edge_type == "IV"], gauss_rule(4))):
         out.append(CheckResult(f"composite_jump2_{t}", jump, 1e-10))
 
     # trace inequality battery

@@ -153,14 +153,16 @@ def make_polynomial_field(coefficients) -> ScalarField:
     """Field sum_ij c[i,j] x^i y^j with derivatives by term differentiation.
 
     Pointwise values come from ``polyval2d`` of the differentiated
-    coefficients; the terms are the nonzero c[i,j] x^i y^j, with one
-    monomial factor per power shared by them.
+    coefficients, made once per order pair; the terms are the nonzero
+    c[i,j] x^i y^j, with one monomial factor per power shared by them.
     """
     coef = np.atleast_2d(np.asarray(coefficients, dtype=float))
+    derivatives = {}  # (ax, ay) -> coefficients of D^(ax,ay), differentiated on first use
 
     def ev(x, y, ax, ay):
-        c = np.polynomial.polynomial.polyder(np.polynomial.polynomial.polyder(coef, ax, axis=0), ay, axis=1)
-        return np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x, y), c)
+        if (ax, ay) not in derivatives:
+            derivatives[ax, ay] = np.polynomial.polynomial.polyder(np.polynomial.polynomial.polyder(coef, ax, axis=0), ay, axis=1)
+        return np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(x, y), derivatives[ax, ay])
 
     monomials = [_monomial(k) for k in range(max(coef.shape))]
     ev.terms = tuple((float(c), monomials[i], monomials[j]) for (i, j), c in np.ndenumerate(coef) if c != 0.0)

@@ -136,6 +136,7 @@ _REGIONS = np.array(
     ],
     dtype="<U8",
 )
+_REGION_NAMES = np.array(sorted(_REGIONS.ravel().tolist()))  # sorted, for the subdomain codes of classify_edges
 
 
 def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tuple:
@@ -225,33 +226,48 @@ def _interior_types(lo: np.ndarray, hi: np.ndarray, horizontal: bool) -> np.ndar
     return np.where(np.isin(strip, STRIP_REGIONS), np.where(long, "II", "III"), core)
 
 
-def _line_edges(lines, along, region, horizontal: bool) -> tuple:
-    """Columns of the edges on grid lines ``lines`` (outer) between nodes ``along`` (inner).
+def _line_edges(lines, along, codes, names, horizontal: bool, out: EdgeSet) -> None:
+    """Fill ``out`` with the edges on grid lines ``lines`` (outer) between nodes ``along`` (inner).
 
-    ``region[k, m]`` is the subdomain of the element between lines k and
-    k + 1 and nodes m and m + 1; the first and last lines are boundary.
+    ``names[codes[k, m]]`` is the subdomain of the element between lines
+    k and k + 1 and nodes m and m + 1; the first and last lines are
+    boundary.  ``_interior_types`` runs once, on every pair of ``names``.
     """
-    n = len(along) - 1
-    level = np.repeat(lines, n)
-    start, end = np.tile(along[:-1], len(lines)), np.tile(along[1:], len(lines))
-    edge_type = np.full((len(lines), n), "boundary", dtype="<U8")
-    edge_type[1:-1] = _interior_types(region[:-1], region[1:], horizontal)
-    normal = np.zeros((len(lines), n, 2))
-    normal[:, :, int(horizontal)] = 1.0
-    normal[0, :, int(horizontal)] = -1.0
-    x0, y0, x1, y1 = (start, level, end, level) if horizontal else (level, start, level, end)
-    return x0, y0, x1, y1, np.full(level.shape, horizontal), normal.reshape(-1, 2), edge_type.ravel()
+    shape = (len(lines), len(along) - 1)
+    level, start, end, other = (out.y0, out.x0, out.x1, out.y1) if horizontal else (out.x0, out.y0, out.y1, out.x1)
+    level.reshape(shape)[...] = lines[:, None]
+    start.reshape(shape)[...] = along[:-1]
+    end.reshape(shape)[...] = along[1:]
+    other[...] = level
+    normal = out.normal.reshape(*shape, 2)[:, :, int(horizontal)]
+    normal[...] = 1.0
+    normal[0] = -1.0
+    edge_type = out.edge_type.reshape(shape)
+    edge_type[[0, -1]] = "boundary"
+    edge_type[1:-1] = _interior_types(*np.meshgrid(names, names, indexing="ij"), horizontal)[codes[:-1], codes[1:]]
 
 
 def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
     """All element edges of a Shishkin mesh with their types.
 
     Rows are the vertical edges (ix outer, jy inner), then the horizontal
-    ones (jy outer, ix inner).
+    ones (jy outer, ix inner).  Each element's subdomain is looked up by
+    its code among the nine subdomain names, or among the mesh's own
+    names when it has others.
     """
-    vertical = _line_edges(mesh.grid_x, mesh.grid_y, mesh.region.T, False)
-    horizontal = _line_edges(mesh.grid_y, mesh.grid_x, mesh.region, True)
-    return EdgeSet(*map(np.concatenate, zip(vertical, horizontal)))
+    names, codes = _REGION_NAMES, np.searchsorted(_REGION_NAMES, mesh.region).clip(max=len(_REGION_NAMES) - 1)
+    if not np.array_equal(names[codes], mesh.region):
+        names, codes = np.unique(mesh.region, return_inverse=True)
+        codes = codes.reshape(mesh.region.shape)
+    gx, gy = mesh.grid_x, mesh.grid_y
+    vertical = len(gx) * (len(gy) - 1)
+    n = vertical + len(gy) * (len(gx) - 1)
+    horizontal = np.zeros(n, bool)
+    horizontal[vertical:] = True
+    edges = EdgeSet(np.empty(n), np.empty(n), np.empty(n), np.empty(n), horizontal, np.zeros((n, 2)), np.empty(n, dtype="<U8"))
+    _line_edges(gx, gy, codes.T, names, False, edges[:vertical])
+    _line_edges(gy, gx, codes, names, True, edges[vertical:])
+    return edges
 
 
 # ---------------------------------------------------------------------------

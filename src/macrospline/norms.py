@@ -19,9 +19,14 @@ of signed values (``_weighted_sum``, also the reducer of
 ``oracles.bound_consistency``) or to its largest value.
 Broken second-order seminorms never integrate across element
 interfaces, where the interpolant's second derivatives jump.  Edge
-norms and jump sums locate no point: they read each edge's cells off
-the grid and apply the same basis to their coefficients.  A jump sum
-takes no field, as a smooth field's normal derivative cancels from it.
+norms and jump sums locate no point and gather no cell per edge: they
+read traces per grid line, not per edge.  ``_line_traces`` gives the
+traces on both sides of every line of one orientation from the cell
+coefficients, with the same basis, and each edge row is mapped to its
+slot (orientation, line, cell) on the grid.  Jump sums are grouped:
+one pass over the lines serves every group of edges, such as the four
+edge types of a Shishkin mesh.  A jump sum takes no field, as a smooth
+field's normal derivative cancels from it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ __all__ = [
 FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
-_BLOCK_VALUES = 2**16  # values of one block of the norm pass: 512 KiB, well inside L2
+JUMP_TYPES = ("I", "II", "III", "IV")  # the interior edge types, each with its own jump sum
+_BLOCK_VALUES = 2**16  # values of one block of the norm pass (512 KiB, well inside L2), or edge rows mapped at once
 
 
 def _pairwise_sum(values) -> float:
@@ -199,34 +205,58 @@ def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | No
     return _seminorms(field, interp, (alpha,), region, rule)[0]
 
 
-def _edge_traces(interp, e, horizontal, nodes, alpha, interior):
-    """``[lo, hi]``: D^alpha of ``interp`` at ``nodes`` on the edges ``e`` of one orientation.
+def _edge_slots(interp, edges, rows, interior):
+    """``(horizontal, ix, iy)`` of rows ``rows`` of ``edges``: each one's orientation and the grid node (ix, iy) of its lower end.
 
-    ``lo`` reads the cell below or left of each edge and ``hi`` the one
-    above or right of it; on a boundary line both read the one cell there.
-    An edge runs from a0 to a1 on the line b0 = b1, and a vertical one is a
-    horizontal one of the transposed grid, so ``alpha`` is (along, across).
-    Each edge's cells are found by ``searchsorted`` on the grid, and a
-    cell's trace is ``(coef[cell] @ D^across Q(±1)) @ D^along P(nodes).T``
-    scaled by (2/w)^alpha.  ``ValueError`` names the first edge that is not
-    an element edge of the grid, or with ``interior`` one on the boundary.
+    The node is found by ``searchsorted`` on the grid, and the edge must
+    run from it to the next node along its orientation: a horizontal
+    edge then lies on line iy in cell ix, a vertical one on line ix in
+    cell iy.  ``ValueError`` names the first row that is not an element
+    edge of the grid, or with ``interior`` one on its boundary.
     """
-    along, across = (interp.grid_x, interp.grid_y) if horizontal else (interp.grid_y, interp.grid_x)
-    a0, a1, b0, b1 = (e.x0, e.x1, e.y0, e.y1) if horizontal else (e.y0, e.y1, e.x0, e.x1)
-    coef = interp.coef if horizontal else interp.coef.transpose(1, 0, 3, 2)
-    i = np.searchsorted(along, a0).clip(max=len(along) - 2)
-    j = np.searchsorted(across, b0).clip(max=len(across) - 1)
-    bad = np.flatnonzero((along[i] != a0) | (along[i + 1] != a1) | (across[j] != b0) | (b1 != b0) | (interior & ((j == 0) | (j == len(across) - 1))))
+    gx, gy = interp.grid_x, interp.grid_y
+    nx, ny = len(gx) - 1, len(gy) - 1
+    x0, y0, x1, y1 = edges.x0[rows], edges.y0[rows], edges.x1[rows], edges.y1[rows]
+    h = np.asarray(edges.horizontal[rows], dtype=bool)
+    ix, iy = np.searchsorted(gx, x0).clip(max=nx), np.searchsorted(gy, y0).clip(max=ny)
+    ok = (gx[ix] == x0) & (gy[iy] == y0) & np.where(h, ix < nx, iy < ny)
+    ok &= (gx[np.minimum(ix + h, nx)] == x1) & (gy[np.minimum(iy + ~h, ny)] == y1)
+    if interior:
+        ok &= np.where(h, (0 < iy) & (iy < ny), (0 < ix) & (ix < nx))
+    bad = np.flatnonzero(~ok)
     if bad.size:
         k = bad[0]
-        raise ValueError(f"edge ({e.x0[k]}, {e.y0[k]})-({e.x1[k]}, {e.y1[k]}) is not {'an interior' if interior else 'an'} element edge of the grid")
-    tangent = _derivative_basis(nodes, coef.shape[2], alpha[0])
-    normal = _derivative_basis(np.array([-1.0, 1.0]), coef.shape[3], alpha[1])  # row j - cell: the line is at +1 in the cell below it
-    traces = []
-    for cell in (np.maximum(j - 1, 0), np.minimum(j, len(across) - 2)):
-        scale = (2.0 / (across[cell + 1] - across[cell])) ** alpha[1] * (2.0 / (a1 - a0)) ** alpha[0]
-        traces.append(scale[:, None] * (np.einsum("ekl,el->ek", coef[cell, i], normal[j - cell]) @ tangent.T))
-    return traces
+        raise ValueError(f"edge ({x0[k]}, {y0[k]})-({x1[k]}, {y1[k]}) is not {'an interior' if interior else 'an'} element edge of the grid")
+    return h, ix, iy
+
+
+def _line_traces(interp, horizontal, nodes, alpha):
+    """``(lo, hi)``: D^alpha of ``interp`` at ``nodes`` along every element edge of one orientation.
+
+    Both are (lines, cells, p): ``lo`` reads the cell below or left of a
+    grid line and ``hi`` the one above or right of it, and a boundary
+    line reads its one cell from both sides.  ``alpha`` is (along,
+    across) the lines.  For each cell end, -1 and +1 across the lines,
+    one GEMM contracts every cell's coefficients with the derivative
+    basis across at that end; the basis along the lines at ``nodes``
+    follows, and then the scale (2/w)^alpha of each cell.
+    """
+    gx, gy, coef = interp.grid_x, interp.grid_y, interp.coef
+    ny, nx, kx, ky = coef.shape
+    along, across, k, m = (gx, gy, kx, ky) if horizontal else (gy, gx, ky, kx)  # k coefficients along, m across
+    normal = _derivative_basis(np.array([-1.0, 1.0]), m, alpha[1])
+    tangent = _derivative_basis(nodes, k, alpha[0]).T
+    scale = ((2.0 / np.diff(across)) ** alpha[1])[:, None, None] * ((2.0 / np.diff(along)) ** alpha[0])[None, :, None]
+    lo, hi = np.empty((2, len(across), len(along) - 1, len(nodes)))
+    for end, out in ((1, lo[1:]), (0, hi[:-1])):  # line j is the +1 end of cell j - 1 and the -1 end of cell j
+        # (kx * ky, k): the basis row across at this end, on the diagonal of the coefficients along
+        expand = np.einsum("l,km->klm" if horizontal else "k,lm->klm", normal[end], np.eye(k)).reshape(kx * ky, k)
+        ends = (coef.reshape(ny * nx, kx * ky) @ expand).reshape(ny, nx, k)  # [jy, ix, coefficient along]
+        np.matmul(ends if horizontal else ends.transpose(1, 0, 2), tangent, out=out)
+        out *= scale
+        del ends  # one end's contraction is held at a time
+    lo[0], hi[-1] = hi[0], lo[-1]
+    return lo, hi
 
 
 def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> np.ndarray:
@@ -234,9 +264,10 @@ def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, a
 
     "-" reads the element below or left of an edge and "+" the one above or
     right of it; a boundary edge reads its one element either way.  The
-    interpolant's trace comes from its cell coefficients, the field's from
-    the Gauss points of each edge.  ``ValueError`` names the first edge that
-    is not an element edge of ``interp``'s grid.
+    interpolant's trace is read from ``_line_traces`` at each edge's line
+    and cell, the field's from the Gauss points of each edge.
+    ``ValueError`` names the first edge that is not an element edge of
+    ``interp``'s grid.
     """
     if side not in ("-", "+"):
         raise ValueError(f"side entries must be '-' or '+', not {side!r}")
@@ -248,11 +279,51 @@ def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, a
     Y = np.where(edges.horizontal[:, None], edges.y0[:, None], (0.5 * (edges.y0 + edges.y1))[:, None] + offset)
     trace = np.zeros(X.shape)
     if interp is not None:
-        for horizontal in (True, False):
-            rows = edges.horizontal == horizontal
-            trace[rows] = _edge_traces(interp, edges[rows], horizontal, rule.nodes, alpha if horizontal else alpha[::-1], False)[side == "+"]
+        h, ix, iy = _edge_slots(interp, edges, slice(None), False)
+        for horizontal, rows in ((True, h), (False, ~h)):
+            if rows.any():
+                traces = _line_traces(interp, horizontal, rule.nodes, alpha if horizontal else alpha[::-1])[side == "+"]
+                trace[rows] = traces[iy[rows], ix[rows]] if horizontal else traces[ix[rows], iy[rows]]
     vals = -trace if field is None else np.asarray(field(X, Y, alpha[0], alpha[1]), dtype=float) - trace
     return np.sqrt(half * ((vals * vals) @ rule.weights))
+
+
+def _line_jumps(interp, horizontal, rule):
+    """Per interior line and cell of one orientation, the squared L2 norm of the normal-derivative jump on that edge."""
+    lo, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1))
+    jump = lo[1:-1]
+    jump -= hi[1:-1]
+    jump *= jump
+    return 0.5 * np.diff(interp.grid_x if horizontal else interp.grid_y) * (jump @ rule.weights)
+
+
+def _jump_sums(interp, edges: EdgeSet, groups, rule: QuadratureRule | None = None) -> list:
+    """``jump_norm_sum`` of each group of rows of ``edges``; ``groups`` holds one row mask per group.
+
+    Only rows in a group are read, in blocks of ``_BLOCK_VALUES`` rows.
+    Each edge's jump comes from ``_line_jumps`` and is stored at its
+    slot (ix, iy, horizontal), with (ix, iy) the node of its lower end,
+    so slot order is the endpoint order (x0, y0, x1, y1) of the edges.
+    A group sums the slots of its rows pairwise in slot order, each slot
+    as many times as it has rows.
+    """
+    if rule is None:
+        rule = gauss_rule()
+    groups = [np.asarray(g, dtype=bool) for g in groups]
+    member = np.logical_or.reduce(groups)
+    gx, gy = interp.grid_x, interp.grid_y
+    key = np.full(len(edges), -1)
+    for start in range(0, len(edges), _BLOCK_VALUES):
+        rows = start + np.flatnonzero(member[start : start + _BLOCK_VALUES])
+        h, ix, iy = _edge_slots(interp, edges, rows, True)
+        key[rows] = (ix * len(gy) + iy) * 2 + h
+    slots = np.zeros((len(gx), len(gy), 2))  # [ix, iy, horizontal]
+    horizontal = np.asarray(edges.horizontal, dtype=bool)
+    if np.any(member & horizontal):
+        slots[:-1, 1:-1, 1] = _line_jumps(interp, True, rule).T
+    if np.any(member & ~horizontal):
+        slots[1:-1, :-1, 0] = _line_jumps(interp, False, rule)
+    return [_pairwise_sum(np.repeat(slots.ravel(), np.bincount(key[g], minlength=slots.size))) for g in groups]
 
 
 def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) -> float:
@@ -260,22 +331,12 @@ def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) ->
 
     The jump is the trace from the lower-index element minus the trace
     from the higher one, matching normals that point in the increasing
-    coordinate direction; both come from ``_edge_traces``, which names any
-    edge that is not an interior element edge of the grid.  The edges are
-    summed in endpoint order (x0, y0, x1, y1), so the result does not
-    depend on their row order; an empty set gives 0.0.
+    coordinate direction.  ``ValueError`` names the first edge that is
+    not an interior element edge of the grid.  The edges are summed in
+    endpoint order (x0, y0, x1, y1), so the result does not depend on
+    their row order; an empty set gives 0.0.
     """
-    if rule is None:
-        rule = gauss_rule()
-    ordered = edges[np.lexsort((edges.y1, edges.x1, edges.y0, edges.x0))]
-    contributions = np.zeros(len(ordered))
-    for horizontal in (True, False):
-        rows = ordered.horizontal == horizontal
-        e = ordered[rows]
-        lo, hi = _edge_traces(interp, e, horizontal, rule.nodes, (0, 1), True)
-        jump = lo - hi
-        contributions[rows] = 0.5 * (e.x1 - e.x0 if horizontal else e.y1 - e.y0) * ((jump * jump) @ rule.weights)
-    return _pairwise_sum(contributions)
+    return _jump_sums(interp, edges, [np.ones(len(edges), bool)], rule)[0]
 
 
 def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> float:
@@ -347,8 +408,5 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
         "broken_H2_semi": float(np.sqrt(_pairwise_sum(v["broken_H2_semi"] ** 2 for v in regional.values()))),
         "Linf_sampled": max(v["Linf_sampled"] for v in regional.values()),
     }
-    jump_sums = {}
-    if edges is not None:
-        for edge_type in ("I", "II", "III", "IV"):
-            jump_sums[edge_type] = jump_norm_sum(interp, edges[edges.edge_type == edge_type], rule)
+    jump_sums = {} if edges is None else dict(zip(JUMP_TYPES, _jump_sums(interp, edges, [edges.edge_type == t for t in JUMP_TYPES], rule)))
     return NormReport(regional, global_values, jump_sums)

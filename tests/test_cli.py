@@ -285,3 +285,28 @@ def test_cli_stdout_rows_match_the_csv(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 0
     data_rows = out.read_text().splitlines(keepends=True)[1:]
     assert data_rows and printed == "".join(data_rows)
+
+
+def test_cli_reads_negative_amplitudes_in_exponent_form(tmp_path, capsys):
+    # argparse on Python 3.10/3.11 took "-1e-3" for an option flag
+    args = build_parser().parse_args(["shishkin", "--N", "8", "--eps", "1e-4", "--edge-amplitude", "-1e-3", "--smooth-amplitude", "-1e1"])
+    assert args.edge_amplitude == -1e-3 and args.smooth_amplitude == -10.0
+    base = ["shishkin", "--N", "8", "--eps", "1e-4", "--format", "csv"]
+    spaced = tmp_path / "spaced.csv"
+    joined = tmp_path / "joined.csv"
+    assert main(base + ["--edge-amplitude", "-1e-3", "--smooth-amplitude", "-1e1", "--out", str(spaced)]) == 0
+    assert main(base + ["--edge-amplitude=-1e-3", "--smooth-amplitude=-1e1", "--out", str(joined)]) == 0
+    assert spaced.read_text() == joined.read_text()
+    for value in ("-1E+1", "-.5e0", "-2.", "-3"):
+        assert build_parser().parse_args(base + ["--smooth-amplitude", value]).smooth_amplitude == float(value)
+
+
+def test_cli_still_rejects_bad_values_after_a_dash(capsys):
+    # a negative eps now reaches the config check instead of the parser
+    assert main(["shishkin", "--N", "8", "--eps", "-1e-4"]) == 2
+    assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+    for value in ("-x", "-1e", "-e3", "--1e-3"):
+        assert main(["shishkin", "--N", "8", "--eps", "1e-4", "--edge-amplitude", value]) == 2
+        assert "argument --edge-amplitude: expected one argument" in capsys.readouterr().err
+    assert main(["shishkin", "--N", "8", "--eps", "1e-4", "--edge-amplitude"]) == 2
+    assert "expected one argument" in capsys.readouterr().err

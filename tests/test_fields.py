@@ -180,6 +180,24 @@ def test_registry():
         get_field("not_a_field")
 
 
+def test_polynomial_field_differentiates_once_per_order_pair(monkeypatch):
+    # the values stay polyval2d of the differentiated coefficients, bit for bit
+    rng = np.random.default_rng(6)
+    c = rng.normal(size=(4, 3))
+    x, y = rng.uniform(-2.0, 2.0, (2, 20))
+    P = np.polynomial.polynomial
+    want = {(ax, ay): P.polyval2d(x, y, P.polyder(P.polyder(c, ax, axis=0), ay, axis=1)) for ax in range(5) for ay in range(5)}
+    calls = []
+    polyder = P.polyder
+    monkeypatch.setattr(P, "polyder", lambda *args, **kwargs: calls.append(args[1:]) or polyder(*args, **kwargs))
+    f = make_polynomial_field(c)
+    assert calls == []
+    for _ in range(3):
+        for (ax, ay), values in want.items():
+            assert np.array_equal(f(x, y, ax, ay), values)
+    assert len(calls) == 2 * len(want)
+
+
 def test_polynomial_field_matches_polyval2d():
     rng = np.random.default_rng(5)
     for shape in ((1, 1), (3, 3), (4, 2)):

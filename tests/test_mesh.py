@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -301,6 +302,17 @@ def test_classify_edges_matches_per_edge_loop(N, eps):
     text = _per_edge_json(mesh, expected)
     assert mesh_to_json(mesh) == text
     assert mesh_to_json(mesh, edges) == text
+
+
+def test_classify_edges_of_a_mesh_with_other_subdomain_names():
+    # names outside the nine subdomains are classified as the per-edge loop does
+    mesh = build_shishkin(1e-4, 8)
+    region = mesh.region.copy()
+    region[2, 3], region[5, 5], region[0, 0] = "omega9", "hole", "omega0"
+    odd = dataclasses.replace(mesh, region=region)
+    expected = _per_edge_classification(odd)
+    assert np.array_equal(classify_edges(odd).edge_type, np.array([t for _, _, _, t in expected]))
+    assert not np.array_equal(classify_edges(odd).edge_type, classify_edges(mesh).edge_type)
 
 
 def test_edge_set_selection():

@@ -312,6 +312,57 @@ def test_jump_norm_sum_is_independent_of_row_order():
         assert jump_norm_sum(poly, subset[rng.permutation(len(subset))], rule) == value
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (5, 5)])
+def test_jump_norm_sum_of_degree_four_polynomials(shape):
+    # degree (2, 4) and (4, 4) cells, against the evaluate-based sum
+    eps = np.finfo(float).eps
+    rule = gauss_rule(4)
+    rng = np.random.default_rng(sum(shape))
+    gx = np.cumsum(np.r_[0.0, rng.uniform(1e-3, 1.0, 6)])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(1e-3, 1.0, 5)]) / 3.0
+    scale = 10.0 ** rng.integers(-3, 3, (len(gy) - 1, len(gx) - 1, 1, 1))
+    poly = PiecewisePoly2D(gx, gy, scale * rng.normal(size=(len(gy) - 1, len(gx) - 1, *shape)))
+    edges = _interior_element_edges(gx, gy)
+    value = jump_norm_sum(poly, edges, rule)
+    reference, energy = _per_edge_jump_sum(poly, edges, rule)
+    assert value > 0.0
+    assert abs(value - reference) <= JUMP_ROUNDOFF * eps * energy
+    assert jump_norm_sum(poly, edges[rng.permutation(len(edges))], rule) == value
+
+
+def test_jump_norm_sum_counts_a_repeated_row_each_time():
+    # a row that appears twice is summed twice, in endpoint order (x0, y0, x1, y1)
+    mesh = build_shishkin(1e-4, 8)
+    rng = np.random.default_rng(8)
+    poly = PiecewisePoly2D(mesh.grid_x, mesh.grid_y, rng.normal(size=(8, 8, 3, 3)))
+    edges = classify_edges(mesh)
+    interior = edges[edges.edge_type != "boundary"]
+    rule = gauss_rule(4)
+    single = np.array([jump_norm_sum(poly, interior[[k]], rule) for k in range(len(interior))])
+    assert jump_norm_sum(poly, interior[[5, 5]], rule) == 2.0 * single[5]
+    rows = np.r_[np.arange(len(interior)), 5, 40, 5]
+    picked = interior[rows]
+    order = np.lexsort((picked.y1, picked.x1, picked.y0, picked.x0))
+    value = jump_norm_sum(poly, picked, rule)
+    assert value == _pairwise_sum(single[rows][order])
+    assert value > jump_norm_sum(poly, interior, rule)
+
+
+def test_typed_jump_sums_equal_one_jump_norm_sum_per_type():
+    from macrospline.experiments import ShishkinConfig, _shishkin_point
+
+    eps, N, rule = 1e-6, 16, gauss_rule(4)
+    config = ShishkinConfig(N_list=(N,), eps_list=(eps,))
+    u = make_layer_decomposition(eps, config.c_star, smooth=config.smooth_variant).total
+    mesh = build_shishkin(eps, N, config.lambda0, config.c_star)
+    star = build_composite(u, mesh, select_sigma(mesh, config.sigma))
+    edges = classify_edges(mesh)
+    separate = {t: jump_norm_sum(star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")}
+    assert compute_norm_report(u, star, mesh, edges, rule).jump_sums == separate
+    row = _shishkin_point(config, eps, N, rule)
+    assert {t: row[f"jump2_{t}"] for t in separate} == separate
+
+
 def test_jump_norm_sum_rejects_edges_that_are_not_interior_element_edges():
     gx, gy = np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.0, 0.5, 0.75, 1.0])
     poly = PiecewisePoly2D(gx, gy, np.ones((3, 3, 3, 3)))
