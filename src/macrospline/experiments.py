@@ -30,7 +30,7 @@ from .interpolation import (
     quasi_interp,
     random_c1q2,
 )
-from .mesh import _shishkin_steps, build_macro_mesh, build_shishkin, classify_edges, select_sigma
+from .mesh import _shishkin_steps, _slot_types, build_macro_mesh, build_shishkin, select_sigma
 from .norms import JUMP_TYPES, ORDERS, _jump_sums, _seminorms, gauss_rule
 
 __all__ = [
@@ -51,8 +51,8 @@ ELEMENTS_PER_MACRO = {"full": (2, 2), "reduced": (2, 2), "quasi": (2, 2), "bfs":
 ELEMENTS_PER_CELL = {operator: ex * ey for operator, (ex, ey) in ELEMENTS_PER_MACRO.items()}
 OPERATORS = tuple(ELEMENTS_PER_MACRO)
 # Largest finest mesh a run may build.  `macrospline shishkin --N <N> --eps 1e-6` peaks
-# (ru_maxrss) at 58 MiB at N=256 and 443 MiB at N=1024, the budget: about 0.40 KiB per
-# element over the 33 MiB of the imported package (2-core x86_64 Xeon, Python 3.11, numpy 2.4).
+# (ru_maxrss) at 52 MiB at N=256 and 325 MiB at N=1024, the budget: about 0.29 KiB per
+# element over the 30 MiB of the imported package (2-core x86_64 Xeon, Python 3.11, numpy 2.4).
 MAX_ELEMENTS = 2**20
 FLOAT_FMT = "%.17g"
 
@@ -71,7 +71,7 @@ class ConvergenceConfig:
     field: str = "sin_sin"
     levels: int = 4
     base_n: int = 2
-    sigma: str = "toward_corner"
+    sigma: str | None = None  # the quasi operator's strategy, "toward_corner" when None; no other operator takes one
 
     def __post_init__(self):
         if self.operator not in OPERATORS:
@@ -80,7 +80,11 @@ class ConvergenceConfig:
             raise ValueError("rate fitting needs at least 3 levels")
         if self.base_n < 1:
             raise ValueError("base n must be positive")
+        if self.sigma is not None and self.operator != "quasi":
+            raise ValueError(f"sigma applies to the quasi operator only, not to {self.operator}")
         _check_budget(self)
+        get_field(self.field)  # the run's own constructors check the names, as in ShishkinConfig
+        select_sigma(build_macro_mesh((0.0, 1.0), (0.0, 1.0)), self.sigma or "toward_corner")
 
     def finest_elements(self) -> int:
         """Elements of the finest mesh the run builds."""
@@ -116,6 +120,8 @@ class ShishkinConfig:
         for eps in self.eps_list:
             for N in self.N_list:
                 _shishkin_steps(eps, N, self.lambda0, self.c_star)
+        make_layer_decomposition(self.eps_list[0], smooth=self.smooth_variant)  # the run's own constructors check the names
+        select_sigma(build_macro_mesh((0.0, 1.0), (0.0, 1.0)), self.sigma)
 
     def finest_elements(self) -> int:
         """Elements of the finest mesh the run builds."""
@@ -203,7 +209,7 @@ def run_convergence(config: ConvergenceConfig) -> RateTable:
     for level in range(config.levels):
         n = config.base_n * 2**level
         grid = np.linspace(0.0, 1.0, n + 1)
-        poly = _apply_mesh_operator(config.operator, field, grid, grid, config.sigma)
+        poly = _apply_mesh_operator(config.operator, field, grid, grid, config.sigma or "toward_corner")
         l2, h1, h2 = _error_norms(field, poly, rule)
         rows.append({"n": n, "h": 1.0 / n, "L2": l2, "H1": h1, "brokenH2": h2})
 
@@ -258,8 +264,8 @@ def _shishkin_point(config: ShishkinConfig, eps, N, rule) -> dict:
     star = build_composite(u, mesh, sigma)
     l2, h1, h2 = _error_norms(u, star, rule)
     row = {"eps": eps, "N": N, "L2": l2, "weighted_H1": eps**0.25 * h1, "weighted_H2": eps**0.75 * h2}
-    edges = classify_edges(mesh)
-    for t, jump in zip(JUMP_TYPES, _jump_sums(star, edges, [edges.edge_type == t for t in JUMP_TYPES], rule)):
+    types = _slot_types(mesh)
+    for t, jump in zip(JUMP_TYPES, _jump_sums(star, [types == t for t in JUMP_TYPES], rule)):
         row[f"jump2_{t}"] = jump
     for name, model in SHISHKIN_MODELS.items():
         row[f"C_{name}"] = row[name] / model(N, eps)
@@ -348,8 +354,8 @@ def verification_suite(rng_seed: int = 2026) -> list:
     # composite continuity across long/corner edges on a small Shishkin mesh
     mesh_s = build_shishkin(1e-6, 8)
     star = build_composite(smooth, mesh_s, select_sigma(mesh_s, "toward_corner"))
-    edges = classify_edges(mesh_s)
-    for t, jump in zip(("II", "IV"), _jump_sums(star, edges, [edges.edge_type == "II", edges.edge_type == "IV"], gauss_rule(4))):
+    types = _slot_types(mesh_s)
+    for t, jump in zip(("II", "IV"), _jump_sums(star, [types == t for t in ("II", "IV")], gauss_rule(4))):
         out.append(CheckResult(f"composite_jump2_{t}", jump, 1e-10))
 
     # trace inequality battery

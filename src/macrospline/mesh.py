@@ -3,12 +3,12 @@
 A macro mesh is refined into an element mesh by bisecting every macro
 interval at its midpoint.  The Shishkin generator builds the
 layer-adapted piecewise-uniform mesh on the unit square, labels every
-element with its subdomain, and classifies its element edges into the
-four interior types and the boundary (one ``EdgeSet`` of columns, one
-row per edge).  ``select_sigma`` picks the averaging edges used by the
-quasi-interpolation operator, one row of columns per node of a tensor
-node set (orientation, span, level, which end holds the node), filled by
-one walk per axis.
+element with its subdomain, and types its element edges (I-IV, boundary)
+on a grid of slots [ix, iy, horizontal], as the jump sums read them, or
+as one ``EdgeSet`` of columns, one row per edge.  ``select_sigma`` picks
+the averaging edges used by the quasi-interpolation operator, one row of
+columns per node of a tensor node set (orientation, span, level, which
+end holds the node), filled by one walk per axis.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ _REGIONS = np.array(
     ],
     dtype="<U8",
 )
-_REGION_NAMES = np.array(sorted(_REGIONS.ravel().tolist()))  # sorted, for the subdomain codes of classify_edges
+_REGION_NAMES = np.array(sorted(_REGIONS.ravel().tolist()))  # sorted, for the subdomain codes of _slot_types
 
 
 def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tuple:
@@ -226,48 +226,45 @@ def _interior_types(lo: np.ndarray, hi: np.ndarray, horizontal: bool) -> np.ndar
     return np.where(np.isin(strip, STRIP_REGIONS), np.where(long, "II", "III"), core)
 
 
-def _line_edges(lines, along, codes, names, horizontal: bool, out: EdgeSet) -> None:
-    """Fill ``out`` with the edges on grid lines ``lines`` (outer) between nodes ``along`` (inner).
+def _slot_types(mesh: ShishkinMesh) -> np.ndarray:
+    """Edge types on the slots ``[ix, iy, horizontal]`` of ``norms._jump_sums``, "" where no edge is.
 
-    ``names[codes[k, m]]`` is the subdomain of the element between lines
-    k and k + 1 and nodes m and m + 1; the first and last lines are
-    boundary.  ``_interior_types`` runs once, on every pair of ``names``.
+    Each element's subdomain is looked up by its code among the nine
+    subdomain names, or among the mesh's own names when it has others.
     """
-    shape = (len(lines), len(along) - 1)
-    level, start, end, other = (out.y0, out.x0, out.x1, out.y1) if horizontal else (out.x0, out.y0, out.y1, out.x1)
-    level.reshape(shape)[...] = lines[:, None]
-    start.reshape(shape)[...] = along[:-1]
-    end.reshape(shape)[...] = along[1:]
-    other[...] = level
-    normal = out.normal.reshape(*shape, 2)[:, :, int(horizontal)]
-    normal[...] = 1.0
-    normal[0] = -1.0
-    edge_type = out.edge_type.reshape(shape)
-    edge_type[[0, -1]] = "boundary"
-    edge_type[1:-1] = _interior_types(*np.meshgrid(names, names, indexing="ij"), horizontal)[codes[:-1], codes[1:]]
+    names, codes = _REGION_NAMES, np.searchsorted(_REGION_NAMES, mesh.region).clip(max=len(_REGION_NAMES) - 1)
+    if not np.array_equal(names[codes], mesh.region):
+        names, codes = np.unique(mesh.region, return_inverse=True)
+        codes = codes.reshape(mesh.region.shape)
+    codes, pairs = codes.T, np.meshgrid(names, names, indexing="ij")  # codes[ix, jy]
+    types = np.zeros((len(mesh.grid_x), len(mesh.grid_y), 2), dtype="<U8")  # ""
+    types[[0, -1], :-1, 0] = types[:-1, [0, -1], 1] = "boundary"
+    types[1:-1, :-1, 0] = _interior_types(*pairs, False)[codes[:-1], codes[1:]]
+    types[:-1, 1:-1, 1] = _interior_types(*pairs, True)[codes[:, :-1], codes[:, 1:]]
+    return types
 
 
 def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
     """All element edges of a Shishkin mesh with their types.
 
     Rows are the vertical edges (ix outer, jy inner), then the horizontal
-    ones (jy outer, ix inner).  Each element's subdomain is looked up by
-    its code among the nine subdomain names, or among the mesh's own
-    names when it has others.
+    ones (jy outer, ix inner).  Each column is one copy of its values on
+    the (ix, jy) grid of vertical edges and the (jy, ix) grid of
+    horizontal ones; the types come from ``_slot_types``.
     """
-    names, codes = _REGION_NAMES, np.searchsorted(_REGION_NAMES, mesh.region).clip(max=len(_REGION_NAMES) - 1)
-    if not np.array_equal(names[codes], mesh.region):
-        names, codes = np.unique(mesh.region, return_inverse=True)
-        codes = codes.reshape(mesh.region.shape)
+    types = _slot_types(mesh)
     gx, gy = mesh.grid_x, mesh.grid_y
-    vertical = len(gx) * (len(gy) - 1)
-    n = vertical + len(gy) * (len(gx) - 1)
-    horizontal = np.zeros(n, bool)
-    horizontal[vertical:] = True
-    edges = EdgeSet(np.empty(n), np.empty(n), np.empty(n), np.empty(n), horizontal, np.zeros((n, 2)), np.empty(n, dtype="<U8"))
-    _line_edges(gx, gy, codes.T, names, False, edges[:vertical])
-    _line_edges(gy, gx, codes, names, True, edges[vertical:])
-    return edges
+    grids = (len(gx), len(gy) - 1), (len(gy), len(gx) - 1)
+
+    def column(vertical, horizontal):
+        return np.concatenate([np.broadcast_to(v, grid) for v, grid in zip((vertical, horizontal), grids)], axis=None)
+
+    edge_type = column(types[:, :-1, 0], types[:-1, :, 1].T)
+    del types  # freed before the other columns are made, so their memory peaks do not add up
+    sign_x, sign_y = np.r_[-1.0, np.ones(len(gx) - 1)], np.r_[-1.0, np.ones(len(gy) - 1)]  # normals on line 0 point out
+    normal = np.stack((column(sign_x[:, None], 0.0), column(0.0, sign_y[:, None])), axis=1)
+    ends = column(gx[:, None], gx[:-1]), column(gy[:-1], gy[:, None]), column(gx[:, None], gx[1:]), column(gy[1:], gy[:, None])
+    return EdgeSet(*ends, column(False, True), normal, edge_type)
 
 
 # ---------------------------------------------------------------------------

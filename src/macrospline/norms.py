@@ -22,11 +22,11 @@ interfaces, where the interpolant's second derivatives jump.  Edge
 norms and jump sums locate no point and gather no cell per edge: they
 read traces per grid line, not per edge.  ``_line_traces`` gives the
 traces on both sides of every line of one orientation from the cell
-coefficients, with the same basis, and each edge row is mapped to its
-slot (orientation, line, cell) on the grid.  Jump sums are grouped:
-one pass over the lines serves every group of edges, such as the four
-edge types of a Shishkin mesh.  A jump sum takes no field, as a smooth
-field's normal derivative cancels from it.
+coefficients, with the same basis.  Jump sums take groups of edge slots
+[ix, iy, horizontal], so one pass over the lines serves every group,
+such as the four edge types of a Shishkin mesh; only the rows of an
+``EdgeSet`` a caller gives are mapped to their slots.  A jump sum takes
+no field, as a smooth field's normal derivative cancels from it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
 JUMP_TYPES = ("I", "II", "III", "IV")  # the interior edge types, each with its own jump sum
-_BLOCK_VALUES = 2**16  # values of one block of the norm pass (512 KiB, well inside L2), or edge rows mapped at once
+_BLOCK_VALUES = 2**16  # values of one block of the norm pass (512 KiB, well inside L2)
 
 
 def _pairwise_sum(values) -> float:
@@ -297,33 +297,29 @@ def _line_jumps(interp, horizontal, rule):
     return 0.5 * np.diff(interp.grid_x if horizontal else interp.grid_y) * (jump @ rule.weights)
 
 
-def _jump_sums(interp, edges: EdgeSet, groups, rule: QuadratureRule | None = None) -> list:
-    """``jump_norm_sum`` of each group of rows of ``edges``; ``groups`` holds one row mask per group.
+def _jump_sums(interp, groups, rule: QuadratureRule | None = None) -> list:
+    """``jump_norm_sum`` of each group of edges; ``groups`` holds one count or mask per slot per group.
 
-    Only rows in a group are read, in blocks of ``_BLOCK_VALUES`` rows.
-    Each edge's jump comes from ``_line_jumps`` and is stored at its
-    slot (ix, iy, horizontal), with (ix, iy) the node of its lower end,
-    so slot order is the endpoint order (x0, y0, x1, y1) of the edges.
-    A group sums the slots of its rows pairwise in slot order, each slot
-    as many times as it has rows.
+    Slot [ix, iy, horizontal], in an (nx + 1, ny + 1, 2) array or its
+    ravel, is the edge of that orientation from grid node (ix, iy), so
+    slot order is the endpoint order (x0, y0, x1, y1).  Only interior
+    edges may be counted.  A group sums the ``_line_jumps`` of its slots
+    pairwise in slot order, each as many times as it is counted.
     """
     if rule is None:
         rule = gauss_rule()
-    groups = [np.asarray(g, dtype=bool) for g in groups]
-    member = np.logical_or.reduce(groups)
-    gx, gy = interp.grid_x, interp.grid_y
-    key = np.full(len(edges), -1)
-    for start in range(0, len(edges), _BLOCK_VALUES):
-        rows = start + np.flatnonzero(member[start : start + _BLOCK_VALUES])
-        h, ix, iy = _edge_slots(interp, edges, rows, True)
-        key[rows] = (ix * len(gy) + iy) * 2 + h
-    slots = np.zeros((len(gx), len(gy), 2))  # [ix, iy, horizontal]
-    horizontal = np.asarray(edges.horizontal, dtype=bool)
-    if np.any(member & horizontal):
-        slots[:-1, 1:-1, 1] = _line_jumps(interp, True, rule).T
-    if np.any(member & ~horizontal):
-        slots[1:-1, :-1, 0] = _line_jumps(interp, False, rule)
-    return [_pairwise_sum(np.repeat(slots.ravel(), np.bincount(key[g], minlength=slots.size))) for g in groups]
+    slots = np.zeros((len(interp.grid_x), len(interp.grid_y), 2))  # [ix, iy, horizontal]
+    slots[:-1, 1:-1, 1] = _line_jumps(interp, True, rule).T
+    slots[1:-1, :-1, 0] = _line_jumps(interp, False, rule)
+    return [_pairwise_sum(np.repeat(slots.ravel(), np.ravel(g))) for g in groups]
+
+
+def _slot_counts(interp, edges: EdgeSet, masks) -> list:
+    """Per row mask of ``edges``, its ``_jump_sums`` counts; ``ValueError`` names the first row that is not an interior edge."""
+    rows = np.logical_or.reduce(masks)
+    h, ix, iy = _edge_slots(interp, edges, rows, True)
+    key = (ix * len(interp.grid_y) + iy) * 2 + h
+    return [np.bincount(key[m[rows]], minlength=2 * len(interp.grid_x) * len(interp.grid_y)) for m in masks]
 
 
 def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) -> float:
@@ -336,7 +332,7 @@ def jump_norm_sum(interp, edges: EdgeSet, rule: QuadratureRule | None = None) ->
     endpoint order (x0, y0, x1, y1), so the result does not depend on
     their row order; an empty set gives 0.0.
     """
-    return _jump_sums(interp, edges, [np.ones(len(edges), bool)], rule)[0]
+    return _jump_sums(interp, _slot_counts(interp, edges, [np.ones(len(edges), bool)]), rule)[0]
 
 
 def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> float:
@@ -408,5 +404,5 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
         "broken_H2_semi": float(np.sqrt(_pairwise_sum(v["broken_H2_semi"] ** 2 for v in regional.values()))),
         "Linf_sampled": max(v["Linf_sampled"] for v in regional.values()),
     }
-    jump_sums = {} if edges is None else dict(zip(JUMP_TYPES, _jump_sums(interp, edges, [edges.edge_type == t for t in JUMP_TYPES], rule)))
+    jump_sums = {} if edges is None else dict(zip(JUMP_TYPES, _jump_sums(interp, _slot_counts(interp, edges, [edges.edge_type == t for t in JUMP_TYPES]), rule)))
     return NormReport(regional, global_values, jump_sums)

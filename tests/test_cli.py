@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -40,6 +41,20 @@ def test_config_validation():
         ConvergenceConfig(levels=2)
     with pytest.raises(ValueError):
         ShishkinConfig(N_list=(12,))
+    # names are checked when the config is made, with the messages the run would give
+    bad = [
+        ("unknown sigma strategy 'bogus'", lambda: ShishkinConfig(sigma="bogus")),
+        ("custom strategy requires an explicit node -> SigmaEdge map", lambda: ShishkinConfig(sigma="custom")),
+        ("smooth must be 'default', 'bounded_third' or 'eps_growth'", lambda: ShishkinConfig(smooth_variant="bogus")),
+        ("unknown field 'nonexistent'", lambda: ConvergenceConfig(field="nonexistent")),
+        ("unknown sigma strategy 'bogus'", lambda: ConvergenceConfig(operator="quasi", sigma="bogus")),
+        ("custom strategy requires an explicit node -> SigmaEdge map", lambda: ConvergenceConfig(operator="quasi", sigma="custom")),
+        ("sigma applies to the quasi operator only, not to full", lambda: ConvergenceConfig(sigma="left")),
+    ]
+    for message, make in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    assert ConvergenceConfig().sigma is None and ConvergenceConfig(operator="quasi", sigma="left").sigma == "left"
 
 
 def test_csv_has_17_significant_digits(tmp_path):
@@ -135,6 +150,9 @@ def test_csv_does_not_depend_on_blas_threads(tmp_path, argv):
 def test_cli_bad_config_exit_code():
     assert main(["shishkin", "--N", "12"]) == 2
     assert main(["converge", "--operator", "wrong"]) == 2
+    # --sigma belongs to the quasi operator
+    for operator in ("full", "reduced", "bfs", "nodal", "aniso_y"):
+        assert main(["converge", "--operator", operator, "--levels", "3", "--sigma", "left"]) == 2
 
 
 def test_verification_suite_all_pass():

@@ -14,6 +14,7 @@ from macrospline.mesh import (
     SigmaEdge,
     _build_selection,
     _shishkin_steps,
+    _slot_types,
     build_macro_mesh,
     build_shishkin,
     classify_edges,
@@ -313,6 +314,11 @@ def test_classify_edges_of_a_mesh_with_other_subdomain_names():
     expected = _per_edge_classification(odd)
     assert np.array_equal(classify_edges(odd).edge_type, np.array([t for _, _, _, t in expected]))
     assert not np.array_equal(classify_edges(odd).edge_type, classify_edges(mesh).edge_type)
+    # each edge's type sits in its slot [ix, iy, horizontal], and every other slot is empty
+    for m in (mesh, odd):
+        types = _slot_types(m)
+        assert types.shape == (m.N + 1, m.N + 1, 2) and np.count_nonzero(types) == 2 * m.N * (m.N + 1)
+        assert np.array_equal(np.concatenate([types[:, :-1, 0].ravel(), types[:-1, :, 1].T.ravel()]), classify_edges(m).edge_type)
 
 
 def test_edge_set_selection():

@@ -348,8 +348,9 @@ def test_jump_norm_sum_counts_a_repeated_row_each_time():
     assert value > jump_norm_sum(poly, interior, rule)
 
 
-def test_typed_jump_sums_equal_one_jump_norm_sum_per_type():
-    from macrospline.experiments import ShishkinConfig, _shishkin_point
+def test_typed_jump_sums_equal_one_jump_norm_sum_per_type(monkeypatch):
+    from macrospline import mesh as mesh_module, norms
+    from macrospline.experiments import ShishkinConfig, _shishkin_point, verification_suite
 
     eps, N, rule = 1e-6, 16, gauss_rule(4)
     config = ShishkinConfig(N_list=(N,), eps_list=(eps,))
@@ -361,6 +362,17 @@ def test_typed_jump_sums_equal_one_jump_norm_sum_per_type():
     assert compute_norm_report(u, star, mesh, edges, rule).jump_sums == separate
     row = _shishkin_point(config, eps, N, rule)
     assert {t: row[f"jump2_{t}"] for t in separate} == separate
+    # the studies sum by slot type: they map no edge row and build no EdgeSet
+    checks = {r.name: r.value for r in verification_suite(rng_seed=1) if r.name.startswith("composite_jump2_")}
+    assert sorted(checks) == ["composite_jump2_II", "composite_jump2_IV"]
+
+    def unused(*args):
+        raise AssertionError("a study mapped edge rows")
+
+    monkeypatch.setattr(norms, "_edge_slots", unused)
+    monkeypatch.setattr(mesh_module, "classify_edges", unused)
+    assert _shishkin_point(config, eps, N, rule) == row
+    assert {r.name: r.value for r in verification_suite(rng_seed=1) if r.name in checks} == checks
 
 
 def test_jump_norm_sum_rejects_edges_that_are_not_interior_element_edges():
