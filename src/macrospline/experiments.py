@@ -30,7 +30,7 @@ from .interpolation import (
     quasi_interp,
     random_c1q2,
 )
-from .mesh import _shishkin_steps, _slot_types, build_macro_mesh, build_shishkin, select_sigma
+from .mesh import _shishkin_steps, _type_masks, build_macro_mesh, build_shishkin, select_sigma
 from .norms import JUMP_TYPES, ORDERS, _jump_sums, _seminorms, gauss_rule
 
 __all__ = [
@@ -51,8 +51,8 @@ ELEMENTS_PER_MACRO = {"full": (2, 2), "reduced": (2, 2), "quasi": (2, 2), "bfs":
 ELEMENTS_PER_CELL = {operator: ex * ey for operator, (ex, ey) in ELEMENTS_PER_MACRO.items()}
 OPERATORS = tuple(ELEMENTS_PER_MACRO)
 # Largest finest mesh a run may build.  `macrospline shishkin --N <N> --eps 1e-6` peaks
-# (ru_maxrss) at 52 MiB at N=256 and 325 MiB at N=1024, the budget: about 0.29 KiB per
-# element over the 30 MiB of the imported package (2-core x86_64 Xeon, Python 3.11, numpy 2.4).
+# (ru_maxrss) at 47 MiB at N=256 and 261 MiB at N=1024, the budget: about 0.22 KiB per
+# element over the 32 MiB of the imported package (2-core x86_64 Xeon, Python 3.11, numpy 2.4).
 MAX_ELEMENTS = 2**20
 FLOAT_FMT = "%.17g"
 
@@ -264,8 +264,7 @@ def _shishkin_point(config: ShishkinConfig, eps, N, rule) -> dict:
     star = build_composite(u, mesh, sigma)
     l2, h1, h2 = _error_norms(u, star, rule)
     row = {"eps": eps, "N": N, "L2": l2, "weighted_H1": eps**0.25 * h1, "weighted_H2": eps**0.75 * h2}
-    types = _slot_types(mesh)
-    for t, jump in zip(JUMP_TYPES, _jump_sums(star, [types == t for t in JUMP_TYPES], rule)):
+    for t, jump in zip(JUMP_TYPES, _jump_sums(star, _type_masks(mesh, JUMP_TYPES), rule)):
         row[f"jump2_{t}"] = jump
     for name, model in SHISHKIN_MODELS.items():
         row[f"C_{name}"] = row[name] / model(N, eps)
@@ -354,8 +353,7 @@ def verification_suite(rng_seed: int = 2026) -> list:
     # composite continuity across long/corner edges on a small Shishkin mesh
     mesh_s = build_shishkin(1e-6, 8)
     star = build_composite(smooth, mesh_s, select_sigma(mesh_s, "toward_corner"))
-    types = _slot_types(mesh_s)
-    for t, jump in zip(("II", "IV"), _jump_sums(star, [types == t for t in ("II", "IV")], gauss_rule(4))):
+    for t, jump in zip(("II", "IV"), _jump_sums(star, _type_masks(mesh_s, ("II", "IV")), gauss_rule(4))):
         out.append(CheckResult(f"composite_jump2_{t}", jump, 1e-10))
 
     # trace inequality battery

@@ -4,11 +4,11 @@ A macro mesh is refined into an element mesh by bisecting every macro
 interval at its midpoint.  The Shishkin generator builds the
 layer-adapted piecewise-uniform mesh on the unit square, labels every
 element with its subdomain, and types its element edges (I-IV, boundary)
-on a grid of slots [ix, iy, horizontal], as the jump sums read them, or
-as one ``EdgeSet`` of columns, one row per edge.  ``select_sigma`` picks
-the averaging edges used by the quasi-interpolation operator, one row of
-columns per node of a tensor node set (orientation, span, level, which
-end holds the node), filled by one walk per axis.
+by one-byte codes into ``EDGE_TYPES`` on a grid of slots [ix, iy,
+horizontal], as the jump sums read them, or by name in an ``EdgeSet`` of
+columns, one row per edge.  ``select_sigma`` picks the averaging edges
+of the quasi-interpolation operator, one row of columns per node of a
+tensor node set (orientation, span, level, which end holds the node).
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ __all__ = [
     "mesh_to_json",
 ]
 
-STRIP_REGIONS = ("omega1", "omega2", "omega3", "omega4")
+EDGE_TYPES = ("", "I", "II", "III", "IV", "boundary")  # the name of each slot code of _slot_types; 0 is no edge
+_CODES = {t: np.uint8(c) for c, t in enumerate(EDGE_TYPES)}
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class Grid1D:
         coords = np.asarray(self.coordinates, dtype=float)
         if coords.ndim != 1 or len(coords) < 2:
             raise ValueError("grid needs at least two coordinates")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("grid coordinates must be finite")
         if np.any(np.diff(coords) <= 0):
             raise ValueError("grid coordinates must be strictly increasing")
         object.__setattr__(self, "coordinates", coords)
@@ -136,7 +139,6 @@ _REGIONS = np.array(
     ],
     dtype="<U8",
 )
-_REGION_NAMES = np.array(sorted(_REGIONS.ravel().tolist()))  # sorted, for the subdomain codes of _slot_types
 
 
 def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tuple:
@@ -213,35 +215,36 @@ class EdgeSet:
 
 
 def _interior_types(lo: np.ndarray, hi: np.ndarray, horizontal: bool) -> np.ndarray:
-    """Types of the edges between elements of subdomains ``lo`` and ``hi``.
+    """Type codes of the edges between elements of classes ``lo`` and ``hi`` (see ``_slot_types``).
 
     A strip neighbour (``lo`` before ``hi``) decides long (II) or short
     (III): bottom/top strips hold wide elements, so their horizontal
     edges are long, and left/right strips their vertical ones.  Between
     two omega0 elements an edge is I, anywhere else IV.
     """
-    strip = np.where(np.isin(lo, STRIP_REGIONS), lo, hi)
-    long = np.isin(strip, ("omega1", "omega3")) == horizontal
-    core = np.where((lo == "omega0") & (hi == "omega0"), "I", "IV")
-    return np.where(np.isin(strip, STRIP_REGIONS), np.where(long, "II", "III"), core)
+    strip = np.where((lo == 1) | (lo == 2), lo, hi)
+    core = np.where((lo == 0) & (hi == 0), _CODES["I"], _CODES["IV"])
+    return np.where((strip == 1) | (strip == 2), np.where((strip == 1) == horizontal, _CODES["II"], _CODES["III"]), core)
 
 
 def _slot_types(mesh: ShishkinMesh) -> np.ndarray:
-    """Edge types on the slots ``[ix, iy, horizontal]`` of ``norms._jump_sums``, "" where no edge is.
+    """``uint8`` codes into ``EDGE_TYPES`` on the slots ``[ix, iy, horizontal]`` of ``norms._jump_sums``, 0 where no edge is.
 
-    Each element's subdomain is looked up by its code among the nine
-    subdomain names, or among the mesh's own names when it has others.
+    Each element is classed once from its subdomain, whatever its name: 0 omega0,
+    1 omega1/omega3 (bottom/top strips), 2 omega2/omega4 (left/right), 3 any other.
     """
-    names, codes = _REGION_NAMES, np.searchsorted(_REGION_NAMES, mesh.region).clip(max=len(_REGION_NAMES) - 1)
-    if not np.array_equal(names[codes], mesh.region):
-        names, codes = np.unique(mesh.region, return_inverse=True)
-        codes = codes.reshape(mesh.region.shape)
-    codes, pairs = codes.T, np.meshgrid(names, names, indexing="ij")  # codes[ix, jy]
-    types = np.zeros((len(mesh.grid_x), len(mesh.grid_y), 2), dtype="<U8")  # ""
-    types[[0, -1], :-1, 0] = types[:-1, [0, -1], 1] = "boundary"
-    types[1:-1, :-1, 0] = _interior_types(*pairs, False)[codes[:-1], codes[1:]]
-    types[:-1, 1:-1, 1] = _interior_types(*pairs, True)[codes[:, :-1], codes[:, 1:]]
+    classes = np.select([np.isin(mesh.region, names) for names in (("omega0",), ("omega1", "omega3"), ("omega2", "omega4"))], (0, 1, 2), 3).T  # [ix, jy]
+    types = np.zeros((len(mesh.grid_x), len(mesh.grid_y), 2), dtype=np.uint8)
+    types[[0, -1], :-1, 0] = types[:-1, [0, -1], 1] = _CODES["boundary"]
+    types[1:-1, :-1, 0] = _interior_types(classes[:-1], classes[1:], False)
+    types[:-1, 1:-1, 1] = _interior_types(classes[:, :-1], classes[:, 1:], True)
     return types
+
+
+def _type_masks(mesh: ShishkinMesh, names) -> list:
+    """One mask of the slots of ``_slot_types`` per edge type in ``names``."""
+    types = _slot_types(mesh)
+    return [types == _CODES[t] for t in names]
 
 
 def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
@@ -250,7 +253,7 @@ def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
     Rows are the vertical edges (ix outer, jy inner), then the horizontal
     ones (jy outer, ix inner).  Each column is one copy of its values on
     the (ix, jy) grid of vertical edges and the (jy, ix) grid of
-    horizontal ones; the types come from ``_slot_types``.
+    horizontal ones; the types are the names of the ``_slot_types`` codes.
     """
     types = _slot_types(mesh)
     gx, gy = mesh.grid_x, mesh.grid_y
@@ -259,8 +262,7 @@ def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
     def column(vertical, horizontal):
         return np.concatenate([np.broadcast_to(v, grid) for v, grid in zip((vertical, horizontal), grids)], axis=None)
 
-    edge_type = column(types[:, :-1, 0], types[:-1, :, 1].T)
-    del types  # freed before the other columns are made, so their memory peaks do not add up
+    edge_type = np.array(EDGE_TYPES)[column(types[:, :-1, 0], types[:-1, :, 1].T)]  # <U8, as the names are
     sign_x, sign_y = np.r_[-1.0, np.ones(len(gx) - 1)], np.r_[-1.0, np.ones(len(gy) - 1)]  # normals on line 0 point out
     normal = np.stack((column(sign_x[:, None], 0.0), column(0.0, sign_y[:, None])), axis=1)
     ends = column(gx[:, None], gx[:-1]), column(gy[:-1], gy[:, None]), column(gx[:, None], gx[1:]), column(gy[1:], gy[:, None])

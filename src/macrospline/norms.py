@@ -24,9 +24,9 @@ read traces per grid line, not per edge.  ``_line_traces`` gives the
 traces on both sides of every line of one orientation from the cell
 coefficients, with the same basis.  Jump sums take groups of edge slots
 [ix, iy, horizontal], so one pass over the lines serves every group,
-such as the four edge types of a Shishkin mesh; only the rows of an
-``EdgeSet`` a caller gives are mapped to their slots.  A jump sum takes
-no field, as a smooth field's normal derivative cancels from it.
+such as one mask per edge type (``mesh._type_masks``); only the rows of
+an ``EdgeSet`` a caller gives are mapped to their slots.  A jump sum
+takes no field, as a smooth field's normal derivative cancels from it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .interpolation import _derivative_basis
-from .mesh import EdgeSet
+from .mesh import EDGE_TYPES, EdgeSet
 from .quadrature import QuadratureRule, gauss_rule
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
 FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
-JUMP_TYPES = ("I", "II", "III", "IV")  # the interior edge types, each with its own jump sum
+JUMP_TYPES = EDGE_TYPES[1:5]  # the interior edge types I-IV, each with its own jump sum
 _BLOCK_VALUES = 2**16  # values of one block of the norm pass (512 KiB, well inside L2)
 
 

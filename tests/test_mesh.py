@@ -6,8 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrospline.mesh import (
+    EDGE_TYPES,
     EdgeSet,
     Grid1D,
     ShishkinMesh,
@@ -30,6 +33,15 @@ def test_grid_validation():
         Grid1D(np.array([0.0]))
     with pytest.raises(ValueError):
         Grid1D(np.array([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("coords", ([0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0], [math.nan, math.nan]))
+def test_grid_rejects_non_finite_coordinates(coords):
+    # NaN slips past the increasing check (nan <= 0 is False) and inf passes it
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        Grid1D(coords)
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        build_macro_mesh(coords, [0.0, 1.0])
 
 
 def test_macro_mesh_bisection():
@@ -316,9 +328,31 @@ def test_classify_edges_of_a_mesh_with_other_subdomain_names():
     assert not np.array_equal(classify_edges(odd).edge_type, classify_edges(mesh).edge_type)
     # each edge's type sits in its slot [ix, iy, horizontal], and every other slot is empty
     for m in (mesh, odd):
-        types = _slot_types(m)
+        types = np.array(EDGE_TYPES)[_slot_types(m)]
         assert types.shape == (m.N + 1, m.N + 1, 2) and np.count_nonzero(types) == 2 * m.N * (m.N + 1)
         assert np.array_equal(np.concatenate([types[:, :-1, 0].ravel(), types[:-1, :, 1].T.ravel()]), classify_edges(m).edge_type)
+
+
+_SUBDOMAINS = ("omega0", "omega1", "omega2", "omega3", "omega4", "omega12", "omega23", "omega34", "omega41")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((8, 16)), st.data())
+def test_slot_types_of_any_subdomain_names_match_the_per_edge_loop(N, data):
+    # one classification path for every name: the nine subdomains and foreign ones alike
+    names = st.sampled_from(_SUBDOMAINS + ("hole", "omega9", "", "omega00"))
+    region = np.array(data.draw(st.lists(names, min_size=N * N, max_size=N * N)), dtype="<U8").reshape(N, N)
+    m = dataclasses.replace(build_shishkin(1e-4, N), region=region)
+    codes = _slot_types(m)
+    assert codes.dtype == np.uint8 and codes.shape == (N + 1, N + 1, 2)
+    edges = _per_edge_classification(m)
+    expected = np.full((N + 1, N + 1, 2), "", dtype="<U8")  # slot [ix, iy, horizontal] of each edge's lower end
+    for ((x0, y0), _), orientation, _, t in edges:
+        expected[np.searchsorted(m.grid_x, x0), np.searchsorted(m.grid_y, y0), int(orientation == "horizontal")] = t
+    assert np.array_equal(np.array(EDGE_TYPES)[codes], expected)
+    edge_type = classify_edges(m).edge_type
+    assert edge_type.dtype == np.dtype("<U8")
+    assert np.array_equal(edge_type, np.array([t for _, _, _, t in edges]))
 
 
 def test_edge_set_selection():
