@@ -139,24 +139,24 @@ class PiecewisePoly2D:
         if side not in ("-", "+"):
             raise ValueError(f"side entries must be '-' or '+', not {side!r}")
         idx = np.searchsorted(grid, v, side="left" if side == "-" else "right") - 1
-        return np.clip(idx, 0, len(grid) - 2)
+        return np.minimum(np.maximum(idx, 0), len(grid) - 2)
 
     def evaluate(self, x, y, ax: int = 0, ay: int = 0, side=("-", "-")):
         """Pointwise D^(ax,ay) values; ``side`` picks the element at grid lines.
 
         The default takes the element with the lowest index whose closed
         bounding box contains the point; "+" takes the other limit, and
-        any other entry raises ``ValueError``.  Each point's cell is
-        applied to the derivative basis at its local (xi, eta).
+        any other entry raises ``ValueError``, as does a coordinate that
+        is NaN or outside the domain by more than 1e-12.  Each point's cell
+        is applied to the derivative basis at its local (xi, eta).
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         xb, yb = np.broadcast_arrays(x, y)
-        if np.any(xb < self.grid_x[0] - 1e-12) or np.any(xb > self.grid_x[-1] + 1e-12):
-            raise ValueError("x outside the mesh domain")
-        if np.any(yb < self.grid_y[0] - 1e-12) or np.any(yb > self.grid_y[-1] + 1e-12):
-            raise ValueError("y outside the mesh domain")
         flat_x, flat_y = xb.ravel(), yb.ravel()
+        for axis, grid, v in (("x", self.grid_x, flat_x), ("y", self.grid_y, flat_y)):
+            if v.size and not (grid[0] - 1e-12 <= v.min() and v.max() <= grid[-1] + 1e-12):
+                raise ValueError(f"{axis} outside the mesh domain")
         ix = self._locate(self.grid_x, flat_x, side[0])
         jy = self._locate(self.grid_y, flat_y, side[1])
         wx = self.grid_x[ix + 1] - self.grid_x[ix]

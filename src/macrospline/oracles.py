@@ -2,7 +2,8 @@
 
 Everything here re-derives quantities through a second route: finite
 differences against analytic derivatives, one naive divided-difference
-recursion against the table algorithm, quadrature evaluations of the
+recursion (each distinct leaf f(z, n) evaluated once per call) against
+the table algorithm, quadrature evaluations of the
 dual/associated functionals against their closed forms, and
 bound-consistency ratios that track the right-hand sides of the error
 estimates across refinement levels.  The integrals use 10-point Gauss
@@ -124,7 +125,9 @@ def fd_check(target, alpha, points, step=None) -> float:
 def _dd(zs, f):
     """Divided difference over the sorted knots ``zs`` by the naive recursion; ``f(z, n)`` is the n-th derivative.
 
-    Coincident knots, a single knot included, give f(z, n) / n!.
+    Coincident knots, a single knot included, give f(z, n) / n!.  The
+    recursion reaches the same leaf f(z, n) many times; the callers below
+    pass an ``f`` that evaluates each distinct leaf once per call.
     """
     if zs[0] == zs[-1]:
         n = len(zs) - 1
@@ -132,14 +135,41 @@ def _dd(zs, f):
     return (_dd(zs[1:], f) - _dd(zs[:-1], f)) / (zs[-1] - zs[0])
 
 
+def _knots(seq):
+    """``seq`` as a tuple; an empty or not non-decreasing sequence raises ``ValueError``."""
+    zs = tuple(seq)
+    if not zs:
+        raise ValueError("empty knot sequence")
+    if not all(a <= b for a, b in zip(zs, zs[1:])):
+        raise ValueError("knots must be non-decreasing")
+    return zs
+
+
+def _once(fn):
+    """``fn`` evaluated once per distinct argument tuple, for as long as the returned function lives."""
+    memo = {}
+
+    def leaf(*args):
+        if args not in memo:
+            memo[args] = fn(*args)
+        return memo[args]
+
+    return leaf
+
+
 def brute_force_divided_difference(knots: KnotSequence, field1d) -> float:
-    """Naive recursion straight from the definition; ``field1d(x, order)``."""
-    return float(_dd(tuple(knots.expanded()), field1d))
+    """Naive recursion straight from the definition; ``field1d(x, order)``, once per distinct leaf."""
+    return float(_dd(tuple(knots.expanded()), _once(field1d)))
 
 
 def divided_difference_2d(fn, xseq, yseq) -> float:
-    """Two-dimensional divided difference of ``fn(x, y, ax, ay)``: the one along x, differentiated in y."""
-    return float(_dd(tuple(yseq), lambda y, ay: _dd(tuple(xseq), lambda x, ax: fn(x, y, ax, ay))))
+    """Two-dimensional divided difference of ``fn(x, y, ax, ay)``: the one along x, differentiated in y.
+
+    Each distinct leaf (x, y, ax, ay) is evaluated once per call; empty or
+    not non-decreasing knot sequences raise ``ValueError``.
+    """
+    xs, ys, leaf = _knots(xseq), _knots(yseq), _once(fn)
+    return float(_dd(ys, lambda y, ay: _dd(xs, lambda x, ax: leaf(x, y, ax, ay))))
 
 
 HERMITE_NODE_SEQS = {1: (-1.0,), 2: (-1.0, -1.0), 3: (-1.0, -1.0, 1.0), 4: (-1.0, -1.0, 1.0, 1.0)}
@@ -403,13 +433,15 @@ def aniso_functional_checks(rng=None) -> list:
     for trial in range(3):
         u = make_polynomial_field(rng.normal(size=(4, 4)))
         p = interp_aniso(u, macro, "y_spline")
+        # the 29 entries share 12 leaves per field: one memo per field and trial
+        leaf_u, leaf_p = _once(u), _once(p.evaluate)
 
         worst_id, worst_inv = 0.0, 0.0
         for i, j, gamma, functional in _aniso_table_entries():
-            dd_u = divided_difference_2d(u, LAGRANGE_NODE_SEQS[i], HERMITE_NODE_SEQS[j])
+            dd_u = divided_difference_2d(leaf_u, LAGRANGE_NODE_SEQS[i], HERMITE_NODE_SEQS[j])
             val = functional(lambda x, y, ax, ay, g=gamma: u(x, y, ax + g[0], ay + g[1]))
             worst_id = max(worst_id, abs(dd_u - val))
-            dd_p = divided_difference_2d(lambda x, y, ax, ay: p.evaluate(x, y, ax, ay), LAGRANGE_NODE_SEQS[i], HERMITE_NODE_SEQS[j])
+            dd_p = divided_difference_2d(leaf_p, LAGRANGE_NODE_SEQS[i], HERMITE_NODE_SEQS[j])
             worst_inv = max(worst_inv, abs(dd_u - dd_p))
         out.append(CheckResult(f"aniso_table_identities[{trial}]", worst_id, 1e-10))
         out.append(CheckResult(f"aniso_table_invariance[{trial}]", worst_inv, 1e-10))

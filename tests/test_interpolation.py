@@ -15,6 +15,7 @@ from macrospline.interpolation import (
     PiecewisePoly2D,
     _aniso_coef,
     _c1_coef,
+    _derivative_basis,
     interp_aniso,
     interp_aniso_mesh,
     interp_bfs,
@@ -321,6 +322,62 @@ def test_evaluate_domain_error():
     p = interp_full_macro(f, (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         p.evaluate(1.5, 0.5)
+    # each axis against its grid, 1e-12 of slack, NaN outside, empty inside
+    p = PiecewisePoly2D([0.0, 0.5, 1.0], [-1.0, 2.0], np.ones((1, 2, 3, 3)))
+    for x, y, axis in ((1.0 + 2e-12, 0.5, "x"), (-2e-12, 0.5, "x"), (0.5, 2.0 + 1e-11, "y"), (0.5, -1.1, "y"), (2.0, 3.0, "x")):
+        with pytest.raises(ValueError, match=f"^{axis} outside the mesh domain$"):
+            p.evaluate(x, y)
+        with pytest.raises(ValueError, match=f"^{axis} outside the mesh domain$"):
+            p.evaluate(np.array([0.5, x, 0.25]), np.array([0.0, y, 1.0]))
+    for x, y in ((1.0 + 5e-13, 0.5), (-5e-13, 2.0 + 5e-13), (0.5, -1.0 - 5e-13)):
+        assert isinstance(p.evaluate(x, y), float)
+    for x, y, axis in ((np.nan, 0.5, "x"), (0.5, np.nan, "y"), ([0.5, np.nan], [0.0, 0.0], "x"), (0.5, [0.0, np.nan], "y")):
+        with pytest.raises(ValueError, match=f"^{axis} outside the mesh domain$"):
+            p.evaluate(x, y)
+    for x, y, shape in (([], [], (0,)), (np.empty((0, 3)), 0.5, (0, 3)), (np.empty(0), np.empty((2, 0)), (2, 0))):
+        got = p.evaluate(x, y, 1, 0)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+    assert isinstance(p.evaluate(0.25, 0.5, 2, 1, side=("+", "-")), float)
+
+
+def _evaluate_before(poly, x, y, ax=0, ay=0, side=("-", "-")):
+    """``PiecewisePoly2D.evaluate`` with its earlier domain tests (``np.any``) and cell clamp (``np.clip``)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xb, yb = np.broadcast_arrays(x, y)
+    if np.any(xb < poly.grid_x[0] - 1e-12) or np.any(xb > poly.grid_x[-1] + 1e-12):
+        raise ValueError("x outside the mesh domain")
+    if np.any(yb < poly.grid_y[0] - 1e-12) or np.any(yb > poly.grid_y[-1] + 1e-12):
+        raise ValueError("y outside the mesh domain")
+    flat_x, flat_y = xb.ravel(), yb.ravel()
+    ix = np.clip(np.searchsorted(poly.grid_x, flat_x, side="left" if side[0] == "-" else "right") - 1, 0, len(poly.grid_x) - 2)
+    jy = np.clip(np.searchsorted(poly.grid_y, flat_y, side="left" if side[1] == "-" else "right") - 1, 0, len(poly.grid_y) - 2)
+    wx = poly.grid_x[ix + 1] - poly.grid_x[ix]
+    wy = poly.grid_y[jy + 1] - poly.grid_y[jy]
+    xi = (2.0 * flat_x - poly.grid_x[ix] - poly.grid_x[ix + 1]) / wx
+    eta = (2.0 * flat_y - poly.grid_y[jy] - poly.grid_y[jy + 1]) / wy
+    cells = poly.coef[jy, ix]
+    out = np.einsum("pk,pkl,pl->p", _derivative_basis(xi, cells.shape[1], ax), cells, _derivative_basis(eta, cells.shape[2], ay))
+    out *= (2.0 / wx) ** ax * (2.0 / wy) ** ay
+    out = out.reshape(xb.shape)
+    return out if out.ndim else float(out)
+
+
+def test_evaluate_is_bit_identical_to_the_earlier_scalar_and_array_path():
+    rng = np.random.default_rng(23)
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.01, 1.0, 5)])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(1e-4, 1.0, 4)]) - 0.7
+    poly = PiecewisePoly2D(gx, gy, rng.normal(size=(4, 5, 3, 4)))
+    on_x, on_y = np.meshgrid(gx, gy, indexing="ij")
+    xs = np.r_[rng.uniform(gx[0], gx[-1], 30), on_x.ravel(), gx[0] - 5e-13, gx[-1] + 5e-13]
+    ys = np.r_[rng.uniform(gy[0], gy[-1], 30), on_y.ravel(), gy[-1], gy[0]]
+    for ax in range(3):
+        for ay in range(3):
+            for side in (("-", "-"), ("-", "+"), ("+", "-"), ("+", "+")):
+                assert np.array_equal(poly.evaluate(xs, ys, ax, ay, side=side), _evaluate_before(poly, xs, ys, ax, ay, side))
+                for x, y in zip(xs[::3], ys[::3]):
+                    got = poly.evaluate(x, y, ax, ay, side=side)
+                    assert isinstance(got, float) and got == _evaluate_before(poly, x, y, ax, ay, side)
 
 
 def test_degenerate_macro_rejected():

@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from macrospline import oracles
 from macrospline.fields import make_polynomial_field, make_smooth_field
 from macrospline.interpolation import interp_aniso, interp_bfs, interp_full_macro, interp_reduced_macro
 from macrospline.mesh import build_macro_mesh
 from macrospline.norms import seminorm
 from macrospline.oracles import (
     HERMITE_NODE_SEQS,
+    LAGRANGE_NODE_SEQS,
     BoundSpec,
     KnotSequence,
     aniso_functional_checks,
@@ -27,6 +30,9 @@ from macrospline.oracles import (
 )
 from macrospline.quadrature import gauss_rule, integrate2d
 from macrospline.spline_core import divided_difference
+
+
+REF_MACRO = (-1.0, 1.0, -1.0, 1.0)
 
 
 def test_fd_check_polynomial():
@@ -116,6 +122,88 @@ def test_2d_divided_difference_invariance_under_full_interpolation():
                 du = divided_difference_2d(u, xs, ys)
                 dp = divided_difference_2d(lambda x, y, ax, ay: p.evaluate(x, y, ax, ay), xs, ys)
                 assert du == pytest.approx(dp, abs=1e-11 * max(1.0, abs(du)))
+
+
+def _naive_dd(zs, f):
+    """The divided-difference recursion without a leaf memo: every leaf reached is evaluated."""
+    if zs[0] == zs[-1]:
+        n = len(zs) - 1
+        return f(zs[0], n) / math.factorial(n)
+    return (_naive_dd(zs[1:], f) - _naive_dd(zs[:-1], f)) / (zs[-1] - zs[0])
+
+
+def _naive_dd_2d(fn, xseq, yseq):
+    return float(_naive_dd(tuple(yseq), lambda y, ay: _naive_dd(tuple(xseq), lambda x, ax: fn(x, y, ax, ay))))
+
+
+def _naive_brute_force(knots, field1d):
+    return float(_naive_dd(tuple(knots.expanded()), field1d))
+
+
+KNOT_PAIRS = [(HERMITE_NODE_SEQS[i], HERMITE_NODE_SEQS[j]) for i in range(1, 5) for j in range(1, 5)] + [
+    (LAGRANGE_NODE_SEQS[i], HERMITE_NODE_SEQS[j]) for i in range(1, 4) for j in range(1, 5)
+]
+
+
+def test_2d_divided_difference_equals_the_naive_recursion_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        u = make_polynomial_field(rng.normal(size=(5, 5)))
+        fields = (u, interp_aniso(u, REF_MACRO, "y_spline").evaluate, interp_full_macro(u, REF_MACRO).evaluate)
+        for fn in fields:
+            for xs, ys in KNOT_PAIRS:
+                assert divided_difference_2d(fn, xs, ys) == _naive_dd_2d(fn, xs, ys)
+
+
+def test_aniso_and_peano_checks_equal_the_uncached_oracles(monkeypatch):
+    got = [r.as_dict() for r in aniso_functional_checks() + peano_checks()]
+    monkeypatch.setattr(oracles, "_once", lambda fn: fn)
+    monkeypatch.setattr(oracles, "divided_difference_2d", _naive_dd_2d)
+    monkeypatch.setattr(oracles, "brute_force_divided_difference", _naive_brute_force)
+    assert got == [r.as_dict() for r in aniso_functional_checks() + peano_checks()]
+
+
+def _leaves(zs):
+    """The distinct (z, n) leaves the recursion over ``zs`` reaches."""
+    seen = set()
+    _naive_dd(zs, lambda z, n: seen.add((z, n)) or 0.0)
+    return seen
+
+
+def test_each_distinct_leaf_is_evaluated_once_per_call():
+    u = make_polynomial_field(np.random.default_rng(6).normal(size=(4, 4)))
+    for xs, ys in KNOT_PAIRS:
+        calls = Counter()
+
+        def counted(x, y, ax, ay):
+            calls[(x, y, ax, ay)] += 1
+            return u(x, y, ax, ay)
+
+        for repeat in (1, 2):  # nothing is kept from one call to the next
+            divided_difference_2d(counted, xs, ys)
+            assert set(calls) == {(x, y, ax, ay) for x, ax in _leaves(xs) for y, ay in _leaves(ys)}
+            assert set(calls.values()) == {repeat}
+    for nodes in (((-1.0, 2), (1.0, 2)), ((-1.0, 3), (0.5, 1), (1.0, 2))):
+        calls = Counter()
+        brute_force_divided_difference(KnotSequence(nodes), lambda x, o: calls.update([(x, o)]) or float(x) ** 3)
+        assert set(calls) == _leaves(tuple(KnotSequence(nodes).expanded()))
+        assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        ((1.0, -1.0, 1.0), (-1.0,), "non-decreasing"),
+        ((-1.0,), (1.0, -1.0), "non-decreasing"),
+        ((-1.0, 0.0, float("nan")), (-1.0,), "non-decreasing"),
+        ((), (-1.0,), "empty"),
+        ((-1.0,), [], "empty"),
+    ],
+)
+def test_2d_divided_difference_rejects_bad_knots(xs, ys, message):
+    u = make_polynomial_field(np.ones((3, 3)))
+    with pytest.raises(ValueError, match=message):
+        divided_difference_2d(u, xs, ys)
 
 
 def test_kronecker_table():
