@@ -136,10 +136,12 @@ def _dd(zs, f):
 
 
 def _knots(seq):
-    """``seq`` as a tuple; an empty or not non-decreasing sequence raises ``ValueError``."""
+    """``seq`` as a tuple; an empty, non-finite or not non-decreasing sequence raises ``ValueError``."""
     zs = tuple(seq)
     if not zs:
         raise ValueError("empty knot sequence")
+    if not all(math.isfinite(z) for z in zs):
+        raise ValueError("knots must be finite")
     if not all(a <= b for a, b in zip(zs, zs[1:])):
         raise ValueError("knots must be non-decreasing")
     return zs
@@ -165,8 +167,8 @@ def brute_force_divided_difference(knots: KnotSequence, field1d) -> float:
 def divided_difference_2d(fn, xseq, yseq) -> float:
     """Two-dimensional divided difference of ``fn(x, y, ax, ay)``: the one along x, differentiated in y.
 
-    Each distinct leaf (x, y, ax, ay) is evaluated once per call; empty or
-    not non-decreasing knot sequences raise ``ValueError``.
+    Each distinct leaf (x, y, ax, ay) is evaluated once per call; empty,
+    non-finite or not non-decreasing knot sequences raise ``ValueError``.
     """
     xs, ys, leaf = _knots(xseq), _knots(yseq), _once(fn)
     return float(_dd(ys, lambda y, ay: _dd(xs, lambda x, ax: leaf(x, y, ax, ay))))

@@ -195,7 +195,9 @@ def test_each_distinct_leaf_is_evaluated_once_per_call():
     [
         ((1.0, -1.0, 1.0), (-1.0,), "non-decreasing"),
         ((-1.0,), (1.0, -1.0), "non-decreasing"),
-        ((-1.0, 0.0, float("nan")), (-1.0,), "non-decreasing"),
+        ((-1.0, 0.0, float("nan")), (-1.0,), "finite"),
+        ((float("nan"),), (-1.0,), "finite"),
+        ((-1.0,), (math.inf, math.inf), "finite"),
         ((), (-1.0,), "empty"),
         ((-1.0,), [], "empty"),
     ],
