@@ -18,12 +18,11 @@ with interface slopes taken from the interior so the normal derivative
 is continuous across long edges.
 The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
 ``evaluate``, the norm pass and jump sums all read the cells one way: as
-weights of ``_derivative_basis``, the local monomials' derivatives.
+weights of ``spline_core._derivative_basis``, the local monomials' derivatives.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 
@@ -37,8 +36,9 @@ from .spline_core import (
     HERMITE_DD_MATRIX,
     LAGRANGE3,
     LAGRANGE3_DD_MATRIX,
-    NEWTON_LOCAL,
-    REF_LOCAL,
+    _HERMITE_LOCAL,
+    _NEWTON_LOCAL,
+    _derivative_basis,
     eval_dual_weight,
 )
 
@@ -65,20 +65,10 @@ __all__ = [
 
 ASPECT_WARN = 1e8
 
-# Row order of the Hermite data/basis pairing: value and scaled slope at
-# the left endpoint, then at the right endpoint.
-_HB = {}  # side -> (4 basis, 3 local coefficients)
-for side in (0, 1):
-    _HB[side] = np.vstack(
-        [
-            REF_LOCAL["phi_minus"][side],
-            REF_LOCAL["psi_minus"][side],
-            REF_LOCAL["phi_plus"][side],
-            REF_LOCAL["psi_plus"][side],
-        ]
-    )
-_NB = {side: np.vstack([NEWTON_LOCAL[k][side] for k in (1, 2, 3, 4)]) for side in (0, 1)}
-_LG3 = np.vstack([LAGRANGE3[-1], LAGRANGE3[0], LAGRANGE3[1]])  # rows: nodes -1, 0, 1
+# Element tables [element side, basis row, local power].  Hermite rows: value
+# and scaled slope at the left endpoint, then at the right endpoint.
+_HB, _NB = _HERMITE_LOCAL, _NEWTON_LOCAL
+_LG3 = LAGRANGE3  # rows: nodes -1, 0, 1
 # Newton basis in the Lagrange direction: 1, (x+1), (x+1)x
 _LGN = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
 # Bicubic Newton basis 1, (x+1), (x+1)^2, (x+1)^2(x-1)
@@ -95,21 +85,6 @@ _BFSN = np.array(
 # ---------------------------------------------------------------------------
 # Piecewise polynomial container.
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _falling_powers(n, a):
-    """k!/(k-a)! (0 for k < a) and the exponents max(k - a, 0), k < n: the a-th derivatives of t^k; read-only, as every caller shares them."""
-    k = np.arange(n)
-    falling, powers = np.prod(k[None, :] - np.arange(a)[:, None], axis=0), np.maximum(k - a, 0)
-    falling.flags.writeable = powers.flags.writeable = False
-    return falling, powers
-
-
-def _derivative_basis(loc, n, a):
-    """(len(loc), n) matrix of the a-th derivatives of the monomials t^k, k < n, at ``loc``."""
-    falling, powers = _falling_powers(n, a)
-    return falling * loc[:, None] ** powers
 
 
 class PiecewisePoly2D:

@@ -11,7 +11,7 @@ rows (jy, b) along y and columns (ix, a) along x, and walks it in
 blocks of whole element rows small enough to stay in the L2 cache,
 into buffers made once per call.  Per block, the cell polynomials are
 evaluated by sum factorisation with the derivative basis of
-``interpolation`` (along y, then along x), and the field values come in
+``spline_core`` (along y, then along x), and the field values come in
 the same layout from its rank-one factors (``ScalarField.factors``, a
 GEMM or an outer product) or from one call on the block's points;
 each cell is then reduced in place to its weighted sum of squares or
@@ -37,9 +37,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .interpolation import _derivative_basis
 from .mesh import EDGE_TYPES, EdgeSet
 from .quadrature import QuadratureRule, gauss_rule
+from .spline_core import _derivative_basis
 
 __all__ = [
     "QuadratureRule",

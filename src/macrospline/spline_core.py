@@ -6,11 +6,18 @@ plain quadratic cannot.  This module provides the reference basis on
 [-1,1] with knot 0, divided differences with repeated knots, the Newton
 and Lagrange assemblies of the interpolating spline, the scaled world
 basis functions with compact support, and the dual weighting functions
-used by the quasi-interpolation operator.
+used by the quasi-interpolation operator.  It is the home of the one
+polynomial kernel, ``_derivative_basis`` (monomial derivatives at points):
+every 1-D evaluator applies it to coefficients in a reference variable,
+and ``interpolation`` and ``norms`` apply it along each axis of a cell.
+Points outside an interval, NaN points, degenerate, reversed or
+non-finite edges and unknown sides raise ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,59 +42,79 @@ __all__ = [
     "edge_theta",
 ]
 
+
+@functools.lru_cache(maxsize=None)
+def _falling_powers(n, a):
+    """k!/(k-a)! (0 for k < a) and the exponents max(k - a, 0), k < n: the a-th derivatives of t^k; read-only, as every caller shares them."""
+    k = np.arange(n)
+    falling, powers = np.prod(k[None, :] - np.arange(a)[:, None], axis=0), np.maximum(k - a, 0)
+    falling.flags.writeable = powers.flags.writeable = False
+    return falling, powers
+
+
+def _derivative_basis(loc, n, a):
+    """(len(loc), n) matrix of the a-th derivatives of the monomials t^k, k < n, at ``loc``."""
+    falling, powers = _falling_powers(n, a)
+    return falling * loc[:, None] ** powers
+
+
+def _checked(x, lo, hi, what):
+    """``x`` as a float array; a point outside [lo, hi], or NaN, raises ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    if x.size and not (lo <= x.min() and x.max() <= hi):
+        raise ValueError(f"{what} outside [{lo}, {hi}]")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Reference basis on [-1, 1] with knot at 0.
 #
-# Monomial coefficients (c0, c1, c2) in the reference variable, one triple
-# per piece.  "left" is [-1, 0], "right" is [0, 1].
+# Monomial coefficients (c0, c1, c2) in the reference variable, indexed
+# [piece, row]: piece 0 is [-1, 0], piece 1 is [0, 1].
 # ---------------------------------------------------------------------------
 
-REF_PIECES = {
-    "phi_minus": (np.array([0.5, -1.0, -0.5]), np.array([0.5, -1.0, 0.5])),
-    "phi_plus": (np.array([0.5, 1.0, 0.5]), np.array([0.5, 1.0, -0.5])),
-    "psi_minus": (np.array([0.25, -0.5, -0.75]), np.array([0.25, -0.5, 0.25])),
-    "psi_plus": (np.array([-0.25, -0.5, -0.25]), np.array([-0.25, -0.5, 0.75])),
-}
+# The Hermite row order: value and slope function of the left end, then of the right end.
+_HERMITE_ROWS = ("phi_minus", "psi_minus", "phi_plus", "psi_plus")
+REF_PIECES = np.array(
+    [
+        [[0.5, -1.0, -0.5], [0.25, -0.5, -0.75], [0.5, 1.0, 0.5], [-0.25, -0.5, -0.25]],
+        [[0.5, -1.0, 0.5], [0.25, -0.5, 0.25], [0.5, 1.0, -0.5], [-0.25, -0.5, 0.75]],
+    ]
+)
 
 # Newton basis 1, (x+1), (x+1)^2, 4*psi_plus used by the Newtonian assembly.
-NEWTON_PIECES = {
-    1: (np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
-    2: (np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])),
-    3: (np.array([1.0, 2.0, 1.0]), np.array([1.0, 2.0, 1.0])),
-    4: (np.array([-1.0, -2.0, -1.0]), np.array([-1.0, -2.0, 3.0])),
-}
+NEWTON_PIECES = np.array(
+    [
+        [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [-1.0, -2.0, -1.0]],
+        [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [-1.0, -2.0, 3.0]],
+    ]
+)
 
-# Quadratic Lagrange basis on nodes -1, 0, 1 (single polynomial, no pieces).
-LAGRANGE3 = {
-    -1: np.array([0.0, -0.5, 0.5]),
-    0: np.array([1.0, 0.0, -1.0]),
-    1: np.array([0.0, 0.5, 0.5]),
-}
+# Quadratic Lagrange basis on nodes -1, 0, 1 (one row per node, a single polynomial).
+LAGRANGE3 = np.array([[0.0, -0.5, 0.5], [1.0, 0.0, -1.0], [0.0, 0.5, 0.5]])
 
-
-def _poly_eval(coef, x, order):
-    return np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coef, order))
-
-
-def _rebase(coef, scale, shift):
-    """Coefficients of p(scale*t + shift) given those of p(x)."""
-    p = np.polynomial.Polynomial(coef)
-    q = p(np.polynomial.Polynomial([shift, scale]))
-    out = np.zeros(len(coef))
-    out[: len(q.coef)] = q.coef
-    return out
+# Piece p of the macro is element p, with local xi in [-1, 1] and x = (xi -+ 1)/2;
+# row k of _HALVES[p] holds the xi-coefficients of x^k.  Every entry is dyadic, so
+# the element tables below are exact.
+_HALVES = np.array([[[1.0, 0.0, 0.0], [-0.5, 0.5, 0.0], [0.25, -0.5, 0.25]], [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.5, 0.25]]])
+_HERMITE_LOCAL = REF_PIECES @ _HALVES  # [element, Hermite row, xi power], used by the 2D assembly routines
+_NEWTON_LOCAL = NEWTON_PIECES @ _HALVES
 
 
-def _local_pieces(pieces):
-    """Re-express macro-piece coefficients in element-local xi in [-1,1]."""
-    left, right = pieces
-    return _rebase(left, 0.5, -0.5), _rebase(right, 0.5, 0.5)
+def _eval_pieces(pieces, t, order, side):
+    """The order-th t-derivative of the two-piece quadratic ``pieces`` (left of t = 0, right of it) at ``t``.
 
-
-# Per-piece coefficients in the local coordinate of the owning element,
-# used by the 2D assembly routines.
-REF_LOCAL = {k: _local_pieces(v) for k, v in REF_PIECES.items()}
-NEWTON_LOCAL = {k: _local_pieces(v) for k, v in NEWTON_PIECES.items()}
+    ``side`` picks the limit taken at t = 0; another value, or an order
+    that is not a non-negative integer, raises ``ValueError``.
+    """
+    if side not in ("left_limit", "right_limit"):
+        raise ValueError("side must be 'left_limit' or 'right_limit'")
+    if order < 0 or order % 1:
+        raise ValueError("order must be a non-negative integer")
+    basis = _derivative_basis(t.reshape(-1), 3, order)
+    use_left = (t < 0.0) | ((t == 0.0) & (side == "left_limit"))
+    vals = np.where(use_left.reshape(-1), basis @ pieces[0], basis @ pieces[1]).reshape(t.shape)
+    return vals if vals.ndim else float(vals)
 
 
 def eval_ref_basis(kind: str, order: int, x, side: str = "right_limit"):
@@ -97,19 +124,12 @@ def eval_ref_basis(kind: str, order: int, x, side: str = "right_limit"):
     is at most 2.  The second derivative jumps at the knot x=0, where
     ``side`` selects the limit taken (default right).
     """
-    if kind not in REF_PIECES:
+    if kind not in _HERMITE_ROWS:
         raise ValueError(f"unknown basis kind {kind!r}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    if side not in ("left_limit", "right_limit"):
-        raise ValueError("side must be 'left_limit' or 'right_limit'")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1.0) or np.any(x > 1.0):
-        raise ValueError("reference coordinate outside [-1, 1]")
-    left, right = REF_PIECES[kind]
-    use_left = (x < 0.0) | ((x == 0.0) & (side == "left_limit"))
-    vals = np.where(use_left, _poly_eval(left, x, order), _poly_eval(right, x, order))
-    return vals if vals.ndim else float(vals)
+    x = _checked(x, -1.0, 1.0, "reference coordinate")
+    return _eval_pieces(REF_PIECES[:, _HERMITE_ROWS.index(kind)], x, order, side)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +148,12 @@ class KnotSequence:
         mults = [m for _, m in self.nodes]
         if len(positions) == 0:
             raise ValueError("empty knot sequence")
+        if not all(np.isfinite(p) for p in positions):
+            raise ValueError("knot positions must be finite")
         if any(positions[i] >= positions[i + 1] for i in range(len(positions) - 1)):
             raise ValueError("knot positions must be strictly increasing")
-        if any(m < 1 or m > 4 for m in mults):
-            raise ValueError("multiplicities must lie in 1..4")
+        if not all(isinstance(m, numbers.Integral) and 1 <= m <= 4 for m in mults):
+            raise ValueError("multiplicities must be integers in 1..4")
 
     def expanded(self):
         return [p for p, m in self.nodes for _ in range(m)]
@@ -219,50 +241,24 @@ def hermite_divided_differences(data: HermiteData1D) -> np.ndarray:
 class MacroSpline1D:
     """Two quadratic pieces on [a, knot] and [knot, b], C1 at the knot.
 
-    Piece coefficients are monomial triples in the shifted variable
-    x - xc, with xc the midpoint of the respective piece.
+    Piece coefficients are monomial triples in the reference variable
+    (x - knot)/w, with w = (b - a)/2 the half-width of the interval.
     """
 
     interval: tuple
     knot: float
     pieces: tuple
 
-    def piece_center(self, which: int) -> float:
-        a, b = self.interval
-        return 0.5 * (a + self.knot) if which == 0 else 0.5 * (self.knot + b)
-
     def __call__(self, x, order: int = 0, side: str = "right_limit"):
-        x = np.asarray(x, dtype=float)
         a, b = self.interval
-        if np.any(x < a) or np.any(x > b):
-            raise ValueError("point outside the spline interval")
-        use_left = (x < self.knot) | ((x == self.knot) & (side == "left_limit"))
-        v_left = _poly_eval(self.pieces[0], x - self.piece_center(0), order)
-        v_right = _poly_eval(self.pieces[1], x - self.piece_center(1), order)
-        vals = np.where(use_left, v_left, v_right)
-        return vals if vals.ndim else float(vals)
+        w = 0.5 * (b - a)
+        t = (_checked(x, a, b, "point") - self.knot) / w
+        return _eval_pieces(self.pieces, t, order, side) / w**order
 
     def c1_defect(self) -> float:
         """Max of the value and slope mismatches of the two pieces at the knot."""
-        t0 = self.knot - self.piece_center(0)
-        t1 = self.knot - self.piece_center(1)
-        dv = abs(_poly_eval(self.pieces[0], t0, 0) - _poly_eval(self.pieces[1], t1, 0))
-        dd = abs(_poly_eval(self.pieces[0], t0, 1) - _poly_eval(self.pieces[1], t1, 1))
-        return float(max(dv, dd))
-
-
-def _spline_from_ref_pieces(ref_left, ref_right, a, b):
-    """Build a MacroSpline1D from reference-piece coefficients on [-1,1]."""
-    w = 0.5 * (b - a)
-    knot = 0.5 * (a + b)
-    out = []
-    for coef, (lo, hi) in ((ref_left, (a, knot)), (ref_right, (knot, b))):
-        xc = 0.5 * (lo + hi)
-        # x = knot + w*xhat, piece center xc = knot + w*xhat_c
-        xhat_c = (xc - knot) / w
-        shifted = _rebase(coef, 1.0 / w, xhat_c)
-        out.append(shifted)
-    return MacroSpline1D(interval=(a, b), knot=knot, pieces=(out[0], out[1]))
+        (left, right), (a, b) = self.pieces, self.interval
+        return float(max(abs(left[0] - right[0]), abs(left[1] - right[1]) / (0.5 * (b - a))))
 
 
 def hermite_interpolate_1d(data: HermiteData1D, interval=(-1.0, 1.0), assembly: str = "newton") -> MacroSpline1D:
@@ -281,33 +277,15 @@ def hermite_interpolate_1d(data: HermiteData1D, interval=(-1.0, 1.0), assembly: 
     # Reference data: uhat(xhat) = u(mid + w*xhat), so uhat' = w*u'.
     ref = HermiteData1D(data.value_left, w * data.deriv_left, data.value_right, w * data.deriv_right)
     if assembly == "newton":
-        dd = hermite_divided_differences(ref)
-        left = sum(dd[k] * NEWTON_PIECES[k + 1][0] for k in range(4))
-        right = sum(dd[k] * NEWTON_PIECES[k + 1][1] for k in range(4))
+        left, right = hermite_divided_differences(ref) @ NEWTON_PIECES
     else:
-        weights = {
-            "phi_minus": ref.value_left,
-            "psi_minus": ref.deriv_left,
-            "phi_plus": ref.value_right,
-            "psi_plus": ref.deriv_right,
-        }
-        left = sum(c * REF_PIECES[k][0] for k, c in weights.items())
-        right = sum(c * REF_PIECES[k][1] for k, c in weights.items())
-    return _spline_from_ref_pieces(left, right, a, b)
+        left, right = np.array([ref.value_left, ref.deriv_left, ref.value_right, ref.deriv_right]) @ REF_PIECES
+    return MacroSpline1D(interval=(a, b), knot=0.5 * (a + b), pieces=(left, right))
 
 
 # ---------------------------------------------------------------------------
 # World-domain basis functions.
 # ---------------------------------------------------------------------------
-
-
-def _coords(grid) -> np.ndarray:
-    return np.asarray(getattr(grid, "coordinates", grid), dtype=float)
-
-
-def _check_midpoint(xs, lo, mid, hi):
-    if abs(xs[mid] - 0.5 * (xs[lo] + xs[hi])) > 1e-12 * max(1.0, abs(xs[hi] - xs[lo])):
-        raise ValueError("grid lacks the midpoint structure required for phi/psi")
 
 
 def eval_world_basis(grid, node_index: int, kind: str, order: int, x):
@@ -317,79 +295,81 @@ def eval_world_basis(grid, node_index: int, kind: str, order: int, x):
     [x_{i-2}, x_{i+2}] (truncated at the boundary); lagrange_full is the
     quadratic Lagrange function of node i over the two adjacent intervals
     with implied midpoints, and lagrange_half the interval bubble.
-    Outside the support the value is exactly zero.
+    Outside the support the value is exactly zero; a NaN point raises
+    ``ValueError``.
     """
-    xs = _coords(grid)
+    xs = np.asarray(getattr(grid, "coordinates", grid), dtype=float)
     n = len(xs)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-
     if kind in ("phi", "psi"):
         if not 0 <= node_index < n or node_index % 2 != 0:
             raise IndexError("phi/psi node index must be an even grid index")
-        ref = "phi" if kind == "phi" else "psi"
-        for lo, hi, ref_kind in ((node_index - 2, node_index, f"{ref}_plus"), (node_index, node_index + 2, f"{ref}_minus")):
-            if lo < 0 or hi > n - 1:
-                continue
-            _check_midpoint(xs, lo, lo + 1, hi)
-            h = xs[lo + 1] - xs[lo]
-            mask = (x >= xs[lo]) & (x <= xs[hi])
-            if not np.any(mask):
-                continue
-            xhat = np.clip((x[mask] - xs[lo + 1]) / h, -1.0, 1.0)
-            scale = h if kind == "psi" else 1.0
-            vals = scale * eval_ref_basis(ref_kind, order, xhat) / h**order
-            out[mask] = vals
+        plus, minus = (REF_PIECES[:, _HERMITE_ROWS.index(f"{kind}_{end}")] for end in ("plus", "minus"))
+        segments = [(node_index - 2, node_index, plus), (node_index, node_index + 2, minus)]
     elif kind == "lagrange_full":
         if not 0 <= node_index < n:
             raise IndexError("node index out of range")
-        for lo, hi, side in ((node_index - 1, node_index, 1), (node_index, node_index + 1, -1)):
-            if lo < 0 or hi > n - 1:
-                continue
-            h = 0.5 * (xs[hi] - xs[lo])
-            mask = (x >= xs[lo]) & (x <= xs[hi])
-            if not np.any(mask):
-                continue
-            xhat = (x[mask] - 0.5 * (xs[lo] + xs[hi])) / h
-            out[mask] = _poly_eval(LAGRANGE3[side], xhat, order) / h**order
+        segments = [(node_index - 1, node_index, LAGRANGE3[[2, 2]]), (node_index, node_index + 1, LAGRANGE3[[0, 0]])]
     elif kind == "lagrange_half":
         if not 0 <= node_index < n - 1:
             raise IndexError("interval index out of range")
-        lo, hi = node_index, node_index + 1
-        h = 0.5 * (xs[hi] - xs[lo])
-        mask = (x >= xs[lo]) & (x <= xs[hi])
-        xhat = (x[mask] - 0.5 * (xs[lo] + xs[hi])) / h
-        out[mask] = _poly_eval(LAGRANGE3[0], xhat, order) / h**order
+        segments = [(node_index, node_index + 1, LAGRANGE3[[1, 1]])]
     else:
         raise ValueError(f"unknown world basis kind {kind!r}")
-    return float(out[0]) if scalar else out
+    x = _checked(x, -np.inf, np.inf, "point")
+    out = np.zeros_like(x)
+    # (lo, hi, piece pair) per segment of the support, a Lagrange row twice; where two meet, the later wins
+    for lo, hi, pieces in segments:
+        if lo < 0 or hi > n - 1:
+            continue
+        if kind in ("phi", "psi"):
+            mid, h = xs[lo + 1], xs[lo + 1] - xs[lo]
+            if abs(mid - 0.5 * (xs[lo] + xs[hi])) > 1e-12 * max(1.0, abs(xs[hi] - xs[lo])):
+                raise ValueError("grid lacks the midpoint structure required for phi/psi")
+        else:
+            mid, h = 0.5 * (xs[lo] + xs[hi]), 0.5 * (xs[hi] - xs[lo])
+        mask = (x >= xs[lo]) & (x <= xs[hi])
+        t = np.clip((x[mask] - mid) / h, -1.0, 1.0)
+        out[mask] = (h if kind == "psi" else 1.0) * _eval_pieces(pieces, t, order, "right_limit") / h**order
+    return out if out.ndim else float(out)
+
+
+def _edge(edge):
+    """The ends (a, b) of a macro edge as floats; a degenerate, reversed or non-finite edge raises ``ValueError``."""
+    a, b = float(edge[0]), float(edge[1])
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise ValueError("an edge (a, b) must be finite with b > a")
+    return a, b
+
+
+def _edge_coordinate(edge, x):
+    """The half-length h of a macro edge and the coordinate (x - mid)/h of points on it."""
+    a, b = _edge(edge)
+    h = 0.5 * (b - a)
+    return h, (np.asarray(x, dtype=float) - 0.5 * (a + b)) / h
+
+
+def _edge_node_basis(family, edge, node_side, order, x):
+    """phi or psi of the edge's left or right end, restricted to the edge."""
+    if node_side not in ("left", "right"):
+        raise ValueError("node_side must be 'left' or 'right'")
+    h, xhat = _edge_coordinate(edge, x)
+    kind = f"{family}_minus" if node_side == "left" else f"{family}_plus"
+    return (h if family == "psi" else 1.0) * eval_ref_basis(kind, order, xhat) / h**order
 
 
 def edge_spline_basis(edge, node_side: str, order: int, x):
     """psi_i or psi_{i+1} restricted to one macro edge (node at left/right end)."""
-    a, b = float(edge[0]), float(edge[1])
-    h = 0.5 * (b - a)
-    xhat = (np.asarray(x, dtype=float) - 0.5 * (a + b)) / h
-    kind = "psi_minus" if node_side == "left" else "psi_plus"
-    return h * eval_ref_basis(kind, order, xhat) / h**order
+    return _edge_node_basis("psi", edge, node_side, order, x)
 
 
 def edge_hat_basis(edge, node_side: str, order: int, x):
     """phi_i or phi_{i+1} restricted to one macro edge."""
-    a, b = float(edge[0]), float(edge[1])
-    h = 0.5 * (b - a)
-    xhat = (np.asarray(x, dtype=float) - 0.5 * (a + b)) / h
-    kind = "phi_minus" if node_side == "left" else "phi_plus"
-    return eval_ref_basis(kind, order, xhat) / h**order
+    return _edge_node_basis("phi", edge, node_side, order, x)
 
 
 def edge_theta(edge, x):
     """The auxiliary even quadratic ((x-mid)/h)^2 - 1/6 on a macro edge."""
-    a, b = float(edge[0]), float(edge[1])
-    h = 0.5 * (b - a)
-    t = (np.asarray(x, dtype=float) - 0.5 * (a + b)) / h
+    t = _edge_coordinate(edge, x)[1]
     return t * t - 1.0 / 6.0
 
 
@@ -411,9 +391,7 @@ class DualWeight:
     endpoint_side: str
 
     def __post_init__(self):
-        a, b = self.edge_interval
-        if not b > a:
-            raise ValueError("degenerate edge interval")
+        _edge(self.edge_interval)
         if self.endpoint_side not in ("left", "right"):
             raise ValueError("endpoint_side must be 'left' or 'right'")
 
@@ -426,9 +404,7 @@ class DualWeight:
 def eval_dual_weight(weight: DualWeight, x):
     """Evaluate the dual weight at points of its edge."""
     a, b = weight.edge_interval
-    x = np.asarray(x, dtype=float)
-    if np.any(x < a) or np.any(x > b):
-        raise ValueError("point outside the edge interval")
+    x = _checked(x, a, b, "point")
     h = weight.half_length
     t = x - 0.5 * (a + b)
     if weight.endpoint_side == "right":
