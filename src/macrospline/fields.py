@@ -16,11 +16,16 @@ them.  ``ScalarField.terms`` reads ``_eval.terms``, so a field rebuilt as
 ``ScalarField(name, f._eval)`` keeps them.  Polynomial fields are the one
 exception: their callable carries monomial terms, but pointwise values
 come from ``polyval2d``.  The pointwise call and ``ScalarField.factors``
-share one loop that evaluates each distinct factor once per axis;
-``factors`` stacks the values on the rows and the columns of an open
-grid, so the values on any block of its rows are one GEMM (sum
-factorisation).  A field without terms (``exp_xy``, a mesh function, any
-plain callable) has none, and a sum or scale with one adds or scales calls.
+evaluate each distinct factor once per axis (``_factor_values``).  The
+call folds the terms left to right in place, in one output and one
+scratch array (``_fold``), bit for bit ``total + c * (vx * vy)`` term by
+term; ``factors`` stacks the values on the rows and the columns of an
+open grid, so the values on any block of its rows are one GEMM (sum
+factorisation).  ``_LineGrids`` keeps the factor values of each (axis,
+coordinate line, orders) for a run of open-grid gathers on shared lines,
+and folds them into each grid as the pointwise call would.  A field
+without terms (``exp_xy``, a mesh function, any plain callable) has
+none, and a sum or scale with one adds or scales calls.
 """
 
 from __future__ import annotations
@@ -87,10 +92,12 @@ class ScalarField:
         if terms is None:
             return None
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x_values = _factor_values((fx for _, fx, _ in terms), x, ax)
+        y_values = _factor_values((fy for _, _, fy in terms), y, ay)
         Fx, Fy = np.empty((len(terms), x.size)), np.empty((len(terms), y.size))
-        for k, (c, vx, vy) in enumerate(_term_values(terms, x, y, ax, ay)):
-            np.multiply(c, vx, out=Fx[k])
-            Fy[k] = vy
+        for k, (c, fx, fy) in enumerate(terms):
+            np.multiply(c, x_values[fx], out=Fx[k])
+            Fy[k] = y_values[fy]
         return Fx, Fy
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
@@ -112,29 +119,95 @@ class ScalarField:
         return ScalarField(f"{c}*{self.name}", ev)
 
 
-def _term_values(terms, x, y, ax, ay):
-    """``(c, D^ax fx(x), D^ay fy(y))`` per term, in order, each distinct factor evaluated once per axis."""
-    fx_values, fy_values = {}, {}
-    for c, fx, fy in terms:
-        if fx not in fx_values:
-            fx_values[fx] = np.broadcast_to(fx(x, ax), np.shape(x))
-        if fy not in fy_values:
-            fy_values[fy] = np.broadcast_to(fy(y, ay), np.shape(y))
-        yield c, fx_values[fx], fy_values[fy]
+def _factor_values(factors, t, order):
+    """``{f: D^order f(t)}`` for the distinct 1-D factors among ``factors``, each evaluated once, in the shape of ``t``."""
+    shape = np.shape(t)
+    values = {}
+    for f in factors:
+        if f not in values:
+            v = f(t, order)
+            values[f] = v if np.shape(v) == shape else np.broadcast_to(v, shape)
+    return values
+
+
+def _fold(terms, x_values, y_values, shape):
+    """The left fold of c * (fx * fy) over ``terms`` as one new array of ``shape``.
+
+    ``x_values[fx]`` and ``y_values[fy]`` are factor values that broadcast
+    to ``shape``.  Each term is written into one scratch array and added in
+    place, with the ufuncs of ``total + c * (vx * vy)`` in the same order,
+    so the result equals that sum bit for bit; the multiply by c is skipped
+    when c is 1.0, where it is exact.
+    """
+    total = np.empty(shape) if terms else np.zeros(shape)
+    scratch = np.empty(shape) if len(terms) > 1 else None
+    for k, (c, fx, fy) in enumerate(terms):
+        term = scratch if k else total
+        np.multiply(x_values[fx], y_values[fy], out=term)
+        if c != 1.0:
+            np.multiply(c, term, out=term)
+        if k:
+            np.add(total, term, out=total)
+    return total
 
 
 class _Terms:
-    """The ``_eval`` of a field with rank-one terms: called, the left fold of c * (fx(x) * fy(y)) over ``terms``."""
+    """The ``_eval`` of a field with rank-one terms: called, the in-place left fold (``_fold``) of c * (fx(x) * fy(y)) over ``terms``."""
 
     def __init__(self, terms):
         self.terms = tuple(terms)
 
     def __call__(self, x, y, ax, ay):
-        total = np.zeros(np.broadcast(x, y).shape) if not self.terms else None
-        for c, vx, vy in _term_values(self.terms, x, y, ax, ay):
-            term = c * (vx * vy)
-            total = term if total is None else total + term
-        return total
+        x_values = _factor_values((fx for _, fx, _ in self.terms), x, ax)
+        y_values = _factor_values((fy for _, _, fy in self.terms), y, ay)
+        return _fold(self.terms, x_values, y_values, np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
+class _LineGrids:
+    """A field on open grids of 1-D coordinate lines, for gathers that share lines.
+
+    ``grid(x, y, x_orders, y_orders)[a, b]`` is D^(x_orders[a], y_orders[b])
+    u at (x[i], y[j]), bit for bit the pointwise call on ``x[:, None]`` and
+    ``y[None, :]``.  If the field's ``_eval`` is a ``_Terms``, each distinct
+    factor is evaluated once per (axis, line, orders), a line being one
+    array object, kept as long as this object, and all orders of a grid
+    are one ``_fold`` of those values; any other field makes one pointwise
+    call per order pair.  Called, it is the pointwise field, and
+    ``transposed()`` is (x, y) -> u(y, x) on the same stored values.
+    """
+
+    def __init__(self, field, swapped=False, tables=None):
+        self.field, self.swapped = field, swapped
+        eval_ = getattr(field, "_eval", None)
+        self.terms = eval_.terms if isinstance(eval_, _Terms) else None
+        self.tables = {} if tables is None else tables  # (axis, id(line), orders) -> (line, factor values)
+
+    def transposed(self) -> "_LineGrids":
+        return _LineGrids(self.field, not self.swapped, self.tables)
+
+    def __call__(self, x, y, ax=0, ay=0):
+        return self.field(y, x, ay, ax) if self.swapped else self.field(x, y, ax, ay)
+
+    def grid(self, x, y, x_orders, y_orders):
+        if self.terms is None:
+            shape = (len(x), len(y))
+            return np.array([[np.broadcast_to(self(x[:, None], y[None, :], a, b), shape) for b in y_orders] for a in x_orders])
+        if self.swapped:
+            return self._fold(y, x, y_orders, x_orders).transpose(1, 0, 3, 2)
+        return self._fold(x, y, x_orders, y_orders)
+
+    def _fold(self, x, y, x_orders, y_orders):
+        shape = (len(x_orders), len(y_orders), len(x), len(y))
+        return _fold(self.terms, self._factor_values(0, x, x_orders), self._factor_values(1, y, y_orders), shape)
+
+    def _factor_values(self, axis, line, orders):
+        """The factors along ``axis`` at ``line``, stacked over ``orders`` in the layout of ``grid``, evaluated on first use."""
+        key = (axis, id(line), tuple(orders))
+        if key not in self.tables:
+            per_order = [_factor_values((term[1 + axis] for term in self.terms), line, order) for order in orders]
+            shape = (-1, 1, len(line), 1) if axis == 0 else (1, -1, 1, len(line))
+            self.tables[key] = line, {f: np.stack([v[f] for v in per_order]).reshape(shape) for f in per_order[0]}
+        return self.tables[key][1]
 
 
 def _monomial(k: int):
@@ -243,7 +316,7 @@ def _poly1d(coef):
     derivatives = [np.polynomial.polynomial.polyder(c, order) for order in range(MAX_ORDER + 1)]
 
     def f(t, order):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), derivatives[order]) * np.ones(np.shape(t) or ())
+        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), derivatives[order])
 
     return f
 

@@ -8,8 +8,9 @@ a matrix G, then apply fixed basis matrices, B_x^T G B_y.  The per-macro
 functions (full and reduced C1 macro, bicubic Hermite, biquadratic
 nodal, anisotropic two-element macro) spell this out for one macro and
 are the reference.  The mesh-level operators run the same recipe for all
-cells at once: ``_gather`` makes one field call per derivative order on
-the tensor grid of nodes and returns G for every cell, and the fixed
+cells at once: ``_gather`` takes the field's values for each derivative
+order on the tensor grid of nodes, one open-grid evaluation through
+``fields._LineGrids``, and returns G for every cell, and the fixed
 matrices act on the stacked array, one direction at a time, which
 reproduces the per-macro coefficients bit for bit.  Quasi-interpolation
 replaces the mixed entries of G by weighted edge averages of u_xy; the
@@ -28,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, _LineGrids
 from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row
 from .quadrature import gauss_rule
 from .spline_core import (
@@ -289,14 +290,6 @@ def _aniso_blocks_y(field, x0, x1, y0, y1, assembly):
     return [_LGN.T @ F @ _NB[sy] for sy in (0, 1)]
 
 
-class _Transposed:
-    def __init__(self, field):
-        self.field = field
-
-    def __call__(self, x, y, ax=0, ay=0):
-        return self.field(y, x, ay, ax)
-
-
 def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "lagrange") -> PiecewisePoly2D:
     """Anisotropic two-element macro interpolant.
 
@@ -313,7 +306,7 @@ def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "l
         gy = np.array([y0, 0.5 * (y0 + y1), y1])
         return PiecewisePoly2D(gx, gy, np.array([[block] for block in blocks]))
     if orientation == "x_spline":
-        swapped = interp_aniso(_Transposed(field), (y0, y1, x0, x1), "y_spline", assembly)
+        swapped = interp_aniso(_LineGrids(field).transposed(), (y0, y1, x0, x1), "y_spline", assembly)
         coef = np.transpose(swapped.coef, (1, 0, 3, 2))
         return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
     raise ValueError("orientation must be 'y_spline' or 'x_spline'")
@@ -338,25 +331,29 @@ def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
 
     Row r applies ``rows_x[r]`` along x and column c applies ``rows_y[c]``
     along y; derivative order (p, q) is scaled by hx**p * hy**q with the
-    cell half-widths.  One field call per derivative order covers the
-    whole node grid; a NaN or infinite value raises ``ValueError``.
+    cell half-widths.  One open-grid evaluation of every derivative order
+    covers the whole node grid; a NaN or infinite value raises
+    ``ValueError``.  A ``fields._LineGrids`` passed as ``field`` shares its
+    stored factor values with every gather on the same line arrays.
     """
+    lines = field if isinstance(field, _LineGrids) else _LineGrids(field)
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
     sx, sy = rows_x[-1][0], rows_y[-1][0]
     hx, hy = _half_widths(gx, sx), _half_widths(gy, sy)
     _check_widths(hx, hy, stacklevel=4)
     nx, ny = len(hx), len(hy)
     G = np.empty((ny, nx, len(rows_x), len(rows_y)))
-    values = {}
+    x_orders, y_orders = sorted({p for _, p in rows_x}), sorted({p for _, p in rows_y})
+    V = lines.grid(gx, gy, x_orders, y_orders)
+    finite = np.isfinite(V).all(axis=(2, 3))
+    if not finite.all():
+        a, b = np.argwhere(~finite)[0]
+        raise ValueError(f"field derivative ({x_orders[a]}, {y_orders[b]}) is not finite at a node")
+    hx_pow, hy_pow = {p: hx**p for p in x_orders}, {q: hy**q for q in y_orders}
     for r, (ox, px) in enumerate(rows_x):
         for c, (oy, py) in enumerate(rows_y):
-            if (px, py) not in values:
-                v = np.asarray(field(gx[:, None], gy[None, :], px, py))
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"field derivative ({px}, {py}) is not finite at a node")
-                values[px, py] = np.broadcast_to(v, (len(gx), len(gy))).T
-            V = values[px, py][oy : oy + sy * ny : sy, ox : ox + sx * nx : sx]
-            G[:, :, r, c] = hx[None, :] ** px * hy[:, None] ** py * V
+            v = V[x_orders.index(px), y_orders.index(py)].T  # rows along y
+            np.multiply(hx_pow[px][None, :] * hy_pow[py][:, None], v[oy : oy + sy * ny : sy, ox : ox + sx * nx : sx], out=G[:, :, r, c])
     return G
 
 
@@ -422,7 +419,7 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
     if orientation == "y_spline":
         G = _gather(field, _bisect(lag), spl, _LAGRANGE, _HERMITE)
         return PiecewisePoly2D(lag, _bisect(spl), _aniso_coef(G))
-    swapped = interp_aniso_mesh(_Transposed(field), lag, spl, "y_spline")
+    swapped = interp_aniso_mesh(_LineGrids(field).transposed(), lag, spl, "y_spline")
     coef = np.transpose(swapped.coef, (1, 0, 3, 2))
     return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
 
@@ -532,6 +529,13 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     interior nodal interpolant's slope, and the interior plain nodal
     interpolation; the result is continuous with a continuous normal
     derivative across long (type II) and corner-region (type IV) edges.
+
+    All gathers read the field through one ``fields._LineGrids``: a field
+    with terms evaluates each distinct 1-D factor once per axis, order
+    and node-line set (the bisected core lines at order 0, each fine
+    band's macro lines at orders 0 and 1), and every grid is folded from
+    those values, bit for bit the pointwise call.  The values live only
+    for this call.
     """
     N, n4 = mesh.N, mesh.N // 4
     gx, gy = mesh.grid_x, mesh.grid_y
@@ -539,8 +543,11 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # (macro lines, elements) of the low and the high fine band
     bands = ((slice(0, n4 + 1, 2), slice(0, n4)), (slice(3 * n4, N + 1, 2), slice(3 * n4, N)))
     coef = np.zeros((N, N, 3, 3))
+    u = _LineGrids(field)
+    core_x, core_y = _bisect(gx[core]), _bisect(gy[core])
+    band_x, band_y = [gx[lines] for lines, _ in bands], [gy[lines] for lines, _ in bands]
 
-    V = _gather(field, _bisect(gx[core]), _bisect(gy[core]), _LAGRANGE, _LAGRANGE)
+    V = _gather(u, core_x, core_y, _LAGRANGE, _LAGRANGE)
     coef[inner, inner] = _LG3.T @ V @ _LG3
     # Normal slopes of the interior nodal interpolant on its low and high
     # interfaces, [element along the interface, Lagrange point].
@@ -551,11 +558,11 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # Edge strips: one anisotropic gather per band, with the spline slopes
     # on the core-facing edge taken from the interior.  The x-strips are
     # the y-strips of the transposed field, written through a transposed view.
-    strips = ((field, gx, gy, slope_y, coef), (_Transposed(field), gy, gx, slope_x, coef.transpose(1, 0, 3, 2)))
+    strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
     for f, along, across, slopes, out in strips:
-        for (lines, elements), j, c, s in zip(bands, (-1, 0), (3, 1), slopes):
-            G = _gather(f, _bisect(along[core]), across[lines], _LAGRANGE, _HERMITE)
-            G[j, :, :, c] = _half_widths(across[lines])[j] * s
+        for lines, (_, elements), j, c, s in zip(across, bands, (-1, 0), (3, 1), slopes):
+            G = _gather(f, along, lines, _LAGRANGE, _HERMITE)
+            G[j, :, :, c] = _half_widths(lines)[j] * s
             out[elements, inner] = _aniso_coef(G)
 
     # Corner regions: one quasi gather per band.  In the one cell touching
@@ -564,10 +571,10 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     nodes = np.arange(N + 1)
     for a, (xl, xe) in enumerate(bands):
         for b, (yl, ye) in enumerate(bands):
-            G = _quasi_data(field, gx[xl], gy[yl], sigma, nodes[xl], nodes[yl])
+            G = _quasi_data(u, band_x[a], band_y[b], sigma, nodes[xl], nodes[yl])
             i, j = a - 1, b - 1  # the junction is the far end of the last cell of a low band
-            G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(gx[xl])[i] * slope_x[a][-b, 2 * b]
-            G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(gy[yl])[j] * slope_y[b][-a, 2 * a]
+            G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]
+            G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(band_y[b])[j] * slope_y[b][-a, 2 * a]
             coef[ye, xe] = _c1_coef(G)
 
     return CompositeInterpolant(mesh, coef)

@@ -342,10 +342,14 @@ def _edge(edge):
 
 
 def _edge_coordinate(edge, x):
-    """The half-length h of a macro edge and the coordinate (x - mid)/h of points on it."""
+    """The half-length h of a macro edge and the coordinate (x - mid)/h, clipped to [-1, 1], of points on it.
+
+    A point outside the edge, or NaN, raises ``ValueError``; the clip keeps
+    an end of the edge in range where the rounded midpoint puts it an ulp out.
+    """
     a, b = _edge(edge)
     h = 0.5 * (b - a)
-    return h, (np.asarray(x, dtype=float) - 0.5 * (a + b)) / h
+    return h, np.clip((_checked(x, a, b, "point") - 0.5 * (a + b)) / h, -1.0, 1.0)
 
 
 def _edge_node_basis(family, edge, node_side, order, x):

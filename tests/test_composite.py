@@ -1,6 +1,14 @@
-import numpy as np
+import csv
+import gc
+import weakref
+from collections import Counter
 
-from macrospline.fields import make_layer_decomposition, make_polynomial_field, make_smooth_field
+import numpy as np
+import pytest
+
+from macrospline import interpolation
+from macrospline.cli import main
+from macrospline.fields import ScalarField, _Terms, make_layer_decomposition, make_polynomial_field, make_smooth_field
 from macrospline.interpolation import build_composite, interp_aniso, nodal_q2
 from macrospline.mesh import build_shishkin, classify_edges, select_sigma
 from macrospline.norms import gauss_rule, jump_norm_sum, seminorm
@@ -177,3 +185,105 @@ def test_composite_error_decreases_with_n():
     assert errs[1] < errs[0] and errs[2] < errs[1]
     # layer terms carry log factors, so demand a bit less than order two
     assert errs[2] < 0.09 * errs[0]
+
+
+# ---------------------------------------------------------------------------
+# Stored factor values: the same coefficients as pointwise field calls.
+# ---------------------------------------------------------------------------
+
+
+def _pointwise_gather(field, grid_x, grid_y, rows_x, rows_y):
+    """The gather with one plain pointwise field call per derivative order on the open node grid."""
+    gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
+    sx, sy = rows_x[-1][0], rows_y[-1][0]
+    hx, hy = interpolation._half_widths(gx, sx), interpolation._half_widths(gy, sy)
+    nx, ny = len(hx), len(hy)
+    G = np.empty((ny, nx, len(rows_x), len(rows_y)))
+    values = {}
+    for r, (ox, px) in enumerate(rows_x):
+        for c, (oy, py) in enumerate(rows_y):
+            if (px, py) not in values:
+                values[px, py] = np.broadcast_to(field(gx[:, None], gy[None, :], px, py), (len(gx), len(gy))).T
+            V = values[px, py][oy : oy + sy * ny : sy, ox : ox + sx * nx : sx]
+            G[:, :, r, c] = hx[None, :] ** px * hy[:, None] ** py * V
+    return G
+
+
+def _sigma_selections(mesh):
+    down = select_sigma(mesh, "down")
+    custom = {(a, b): down.edge((a, b)) for a in down.nodes_x.tolist() for b in down.nodes_y.tolist()}
+    return [select_sigma(mesh, s) for s in ("toward_corner", "left", "down")] + [select_sigma(mesh, "custom", custom=custom)]
+
+
+@pytest.mark.parametrize("N", [8, 16, 64])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-14])
+def test_composite_from_stored_factors_is_the_pointwise_composite_bit_for_bit(monkeypatch, N, eps):
+    mesh = build_shishkin(eps, N)
+    sigmas = _sigma_selections(mesh)
+    fields = [make_smooth_field("exp_xy"), make_polynomial_field(np.random.default_rng(N).normal(size=(3, 3)))]
+    for smooth in ("default", "bounded_third", "eps_growth"):
+        for amplitude in (1.0, 10.0, -1e-3):
+            fields.append(make_layer_decomposition(eps, smooth=smooth, smooth_amplitude=amplitude, edge_amplitude=amplitude).total)
+    # every field on this mesh, the sigma strategies taken in turn
+    cases = [(f, sigmas[k % len(sigmas)]) for k, f in enumerate(fields)]
+    stored = [build_composite(f, mesh, sigma).coef for f, sigma in cases]
+    monkeypatch.setattr(interpolation, "_gather", _pointwise_gather)
+    for (f, sigma), coef in zip(cases, stored):
+        assert np.all(coef == build_composite(f, mesh, sigma).coef)
+
+
+def _counted_layer_field(calls):
+    """The sweep's layer field with each distinct 1-D factor counting its calls in ``calls``."""
+    total = make_layer_decomposition(1e-6, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
+
+    def counted(f):
+        return lambda t, order: calls.update([f]) or f(t, order)
+
+    wrapped = {f: counted(f) for _, fx, fy in total.terms for f in (fx, fy)}
+    return total, ScalarField("counted", _Terms((c, wrapped[fx], wrapped[fy]) for c, fx, fy in total.terms))
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_a_shishkin_point_evaluates_each_factor_once_per_line_set_and_order(N):
+    # 5 distinct factors per axis.  Stored per axis: the bisected core lines
+    # at order 0 and the two bands' macro lines at orders 0 and 1, so
+    # 5 * 5 * 2 = 50 evaluations for the 25 gathers, plus 10 for each of the
+    # four corners' sigma averages: 90 in all, where 29 pointwise calls of
+    # 10 evaluations each made 290.
+    calls = Counter()
+    total, counted = _counted_layer_field(calls)
+    mesh, sigma = _setup(1e-6, N)
+    coef = build_composite(counted, mesh, sigma).coef
+    assert sum(calls.values()) == 90
+    assert np.all(coef == build_composite(total, mesh, sigma).coef)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_no_stored_value_outlives_its_composite(tmp_path):
+    # The (1e-6, 16) point reads the same with or without other points run
+    # before it.  The order columns compare a row with the previous N of its
+    # eps, so they are empty when N = 16 runs alone, and are left out.
+    together, alone = tmp_path / "together.csv", tmp_path / "alone.csv"
+    assert main(["shishkin", "--N", "8", "16", "--eps", "1e-4", "1e-6", "--out", str(together), "--format", "csv"]) == 0
+    assert main(["shishkin", "--N", "16", "--eps", "1e-6", "--out", str(alone), "--format", "csv"]) == 0
+    [row] = [r for r in _csv_rows(together) if (float(r["eps"]), int(r["N"])) == (1e-6, 16)]
+    [single] = _csv_rows(alone)
+    assert (float(single["eps"]), int(single["N"])) == (1e-6, 16)
+    same = [k for k in row if not k.startswith("order_")]
+    assert len(same) == len(row) - 2
+    assert [row[k] for k in same] == [single[k] for k in same]
+
+
+def test_the_stored_factor_values_die_with_their_composite():
+    # The stored values keep their line arrays, views of the mesh grid, alive;
+    # once build_composite returns, nothing may hold them.
+    mesh, sigma = _setup(1e-6, 8)
+    grid_x = weakref.ref(mesh.grid_x)
+    build_composite(make_layer_decomposition(1e-6, smooth="bounded_third").total, mesh, sigma)
+    del mesh, sigma
+    gc.collect()
+    assert grid_x() is None

@@ -439,3 +439,87 @@ def test_orders_up_to_four_are_finite_and_others_are_rejected(name):
             f(x, y, *order)
         with pytest.raises(ValueError, match="0..4"):
             f.factors(x, y, *order)
+
+
+def _fold_reference(terms, x, y, ax, ay):
+    """The term sum as a plain left fold: each distinct factor once per axis, then total + c * (vx * vy) term by term."""
+    fx_values, fy_values = {}, {}
+    total = np.zeros(np.broadcast(x, y).shape) if not terms else None
+    for c, fx, fy in terms:
+        if fx not in fx_values:
+            fx_values[fx] = np.broadcast_to(fx(x, ax), np.shape(x))
+        if fy not in fy_values:
+            fy_values[fy] = np.broadcast_to(fy(y, ay), np.shape(y))
+        term = c * (fx_values[fx] * fy_values[fy])
+        total = term if total is None else total + term
+    return total
+
+
+def _fold_inputs():
+    rng = np.random.default_rng(23)
+    x, y = rng.uniform(0.0, 1.0, (2, 11))
+    return {
+        "scalar": (0.3, 0.7),
+        "0-d": (np.array(0.3), np.array(0.7)),
+        "1-d": (x, y),
+        "open grid": (x[:, None], rng.uniform(0.0, 1.0, 6)[None, :]),
+    }
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 0.05, 10, 0.0])
+def test_terms_call_is_the_plain_left_fold_bit_for_bit(c):
+    # The in-place fold keeps the ufuncs and the order of total + c * (vx * vy),
+    # with and without the multiply by c; factors that return one value for
+    # all points (a broadcast constant) or a constant derivative are included.
+    constant = lambda t, order: 2.5 if order == 0 else 0.0
+    odd = (
+        (c, fields_mod._monomial(0), sin_profile()),
+        (c, fields_mod._poly1d([3.0, -1.0]), constant),
+        (c, constant, fields_mod._monomial(0)),
+        (-c, exp_profile(-7.0), fields_mod._poly1d([1.0, 1.0, -1.0])),
+    )
+    layer = make_layer_decomposition(1e-6, smooth="eps_growth").total.terms
+    inputs = _fold_inputs()
+    for terms in (odd, tuple((c * k, fx, fy) for k, fx, fy in layer), odd[:1], ()):
+        field = ScalarField("terms", fields_mod._Terms(terms))
+        for x, y in inputs.values():
+            for ax in range(5):
+                for ay in range(5):
+                    want = _fold_reference(terms, x, y, ax, ay)
+                    got = field._eval(x, y, ax, ay)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.all(got == want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                    assert np.asarray(field(x, y, ax, ay)).tobytes() == np.asarray(want).tobytes()
+
+
+def test_line_grids_are_the_pointwise_call_bit_for_bit():
+    # Each factor is evaluated once per (axis, order, line), and a grid or its
+    # transpose folds the stored values as the pointwise call does.
+    total = make_layer_decomposition(1e-8, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
+    calls = Counter()
+
+    def counted(f):
+        return lambda t, order: calls.update([f]) or f(t, order)
+
+    wrapped = {f: counted(f) for _, fx, fy in total.terms for f in (fx, fy)}
+    field = ScalarField("counted", fields_mod._Terms((c, wrapped[fx], wrapped[fy]) for c, fx, fy in total.terms))
+    x, y = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)[::2]  # a strided line too
+    grids = fields_mod._LineGrids(field)
+    swapped = grids.transposed()
+    for _ in range(2):
+        V, S = grids.grid(x, y, [0, 1], [0, 1]), swapped.grid(y, x, [0, 1], [0, 1])
+        assert V.shape == (2, 2, 9, 3) and S.shape == (2, 2, 3, 9)
+        for ax in range(2):
+            for ay in range(2):
+                want = total(x[:, None], y[None, :], ax, ay)
+                assert V[ax, ay].tobytes() == want.tobytes()
+                assert np.array_equal(S[ay, ax], want.T)
+                assert np.array_equal(fields_mod._LineGrids(total).transposed()(y[None, :], x[:, None], ay, ax), want)
+    # 5 distinct factors on each of the 2 axes, at 2 orders, however often the grids are asked for
+    assert sum(calls.values()) == 5 * 2 * 2
+    # a field without terms makes one pointwise call per order pair
+    exp_xy = make_smooth_field("exp_xy")
+    plain = fields_mod._LineGrids(exp_xy)
+    assert np.array_equal(plain.grid(x, y, [1], [0, 2])[0, 1], exp_xy(x[:, None], y[None, :], 1, 2))
+    assert np.array_equal(plain.transposed().grid(y, x, [2], [1])[0, 0], exp_xy(x[None, :], y[:, None], 1, 2))

@@ -465,3 +465,29 @@ def test_knot_sequence_rejects_bad_knots(nodes):
 
 def test_knot_sequence_takes_numpy_integer_multiplicities():
     assert KnotSequence(((-1.0, np.int64(2)), (1.0, 1))).expanded() == [-1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("edge", [(0.1, 0.3), (0.1, 0.7), (1e-9, 3e-9)])
+def test_edge_bases_take_both_ends_of_an_edge_whose_midpoint_rounds(edge):
+    # (0.1 - 0.2) / 0.09999999999999999 rounds to -1.0000000000000002; an
+    # end of the edge must still be taken, at the reference end -1 or 1 to
+    # within the rounding of its coordinate
+    a, b = edge
+    h = 0.5 * (b - a)
+    for family, fn in (("psi", edge_spline_basis), ("phi", edge_hat_basis)):
+        for node_side, kind in (("left", f"{family}_minus"), ("right", f"{family}_plus")):
+            for order in (0, 1, 2):
+                for end, t in ((a, -1.0), (b, 1.0)):
+                    unscale = h**order / (h if family == "psi" else 1.0)
+                    for value in (fn(edge, node_side, order, end), fn(edge, node_side, order, np.array([end]))[0]):
+                        assert value * unscale == pytest.approx(eval_ref_basis(kind, order, t), abs=1e-14)
+                for bad in (a - 1e-3 * h, b + 1e-3 * h, np.nan):
+                    with pytest.raises(ValueError, match="outside"):
+                        fn(edge, node_side, order, bad)
+    # the dual weight checks the point itself against the edge, not its rounded reference coordinate
+    for side in ("left", "right"):
+        w = DualWeight(edge, side)
+        assert np.all(np.isfinite(eval_dual_weight(w, np.array([a, b]))))
+        for bad in (a - 1e-3 * h, b + 1e-3 * h, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                eval_dual_weight(w, bad)
