@@ -455,20 +455,30 @@ def sigma_average(field, edge: SigmaEdge) -> float:
     return float(_sigma_averages(field, np.array([_edge_row(edge, None)], _SIGMA_ROW))[0])
 
 
-def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
-    """Hermite data on a macro grid with every mixed entry replaced by the
-    sigma average at its node; grid node (i, j) is sigma node
-    (nodes_x[i], nodes_y[j]), and ValueError names a node not on its edge."""
+def _node_averages(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
+    """Sigma averages ``A[j, i]`` at the points (grid_x[i], grid_y[j]), sigma nodes
+    (nodes_x[i], nodes_y[j]), in one field call; the lines need not form one
+    mesh grid.  ValueError names the first node off its edge, y outer."""
     rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
     _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None])
-    G = _gather(field, grid_x, grid_y, _HERMITE, _HERMITE)
-    A = _sigma_averages(field, rows)
+    return _sigma_averages(field, rows)
+
+
+def _with_averages(G, A, grid_x, grid_y) -> np.ndarray:
+    """Hermite data ``G`` on a macro grid with every mixed entry replaced by
+    the scaled sigma average ``A[j, i]`` at grid node (i, j); G is changed in place."""
     ny, nx = G.shape[:2]
     hxy = _half_widths(grid_x)[None, :] * _half_widths(grid_y)[:, None]
     for p, di in ((1, 0), (3, 1)):
         for q, dj in ((1, 0), (3, 1)):
             G[:, :, p, q] = hxy * A[dj : dj + ny, di : di + nx]
     return G
+
+
+def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
+    """Hermite gather on a macro grid with its mixed entries from ``_node_averages`` at its nodes."""
+    A = _node_averages(field, grid_x, grid_y, sigma, nodes_x, nodes_y)
+    return _with_averages(_gather(field, grid_x, grid_y, _HERMITE, _HERMITE), A, grid_x, grid_y)
 
 
 def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly2D:
@@ -535,18 +545,26 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     and node-line set (the bisected core lines at order 0, each fine
     band's macro lines at orders 0 and 1), and every grid is folded from
     those values, bit for bit the pointwise call.  The values live only
-    for this call.
+    for this call.  One ``_node_averages`` pass on the macro lines of both
+    fine bands per axis, the selection's node set, gives the sigma averages
+    of all four corner regions, so an edge that misses its node raises
+    ValueError naming the first such node, y outer, of that merged grid.
     """
     N, n4 = mesh.N, mesh.N // 4
     gx, gy = mesh.grid_x, mesh.grid_y
     core, inner = slice(n4, 3 * n4 + 1), slice(n4, 3 * n4)  # core node lines, core elements
     # (macro lines, elements) of the low and the high fine band
     bands = ((slice(0, n4 + 1, 2), slice(0, n4)), (slice(3 * n4, N + 1, 2), slice(3 * n4, N)))
-    coef = np.zeros((N, N, 3, 3))
     u = _LineGrids(field)
     core_x, core_y = _bisect(gx[core]), _bisect(gy[core])
     band_x, band_y = [gx[lines] for lines, _ in bands], [gy[lines] for lines, _ in bands]
+    # The sigma averages of all four corner regions in one pass, made first
+    # so that its temporaries are gone before the coefficient grid is.
+    corner_nodes = np.concatenate([np.arange(N + 1)[lines] for lines, _ in bands])
+    A = _node_averages(u, np.concatenate(band_x), np.concatenate(band_y), sigma, corner_nodes, corner_nodes)
+    m = len(corner_nodes) // 2  # macro lines per band
 
+    coef = np.zeros((N, N, 3, 3))
     V = _gather(u, core_x, core_y, _LAGRANGE, _LAGRANGE)
     coef[inner, inner] = _LG3.T @ V @ _LG3
     # Normal slopes of the interior nodal interpolant on its low and high
@@ -565,13 +583,12 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
             G[j, :, :, c] = _half_widths(lines)[j] * s
             out[elements, inner] = _aniso_coef(G)
 
-    # Corner regions: one quasi gather per band.  In the one cell touching
-    # the core, the slopes at the junction node follow the interior so its
-    # traces agree with the adjacent strips.
-    nodes = np.arange(N + 1)
-    for a, (xl, xe) in enumerate(bands):
-        for b, (yl, ye) in enumerate(bands):
-            G = _quasi_data(u, band_x[a], band_y[b], sigma, nodes[xl], nodes[yl])
+    # Corner regions: one quasi gather per band with its block of averages.
+    # In the one cell touching the core, the slopes at the junction node
+    # follow the interior so its traces agree with the adjacent strips.
+    for a, (_, xe) in enumerate(bands):
+        for b, (_, ye) in enumerate(bands):
+            G = _with_averages(_gather(u, band_x[a], band_y[b], _HERMITE, _HERMITE), A[b * m : (b + 1) * m, a * m : (a + 1) * m], band_x[a], band_y[b])
             i, j = a - 1, b - 1  # the junction is the far end of the last cell of a low band
             G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]
             G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(band_y[b])[j] * slope_y[b][-a, 2 * a]

@@ -291,8 +291,9 @@ class SigmaEdge:
 class SigmaSelection:
     """Averaging edges of the tensor node set ``nodes_x`` x ``nodes_y``.
 
-    ``edges`` is a record array, one row per node, x index outer (row ``i
-    * len(nodes_y) + j`` is node ``(nodes_x[i], nodes_y[j])``), with fields
+    ``edges`` is a plain structured array of ``_SIGMA_ROW``, one row per
+    node, x index outer (row ``i * len(nodes_y) + j`` is node
+    ``(nodes_x[i], nodes_y[j])``), with fields
     ``horizontal`` (orientation), ``lo``/``hi`` (the span along the edge),
     ``level`` (the fixed transverse coordinate) and ``upper`` (the node is
     the span's upper end, node side right).
@@ -408,7 +409,7 @@ def _build_selection(mesh, strategy: str, custom: dict | None = None) -> SigmaSe
         extra = set(custom).difference(nodes)
         if extra:
             raise ValueError(f"node {next(n for n in custom if n in extra)} is not a sigma node of the mesh")
-        edges = np.rec.fromrecords([_edge_row(custom.get(node), node) for node in nodes], dtype=_SIGMA_ROW)
+        edges = np.array([_edge_row(custom.get(node), node) for node in nodes], dtype=_SIGMA_ROW)
     elif strategy in ("left", "down", "toward_corner"):
         (x_spans, x_turned), (y_spans, y_turned) = _walk(xs, runs_x, strategy), _walk(ys, runs_y, strategy)
         if strategy == "toward_corner":  # along x unless the x walk turned; at a domain corner, along x again
@@ -417,7 +418,9 @@ def _build_selection(mesh, strategy: str, custom: dict | None = None) -> SigmaSe
             horizontal = np.full((len(nodes_x), len(nodes_y)), strategy == "left")
         lo, hi, upper = (np.where(horizontal, x[:, None], y) for x, y in zip(x_spans, y_spans))
         level = np.where(horizontal, ys[nodes_y], xs[nodes_x][:, None])
-        edges = np.rec.fromarrays((horizontal, lo, hi, level, upper), dtype=_SIGMA_ROW)
+        edges = np.empty(horizontal.shape, _SIGMA_ROW)
+        for name, column in zip(_SIGMA_ROW.names, (horizontal, lo, hi, level, upper)):
+            edges[name] = column
     else:
         raise ValueError(f"unknown sigma strategy {strategy!r}")
     return SigmaSelection(nodes_x, nodes_y, edges.ravel())

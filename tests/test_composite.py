@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -8,9 +10,9 @@ import pytest
 
 from macrospline import interpolation
 from macrospline.cli import main
-from macrospline.fields import ScalarField, _Terms, make_layer_decomposition, make_polynomial_field, make_smooth_field
+from macrospline.fields import ScalarField, _LineGrids, _Terms, make_layer_decomposition, make_polynomial_field, make_smooth_field
 from macrospline.interpolation import build_composite, interp_aniso, nodal_q2
-from macrospline.mesh import build_shishkin, classify_edges, select_sigma
+from macrospline.mesh import SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, build_shishkin, classify_edges, select_sigma
 from macrospline.norms import gauss_rule, jump_norm_sum, seminorm
 
 
@@ -215,21 +217,121 @@ def _sigma_selections(mesh):
     return [select_sigma(mesh, s) for s in ("toward_corner", "left", "down")] + [select_sigma(mesh, "custom", custom=custom)]
 
 
+def _composite_fields(eps, N):
+    """A field without terms, a polynomial and the layer fields of every smooth part and amplitude sign."""
+    fields = [make_smooth_field("exp_xy"), make_polynomial_field(np.random.default_rng(N).normal(size=(3, 3)))]
+    for smooth in ("default", "bounded_third", "eps_growth"):
+        for amplitude in (1.0, 10.0, -1e-3):
+            fields.append(make_layer_decomposition(eps, smooth=smooth, smooth_amplitude=amplitude, edge_amplitude=amplitude).total)
+    return fields
+
+
 @pytest.mark.parametrize("N", [8, 16, 64])
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-14])
 def test_composite_from_stored_factors_is_the_pointwise_composite_bit_for_bit(monkeypatch, N, eps):
     mesh = build_shishkin(eps, N)
     sigmas = _sigma_selections(mesh)
-    fields = [make_smooth_field("exp_xy"), make_polynomial_field(np.random.default_rng(N).normal(size=(3, 3)))]
-    for smooth in ("default", "bounded_third", "eps_growth"):
-        for amplitude in (1.0, 10.0, -1e-3):
-            fields.append(make_layer_decomposition(eps, smooth=smooth, smooth_amplitude=amplitude, edge_amplitude=amplitude).total)
+    fields = _composite_fields(eps, N)
     # every field on this mesh, the sigma strategies taken in turn
     cases = [(f, sigmas[k % len(sigmas)]) for k, f in enumerate(fields)]
     stored = [build_composite(f, mesh, sigma).coef for f, sigma in cases]
     monkeypatch.setattr(interpolation, "_gather", _pointwise_gather)
     for (f, sigma), coef in zip(cases, stored):
         assert np.all(coef == build_composite(f, mesh, sigma).coef)
+
+
+def _per_corner_quasi_data(field, grid_x, grid_y, sigma, nodes_x, nodes_y):
+    """Quasi data of one corner with its own sigma lookup, node check and field call."""
+    rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
+    _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None])
+    G = interpolation._gather(field, grid_x, grid_y, interpolation._HERMITE, interpolation._HERMITE)
+    A = interpolation._sigma_averages(field, rows)
+    ny, nx = G.shape[:2]
+    hxy = interpolation._half_widths(grid_x)[None, :] * interpolation._half_widths(grid_y)[:, None]
+    for p, di in ((1, 0), (3, 1)):
+        for q, dj in ((1, 0), (3, 1)):
+            G[:, :, p, q] = hxy * A[dj : dj + ny, di : di + nx]
+    return G
+
+
+def _per_corner_composite(field, mesh, sigma):
+    """The composite with one sigma pass per corner region, as it was built before the four were merged."""
+    N, n4 = mesh.N, mesh.N // 4
+    gx, gy = mesh.grid_x, mesh.grid_y
+    core, inner = slice(n4, 3 * n4 + 1), slice(n4, 3 * n4)
+    bands = ((slice(0, n4 + 1, 2), slice(0, n4)), (slice(3 * n4, N + 1, 2), slice(3 * n4, N)))
+    coef = np.zeros((N, N, 3, 3))
+    u = _LineGrids(field)
+    core_x, core_y = _bisect(gx[core]), _bisect(gy[core])
+    band_x, band_y = [gx[lines] for lines, _ in bands], [gy[lines] for lines, _ in bands]
+    V = interpolation._gather(u, core_x, core_y, interpolation._LAGRANGE, interpolation._LAGRANGE)
+    coef[inner, inner] = interpolation._LG3.T @ V @ interpolation._LG3
+    wx, wy = np.diff(gx[core]), np.diff(gy[core])
+    edge_slope = interpolation._edge_slope
+    slope_y = (edge_slope(V[0], wy[0]), -edge_slope(V[-1, :, :, ::-1], wy[-1]))
+    slope_x = (edge_slope(V[:, 0].swapaxes(1, 2), wx[0]), -edge_slope(V[:, -1, ::-1].swapaxes(1, 2), wx[-1]))
+    strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
+    for f, along, across, slopes, out in strips:
+        for lines, (_, elements), j, c, s in zip(across, bands, (-1, 0), (3, 1), slopes):
+            G = interpolation._gather(f, along, lines, interpolation._LAGRANGE, interpolation._HERMITE)
+            G[j, :, :, c] = interpolation._half_widths(lines)[j] * s
+            out[elements, inner] = interpolation._aniso_coef(G)
+    nodes = np.arange(N + 1)
+    for a, (xl, xe) in enumerate(bands):
+        for b, (yl, ye) in enumerate(bands):
+            G = _per_corner_quasi_data(u, band_x[a], band_y[b], sigma, nodes[xl], nodes[yl])
+            i, j = a - 1, b - 1
+            G[j, i, 3 - 2 * a, 2 - 2 * b] = interpolation._half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]
+            G[j, i, 2 - 2 * a, 3 - 2 * b] = interpolation._half_widths(band_y[b])[j] * slope_y[b][-a, 2 * a]
+            coef[ye, xe] = interpolation._c1_coef(G)
+    return coef
+
+
+@pytest.mark.parametrize("N", [8, 16, 64])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-14])
+def test_one_sigma_pass_for_all_corners_is_the_per_corner_composite_bit_for_bit(N, eps):
+    mesh = build_shishkin(eps, N)
+    for sigma in _sigma_selections(mesh):
+        for f in _composite_fields(eps, N):
+            assert build_composite(f, mesh, sigma).coef.tobytes() == _per_corner_composite(f, mesh, sigma).tobytes()
+
+
+def _unverified(sigma, broken):
+    """``sigma`` with the edges of the nodes in ``broken`` replaced, not checked by ``select_sigma``."""
+    edges = sigma.edges.copy()
+    for node, edge in broken.items():
+        edges[sigma.nodes_x.tolist().index(node[0]) * len(sigma.nodes_y) + sigma.nodes_y.tolist().index(node[1])] = _edge_row(edge, node)
+    return SigmaSelection(sigma.nodes_x, sigma.nodes_y, edges)
+
+
+@pytest.mark.parametrize("node", [(16, 16), (14, 12), (12, 14)])
+def test_an_edge_missing_its_node_in_the_high_high_corner_is_named(node):
+    mesh, sigma = _setup(1e-6, 16)
+    good = sigma.edge(node)
+    moved = dataclasses.replace(good, level=good.level - 0.25)
+    with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {node} does not contain the node")):
+        build_composite(make_smooth_field("exp_xy"), mesh, _unverified(sigma, {node: moved}))
+
+
+def test_the_merged_node_check_names_the_first_failing_node_with_y_outer():
+    # (16, 0) is in the low-y row of the merged corner node grid and (0, 16)
+    # in the high-y row, so (16, 0) is named although its corner is not the first.
+    mesh, sigma = _setup(1e-6, 16)
+    broken = {node: dataclasses.replace(sigma.edge(node), level=0.5) for node in ((0, 16), (16, 0))}
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (16, 0) does not contain the node")):
+        build_composite(make_smooth_field("exp_xy"), mesh, _unverified(sigma, broken))
+
+
+@pytest.mark.parametrize("node", [(0, 0), (16, 2), (2, 14), (12, 16)])
+def test_a_degenerate_edge_in_any_corner_is_rejected(node):
+    mesh = build_shishkin(1e-6, 16)
+    down = select_sigma(mesh, "down")
+    custom = {(a, b): down.edge((a, b)) for a in down.nodes_x.tolist() for b in down.nodes_y.tolist()}
+    x = mesh.grid_x[node[0]]
+    custom[node] = SigmaEdge("horizontal", (x, x), mesh.grid_y[node[1]], "left")
+    sigma = select_sigma(mesh, "custom", custom=custom)  # on its own node, inside its corner
+    with pytest.raises(ValueError, match="degenerate edge interval"):
+        build_composite(make_smooth_field("exp_xy"), mesh, sigma)
 
 
 def _counted_layer_field(calls):
@@ -247,14 +349,14 @@ def _counted_layer_field(calls):
 def test_a_shishkin_point_evaluates_each_factor_once_per_line_set_and_order(N):
     # 5 distinct factors per axis.  Stored per axis: the bisected core lines
     # at order 0 and the two bands' macro lines at orders 0 and 1, so
-    # 5 * 5 * 2 = 50 evaluations for the 25 gathers, plus 10 for each of the
-    # four corners' sigma averages: 90 in all, where 29 pointwise calls of
+    # 5 * 5 * 2 = 50 evaluations for the 25 gathers, plus 10 for the one
+    # sigma pass of all four corners: 60 in all, where 29 pointwise calls of
     # 10 evaluations each made 290.
     calls = Counter()
     total, counted = _counted_layer_field(calls)
     mesh, sigma = _setup(1e-6, N)
     coef = build_composite(counted, mesh, sigma).coef
-    assert sum(calls.values()) == 90
+    assert sum(calls.values()) == 60
     assert np.all(coef == build_composite(total, mesh, sigma).coef)
 
 
