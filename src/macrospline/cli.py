@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--sigma", choices=("toward_corner", "left", "down"))
     common.add_argument("--out", default=None, help="output path (suffix chosen by --format)")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json", "both"), default="csv")
+    common.add_argument(
+        "--format", dest="fmt", choices=("csv", "json", "both"), default="csv", help="csv without --out prints the rows; json and both need --out"
+    )
 
     p_conv = sub.add_parser("converge", parents=[common], argument_default=argparse.SUPPRESS, help="uniform-mesh convergence study")
     p_conv.add_argument("--operator", choices=OPERATORS)
@@ -127,6 +129,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     commands = {"verify": cmd_verify, "converge": cmd_converge, "shishkin": cmd_shishkin}
     try:
+        if args.command != "verify" and args.fmt != "csv" and args.out is None:
+            raise ValueError(f"--format {args.fmt} writes files: give --out")
         return commands[args.command](args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

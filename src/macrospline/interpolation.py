@@ -123,8 +123,9 @@ class PiecewisePoly2D:
         The default takes the element with the lowest index whose closed
         bounding box contains the point; "+" takes the other limit, and
         any other entry raises ``ValueError``, as does a coordinate that
-        is NaN or outside the domain by more than 1e-12.  Each point's cell
-        is applied to the derivative basis at its local (xi, eta).
+        is NaN or outside the domain by more than 1e-12, or an order
+        ``ax``, ``ay`` that is not a non-negative integer.  Each point's
+        cell is applied to the derivative basis at its local (xi, eta).
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -286,6 +287,8 @@ def _aniso_blocks_y(field, x0, x1, y0, y1, assembly):
         G[:, py::2] = hy**py * np.asarray(field(xs[:, None], ys[None, :], 0, py))
     if assembly == "lagrange":
         return [_LG3.T @ G @ _HB[sy] for sy in (0, 1)]
+    if assembly != "newton":
+        raise ValueError("assembly must be 'lagrange' or 'newton'")
     F = LAGRANGE3_DD_MATRIX @ G @ HERMITE_DD_MATRIX.T
     return [_LGN.T @ F @ _NB[sy] for sy in (0, 1)]
 
@@ -419,6 +422,8 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
     if orientation == "y_spline":
         G = _gather(field, _bisect(lag), spl, _LAGRANGE, _HERMITE)
         return PiecewisePoly2D(lag, _bisect(spl), _aniso_coef(G))
+    if orientation != "x_spline":
+        raise ValueError("orientation must be 'y_spline' or 'x_spline'")
     swapped = interp_aniso_mesh(_LineGrids(field).transposed(), lag, spl, "y_spline")
     coef = np.transpose(swapped.coef, (1, 0, 3, 2))
     return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
@@ -458,8 +463,12 @@ def sigma_average(field, edge: SigmaEdge) -> float:
 def _node_averages(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
     """Sigma averages ``A[j, i]`` at the points (grid_x[i], grid_y[j]), sigma nodes
     (nodes_x[i], nodes_y[j]), in one field call; the lines need not form one
-    mesh grid.  ValueError names the first node off its edge, y outer."""
-    rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
+    mesh grid.  ValueError names the first node, y outer, that the selection
+    lacks or that is off its edge."""
+    try:
+        rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
+    except KeyError as missing:
+        raise ValueError(f"sigma edge for node {missing.args[0]} is missing") from None
     _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None])
     return _sigma_averages(field, rows)
 

@@ -390,7 +390,8 @@ def select_sigma(mesh, strategy: str = "toward_corner", custom: dict | None = No
     is constrained to the closed corner regions; 'toward_corner' walks
     toward the nearest domain corner and satisfies this by construction.
     'left' and 'down' walk one macro left or down.  'custom' takes a
-    node -> ``SigmaEdge`` map holding exactly these nodes.  The result
+    node -> ``SigmaEdge`` map holding exactly these nodes; a map given
+    with another strategy raises ``ValueError``.  The result
     passes ``verify_sigma_selection``.
     """
     sel = _build_selection(mesh, strategy, custom)
@@ -402,6 +403,8 @@ def _build_selection(mesh, strategy: str, custom: dict | None = None) -> SigmaSe
     """The selection of ``select_sigma``, not yet verified."""
     xs, ys, runs_x, runs_y = _sigma_runs(mesh)
     nodes_x, nodes_y = np.concatenate(runs_x), np.concatenate(runs_y)
+    if custom is not None and strategy != "custom":
+        raise ValueError(f"a custom edge map is read only by the 'custom' strategy, not {strategy!r}")
     if strategy == "custom":
         if custom is None:
             raise ValueError("custom strategy requires an explicit node -> SigmaEdge map")

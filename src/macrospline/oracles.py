@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .experiments import ELEMENTS_PER_MACRO, _apply_mesh_operator
 from .interpolation import (
     PiecewisePoly2D,
@@ -37,6 +38,7 @@ from .spline_core import (
     edge_theta,
     eval_dual_weight,
     eval_ref_basis,
+    integrate_dual_weight,
 )
 
 __all__ = [
@@ -184,6 +186,9 @@ LAGRANGE_NODE_SEQS = {1: (-1.0,), 2: (-1.0, 0.0), 3: (-1.0, 0.0, 1.0)}
 
 _RULE = gauss_rule(10)
 _SPLIT = gauss_rule(10, split=True)
+# The corners (a, b) of the reference macro, a outer; it is a whole mesh, so
+# ``evaluate`` takes each corner from the one element that holds it.
+_CORNERS = (np.array([-1.0, -1.0, 1.0, 1.0]), np.array([-1.0, 1.0, -1.0, 1.0]))
 
 
 def _line(v, level, ax, ay, horizontal=True):
@@ -194,10 +199,8 @@ def _line(v, level, ax, ay, horizontal=True):
 
 
 def _s_weight(k):
-    # Peano kernels (1-t)/4 and t/4
-    if k == 1:
-        return lambda t: (1.0 - t) / 4.0
-    return lambda t: t / 4.0
+    """The Peano kernel (1 - t)/4 for k = 1, t/4 otherwise."""
+    return (lambda t: (1.0 - t) / 4.0) if k == 1 else (lambda t: t / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +211,18 @@ def _s_weight(k):
 def kronecker_table() -> tuple:
     """All 256 pairings of corner functionals with nodal basis functions.
 
+    Column 4k + 2i + j is the basis function whose dof k (v, v_x, v_y, v_xy)
+    at corner (i, j) is one, a row of the identity; row 4k + 2a + b is dof
+    k at corner (a, b), from one ``evaluate`` per k on the four corners.
     Returns (max deviation from the delta pattern, the 16x16 table).
     """
     mesh = build_macro_mesh([-1.0, 1.0], [-1.0, 1.0])
-    dof_kinds = ((0, 0), (1, 0), (0, 1), (1, 1))
     table = np.zeros((16, 16))
-    col = 0
-    for kind in range(4):
-        for i in (0, 1):
-            for j in (0, 1):
-                dofs = {(a, b): [0.0] * 4 for a in (0, 1) for b in (0, 1)}
-                dofs[(i, j)][kind] = 1.0
-                p = assemble_from_nodal_data(mesh, {k: tuple(v) for k, v in dofs.items()})
-                row = 0
-                for wkind, (ax, ay) in enumerate(dof_kinds):
-                    for a in (0, 1):
-                        for b in (0, 1):
-                            sx = "-" if a == 1 else "+"
-                            sy = "-" if b == 1 else "+"
-                            table[row, col] = p.evaluate(2 * a - 1.0, 2 * b - 1.0, ax, ay, side=(sx, sy))
-                            row += 1
-                col += 1
-    dev = float(np.max(np.abs(table - np.eye(16))))
-    return dev, table
+    for col, dofs in enumerate(np.eye(16).reshape(16, 4, 2, 2).transpose(0, 2, 3, 1)):
+        p = assemble_from_nodal_data(mesh, dofs)
+        for k, (ax, ay) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+            table[4 * k : 4 * k + 4, col] = p.evaluate(*_CORNERS, ax, ay)
+    return float(np.max(np.abs(table - np.eye(16)))), table
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +236,7 @@ def dual_weight_checks() -> list:
     for tag, (a, b) in (("uniform", (0.0, 1.0)), ("graded", (2.0, 2.1))):
         for dual_side in ("left", "right"):
             w = DualWeight((a, b), dual_side)
-            unit = integrate(lambda t: eval_dual_weight(w, t), a, b, _SPLIT)
-            out.append(CheckResult(f"dual_unit_integral[{tag},{dual_side}]", abs(unit - 1.0), 1e-12))
+            out.append(CheckResult(f"dual_unit_integral[{tag},{dual_side}]", abs(integrate_dual_weight(w, 10) - 1.0), 1e-12))
             for basis_side in ("left", "right"):
                 pair = integrate(lambda t: eval_dual_weight(w, t) * edge_spline_basis((a, b), basis_side, 1, t), a, b, _SPLIT)
                 want = 1.0 if dual_side == basis_side else 0.0
@@ -269,36 +260,29 @@ def orthogonality_checks() -> list:
 
 
 def peano_checks(rng=None) -> list:
-    """Second/third divided differences as weighted integrals of u''."""
+    """Second/third divided differences as weighted integrals of u''.
+
+    The divided differences over the knots (-1, -1, 1) and (-1, -1, 1, 1)
+    reach orders 0 and 1; the integrals take order 2.  The trials are 20
+    random quintics plus sin(a t + b), from ``fields._poly1d`` and
+    ``fields.sin_profile``, and the four reference basis functions.
+    """
     rng = rng or np.random.default_rng(123)
     out = []
 
     def check(fn, label):
-        for i, nodes in ((1, (-1.0, -1.0, 1.0)), (2, (-1.0, -1.0, 1.0, 1.0))):
+        for i in (1, 2):
             s = _s_weight(i)
-            lhs = brute_force_divided_difference(
-                KnotSequence(((-1.0, 2), (1.0, i))), lambda x, o, f=fn: f(x, o)
-            )
-            rhs = integrate(lambda t, f=fn: s(t) * f(t, 2), -1.0, 1.0, _SPLIT)
+            lhs = brute_force_divided_difference(KnotSequence(((-1.0, 2), (1.0, i))), fn)
+            rhs = integrate(lambda t: s(t) * fn(t, 2), -1.0, 1.0, _SPLIT)
             out.append(CheckResult(f"peano[{label},order{i + 1}]", abs(lhs - rhs), 1e-10))
 
     for trial in range(20):
-        c = rng.normal(size=6)
-        a_, b_ = rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)
-
-        def poly_trig(x, order, c=c, a_=a_, b_=b_):
-            d = np.polynomial.polynomial.polyder(c, order)
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d) + a_**order * np.sin(
-                a_ * np.asarray(x, dtype=float) + b_ + order * math.pi / 2
-            )
-
-        check(poly_trig, f"random{trial}")
-
+        poly = fields._poly1d(rng.normal(size=6))
+        trig = fields.sin_profile(rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0))
+        check(lambda x, order: poly(x, order) + trig(x, order), f"random{trial}")
     for kind in ("phi_minus", "phi_plus", "psi_minus", "psi_plus"):
-        def basis(x, order, kind=kind):
-            return eval_ref_basis(kind, min(order, 2), x) if order <= 2 else 0.0
-
-        check(basis, kind)
+        check(lambda x, order: eval_ref_basis(kind, order, x), kind)
     return out
 
 
@@ -320,14 +304,8 @@ def reduced_functional_checks(rng=None) -> list:
     out = []
     macro = (-1.0, 1.0, -1.0, 1.0)
     for trial in range(5):
-        from .fields import make_polynomial_field
-
-        u = make_polynomial_field(rng.normal(size=(4, 4)))
+        u = fields.make_polynomial_field(rng.normal(size=(4, 4)))
         p = interp_reduced_macro(u, macro)
-
-        def pu(x, y, ax, ay):
-            return p.evaluate(x, y, ax, ay)
-
         # identity chain: edge mean of u_x equals the corner difference,
         # edge mean of u_xy the corner difference of u_y
         f5_u = 0.5 * _line(u, -1.0, 1, 0)
@@ -336,14 +314,10 @@ def reduced_functional_checks(rng=None) -> list:
         out.append(CheckResult(f"reduced_F7_identity[{trial}]", abs(f7_u - 0.5 * (u(1, -1, 0, 1) - u(-1, -1, 0, 1))), 1e-10))
 
         # invariance of the eight functionals for the x-derivative
-        worst = 0.0
-        for corner in ((-1, -1), (1, -1), (-1, 1), (1, 1)):
-            sx = "-" if corner[0] > 0 else "+"
-            sy = "-" if corner[1] > 0 else "+"
-            worst = max(worst, abs(u(*corner, 1, 0) - p.evaluate(*corner, 1, 0, side=(sx, sy))))
+        worst = float(np.max(np.abs(u(*_CORNERS, 1, 0) - p.evaluate(*_CORNERS, 1, 0))))
         for ylevel in (-1.0, 1.0):
             for dy in (0, 1):
-                worst = max(worst, 0.5 * abs(_line(u, ylevel, 1, dy) - _line(pu, ylevel, 1, dy)))
+                worst = max(worst, 0.5 * abs(_line(u, ylevel, 1, dy) - _line(p.evaluate, ylevel, 1, dy)))
         out.append(CheckResult(f"reduced_dx_invariance[{trial}]", worst, 1e-10))
 
         # mixed-derivative functionals: four edge integrals and the area mean
@@ -351,7 +325,7 @@ def reduced_functional_checks(rng=None) -> list:
         functionals = [lambda v, level=level, h=h: _line(v, level, 1, 1, h) for h in (True, False) for level in (-1.0, 1.0)]
         functionals.append(lambda v: integrate2d(lambda X, Y: v(X, Y, 1, 1), -1.0, 1.0, -1.0, 1.0, _SPLIT))
         for F in functionals:
-            worst = max(worst, abs(F(u) - F(pu)))
+            worst = max(worst, abs(F(u) - F(p.evaluate)))
         out.append(CheckResult(f"reduced_dxy_invariance[{trial}]", worst, 1e-10))
     return out
 
@@ -428,12 +402,10 @@ def aniso_functional_checks(rng=None) -> list:
     invariant under interpolation.
     """
     rng = rng or np.random.default_rng(21)
-    from .fields import make_polynomial_field
-
     out = []
     macro = (-1.0, 1.0, -1.0, 1.0)
     for trial in range(3):
-        u = make_polynomial_field(rng.normal(size=(4, 4)))
+        u = fields.make_polynomial_field(rng.normal(size=(4, 4)))
         p = interp_aniso(u, macro, "y_spline")
         # the 29 entries share 12 leaves per field: one memo per field and trial
         leaf_u, leaf_p = _once(u), _once(p.evaluate)

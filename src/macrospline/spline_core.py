@@ -45,7 +45,12 @@ __all__ = [
 
 @functools.lru_cache(maxsize=None)
 def _falling_powers(n, a):
-    """k!/(k-a)! (0 for k < a) and the exponents max(k - a, 0), k < n: the a-th derivatives of t^k; read-only, as every caller shares them."""
+    """k!/(k-a)! (0 for k < a) and the exponents max(k - a, 0), k < n: the a-th derivatives of t^k; read-only, as every caller shares them.
+
+    The one order check of every derivative basis: an ``a`` that is not a non-negative integer raises ``ValueError``.
+    """
+    if a < 0 or a % 1:
+        raise ValueError("order must be a non-negative integer")
     k = np.arange(n)
     falling, powers = np.prod(k[None, :] - np.arange(a)[:, None], axis=0), np.maximum(k - a, 0)
     falling.flags.writeable = powers.flags.writeable = False
@@ -105,12 +110,11 @@ def _eval_pieces(pieces, t, order, side):
     """The order-th t-derivative of the two-piece quadratic ``pieces`` (left of t = 0, right of it) at ``t``.
 
     ``side`` picks the limit taken at t = 0; another value, or an order
-    that is not a non-negative integer, raises ``ValueError``.
+    that is not a non-negative integer (``_falling_powers``), raises
+    ``ValueError``.
     """
     if side not in ("left_limit", "right_limit"):
         raise ValueError("side must be 'left_limit' or 'right_limit'")
-    if order < 0 or order % 1:
-        raise ValueError("order must be a non-negative integer")
     basis = _derivative_basis(t.reshape(-1), 3, order)
     use_left = (t < 0.0) | ((t == 0.0) & (side == "left_limit"))
     vals = np.where(use_left.reshape(-1), basis @ pieces[0], basis @ pieces[1]).reshape(t.shape)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import macrospline
+from macrospline import cli
 from macrospline.cli import build_parser, main
 from macrospline.fields import ScalarField, get_field
 from macrospline.experiments import (
@@ -303,6 +304,19 @@ def test_cli_stdout_rows_match_the_csv(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 0
     data_rows = out.read_text().splitlines(keepends=True)[1:]
     assert data_rows and printed == "".join(data_rows)
+
+
+@pytest.mark.parametrize("command", ["converge", "shishkin"])
+@pytest.mark.parametrize("fmt", ["json", "both"])
+def test_cli_file_formats_without_out_exit_2_before_any_study(monkeypatch, capsys, command, fmt):
+    def never(config):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_convergence", never)
+    monkeypatch.setattr(cli, "run_shishkin", never)
+    assert main([command, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err and f"--format {fmt}" in captured.err
 
 
 def test_cli_reads_negative_amplitudes_in_exponent_form(tmp_path, capsys):

@@ -391,6 +391,19 @@ def test_degenerate_macro_rejected():
                 build(f, gx, gy)
 
 
+def test_an_unknown_anisotropic_orientation_or_assembly_is_rejected():
+    f = make_smooth_field("sin_sin")
+    grid = np.linspace(0.0, 1.0, 3)
+    for orientation in ("z_spline", "x", ""):
+        with pytest.raises(ValueError, match="^orientation must be 'y_spline' or 'x_spline'$"):
+            interp_aniso_mesh(f, grid, grid, orientation)
+        with pytest.raises(ValueError, match="^orientation must be 'y_spline' or 'x_spline'$"):
+            interp_aniso(f, (0.0, 1.0, 0.0, 1.0), orientation)
+    for orientation in ("y_spline", "x_spline"):
+        with pytest.raises(ValueError, match="^assembly must be 'lagrange' or 'newton'$"):
+            interp_aniso(f, (0.0, 1.0, 0.0, 1.0), orientation, assembly="lagrnge")
+
+
 def test_poly_json_roundtrip():
     f = make_smooth_field("exp_xy")
     p = interp_full_macro(f, (0.0, 1.0, 0.0, 1.0))

@@ -515,6 +515,15 @@ def test_sigma_edge_round_trips_and_rejects_outside_nodes():
                 sel.edge(node)
 
 
+@pytest.mark.parametrize("strategy", ["left", "down", "toward_corner"])
+def test_a_custom_map_with_another_strategy_is_rejected(strategy):
+    for mesh in (build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 7)), build_shishkin(1e-4, 8), build_shishkin(1e-8, 64)):
+        edges = _edge_map(select_sigma(mesh, strategy))
+        for custom in (edges, {}):
+            with pytest.raises(ValueError, match=f"custom edge map is read only by the 'custom' strategy, not '{strategy}'"):
+                select_sigma(mesh, strategy, custom=custom)
+
+
 def test_sigma_custom_map_defects_rejected_naming_the_node():
     mesh = build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrospline.fields import ScalarField, exp_profile, make_layer_decomposition, make_polynomial_field, make_smooth_field, separable_field, sin_profile
-from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, nodal_q2_mesh
+from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, interp_full_macro, nodal_q2_mesh
 from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
 from macrospline import norms, quadrature
 from macrospline.norms import (
@@ -26,6 +26,7 @@ from macrospline.norms import (
     seminorm,
 )
 from macrospline.quadrature import integrate, integrate2d
+from macrospline.spline_core import HermiteData1D, hermite_interpolate_1d
 
 
 def _unit_mesh_poly(n=2):
@@ -400,6 +401,22 @@ def test_jump_norm_sum_rejects_edges_that_are_not_interior_element_edges():
         else:
             with pytest.raises(ValueError, match=re.escape(f"edge ({x0}, {y0})-({x1}, {y1}) is not an element edge of the grid")):
                 edge_l2(None, poly, mixed)
+
+
+@pytest.mark.parametrize("alpha", [(-1, 0), (0, -1), (1.5, 0), (0, 0.5)])
+def test_a_derivative_order_that_is_not_a_non_negative_integer_is_rejected(alpha):
+    # evaluation, seminorms and edge norms all take their derivative basis from one kernel, which checks the order
+    p = interp_full_macro(make_smooth_field("sin_sin"), (0.0, 1.0, 0.0, 1.0))
+    edges = _interior_element_edges(p.grid_x, p.grid_y)
+    message = "order must be a non-negative integer"
+    with pytest.raises(ValueError, match=message):
+        p.evaluate(0.3, 0.4, *alpha)
+    with pytest.raises(ValueError, match=message):
+        seminorm(None, p, alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        edge_l2(None, p, edges, alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        hermite_interpolate_1d(HermiteData1D(0.0, 1.0, 0.0, 1.0))(0.5, order=alpha[0] + alpha[1])
 
 
 def test_jump_norm_sum_of_empty_edge_set_is_zero():

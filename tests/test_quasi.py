@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,17 @@ def test_selection_of_another_mesh_is_rejected_naming_the_node():
     p = quasi_interp(f, graded, select_sigma(graded, "toward_corner"))
     X, Y = np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 9), indexing="ij")
     assert np.max(np.abs(p.evaluate(X, Y) - f(X, Y))) < 1e-13
+
+
+def test_selection_lacking_a_node_of_the_mesh_is_rejected_naming_the_node():
+    # the selection's node set is smaller than the mesh's: a ValueError names the first missing node, y outer
+    f = make_smooth_field("sin_sin")
+    with pytest.raises(ValueError, match=r"^sigma edge for node \(2, 0\) is missing$"):
+        quasi_interp(f, _uniform(4), select_sigma(_uniform(1), "toward_corner"))
+    for n_mesh, n_selection, node in ((16, 8, "(4, 0)"), (8, 16, "(6, 0)")):
+        selection = select_sigma(build_shishkin(1e-4, n_selection), "toward_corner")
+        with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {node} is missing")):
+            build_composite(f, build_shishkin(1e-4, n_mesh), selection)
 
 
 def test_biquadratic_field_reproduced():
