@@ -13,10 +13,16 @@ into buffers made once per call.  Per block, the cell polynomials are
 evaluated by sum factorisation with the derivative basis of
 ``spline_core`` (along y, then along x), and the field values come in
 the same layout from its rank-one factors (``ScalarField.factors``, a
-GEMM or an outer product) or from one call on the block's points;
-each cell is then reduced in place to its weighted sum of squares or
-of signed values (``_weighted_sum``, also the reducer of
-``oracles.bound_consistency``) or to its largest value.
+GEMM, or for one term an ``einsum`` outer product) or from one call on
+the block's points; each cell is then reduced in place to its weighted
+sum of squares or of signed values (``_weighted_sum``, also the reducer
+of ``oracles.bound_consistency``) or to its largest absolute value.
+The one-term block equals the pointwise products in value, but einsum
+adds them into a zeroed block, so it holds +0.0 where a product is
+-0.0.  No result sees that sign: a difference can be a zero of the
+other sign only where the interpolant is +0.0 too, and every reducer
+squares the differences or takes their absolute value, except the
+signed sum, whose one caller takes the absolute value of each cell.
 Broken second-order seminorms never integrate across element
 interfaces, where the interpolant's second derivatives jump.  Edge
 norms and jump sums locate no point and gather no cell per edge: they
@@ -157,7 +163,7 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
                 if factors is None:
                     d[...] = field(x[None, :], y[at, None], ax, ay)
                 elif len(Fx) == 1:
-                    np.multiply.outer(FyT[at, 0], Fx[0], out=d)  # faster than a K = 1 GEMM, and as exact
+                    np.einsum("i,j->ij", FyT[at, 0], Fx[0], out=d)  # about twice as fast as np.multiply.outer; zeros are +0.0 (module docstring)
                 else:
                     np.matmul(FyT[at].reshape(n, p, -1), Fx, out=d.reshape(n, p, nux * p))
                 np.subtract(d, v, out=d)

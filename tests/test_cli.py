@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -160,6 +162,28 @@ def test_verification_suite_all_pass():
     results = verification_suite()
     failed = [r.name for r in results if not r.passed]
     assert not failed, failed
+
+
+def test_a_nan_after_a_finite_term_fails_the_verification_battery(monkeypatch):
+    from macrospline import experiments, oracles
+    from macrospline.interpolation import PiecewisePoly2D
+
+    # the second of three reproduction macros, the last order of each C1 line
+    # and every trace inequality trial after the first compute NaN
+    monkeypatch.setattr(experiments, "_reproduction_error", lambda p, f, macro, error=experiments._reproduction_error: np.nan if macro[3] == 1e-3 else error(p, f, macro))
+    evaluate = PiecewisePoly2D.evaluate
+
+    def nan_from_the_right(self, x, y, ax=0, ay=0, side=("-", "-")):
+        return np.full(np.shape(x), np.nan) if side == ("+", "-") and (ax, ay) == (0, 1) else evaluate(self, x, y, ax, ay, side)
+
+    monkeypatch.setattr(PiecewisePoly2D, "evaluate", nan_from_the_right)
+    trials, check = itertools.count(1), oracles.check_trace_inequality
+    monkeypatch.setattr(oracles, "check_trace_inequality", lambda f, macro: (np.nan, 0.0) if next(trials) > 1 else check(f, macro))
+    results = {r.name: r for r in verification_suite()}
+    nan = {"reproduction_full_q2", "c1_continuity_full", "c1_continuity_quasi", "trace_inequality_violation"}
+    for name in nan:
+        assert math.isnan(results[name].value) and not results[name].passed, name
+    assert all(r.passed for name, r in results.items() if name not in nan)
 
 
 def test_cli_options_belong_to_their_subcommand(tmp_path, capsys):

@@ -18,6 +18,7 @@ from macrospline.norms import (
     _pairwise_sum,
     _per_cell,
     _seminorms,
+    _weighted_sum,
     compute_norm_report,
     edge_l2,
     gauss_rule,
@@ -651,6 +652,42 @@ def test_blocks_of_element_rows_match_one_block_on_the_composite(monkeypatch):
             assert whole == rows
     whole, rows = _one_block_and_row_blocks(monkeypatch, lambda: compute_norm_report(u, star, mesh, rule=gauss_rule(4)).to_json())
     assert whole == rows
+
+
+def test_signed_zeros_of_the_one_term_block_do_not_reach_a_norm(monkeypatch):
+    # u = x y: D^(2,0) u is the factor 0.0 in x times y and D^(0,2) u the
+    # factor x times 0.0, so the product of the factors is -0.0 on the
+    # negative half of the other axis.  einsum sums into a zeroed block and
+    # writes +0.0 there; every norm must read the same bits either way.
+    u = make_polynomial_field([[0.0, 0.0], [0.0, 1.0]])
+    grid = np.linspace(-1.0, 1.0, 5)
+    zero = PiecewisePoly2D(grid, grid, np.zeros((4, 4, 1, 1)))
+    rule = gauss_rule()
+    einsum = np.einsum
+
+    def norms_with(block):
+        negative_zeros = []
+
+        def one_term(subscripts, a, b, out):
+            assert subscripts == "i,j->ij"
+            block(a, b, out)
+            negative_zeros.append(int(np.count_nonzero((out == 0.0) & np.signbit(out))))
+            return out
+
+        monkeypatch.setattr(np, "einsum", one_term)
+        values = [v.hex() for v in _seminorms(u, zero, ((2, 0), (0, 2), (1, 1)), None, rule)]
+        values.append(linf_sampled(u, zero, None, 3).hex())
+        for alpha in ((2, 0), (0, 2)):
+            (integral,) = _per_cell(u, zero, None, rule.nodes, (alpha,), _weighted_sum(rule.weights))
+            values += [float(v).hex() for v in integral]
+        monkeypatch.undo()
+        return values, sum(negative_zeros)
+
+    changed, changed_negative_zeros = norms_with(lambda a, b, out: einsum("i,j->ij", a, b, out=out))
+    outer, outer_negative_zeros = norms_with(lambda a, b, out: np.multiply.outer(a, b, out=out))
+    assert changed_negative_zeros == 0 and outer_negative_zeros > 0
+    assert changed == outer
+    assert changed[3] == 1.0.hex() and set(changed[:2] + changed[4:]) == {0.0.hex()}  # max |D^(0,0) u| is 1; the rest are +0.0
 
 
 def test_norm_pass_memory_stays_within_a_few_blocks():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from macrospline import oracles
-from macrospline.fields import make_polynomial_field, make_smooth_field
+from macrospline.fields import ScalarField, make_polynomial_field, make_smooth_field
 from macrospline.interpolation import interp_aniso, interp_bfs, interp_full_macro, interp_reduced_macro
 from macrospline.mesh import build_macro_mesh
 from macrospline.norms import seminorm
@@ -217,6 +218,35 @@ def test_kronecker_table():
 def test_identity_suites_pass():
     for result in dual_weight_checks() + orthogonality_checks() + peano_checks() + reduced_functional_checks() + aniso_functional_checks():
         assert result.passed, f"{result.name}: {result.value:.3e} > {result.tolerance:.1e}"
+
+
+def _nan_where(fn, predicate):
+    """``fn``, returning NaN instead on the calls whose arguments satisfy ``predicate``."""
+
+    def patched(*args, **kwargs):
+        return np.nan if predicate(*args, **kwargs) else fn(*args, **kwargs)
+
+    return patched
+
+
+def test_a_nan_after_a_finite_term_fails_the_reduced_invariance_checks(monkeypatch):
+    # the interpolant's line integrals on y = 1 (and x = 1) follow finite ones on y = -1
+    monkeypatch.setattr(oracles, "_line", _nan_where(oracles._line, lambda v, level, *_: not isinstance(v, ScalarField) and level == 1.0))
+    results = {r.name: r for r in reduced_functional_checks()}
+    for trial in range(5):
+        for name in (f"reduced_dx_invariance[{trial}]", f"reduced_dxy_invariance[{trial}]"):
+            assert math.isnan(results[name].value) and not results[name].passed, name
+        assert results[f"reduced_F5_identity[{trial}]"].passed and results[f"reduced_F7_identity[{trial}]"].passed
+
+
+def test_a_nan_after_a_finite_term_fails_the_aniso_table_checks(monkeypatch):
+    # every divided difference after the first entry of the first trial is NaN
+    calls = itertools.count(1)
+    monkeypatch.setattr(oracles, "divided_difference_2d", _nan_where(oracles.divided_difference_2d, lambda *_: next(calls) > 2))
+    results = aniso_functional_checks()
+    assert [r.name for r in results] == [f"aniso_table_{kind}[{trial}]" for trial in range(3) for kind in ("identities", "invariance")]
+    for r in results:
+        assert math.isnan(r.value) and not r.passed, r.name
 
 
 def test_full_suite_aggregator():
