@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from ._record import default_factory, record
 from .fields import get_field, make_layer_decomposition, make_polynomial_field, make_smooth_field
 from .interpolation import (
     build_composite,
@@ -63,7 +63,7 @@ def _check_budget(config):
         raise ValueError(f"the finest mesh would have {elements} elements, over the budget of {MAX_ELEMENTS}")
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceConfig:
     """Uniform refinement of one operator: ``levels`` meshes of base_n * 2**k cells per side."""
 
@@ -92,7 +92,7 @@ class ConvergenceConfig:
         return ELEMENTS_PER_CELL[self.operator] * n**2
 
 
-@dataclass(frozen=True)
+@record
 class ShishkinConfig:
     """The composite interpolant of a layer decomposition over an (eps, N) grid of Shishkin meshes."""
 
@@ -128,13 +128,13 @@ class ShishkinConfig:
         return max(self.N_list) ** 2
 
 
-@dataclass
+@record(frozen=False)
 class RateTable:
     """Rows of (level tag, h or N, error per norm, observed order per norm)."""
 
     columns: tuple
-    rows: list = dataclass_field(default_factory=list)
-    meta: dict = dataclass_field(default_factory=dict)
+    rows: list = default_factory(list)
+    meta: dict = default_factory(dict)
 
     def column(self, name):
         k = self.columns.index(name)
@@ -172,6 +172,16 @@ def ls_slope(errors, hs, tail: int = 3):
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
+def _provenance(config, **resolved) -> dict:
+    """JSON ``meta`` entries: the run's config with its defaults (and ``resolved``) filled in, and the versions it ran on."""
+    import sys
+
+    from . import __version__
+
+    settings = {name: getattr(config, name) for name in config._fields}
+    return {"config": {**settings, **resolved}, "versions": {"macrospline": __version__, "numpy": np.__version__, "python": "%d.%d.%d" % sys.version_info[:3]}}
+
+
 def _apply_mesh_operator(operator, field, grid_x, grid_y, sigma_strategy="toward_corner"):
     """Interpolant of ``field`` by ``operator`` over the macro grid ``grid_x`` x ``grid_y``; ValueError names an unknown operator."""
     if operator in ("full", "reduced", "quasi"):
@@ -204,12 +214,13 @@ def run_convergence(config: ConvergenceConfig) -> RateTable:
     """Uniform-refinement errors and observed orders for one operator."""
     field = get_field(config.field)
     rule = gauss_rule(5)
+    sigma = config.sigma or "toward_corner"
 
     rows = []
     for level in range(config.levels):
         n = config.base_n * 2**level
         grid = np.linspace(0.0, 1.0, n + 1)
-        poly = _apply_mesh_operator(config.operator, field, grid, grid, config.sigma or "toward_corner")
+        poly = _apply_mesh_operator(config.operator, field, grid, grid, sigma)
         l2, h1, h2 = _error_norms(field, poly, rule)
         rows.append({"n": n, "h": 1.0 / n, "L2": l2, "H1": h1, "brokenH2": h2})
 
@@ -223,6 +234,7 @@ def run_convergence(config: ConvergenceConfig) -> RateTable:
         "ls_order_L2": ls_slope(table.column("L2"), hs),
         "ls_order_H1": ls_slope(table.column("H1"), hs),
         "ls_order_H2": ls_slope(table.column("brokenH2"), hs),
+        **_provenance(config, sigma=sigma if config.operator == "quasi" else None),
     }
     return table
 
@@ -296,6 +308,7 @@ def run_shishkin(config: ShishkinConfig) -> RateTable:
         "experiment": "shishkin",
         "smooth_variant": config.smooth_variant,
         "orders_by_eps": meta_orders,
+        **_provenance(config),
     }
     return table
 

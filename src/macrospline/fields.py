@@ -31,10 +31,11 @@ none, and a sum or scale with one adds or scales calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "ScalarField",
@@ -54,7 +55,7 @@ def _check_orders(ax, ay):
         raise ValueError("derivative orders must lie in 0..4")
 
 
-@dataclass(frozen=True)
+@record
 class ScalarField:
     """Scalar function on the plane with exact derivatives.
 
@@ -331,7 +332,7 @@ def _reflect(profile):
     return f
 
 
-@dataclass(frozen=True)
+@record
 class LayerDecomposition:
     """Smooth part plus four edge layers and four corner layers.
 

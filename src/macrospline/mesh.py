@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "Grid1D",
@@ -39,7 +40,7 @@ EDGE_TYPES = ("", "I", "II", "III", "IV", "boundary")  # the name of each slot c
 _CODES = {t: np.uint8(c) for c, t in enumerate(EDGE_TYPES)}
 
 
-@dataclass(frozen=True)
+@record
 class Grid1D:
     """Strictly increasing 1D coordinates; interval midpoints are implied."""
 
@@ -67,7 +68,7 @@ def _bisect(c: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class MacroMesh:
     """Tensor macro mesh whose elements arise from midpoint bisection."""
 
@@ -103,8 +104,10 @@ def build_macro_mesh(grid_x, grid_y) -> MacroMesh:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ShishkinMesh:
+    """ShishkinMesh(epsilon: float, N: int, lambda0: float, c_star: float, lam: float, grid_x: np.ndarray, grid_y: np.ndarray, region: np.ndarray)"""
+
     epsilon: float
     N: int
     lambda0: float
@@ -186,7 +189,7 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EdgeSet:
     """Element edges as equal-length columns, one row per edge.
 
@@ -211,7 +214,7 @@ class EdgeSet:
         return len(self.x0)
 
     def __getitem__(self, rows) -> EdgeSet:
-        return EdgeSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return EdgeSet(*(getattr(self, name)[rows] for name in self._fields))
 
 
 def _interior_types(lo: np.ndarray, hi: np.ndarray, horizontal: bool) -> np.ndarray:
@@ -277,7 +280,7 @@ _TOL = 1e-12  # node-on-edge tolerance
 _SIGMA_ROW = np.dtype([("horizontal", bool), ("lo", float), ("hi", float), ("level", float), ("upper", bool)])
 
 
-@dataclass(frozen=True)
+@record
 class SigmaEdge:
     """A macro edge used to average the mixed derivative at one node."""
 
@@ -287,7 +290,7 @@ class SigmaEdge:
     node_side: str  # which end of the span carries the node: left | right
 
 
-@dataclass(frozen=True)
+@record
 class SigmaSelection:
     """Averaging edges of the tensor node set ``nodes_x`` x ``nodes_y``.
 

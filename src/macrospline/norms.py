@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from ._record import default_factory, record
 from .mesh import EDGE_TYPES, EdgeSet
 from .quadrature import QuadratureRule, gauss_rule
 from .spline_core import _derivative_basis
@@ -358,13 +358,13 @@ def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> fl
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class NormReport:
     """Per-region and global error norms plus typed edge-jump sums."""
 
     regional: dict
     global_values: dict
-    jump_sums: dict = dataclass_field(default_factory=dict)
+    jump_sums: dict = default_factory(dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -408,7 +408,7 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
         "L2": float(np.sqrt(_pairwise_sum(v["L2"] ** 2 for v in regional.values()))),
         "H1_semi": float(np.sqrt(_pairwise_sum(v["H1_semi"] ** 2 for v in regional.values()))),
         "broken_H2_semi": float(np.sqrt(_pairwise_sum(v["broken_H2_semi"] ** 2 for v in regional.values()))),
-        "Linf_sampled": max(v["Linf_sampled"] for v in regional.values()),
+        "Linf_sampled": float(np.max([v["Linf_sampled"] for v in regional.values()])),  # np.max keeps a NaN, max() may drop it
     }
     jump_sums = {} if edges is None else dict(zip(JUMP_TYPES, _jump_sums(interp, _slot_counts(interp, edges, [edges.edge_type == t for t in JUMP_TYPES]), rule)))
     return NormReport(regional, global_values, jump_sums)

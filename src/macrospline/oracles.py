@@ -15,11 +15,11 @@ midpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields
+from ._record import record
 from .experiments import ELEMENTS_PER_MACRO, _apply_mesh_operator
 from .interpolation import (
     PiecewisePoly2D,
@@ -61,8 +61,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
+    """CheckResult(name: str, value: float, tolerance: float)"""
+
     name: str
     value: float
     tolerance: float
@@ -72,7 +74,7 @@ class CheckResult:
         return self.value <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "tolerance": self.tolerance, "passed": self.passed}
+        return {"name": self.name, "value": self.value, "tolerance": self.tolerance, "margin": self.value / self.tolerance, "passed": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def check_trace_inequality(field, element) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BoundTerm:
     """One right-hand-side term: a derivative seminorm or mean integral.
 
@@ -468,7 +470,7 @@ class BoundTerm:
     kind: str  # seminorm | mean
 
 
-@dataclass(frozen=True)
+@record
 class BoundSpec:
     """Operator, differentiated error D^gamma, and its estimate's terms."""
 

@@ -10,14 +10,14 @@ import it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ._record import record
 
 __all__ = ["QuadratureRule", "gauss_rule", "integrate", "integrate2d"]
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureRule:
     """Gauss-Legendre nodes/weights on [-1, 1]; exact through degree 2*order-1 (on each half if split)."""
 

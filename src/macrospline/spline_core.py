@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .quadrature import gauss_rule, integrate
 
 __all__ = [
@@ -141,7 +141,7 @@ def eval_ref_basis(kind: str, order: int, x, side: str = "right_limit"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KnotSequence:
     """Sorted knots with multiplicities, e.g. ((-1, 2), (1, 2))."""
 
@@ -201,8 +201,10 @@ def divided_difference(knots: KnotSequence, values_and_derivs: Sequence[Sequence
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HermiteData1D:
+    """HermiteData1D(value_left: float, deriv_left: float, value_right: float, deriv_right: float)"""
+
     value_left: float
     deriv_left: float
     value_right: float
@@ -241,7 +243,7 @@ def hermite_divided_differences(data: HermiteData1D) -> np.ndarray:
     return HERMITE_DD_MATRIX @ vec
 
 
-@dataclass(frozen=True)
+@record
 class MacroSpline1D:
     """Two quadratic pieces on [a, knot] and [knot, b], C1 at the knot.
 
@@ -386,7 +388,7 @@ def edge_theta(edge, x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DualWeight:
     """Piecewise-quadratic averaging weight on a macro edge.
 

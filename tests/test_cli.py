@@ -80,6 +80,7 @@ def test_cli_verify_json(tmp_path, capsys):
     assert payload["schema"] == "macrospline-verify/1"
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
+    assert all(c["margin"] == c["value"] / c["tolerance"] <= 1.0 for c in payload["checks"])
 
 
 def test_verify_report_schema_matches_golden():
@@ -89,7 +90,7 @@ def test_verify_report_schema_matches_golden():
     results = verification_suite()
     assert [r.name for r in results] == golden["check_names"]
     sample = results[0].as_dict()
-    assert set(sample) == {"name", "value", "tolerance", "passed"}
+    assert set(sample) == {"name", "value", "tolerance", "margin", "passed"}
 
 
 def test_cli_verify_detects_broken_dual_weight(monkeypatch):
@@ -116,6 +117,24 @@ def test_cli_converge_runs(tmp_path, capsys):
     payload = json.loads((tmp_path / "rates.json").read_text())
     assert payload["schema"] == "macrospline-rates/1"
     assert payload["ls_order_L2"] > 2.5
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["converge", "--operator", "quasi", "--levels", "3"], {"operator": "quasi", "field": "sin_sin", "levels": 3, "base_n": 2, "sigma": "toward_corner"}),
+        (["converge", "--operator", "nodal", "--levels", "3"], {"operator": "nodal", "field": "sin_sin", "levels": 3, "base_n": 2, "sigma": None}),
+        (
+            ["shishkin", "--N", "8", "--eps", "1e-6", "--sigma", "left"],
+            {"N_list": [8], "eps_list": [1e-6], "lambda0": 3.0, "c_star": 1.0, "sigma": "left", "smooth_variant": "bounded_third", "smooth_amplitude": 1.0, "edge_amplitude": 1.0},
+        ),
+    ],
+)
+def test_json_meta_records_the_resolved_config_and_the_versions(tmp_path, argv, config):
+    assert main(argv + ["--out", str(tmp_path / "run"), "--format", "json"]) == 0
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert payload["config"] == config
+    assert payload["versions"] == {"macrospline": macrospline.__version__, "numpy": np.__version__, "python": "%d.%d.%d" % sys.version_info[:3]}
 
 
 def test_cli_shishkin_runs(tmp_path):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import re
 import weakref
@@ -308,7 +307,7 @@ def _unverified(sigma, broken):
 def test_an_edge_missing_its_node_in_the_high_high_corner_is_named(node):
     mesh, sigma = _setup(1e-6, 16)
     good = sigma.edge(node)
-    moved = dataclasses.replace(good, level=good.level - 0.25)
+    moved = SigmaEdge(good.orientation, good.span, good.level - 0.25, good.node_side)
     with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {node} does not contain the node")):
         build_composite(make_smooth_field("exp_xy"), mesh, _unverified(sigma, {node: moved}))
 
@@ -317,7 +316,8 @@ def test_the_merged_node_check_names_the_first_failing_node_with_y_outer():
     # (16, 0) is in the low-y row of the merged corner node grid and (0, 16)
     # in the high-y row, so (16, 0) is named although its corner is not the first.
     mesh, sigma = _setup(1e-6, 16)
-    broken = {node: dataclasses.replace(sigma.edge(node), level=0.5) for node in ((0, 16), (16, 0))}
+    edges = {node: sigma.edge(node) for node in ((0, 16), (16, 0))}
+    broken = {node: SigmaEdge(e.orientation, e.span, 0.5, e.node_side) for node, e in edges.items()}
     with pytest.raises(ValueError, match=re.escape("sigma edge for node (16, 0) does not contain the node")):
         build_composite(make_smooth_field("exp_xy"), mesh, _unverified(sigma, broken))
 

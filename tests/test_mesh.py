@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -322,7 +321,7 @@ def test_classify_edges_of_a_mesh_with_other_subdomain_names():
     mesh = build_shishkin(1e-4, 8)
     region = mesh.region.copy()
     region[2, 3], region[5, 5], region[0, 0] = "omega9", "hole", "omega0"
-    odd = dataclasses.replace(mesh, region=region)
+    odd = ShishkinMesh(mesh.epsilon, mesh.N, mesh.lambda0, mesh.c_star, mesh.lam, mesh.grid_x, mesh.grid_y, region)
     expected = _per_edge_classification(odd)
     assert np.array_equal(classify_edges(odd).edge_type, np.array([t for _, _, _, t in expected]))
     assert not np.array_equal(classify_edges(odd).edge_type, classify_edges(mesh).edge_type)
@@ -342,7 +341,8 @@ def test_slot_types_of_any_subdomain_names_match_the_per_edge_loop(N, data):
     # one classification path for every name: the nine subdomains and foreign ones alike
     names = st.sampled_from(_SUBDOMAINS + ("hole", "omega9", "", "omega00"))
     region = np.array(data.draw(st.lists(names, min_size=N * N, max_size=N * N)), dtype="<U8").reshape(N, N)
-    m = dataclasses.replace(build_shishkin(1e-4, N), region=region)
+    base = build_shishkin(1e-4, N)
+    m = ShishkinMesh(base.epsilon, base.N, base.lambda0, base.c_star, base.lam, base.grid_x, base.grid_y, region)
     codes = _slot_types(m)
     assert codes.dtype == np.uint8 and codes.shape == (N + 1, N + 1, 2)
     edges = _per_edge_classification(m)

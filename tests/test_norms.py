@@ -455,6 +455,18 @@ def test_norm_report_additivity_and_serialization():
     assert all(v >= 0 for _, _, v in rows if isinstance(v, float))
 
 
+def test_a_nan_in_one_region_reaches_the_global_sampled_sup_norm():
+    # sin_sin made NaN near x = 1 (omega34, omega4, omega41 only), against its nodal interpolant
+    mesh = build_shishkin(1e-4, 8)
+    f = make_smooth_field("sin_sin")
+    p = nodal_q2_mesh(f, mesh.grid_x, mesh.grid_y)
+    nan_edge = ScalarField("nan_edge", lambda x, y, ax, ay: np.where(x > 0.99, np.nan, f(x, y, ax, ay)))
+    report = compute_norm_report(nan_edge, p, mesh)
+    assert np.isfinite(report.regional["omega0"]["Linf_sampled"])
+    assert np.isnan(report.regional["omega4"]["Linf_sampled"])
+    assert all(np.isnan(report.global_values[q]) for q in ("L2", "H1_semi", "broken_H2_semi", "Linf_sampled"))
+
+
 def _pairwise_sum_of_list(values):
     """Reference tree reduction on a Python list."""
     vals = list(values)
