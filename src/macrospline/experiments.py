@@ -262,15 +262,8 @@ SHISHKIN_COLUMNS = (
 )
 
 
-def _shishkin_point(config: ShishkinConfig, eps, N, rule) -> dict:
-    """Weighted errors of u - u*, jump sums per edge type and model constants at one (eps, N)."""
-    u = make_layer_decomposition(
-        eps,
-        config.c_star,
-        smooth=config.smooth_variant,
-        edge_amplitude=config.edge_amplitude,
-        smooth_amplitude=config.smooth_amplitude,
-    ).total
+def _shishkin_point(config: ShishkinConfig, u, eps, N, rule) -> dict:
+    """Weighted errors of u - u*, jump sums per edge type and model constants at one (eps, N); ``u`` is the layer field of eps."""
     mesh = build_shishkin(eps, N, config.lambda0, config.c_star)
     sigma = select_sigma(mesh, config.sigma)
     star = build_composite(u, mesh, sigma)
@@ -295,7 +288,14 @@ def run_shishkin(config: ShishkinConfig) -> RateTable:
     table = RateTable(SHISHKIN_COLUMNS)
     meta_orders = {}
     for eps in config.eps_list:
-        rows = [_shishkin_point(config, eps, N, rule) for N in sorted(config.N_list)]
+        u = make_layer_decomposition(
+            eps,
+            config.c_star,
+            smooth=config.smooth_variant,
+            edge_amplitude=config.edge_amplitude,
+            smooth_amplitude=config.smooth_amplitude,
+        ).total
+        rows = [_shishkin_point(config, u, eps, N, rule) for N in sorted(config.N_list)]
         hs = [1.0 / r["N"] for r in rows]
         meta_orders[str(eps)] = {
             "ls_order_L2": ls_slope([r["L2"] for r in rows], hs),

@@ -84,10 +84,9 @@ class ScalarField:
         ``x`` and ``y`` are 1-D; row k of Fx (K, len(x)) is c * D^ax fx(x)
         and of Fy (K, len(y)) D^ay fy(y) for the k-th term (c, fx, fy),
         and each distinct factor is evaluated once.  The values at
-        (x[i], y[j]) are the matrix ``Fy.T @ Fx``, rows along y, or for
-        one term ``np.einsum("i,j->ij", Fy[0], Fx[0])``, which equals a
-        pointwise call in value when c is 1, with +0.0 where the
-        pointwise product is -0.0.
+        (x[i], y[j]) are the matrix ``Fy.T @ Fx``, rows along y; for one
+        term with c = 1 it equals a pointwise call in value, but may hold
+        +0.0 where the pointwise product is -0.0.
         """
         _check_orders(ax, ay)
         terms = self.terms

@@ -362,7 +362,7 @@ def test_typed_jump_sums_equal_one_jump_norm_sum_per_type(monkeypatch):
     edges = classify_edges(mesh)
     separate = {t: jump_norm_sum(star, edges[edges.edge_type == t], rule) for t in ("I", "II", "III", "IV")}
     assert compute_norm_report(u, star, mesh, edges, rule).jump_sums == separate
-    row = _shishkin_point(config, eps, N, rule)
+    row = _shishkin_point(config, u, eps, N, rule)
     assert {t: row[f"jump2_{t}"] for t in separate} == separate
     # the studies sum by slot type: they map no edge row and build no EdgeSet
     checks = {r.name: r.value for r in verification_suite(rng_seed=1) if r.name.startswith("composite_jump2_")}
@@ -373,7 +373,7 @@ def test_typed_jump_sums_equal_one_jump_norm_sum_per_type(monkeypatch):
 
     monkeypatch.setattr(norms, "_edge_slots", unused)
     monkeypatch.setattr(mesh_module, "classify_edges", unused)
-    assert _shishkin_point(config, eps, N, rule) == row
+    assert _shishkin_point(config, u, eps, N, rule) == row
     assert {r.name: r.value for r in verification_suite(rng_seed=1) if r.name in checks} == checks
 
 
@@ -493,13 +493,16 @@ def test_pairwise_sum_matches_list_reduction():
 def _difference_per_element(field, poly, alpha, elements, loc):
     """Reference: D^alpha (field - poly), element by element, shape (E, p, p) with entry [e, b, a] at (X[a], Y[b]).
 
-    The cell values are sum-factorised with the derivative basis of the
-    local monomials at ``loc``: ``D^ay Q @ coef.T`` along y, scaled by
-    (2/wy)^ay (2/wx)^ax, then ``@ (D^ax P).T`` along x.  A field with
-    terms takes its factors from one ``field.factors`` call on the
-    distinct columns and rows of ``elements`` and multiplies each
-    element's own slices; a field without terms is called with one row
-    of coordinates per element, ``field(X[:, None, :], Y[:, :, None])``.
+    Each element's differences are one product of the factors of y and
+    of x, ``[Fy_e | -(2/wy)^ay D^ay Q] @ [Fx_e ; R_e]``.  ``R_e`` contracts
+    x, ``C_e @ (D^ax P).T``, with ``C_e`` the element's coefficients in
+    (l, k) order scaled by (2/wx)^ax; one 2-D product makes the rows of
+    every element.  ``D^a P`` and ``D^a Q`` hold the a-th derivatives of
+    the local monomials at ``loc``.  A field with terms takes ``Fx_e`` and
+    ``Fy_e`` from one ``field.factors`` call on the distinct columns and
+    rows of ``elements``; a field without terms, or None, has none, and a
+    field without terms is then added, called with one row of
+    coordinates per element, ``field(X[:, None, :], Y[:, :, None])``.
     """
     ix = np.array([e[0] for e in elements], dtype=int)
     jy = np.array([e[1] for e in elements], dtype=int)
@@ -508,26 +511,25 @@ def _difference_per_element(field, poly, alpha, elements, loc):
     c = poly.coef[jy, ix]
     p, (kx, ky) = len(loc), c.shape[1:]
     Q, PT = norms._derivative_basis(loc, ky, alpha[1]), norms._derivative_basis(loc, kx, alpha[0]).T.copy()
-    t = np.matmul(Q, c.transpose(0, 2, 1))
-    if alpha != (0, 0):
-        t *= ((2.0 / wy) ** alpha[1] * (2.0 / wx) ** alpha[0])[:, None, None]
-    vals = (t.reshape(-1, kx) @ PT).reshape(len(c), p, p)
-    if field is None:
-        return -vals
-    if field.terms is None:
-        X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
-        Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
-        return np.asarray(field(X[:, None, :], Y[:, :, None], alpha[0], alpha[1]), dtype=float) - vals
+    R = (np.multiply(c.transpose(0, 2, 1), ((2.0 / wx) ** alpha[0])[:, None, None]).reshape(-1, kx) @ PT).reshape(len(c), ky, p)
+    A = np.multiply(Q, -((2.0 / wy) ** alpha[1])[:, None, None])
+    if field is None or field.terms is None:
+        diff = A @ R
+        if field is not None:
+            X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
+            Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
+            diff += field(X[:, None, :], Y[:, :, None], alpha[0], alpha[1])
+        return diff
     columns, rows = sorted(set(ix.tolist())), sorted(set(jy.tolist()))
     ux, uy = np.array(columns), np.array(rows)
     X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
     Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
     Fx, Fy = (F.reshape(len(F), -1, p) for F in field.factors(X.ravel(), Y.ravel(), alpha[0], alpha[1]))
-    f = []
-    for i, j in elements:
+    diff = []
+    for e, (i, j) in enumerate(elements):
         fx, fy = Fx[:, columns.index(i)], Fy[:, rows.index(j)]
-        f.append(np.multiply.outer(fy[0], fx[0]) if len(fx) == 1 else fy.T @ fx)
-    return np.array(f) - vals
+        diff.append(np.hstack([fy.T, A[e]]) @ np.vstack([fx, R[e]]))
+    return np.array(diff)
 
 
 def _sorted_elements(poly, region):
@@ -666,55 +668,58 @@ def test_blocks_of_element_rows_match_one_block_on_the_composite(monkeypatch):
     assert whole == rows
 
 
-def test_signed_zeros_of_the_one_term_block_do_not_reach_a_norm(monkeypatch):
+def test_signed_zeros_of_the_factor_products_do_not_reach_a_norm():
     # u = x y: D^(2,0) u is the factor 0.0 in x times y and D^(0,2) u the
-    # factor x times 0.0, so the product of the factors is -0.0 on the
-    # negative half of the other axis.  einsum sums into a zeroed block and
-    # writes +0.0 there; every norm must read the same bits either way.
+    # factor x times 0.0, so the pointwise product of the factors is -0.0
+    # on the negative half of the other axis.  The pass takes u from its
+    # factors in a GEMM; fields without terms with the pointwise products,
+    # and with +0.0 for every zero, are added to the block.  Every norm
+    # must read the same bits all three ways.
     u = make_polynomial_field([[0.0, 0.0], [0.0, 1.0]])
+
+    def derivative(t, order):
+        return (t, np.ones_like(t), np.zeros_like(t))[order]
+
+    products = ScalarField("products", lambda x, y, ax, ay: derivative(x, ax) * derivative(y, ay))
+    plus = ScalarField("plus_zeros", lambda x, y, ax, ay: derivative(x, ax) * derivative(y, ay) + 0.0)
     grid = np.linspace(-1.0, 1.0, 5)
     zero = PiecewisePoly2D(grid, grid, np.zeros((4, 4, 1, 1)))
     rule = gauss_rule()
-    einsum = np.einsum
+    t = rule.nodes[:, None]
+    for alpha in ((2, 0), (0, 2)):
+        assert np.signbit(products(t.T, t, *alpha)).any() and not np.signbit(plus(t.T, t, *alpha)).any()
 
-    def norms_with(block):
-        negative_zeros = []
-
-        def one_term(subscripts, a, b, out):
-            assert subscripts == "i,j->ij"
-            block(a, b, out)
-            negative_zeros.append(int(np.count_nonzero((out == 0.0) & np.signbit(out))))
-            return out
-
-        monkeypatch.setattr(np, "einsum", one_term)
-        values = [v.hex() for v in _seminorms(u, zero, ((2, 0), (0, 2), (1, 1)), None, rule)]
-        values.append(linf_sampled(u, zero, None, 3).hex())
-        for alpha in ((2, 0), (0, 2)):
-            (integral,) = _per_cell(u, zero, None, rule.nodes, (alpha,), _weighted_sum(rule.weights))
+    def norms_of(field):
+        values = [v.hex() for v in _seminorms(field, zero, ((2, 0), (0, 2), (1, 1)), None, rule)]
+        values.append(linf_sampled(field, zero, None, 3).hex())
+        for _, integral in _per_cell(field, zero, None, rule.nodes, ((2, 0), (0, 2)), _weighted_sum(rule.weights)):
             values += [float(v).hex() for v in integral]
-        monkeypatch.undo()
-        return values, sum(negative_zeros)
+        return values
 
-    changed, changed_negative_zeros = norms_with(lambda a, b, out: einsum("i,j->ij", a, b, out=out))
-    outer, outer_negative_zeros = norms_with(lambda a, b, out: np.multiply.outer(a, b, out=out))
-    assert changed_negative_zeros == 0 and outer_negative_zeros > 0
-    assert changed == outer
-    assert changed[3] == 1.0.hex() and set(changed[:2] + changed[4:]) == {0.0.hex()}  # max |D^(0,0) u| is 1; the rest are +0.0
+    got = norms_of(u)
+    assert got == norms_of(products) == norms_of(plus)
+    assert got[3] == 1.0.hex() and set(got[:2] + got[4:]) == {0.0.hex()}  # max |D^(0,0) u| is 1; the rest are +0.0
 
 
 def test_norm_pass_memory_stays_within_a_few_blocks():
-    # 256 x 256 elements, p = 5: one field or difference matrix is 13 MB,
-    # a block of the pass 0.5 MiB.
+    # 256 x 256 elements: one field or difference matrix is 13 MB at p = 5,
+    # a block of the pass 0.5 MiB.  The ten terms of the layer composite
+    # add ten rows of x factors to each element row's product at p = 4.
     f = make_smooth_field("sin_sin")
     poly = interp_full(f, build_macro_mesh(np.linspace(0.0, 1.0, 129), np.linspace(0.0, 1.0, 129)))
-    _seminorms(f, poly, ORDERS)
-    tracemalloc.start()
-    try:
-        _seminorms(f, poly, ORDERS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    mesh = build_shishkin(1e-6, 256)
+    u = make_layer_decomposition(1e-6, smooth="bounded_third").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    assert len(u.terms) == 10
+    for field, interp, rule in ((f, poly, gauss_rule(5)), (u, star, gauss_rule(4))):
+        _seminorms(field, interp, ORDERS, rule=rule)
+        tracemalloc.start()
+        try:
+            _seminorms(field, interp, ORDERS, rule=rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 def test_linf_sampled_rejects_a_sample_count_that_is_not_a_positive_integer():
@@ -761,18 +766,20 @@ def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates(monkey
         return product(x, y, ax, ay)
 
     field = ScalarField("recorded", recorded)
-    # two element rows per block: the field is called once per block, on
-    # the block's rows against every column
+    # two element rows per block: the field is called once per block and
+    # order, on the block's rows against every column; two orders that
+    # share ax run together, block by block
     monkeypatch.setattr(norms, "_BLOCK_VALUES", 2 * p * p * nx)
     _seminorms(field, poly, ORDERS, None, gauss_rule(p))
-    assert [(ax, ay) for _, _, ax, ay in calls] == [a for a in ORDERS for _ in range(3)]
-    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (2 * p, 1)), ((1, nx * p), (2 * p, 1)), ((1, nx * p), (p, 1))] * len(ORDERS)
-    for k in range(len(ORDERS)):
-        blocks = calls[3 * k : 3 * k + 3]
-        assert all(np.array_equal(x, blocks[0][0]) for x, _, _, _ in blocks)
+    groups, heights = (((0, 0), (0, 1)), ((0, 2),), ((1, 0), (1, 1)), ((2, 0),)), (2 * p, 2 * p, p)
+    assert [(ax, ay) for _, _, ax, ay in calls] == [a for group in groups for _ in heights for a in group]
+    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (h, 1)) for group in groups for h in heights for _ in group]
+    for alpha in ORDERS:
+        blocks = [call for call in calls if call[2:] == alpha]
+        assert len(blocks) == 3 and all(np.array_equal(x, blocks[0][0]) for x, _, _, _ in blocks)
         rows = np.concatenate([y.ravel() for _, y, _, _ in blocks])
         assert np.unique(blocks[0][0]).size == nx * p and np.unique(rows).size == rows.size == ny * p  # every point once
-    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [2 * p, 2 * p, p] * len(ORDERS)}
+    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [h for group in groups for h in heights for _ in group]}
     calls.clear()
     linf_sampled(field, poly, None, 4)
     assert [(x.shape, y.shape, ax, ay) for x, y, ax, ay in calls] == [((1, nx * 4), (12, 1), 0, 0), ((1, nx * 4), (8, 1), 0, 0)]
@@ -883,16 +890,53 @@ def test_jump_sums_make_no_pointwise_evaluation(monkeypatch):
     assert all(np.array_equal(edge_l2(u, star, edges, rule, alpha, side), trace) for (alpha, side), trace in zip(cases, traces))
 
 
-def _cell_values(poly, loc, alpha, region=None):
-    """The norm pass's values of D^alpha poly on the open grid of ``region``, shape (nuy, p, nux, p), entry [jy, b, ix, a] at (X[ix, a], Y[jy, b])."""
+def _differences(field, poly, loc, alpha, region=None):
+    """The norm pass's D^alpha (field - poly) on the open grid of ``region``, shape (nuy, p, nux, p), entry [jy, b, ix, a] at (X[ix, a], Y[jy, b])."""
     blocks = []
 
     def keep(d, wx, wy):
-        blocks.append(-d)
+        blocks.append(d.copy())
         return np.zeros(d.shape[::2])
 
-    next(_per_cell(None, poly, region, loc, (alpha,), keep))
+    next(_per_cell(field, poly, region, loc, (alpha,), keep))
     return np.concatenate(blocks)
+
+
+def _cell_values(poly, loc, alpha, region=None):
+    """The norm pass's values of D^alpha poly on the open grid of ``region``, shape (nuy, p, nux, p), entry [jy, b, ix, a] at (X[ix, a], Y[jy, b])."""
+    return -_differences(None, poly, loc, alpha, region)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_cell_differences_do_not_depend_on_how_many_cells_a_product_covers(monkeypatch, p):
+    # numpy sends a one-row product to GEMV, whose bits can differ from the
+    # same row inside a GEMM.  A one-column mesh, a one-row mesh and each
+    # single element must give every cell the differences of the whole
+    # mesh bit for bit, with one element row per block and with one block,
+    # for coefficients of degree 2 in y and of degree 0 (a one-row x product).
+    rng = np.random.default_rng(40 + p)
+    nx, ny = 5, 4
+    gx, gy = _graded(rng, nx), _graded(rng, ny)
+    loc = gauss_rule(p).nodes
+    fields = (make_smooth_field("sin_sin"), _OPEN_GRID_FIELDS["layer_total"], make_smooth_field("exp_xy"), None)
+    for shape in ((3, 3), (3, 1)):
+        coef = rng.normal(size=(ny, nx, *shape))
+        poly = PiecewisePoly2D(gx, gy, coef)
+        for field, block, alpha in itertools.product(fields, (2**62, 1), ORDERS):
+            monkeypatch.setattr(norms, "_BLOCK_VALUES", block)
+            whole = _differences(field, poly, loc, alpha)
+            for ix in range(nx):
+                column = PiecewisePoly2D(gx[ix : ix + 2], gy, coef[:, ix : ix + 1])
+                assert _same_bits(_differences(field, column, loc, alpha), whole[:, :, ix : ix + 1])
+            for jy in range(ny):
+                row = PiecewisePoly2D(gx, gy[jy : jy + 2], coef[jy : jy + 1])
+                assert _same_bits(_differences(field, row, loc, alpha), whole[jy : jy + 1])
+                for ix in range(nx):
+                    assert _same_bits(_differences(field, poly, loc, alpha, [(ix, jy)]), whole[jy : jy + 1, :, ix : ix + 1])
 
 
 def _graded(rng, n):
