@@ -9,18 +9,22 @@ and ``compute_norm_report``.  It lays the points of a set of elements
 out as one matrix on the open grid of their distinct rows and columns,
 rows (jy, b) along y and columns (ix, a) along x, and walks it in
 blocks of whole element rows small enough to stay in the L2 cache,
-into buffers made once per call.  Orders that share ax run in groups
-of at most two.  Per block, one GEMM contracts the cell coefficients along x with
-the derivative basis of ``spline_core``; this is sum factorisation, and
-that product serves every order of the group.  Per order, one batched
-GEMM then gives each element row's differences at once: the field's rank-one factors (``ScalarField.factors``) and the
-interpolant's y basis, scaled and negated, are the columns of its left
-factor, and the x factors of the field and the x contraction the rows
-of its right one.  A field without terms is called once per block on
-the block's points and added.  Each cell is then reduced in place to
-its weighted sum of squares or of signed values (``_weighted_sum``,
-also the reducer of ``oracles.bound_consistency``) or to its largest
-absolute value.  Where the pointwise product of a field's factors is
+into buffers made once per call.  Per block and derivative order, one
+GEMM contracts the cell coefficients along x with the derivative basis
+of ``spline_core`` (sum factorisation), and one batched GEMM gives each
+element row's differences at once: the field's rank-one factors
+(``ScalarField.factors``) and the interpolant's y basis, scaled and
+negated, are the columns of its left factor, and the x factors of the
+field and the x contraction the rows of its right one.  None of these
+products sums more than ``_FUSED_TERMS`` terms, as on some OpenBLAS
+kernels a longer sum gives a cell bits that depend on how many cells
+the product covers: a field of many terms takes its first terms seven
+at a time in 2-D GEMMs of its factors over the whole block, and the
+parts are added in order.  A field without terms is called once per
+block on the block's points and added.  Each cell is then reduced in
+place to its weighted sum of squares or of signed values
+(``_weighted_sum``, also the reducer of ``oracles.bound_consistency``)
+or to its largest absolute value.  Where the pointwise product of a field's factors is
 -0.0, the block may hold +0.0; no result sees that sign, as every
 reducer squares the differences or takes their absolute value, except
 the signed sum, whose one caller takes the absolute value of each cell.
@@ -64,7 +68,7 @@ SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
 JUMP_TYPES = EDGE_TYPES[1:5]  # the interior edge types I-IV, each with its own jump sum
 _BLOCK_VALUES = 2**16  # values of one block of the norm pass (512 KiB, well inside L2)
-_SHARED_ORDERS = 2  # orders of one ax per x contraction of the norm pass; each holds a whole-grid array of cell values until the last is done
+_FUSED_TERMS = 7  # longest sum of one product of the norm pass: OpenBLAS's Haswell and Prescott kernels give a row of 8 or more terms bits that depend on the product's width
 
 
 def _pairwise_sum(values) -> float:
@@ -113,31 +117,40 @@ def _open_grid(poly, region):
     return ux, uy, None if key.size == ux.size * uy.size else (cy, cx)
 
 
+def _gemm(a, b, out):
+    """``a @ b`` into ``out`` for a 2-D ``a`` by GEMM, also for one row, which numpy would send to GEMV, whose bits differ from a row of a GEMM."""
+    if len(a) > 1:
+        np.matmul(a, b, out=out)
+    else:
+        out[...] = (np.repeat(a, 2, axis=0) @ b)[:1]
+
+
 def _per_cell(field, interp, region, loc, alphas, reduce):
     """Per multi-index in ``alphas``, ``reduce`` of D^alpha (field - interp) on each element of ``region``.
 
-    Yields ``(k, values)`` once for each k-th multi-index of ``alphas``;
-    the orders that share ax run in groups of ``_SHARED_ORDERS``, in the
-    order their ax first appears.  ``values`` holds one value per element
-    in (jy, ix) order and is reused, so take what is needed before the
-    next.  The points are ``loc`` x ``loc`` in every cell of the region's
-    open grid, laid out as one matrix: row (jy, b) at y = Y[jy, b],
-    column (ix, a) at x = X[ix, a].  Each group walks the grid in blocks
-    of whole element rows, into buffers made once per call that each
-    hold at most about ``_BLOCK_VALUES`` values.  Per block, the
-    coefficients are copied once in (l, j, ix, k) order, scaled by
-    (2/wx)^ax, and one 2-D GEMM contracts x for the whole group:
-    ``R = C @ (D^ax P).T``, where ``D^a P`` holds the a-th derivatives of
-    the local monomials at ``loc``.  Per order, one batched GEMM then
-    gives each element row j's differences,
-    ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ; R_j]``, with the field's
-    rank-one factors ``field.factors`` (made once per order, on all rows
-    and columns) in the first ``terms`` columns and rows.  A field without
-    terms is called once per block and order, on its rows against all
-    columns, and added; None measures the interpolant.  No product's
-    shape depends on the block size, and R's has at least two rows, so
-    a cell's values do not either.  ``reduce(D, wx, wy)`` takes the
-    block's differences as an (rows, p, columns, p) array, which it may
+    Yields one 1-D array per alpha, one value per element in (jy, ix)
+    order; the array is reused, so take what is needed before the next.
+    The points are ``loc`` x ``loc`` in every cell of the region's open
+    grid, laid out as one matrix: row (jy, b) at y = Y[jy, b], column
+    (ix, a) at x = X[ix, a].  The grid is walked in blocks of whole
+    element rows, into buffers made once per call that each hold at
+    most about ``_BLOCK_VALUES`` values.  Per block, the coefficients
+    are copied once in (l, j, ix, k) order, scaled by (2/wx)^ax, and one
+    2-D GEMM contracts x: ``R = C @ (D^ax P).T``, where ``D^a P`` holds
+    the a-th derivatives of the local monomials at ``loc``.  Each element
+    row j's differences are then ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ;
+    R_j]``, with the field's rank-one factors ``field.factors`` (made once
+    per alpha, on all rows and columns) in the first ``terms`` columns and
+    rows.  Its inner sum is taken ``_FUSED_TERMS`` terms at a time and
+    the parts are added in order; a part of factors alone is one 2-D GEMM
+    over the block's rows, ``Fy.T @ Fx``, any other part one batched GEMM
+    with a product per element row.  A field without terms is called once
+    per block, on its rows against all columns, and added; None measures
+    the interpolant.  Every product is a GEMM, even for one row
+    (``_gemm``), and those of the differences sum at most
+    ``_FUSED_TERMS`` terms, so a cell's values do not depend on the block
+    size or the region.  ``reduce(D, wx, wy)`` takes the block's
+    differences as an (rows, p, columns, p) array, which it may
     overwrite, and the widths of its columns and rows, and returns
     (rows, columns) cell values.
     """
@@ -149,47 +162,43 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
     coef = interp.coef if region is None else interp.coef[np.ix_(uy, ux)]
     (nuy, nux, kx, ky), p = coef.shape, len(loc)
     terms = 0 if field is None or field.terms is None else len(field.terms)
-    K, N = terms + ky, nux * p
-    rows = max(1, min(nuy, _BLOCK_VALUES // max(1, nux * max(p * p, p * K, kx * ky))))
-    W, G = np.empty(rows * nux * max(p * p, kx * ky)), np.empty(K * rows * N)  # flat, so a block of any height is contiguous; W holds C, then D
-    values = np.empty((min(len(alphas), _SHARED_ORDERS), nuy, nux))
-    by_ax = {}
-    for k, (ax, _) in enumerate(alphas):
-        by_ax.setdefault(ax, []).append(k)
-    groups = [(ax, ks[i : i + _SHARED_ORDERS]) for ax, ks in by_ax.items() for i in range(0, len(ks), _SHARED_ORDERS)]
-    for ax, group in groups:
+    K, N, T = terms + ky, nux * p, _FUSED_TERMS
+    m = T * (terms // T) if K > T else 0  # terms whose products are 2-D GEMMs of the factors alone
+    rows = max(1, min(nuy, _BLOCK_VALUES // max(1, nux * max(p * p, p * (K - m), kx * ky))))
+    W, G = np.empty(rows * nux * max(p * p, kx * ky)), np.empty((K - m) * rows * N)  # flat, so a block of any height is contiguous; W holds C, then D
+    S = np.empty(rows * p * N) if K > T else None
+    A = np.empty((nuy, p, K))  # [Fy_j | -(2/wy_j)^ay D^ay Q] for every row j
+    values = np.empty((nuy, nux))
+    for ax, ay in alphas:
         PT, sx = _derivative_basis(loc, kx, ax).T.copy(), np.repeat((2.0 / wx) ** ax, kx)  # BLAS takes a contiguous PT 4x faster
-        A = []
-        for k in group:
-            ay = alphas[k][1]
-            A.append(np.empty((nuy, p, K)))  # [Fy_j | -(2/wy_j)^ay D^ay Q] for every row j
-            np.multiply(_derivative_basis(loc, ky, ay), -((2.0 / wy) ** ay)[:, None, None], out=A[-1][:, :, terms:])
-            if terms:
-                Fx, Fy = field.factors(x, y, ax, ay)  # Fx depends on ax alone
-                A[-1][:, :, :terms] = Fy.T.reshape(nuy, p, terms)
+        np.multiply(_derivative_basis(loc, ky, ay), -((2.0 / wy) ** ay)[:, None, None], out=A[:, :, terms:])
+        if terms:
+            Fx, Fy = field.factors(x, y, ax, ay)
+            A[:, :, :terms] = Fy.T.reshape(nuy, p, terms)
         filled = 0
         for j0 in range(0, nuy, rows):
             n = min(rows, nuy - j0)
-            c, g = W[: ky * n * nux * kx].reshape(ky, n, nux * kx), G[: K * n * N].reshape(K, n, N)
+            c, g = W[: ky * n * nux * kx].reshape(ky, n, nux * kx), G[: (K - m) * n * N].reshape(K - m, n, N)
             np.copyto(c, coef[j0 : j0 + n].reshape(n, nux * kx, ky).transpose(2, 0, 1))
             if ax:
                 c *= sx  # in place: 3x faster than scaling in the transposing copy
-            r = g[terms:].reshape(-1, p)
-            if len(r) > 1:
-                np.matmul(c.reshape(-1, kx), PT, out=r)
-            else:  # numpy sends one row to GEMV, whose bits differ from a row of a GEMM
-                r[...] = (np.repeat(c.reshape(1, kx), 2, axis=0) @ PT)[:1]
-            if terms and filled != n:  # the layout of Fx's copies depends on n
-                g[:terms] = Fx[:, None, :]
+            _gemm(c.reshape(-1, kx), PT, g[terms - m :].reshape(-1, p))
+            if terms > m and filled != n:  # the layout of Fx's copies depends on n
+                g[: terms - m] = Fx[m:, None, :]
                 filled = n
-            d = W[: n * p * N].reshape(n * p, N)
-            for i, k in enumerate(group):
-                np.matmul(A[i][j0 : j0 + n], g.transpose(1, 0, 2), out=d.reshape(n, p, N))
-                if field is not None and not terms:
-                    d += field(x[None, :], y[j0 * p : (j0 + n) * p, None], ax, alphas[k][1])
-                values[i, j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
-        for i, k in enumerate(group):
-            yield k, values[i].ravel() if cells is None else values[i][cells]
+            a, b, d = A[j0 : j0 + n], g.transpose(1, 0, 2), W[: n * p * N].reshape(n * p, N)
+            for k in range(0, K, T):
+                out = S[: n * p * N].reshape(n * p, N) if k else d
+                if k < m:
+                    _gemm(a.reshape(n * p, K)[:, k : k + T], Fx[k : k + T], out)
+                else:
+                    np.matmul(a[:, :, k : k + T], b[:, k - m : k - m + T], out=out.reshape(n, p, N))
+                if k:
+                    d += out
+            if field is not None and not terms:
+                d += field(x[None, :], y[j0 * p : (j0 + n) * p, None], ax, ay)
+            values[j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
+        yield values.ravel() if cells is None else values[cells]
 
 
 def _weighted_sum(w, square=False):
@@ -219,10 +228,7 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
     """
     if rule is None:
         rule = gauss_rule()
-    norms = [0.0] * len(alphas)
-    for k, c in _per_cell(field, interp, region, rule.nodes, alphas, _weighted_sum(rule.weights, square=True)):
-        norms[k] = float(np.sqrt(max(_pairwise_sum(c), 0.0)))
-    return norms
+    return [float(np.sqrt(max(_pairwise_sum(c), 0.0))) for c in _per_cell(field, interp, region, rule.nodes, alphas, _weighted_sum(rule.weights, square=True))]
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:
@@ -373,7 +379,7 @@ def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> fl
     def largest(d, wx, wy):
         return np.abs(d, out=d).max(axis=(1, 3))
 
-    ((_, cells),) = _per_cell(field, interp, region, np.linspace(-1.0, 1.0, samples_per_element), ((0, 0),), largest)
+    (cells,) = _per_cell(field, interp, region, np.linspace(-1.0, 1.0, samples_per_element), ((0, 0),), largest)
     return float(cells.max()) if cells.size else 0.0
 
 

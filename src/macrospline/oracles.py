@@ -570,13 +570,13 @@ def bound_consistency(spec: BoundSpec, field, meshes) -> dict:
         mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
         poly = _apply_mesh_operator(spec.operator, field, mx, my)
         ex, ey = ELEMENTS_PER_MACRO[spec.operator]
-        ((_, cells),) = _per_cell(field, poly, None, _RULE.nodes, (spec.gamma,), squares)
+        (cells,) = _per_cell(field, poly, None, _RULE.nodes, (spec.gamma,), squares)
         lhs = np.sqrt(np.maximum(cells.reshape(len(my) - 1, ey, len(mx) - 1, ex).sum(axis=3).sum(axis=1), 0.0))
         zero = PiecewisePoly2D(mx, my, np.zeros(lhs.shape + (1, 1)))
         h1, h2 = 0.5 * np.diff(mx), 0.5 * np.diff(my)
         rhs = np.zeros(lhs.shape)
         for term in spec.terms:
-            ((_, integral),) = _per_cell(field, zero, None, _RULE.nodes, (term.total,), squares if term.kind == "seminorm" else signed)
+            (integral,) = _per_cell(field, zero, None, _RULE.nodes, (term.total,), squares if term.kind == "seminorm" else signed)
             value = np.sqrt(integral) if term.kind == "seminorm" else np.abs(integral)
             rhs += h1[None, :] ** term.weight[0] * h2[:, None] ** term.weight[1] * value.reshape(rhs.shape)
         floor = 1e-12 * max(rhs.max(), 1.0)

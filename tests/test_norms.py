@@ -490,11 +490,20 @@ def test_pairwise_sum_matches_list_reduction():
         assert _pairwise_sum(x for x in v.tolist()) == want
 
 
+def _fused(a, b):
+    """``a @ b`` as the norm pass makes it: products of at most ``_FUSED_TERMS`` terms of the inner sum, added in order."""
+    t = norms._FUSED_TERMS
+    out = a[..., :t] @ b[..., :t, :]
+    for k in range(t, a.shape[-1], t):
+        out += a[..., k : k + t] @ b[..., k : k + t, :]
+    return out
+
+
 def _difference_per_element(field, poly, alpha, elements, loc):
     """Reference: D^alpha (field - poly), element by element, shape (E, p, p) with entry [e, b, a] at (X[a], Y[b]).
 
     Each element's differences are one product of the factors of y and
-    of x, ``[Fy_e | -(2/wy)^ay D^ay Q] @ [Fx_e ; R_e]``.  ``R_e`` contracts
+    of x, ``[Fy_e | -(2/wy)^ay D^ay Q] @ [Fx_e ; R_e]``, made by ``_fused``.  ``R_e`` contracts
     x, ``C_e @ (D^ax P).T``, with ``C_e`` the element's coefficients in
     (l, k) order scaled by (2/wx)^ax; one 2-D product makes the rows of
     every element.  ``D^a P`` and ``D^a Q`` hold the a-th derivatives of
@@ -514,7 +523,7 @@ def _difference_per_element(field, poly, alpha, elements, loc):
     R = (np.multiply(c.transpose(0, 2, 1), ((2.0 / wx) ** alpha[0])[:, None, None]).reshape(-1, kx) @ PT).reshape(len(c), ky, p)
     A = np.multiply(Q, -((2.0 / wy) ** alpha[1])[:, None, None])
     if field is None or field.terms is None:
-        diff = A @ R
+        diff = _fused(A, R)
         if field is not None:
             X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
             Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
@@ -528,7 +537,7 @@ def _difference_per_element(field, poly, alpha, elements, loc):
     diff = []
     for e, (i, j) in enumerate(elements):
         fx, fy = Fx[:, columns.index(i)], Fy[:, rows.index(j)]
-        diff.append(np.hstack([fy.T, A[e]]) @ np.vstack([fx, R[e]]))
+        diff.append(_fused(np.hstack([fy.T, A[e]]), np.vstack([fx, R[e]])))
     return np.array(diff)
 
 
@@ -592,6 +601,7 @@ _OPEN_GRID_FIELDS = {
     "constant": ScalarField("c", lambda x, y, ax, ay: 0.75 if ax == ay == 0 else 0.0),
     "q2_random": make_polynomial_field(np.random.default_rng(0).normal(size=(3, 3))),
 }
+_OPEN_GRID_FIELDS["layer_q2"] = _OPEN_GRID_FIELDS["layer_total"] + _OPEN_GRID_FIELDS["q2_random"]  # 19 terms: two parts of factors alone
 
 
 def _graded_grid(draw, n):
@@ -692,7 +702,7 @@ def test_signed_zeros_of_the_factor_products_do_not_reach_a_norm():
     def norms_of(field):
         values = [v.hex() for v in _seminorms(field, zero, ((2, 0), (0, 2), (1, 1)), None, rule)]
         values.append(linf_sampled(field, zero, None, 3).hex())
-        for _, integral in _per_cell(field, zero, None, rule.nodes, ((2, 0), (0, 2)), _weighted_sum(rule.weights)):
+        for integral in _per_cell(field, zero, None, rule.nodes, ((2, 0), (0, 2)), _weighted_sum(rule.weights)):
             values += [float(v).hex() for v in integral]
         return values
 
@@ -703,8 +713,9 @@ def test_signed_zeros_of_the_factor_products_do_not_reach_a_norm():
 
 def test_norm_pass_memory_stays_within_a_few_blocks():
     # 256 x 256 elements: one field or difference matrix is 13 MB at p = 5,
-    # a block of the pass 0.5 MiB.  The ten terms of the layer composite
-    # add ten rows of x factors to each element row's product at p = 4.
+    # a block of the pass 0.5 MiB.  The ten terms of the layer composite,
+    # at p = 4, add rows of x factors to each element row's product and a
+    # second block for the parts of its sum.
     f = make_smooth_field("sin_sin")
     poly = interp_full(f, build_macro_mesh(np.linspace(0.0, 1.0, 129), np.linspace(0.0, 1.0, 129)))
     mesh = build_shishkin(1e-6, 256)
@@ -766,20 +777,18 @@ def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates(monkey
         return product(x, y, ax, ay)
 
     field = ScalarField("recorded", recorded)
-    # two element rows per block: the field is called once per block and
-    # order, on the block's rows against every column; two orders that
-    # share ax run together, block by block
+    # two element rows per block: the field is called once per block, on
+    # the block's rows against every column
     monkeypatch.setattr(norms, "_BLOCK_VALUES", 2 * p * p * nx)
     _seminorms(field, poly, ORDERS, None, gauss_rule(p))
-    groups, heights = (((0, 0), (0, 1)), ((0, 2),), ((1, 0), (1, 1)), ((2, 0),)), (2 * p, 2 * p, p)
-    assert [(ax, ay) for _, _, ax, ay in calls] == [a for group in groups for _ in heights for a in group]
-    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (h, 1)) for group in groups for h in heights for _ in group]
-    for alpha in ORDERS:
-        blocks = [call for call in calls if call[2:] == alpha]
-        assert len(blocks) == 3 and all(np.array_equal(x, blocks[0][0]) for x, _, _, _ in blocks)
+    assert [(ax, ay) for _, _, ax, ay in calls] == [a for a in ORDERS for _ in range(3)]
+    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (2 * p, 1)), ((1, nx * p), (2 * p, 1)), ((1, nx * p), (p, 1))] * len(ORDERS)
+    for k in range(len(ORDERS)):
+        blocks = calls[3 * k : 3 * k + 3]
+        assert all(np.array_equal(x, blocks[0][0]) for x, _, _, _ in blocks)
         rows = np.concatenate([y.ravel() for _, y, _, _ in blocks])
         assert np.unique(blocks[0][0]).size == nx * p and np.unique(rows).size == rows.size == ny * p  # every point once
-    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [h for group in groups for h in heights for _ in group]}
+    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [2 * p, 2 * p, p] * len(ORDERS)}
     calls.clear()
     linf_sampled(field, poly, None, 4)
     assert [(x.shape, y.shape, ax, ay) for x, y, ax, ay in calls] == [((1, nx * 4), (12, 1), 0, 0), ((1, nx * 4), (8, 1), 0, 0)]
@@ -907,6 +916,29 @@ def _cell_values(poly, loc, alpha, region=None):
     return -_differences(None, poly, loc, alpha, region)
 
 
+def test_no_product_of_the_norm_pass_sums_more_than_seven_terms(monkeypatch):
+    # OpenBLAS's Haswell and Prescott kernels give a row of a product of 8
+    # or more terms bits that depend on the product's width, so a cell's
+    # differences would depend on how many cells a product covers.  This
+    # checks the inner length of every product on any kernel, for fields
+    # of 1, 10 and 19 terms, one without terms and None, at p = 4 and 5.
+    inner, matmul = [], np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        inner.append(np.shape(a)[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    rng = np.random.default_rng(7)
+    poly = PiecewisePoly2D(_graded(rng, 6), _graded(rng, 5), rng.normal(size=(5, 6, 4, 4)))
+    monkeypatch.setattr(np, "matmul", recorded)
+    for name in ("sin_sin", "layer_total", "layer_q2", "exp_xy", None):
+        for p in (4, 5):
+            inner.clear()
+            _seminorms(_OPEN_GRID_FIELDS.get(name), poly, ORDERS, rule=gauss_rule(p))
+            assert inner and max(inner) <= norms._FUSED_TERMS == 7
+    assert len(_OPEN_GRID_FIELDS["layer_q2"].terms) == 19
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -922,7 +954,7 @@ def test_cell_differences_do_not_depend_on_how_many_cells_a_product_covers(monke
     nx, ny = 5, 4
     gx, gy = _graded(rng, nx), _graded(rng, ny)
     loc = gauss_rule(p).nodes
-    fields = (make_smooth_field("sin_sin"), _OPEN_GRID_FIELDS["layer_total"], make_smooth_field("exp_xy"), None)
+    fields = (make_smooth_field("sin_sin"), _OPEN_GRID_FIELDS["layer_total"], _OPEN_GRID_FIELDS["layer_q2"], make_smooth_field("exp_xy"), None)
     for shape in ((3, 3), (3, 1)):
         coef = rng.normal(size=(ny, nx, *shape))
         poly = PiecewisePoly2D(gx, gy, coef)
