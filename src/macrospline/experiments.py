@@ -31,7 +31,7 @@ from .interpolation import (
     random_c1q2,
 )
 from .mesh import _shishkin_steps, _type_masks, build_macro_mesh, build_shishkin, select_sigma
-from .norms import JUMP_TYPES, ORDERS, _jump_sums, _seminorms, gauss_rule
+from .norms import JUMP_TYPES, _error_norms, _jump_sums, gauss_rule
 
 __all__ = [
     "ConvergenceConfig",
@@ -199,12 +199,6 @@ def _apply_mesh_operator(operator, field, grid_x, grid_y, sigma_strategy="toward
     if operator == "aniso_y":
         return interp_aniso_mesh(field, grid_x, grid_y, "y_spline")
     raise ValueError(f"unknown operator {operator!r}")
-
-
-def _error_norms(field, interp, rule):
-    """L2 norm, H1 seminorm and broken H2 seminorm of field - interp, in one pass."""
-    l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, interp, ORDERS, rule=rule)
-    return l2, math.sqrt(h1x**2 + h1y**2), math.sqrt(h2xx**2 + h2xy**2 + h2yy**2)
 
 
 CONVERGENCE_COLUMNS = ("n", "h", "L2", "order_L2", "H1", "order_H1", "brokenH2", "order_H2")

@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from .fields import ScalarField, _LineGrids
-from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row
+from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, _sigma_runs
 from .quadrature import gauss_rule
 from .spline_core import (
     DualWeight,
@@ -94,7 +94,8 @@ class PiecewisePoly2D:
     ``coef[jy, ix, kx, ky]`` multiplies xi^kx * eta^ky with xi, eta in
     [-1, 1] over element (ix, jy).  All elements share one degree.  The
     grids must be 1-D, strictly increasing and at least 2 nodes long,
-    and ``coef`` 4-D, or ``ValueError`` is raised.
+    and ``coef`` 4-D with at least one coefficient per axis, or
+    ``ValueError`` is raised.
     """
 
     def __init__(self, grid_x, grid_y, coef):
@@ -104,8 +105,8 @@ class PiecewisePoly2D:
         for name, grid in (("grid_x", self.grid_x), ("grid_y", self.grid_y)):
             if grid.ndim != 1 or len(grid) < 2 or not np.all(grid[1:] > grid[:-1]):
                 raise ValueError(f"{name} must be 1-D and strictly increasing, with at least 2 nodes")
-        if self.coef.ndim != 4 or self.coef.shape[:2] != (len(self.grid_y) - 1, len(self.grid_x) - 1):
-            raise ValueError(f"coefficient grid of shape {self.coef.shape} does not match the element mesh: it must be 4-D, (jy, ix, kx, ky)")
+        if self.coef.ndim != 4 or self.coef.shape[:2] != (len(self.grid_y) - 1, len(self.grid_x) - 1) or 0 in self.coef.shape[2:]:
+            raise ValueError(f"coefficient grid of shape {self.coef.shape} does not match the element mesh: it must be 4-D, (jy, ix, kx, ky), with kx, ky at least 1")
 
     @property
     def degree(self) -> tuple:
@@ -444,8 +445,12 @@ _SIGMA_W = np.array([_SIGMA_RULE.weights * eval_dual_weight(DualWeight((-1.0, 1.
 
 
 def _sigma_averages(field, rows) -> np.ndarray:
-    """Weighted means of u_xy over sigma edges, selection rows of any shape, in one field call."""
+    """Weighted means of u_xy over sigma edges, selection rows of any shape, in one field call.
+
+    ValueError on a span or level that is not finite, or a span with hi <= lo."""
     lo, hi, level = rows["lo"], rows["hi"], rows["level"]
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(level).all()):
+        raise ValueError("sigma edge span and level must be finite")
     if np.any(hi <= lo):
         raise ValueError("degenerate edge interval")
     along = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _SIGMA_T
@@ -460,16 +465,17 @@ def sigma_average(field, edge: SigmaEdge) -> float:
     return float(_sigma_averages(field, np.array([_edge_row(edge, None)], _SIGMA_ROW))[0])
 
 
-def _node_averages(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
-    """Sigma averages ``A[j, i]`` at the points (grid_x[i], grid_y[j]), sigma nodes
-    (nodes_x[i], nodes_y[j]), in one field call; the lines need not form one
-    mesh grid.  ValueError names the first node, y outer, that the selection
-    lacks or that is off its edge."""
+def _node_averages(field, mesh, sigma: SigmaSelection) -> np.ndarray:
+    """Sigma averages ``A[j, i]`` on the node grid ``mesh._sigma_runs``, in one field call.
+    ValueError names the first node, y outer, that the selection lacks or
+    that is off its edge."""
+    xs, ys, runs_x, runs_y = _sigma_runs(mesh)
+    nodes_x, nodes_y = np.concatenate(runs_x), np.concatenate(runs_y)
     try:
         rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
     except KeyError as missing:
         raise ValueError(f"sigma edge for node {missing.args[0]} is missing") from None
-    _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None])
+    _check_on_edge(rows, xs[nodes_x][None, :], ys[nodes_y][:, None], nodes_x[None, :], nodes_y[:, None])
     return _sigma_averages(field, rows)
 
 
@@ -484,12 +490,6 @@ def _with_averages(G, A, grid_x, grid_y) -> np.ndarray:
     return G
 
 
-def _quasi_data(field, grid_x, grid_y, sigma: SigmaSelection, nodes_x, nodes_y) -> np.ndarray:
-    """Hermite gather on a macro grid with its mixed entries from ``_node_averages`` at its nodes."""
-    A = _node_averages(field, grid_x, grid_y, sigma, nodes_x, nodes_y)
-    return _with_averages(_gather(field, grid_x, grid_y, _HERMITE, _HERMITE), A, grid_x, grid_y)
-
-
 def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly2D:
     """Quasi-interpolant: reduced operator plus edge-averaged mixed terms.
 
@@ -499,7 +499,8 @@ def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly
     on the associated macro patch.
     """
     mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
-    G = _quasi_data(field, mx, my, sigma, np.arange(len(mx)), np.arange(len(my)))
+    A = _node_averages(field, mesh, sigma)
+    G = _with_averages(_gather(field, mx, my, _HERMITE, _HERMITE), A, mx, my)
     return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
 
 
@@ -554,24 +555,21 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     and node-line set (the bisected core lines at order 0, each fine
     band's macro lines at orders 0 and 1), and every grid is folded from
     those values, bit for bit the pointwise call.  The values live only
-    for this call.  One ``_node_averages`` pass on the macro lines of both
-    fine bands per axis, the selection's node set, gives the sigma averages
-    of all four corner regions, so an edge that misses its node raises
-    ValueError naming the first such node, y outer, of that merged grid.
+    for this call.  One ``_node_averages`` pass on ``mesh``, whose sigma
+    nodes are the macro lines of both fine bands per axis, gives the sigma
+    averages of all four corner regions, so an edge that misses its node
+    raises ValueError naming the first such node, y outer, of that grid.
     """
     N, n4 = mesh.N, mesh.N // 4
-    gx, gy = mesh.grid_x, mesh.grid_y
+    gx, gy, runs_x, runs_y = _sigma_runs(mesh)  # the grids, and the macro lines of the low and the high fine band
     core, inner = slice(n4, 3 * n4 + 1), slice(n4, 3 * n4)  # core node lines, core elements
-    # (macro lines, elements) of the low and the high fine band
-    bands = ((slice(0, n4 + 1, 2), slice(0, n4)), (slice(3 * n4, N + 1, 2), slice(3 * n4, N)))
+    bands = (slice(0, n4), slice(3 * n4, N))  # elements of the low and the high fine band
     u = _LineGrids(field)
     core_x, core_y = _bisect(gx[core]), _bisect(gy[core])
-    band_x, band_y = [gx[lines] for lines, _ in bands], [gy[lines] for lines, _ in bands]
-    # The sigma averages of all four corner regions in one pass, made first
-    # so that its temporaries are gone before the coefficient grid is.
-    corner_nodes = np.concatenate([np.arange(N + 1)[lines] for lines, _ in bands])
-    A = _node_averages(u, np.concatenate(band_x), np.concatenate(band_y), sigma, corner_nodes, corner_nodes)
-    m = len(corner_nodes) // 2  # macro lines per band
+    band_x, band_y = [gx[run] for run in runs_x], [gy[run] for run in runs_y]
+    # The sigma averages of all four corners in one pass, blocks [y band][x band],
+    # made first so that its temporaries are gone before the coefficient grid is.
+    A = [np.split(rows, 2, axis=1) for rows in np.split(_node_averages(u, mesh, sigma), 2)]
 
     coef = np.zeros((N, N, 3, 3))
     V = _gather(u, core_x, core_y, _LAGRANGE, _LAGRANGE)
@@ -587,7 +585,7 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # the y-strips of the transposed field, written through a transposed view.
     strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
     for f, along, across, slopes, out in strips:
-        for lines, (_, elements), j, c, s in zip(across, bands, (-1, 0), (3, 1), slopes):
+        for lines, elements, j, c, s in zip(across, bands, (-1, 0), (3, 1), slopes):
             G = _gather(f, along, lines, _LAGRANGE, _HERMITE)
             G[j, :, :, c] = _half_widths(lines)[j] * s
             out[elements, inner] = _aniso_coef(G)
@@ -595,9 +593,9 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # Corner regions: one quasi gather per band with its block of averages.
     # In the one cell touching the core, the slopes at the junction node
     # follow the interior so its traces agree with the adjacent strips.
-    for a, (_, xe) in enumerate(bands):
-        for b, (_, ye) in enumerate(bands):
-            G = _with_averages(_gather(u, band_x[a], band_y[b], _HERMITE, _HERMITE), A[b * m : (b + 1) * m, a * m : (a + 1) * m], band_x[a], band_y[b])
+    for a, xe in enumerate(bands):
+        for b, ye in enumerate(bands):
+            G = _with_averages(_gather(u, band_x[a], band_y[b], _HERMITE, _HERMITE), A[b][a], band_x[a], band_y[b])
             i, j = a - 1, b - 1  # the junction is the far end of the last cell of a low band
             G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]
             G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(band_y[b])[j] * slope_y[b][-a, 2 * a]

@@ -334,9 +334,11 @@ def _edge_row(edge: SigmaEdge | None, node) -> tuple:
 def _sigma_runs(mesh) -> tuple:
     """The node lines ``xs``, ``ys`` and, per axis, the runs of sigma node indices on them.
 
-    On a macro mesh every macro node needs an edge: one run per axis.  On
-    a Shishkin mesh only the corner-macro vertices do, every other line of
-    the fine bands, and each band is a run of its own.
+    The one definition of the sigma node grid: the selection, its check
+    and the averages of ``quasi_interp`` and ``build_composite`` all read
+    it.  On a macro mesh every macro node needs an edge: one run per axis.
+    On a Shishkin mesh only the corner-macro vertices do, every other line
+    of the fine bands, and each band is a run of its own.
     """
     if isinstance(mesh, ShishkinMesh):
         runs = (np.arange(0, mesh.N // 4 + 1, 2), np.arange(3 * mesh.N // 4, mesh.N + 1, 2))

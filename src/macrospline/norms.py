@@ -43,6 +43,7 @@ takes no field, as a smooth field's normal derivative cancels from it.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 import numpy as np
@@ -229,6 +230,12 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
     if rule is None:
         rule = gauss_rule()
     return [float(np.sqrt(max(_pairwise_sum(c), 0.0))) for c in _per_cell(field, interp, region, rule.nodes, alphas, _weighted_sum(rule.weights, square=True))]
+
+
+def _error_norms(field, interp, rule: QuadratureRule | None = None, region=None) -> tuple:
+    """L2 norm, H1 seminorm and broken H2 seminorm of field - interp over ``region``, in one pass."""
+    l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, interp, ORDERS, region, rule)
+    return l2, math.sqrt(h1x**2 + h1y**2), math.sqrt(h2xx**2 + h2xy**2 + h2yy**2)
 
 
 def seminorm(field, interp, alpha=(0, 0), region=None, rule: QuadratureRule | None = None) -> float:
@@ -418,20 +425,23 @@ class NormReport:
 
 
 def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | None = None, samples_per_element: int = 4) -> NormReport:
-    """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain."""
+    """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain.
+
+    ``interp`` must lie on the grids of ``mesh``, or ``ValueError`` is raised.
+    """
     if not isinstance(samples_per_element, numbers.Integral) or samples_per_element < 1:
         raise ValueError(f"samples_per_element must be an integer of at least 1, not {samples_per_element!r}")
+    if not (np.array_equal(interp.grid_x, mesh.grid_x) and np.array_equal(interp.grid_y, mesh.grid_y)):
+        raise ValueError("the interpolant's grids are not the mesh's grids")
     regional = {}
     for region in np.unique(mesh.region):
         jy, ix = np.nonzero(mesh.region == region)
         elements = np.column_stack((ix, jy))
-        l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, interp, ORDERS, elements, rule)
-        h1 = np.sqrt(_pairwise_sum((h1x**2, h1y**2)))
-        h2 = np.sqrt(_pairwise_sum((h2xx**2, h2xy**2, h2yy**2)))
+        l2, h1, h2 = _error_norms(field, interp, rule, elements)
         regional[region] = {
             "L2": l2,
-            "H1_semi": float(h1),
-            "broken_H2_semi": float(h2),
+            "H1_semi": h1,
+            "broken_H2_semi": h2,
             "Linf_sampled": linf_sampled(field, interp, elements, samples_per_element),
         }
     global_values = {

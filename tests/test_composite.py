@@ -322,6 +322,17 @@ def test_the_merged_node_check_names_the_first_failing_node_with_y_outer():
         build_composite(make_smooth_field("exp_xy"), mesh, _unverified(sigma, broken))
 
 
+@pytest.mark.parametrize("node", [(0, 0), (14, 2), (0, 14), (16, 14)])
+def test_an_infinite_edge_end_in_any_corner_is_rejected(node):
+    # each node here is the lower end of its edge, so the node check passes
+    mesh, sigma = _setup(1e-6, 16)
+    good = sigma.edge(node)
+    assert good.node_side == "left"
+    infinite = SigmaEdge(good.orientation, (good.span[0], np.inf), good.level, "left")
+    with pytest.raises(ValueError, match="^sigma edge span and level must be finite$"):
+        build_composite(make_smooth_field("exp_xy"), mesh, _unverified(sigma, {node: infinite}))
+
+
 @pytest.mark.parametrize("node", [(0, 0), (16, 2), (2, 14), (12, 16)])
 def test_a_degenerate_edge_in_any_corner_is_rejected(node):
     mesh = build_shishkin(1e-6, 16)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -505,6 +506,12 @@ def test_malformed_json_polynomials_are_rejected():
     for message, change in bad:
         with pytest.raises(ValueError, match=message):
             PiecewisePoly2D.from_json(json.dumps({**good, **change}))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 0, 3), (1, 2, 3, 0), (1, 2, 0, 0)])
+def test_a_coefficient_grid_with_an_empty_axis_is_rejected(shape):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient grid of shape {shape} does not match the element mesh")):
+        PiecewisePoly2D([0.0, 0.5, 1.0], [0.0, 1.0], np.ones(shape))
 
 
 def test_gather_rejects_non_finite_field_values():

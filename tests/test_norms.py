@@ -755,6 +755,22 @@ def test_linf_sampled_rejects_a_sample_count_that_is_not_a_positive_integer():
     assert linf_sampled(f, p, None, np.int64(1)) == linf_sampled(f, p, None, 1) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_norm_report_rejects_an_interpolant_on_another_grid_before_calling_the_field():
+    f = make_smooth_field("sin_sin")
+    calls = []
+
+    def counted(x, y, ax, ay):
+        calls.append((ax, ay))
+        return f(x, y, ax, ay)
+
+    mesh = build_shishkin(1e-6, 8)
+    uniform = np.linspace(0.0, 1.0, 5)
+    for interp in (interp_full(f, build_macro_mesh(uniform, uniform)), nodal_q2_mesh(f, mesh.grid_x, np.linspace(0.0, 1.0, 9))):
+        with pytest.raises(ValueError, match=re.escape("the interpolant's grids are not the mesh's grids")):
+            compute_norm_report(ScalarField("counted", counted), interp, mesh)
+    assert calls == []
+
+
 def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates(monkeypatch):
     rng = np.random.default_rng(21)
     nx, ny, p = 6, 5, 5

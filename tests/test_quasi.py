@@ -11,7 +11,7 @@ from macrospline.interpolation import (
     random_c1q2,
     sigma_average,
 )
-from macrospline.mesh import build_macro_mesh, build_shishkin, select_sigma
+from macrospline.mesh import SigmaEdge, SigmaSelection, build_macro_mesh, build_shishkin, select_sigma
 
 
 def _uniform(n):
@@ -82,6 +82,27 @@ def test_selection_lacking_a_node_of_the_mesh_is_rejected_naming_the_node():
         selection = select_sigma(build_shishkin(1e-4, n_selection), "toward_corner")
         with pytest.raises(ValueError, match=re.escape(f"sigma edge for node {node} is missing")):
             build_composite(f, build_shishkin(1e-4, n_mesh), selection)
+
+
+@pytest.mark.parametrize(
+    "span, level",
+    [((0.0, np.nan), 0.5), ((np.nan, 1.0), 0.5), ((0.0, 1.0), np.nan), ((0.0, np.inf), 0.5), ((-np.inf, 1.0), 0.5), ((0.0, 1.0), -np.inf)],
+)
+def test_a_sigma_edge_that_is_not_finite_is_rejected(span, level):
+    with pytest.raises(ValueError, match="^sigma edge span and level must be finite$"):
+        sigma_average(get_field("xy"), SigmaEdge("horizontal", span, level, "left"))
+
+
+def test_an_unverified_selection_with_an_infinite_edge_end_is_rejected():
+    # node (0, 0) is the lower end of its edge, so an infinite upper end still
+    # contains the node and ends there; the averages must not come out NaN
+    mesh = _uniform(4)
+    sigma = select_sigma(mesh, "toward_corner")
+    edges = sigma.edges.copy()
+    assert not edges[0]["upper"]  # row 0 is node (0, 0)
+    edges["hi"][0] = np.inf
+    with pytest.raises(ValueError, match="^sigma edge span and level must be finite$"):
+        quasi_interp(make_smooth_field("sin_sin"), mesh, SigmaSelection(sigma.nodes_x, sigma.nodes_y, edges))
 
 
 def test_biquadratic_field_reproduced():
