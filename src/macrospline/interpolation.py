@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from .fields import ScalarField, _LineGrids
-from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, _sigma_runs
+from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, _node_tol, _sigma_runs
 from .quadrature import gauss_rule
 from .spline_core import (
     DualWeight,
@@ -475,7 +475,7 @@ def _node_averages(field, mesh, sigma: SigmaSelection) -> np.ndarray:
         rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
     except KeyError as missing:
         raise ValueError(f"sigma edge for node {missing.args[0]} is missing") from None
-    _check_on_edge(rows, xs[nodes_x][None, :], ys[nodes_y][:, None], nodes_x[None, :], nodes_y[:, None])
+    _check_on_edge(rows, xs[nodes_x][None, :], ys[nodes_y][:, None], nodes_x[None, :], nodes_y[:, None], _node_tol(xs, ys))
     return _sigma_averages(field, rows)
 
 

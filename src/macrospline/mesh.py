@@ -276,7 +276,7 @@ def classify_edges(mesh: ShishkinMesh) -> EdgeSet:
 # Sigma-edge selection for the quasi-interpolation operator.
 # ---------------------------------------------------------------------------
 
-_TOL = 1e-12  # node-on-edge tolerance
+_TOL = 1e-12  # node-on-edge tolerance, narrowed on a mesh of finer steps (_node_tol)
 _SIGMA_ROW = np.dtype([("horizontal", bool), ("lo", float), ("hi", float), ("level", float), ("upper", bool)])
 
 
@@ -366,8 +366,13 @@ def _walk(c, runs, strategy) -> tuple:
     return (lo, hi, upper), turned
 
 
-def _check_on_edge(rows, x, y, node_x, node_y, extra=()) -> None:
-    """ValueError unless each node (x, y) lies on its sigma edge ``rows``, at the node-side end.
+def _node_tol(xs, ys) -> float:
+    """The node-on-edge tolerance on the node lines ``xs``, ``ys``: ``_TOL``, or a quarter of their smallest step where that is less."""
+    return min(_TOL, 0.25 * min(np.diff(xs).min(), np.diff(ys).min()))
+
+
+def _check_on_edge(rows, x, y, node_x, node_y, tol, extra=()) -> None:
+    """ValueError unless each node (x, y) lies on its sigma edge ``rows``, at the node-side end, within ``tol``.
 
     All arguments broadcast to one shape; ``extra`` holds more ``(ok,
     what)`` checks of that shape, tested last.  The error names the first
@@ -376,8 +381,8 @@ def _check_on_edge(rows, x, y, node_x, node_y, extra=()) -> None:
     along, across = np.where(rows["horizontal"], x, y), np.where(rows["horizontal"], y, x)
     # each check holds where True; NaN columns fail them
     checks = [
-        ((np.abs(across - rows["level"]) <= _TOL) & (rows["lo"] - _TOL <= along) & (along <= rows["hi"] + _TOL), "does not contain the node"),
-        (np.abs(along - np.where(rows["upper"], rows["hi"], rows["lo"])) <= _TOL, "does not end at the node on its node side"),
+        ((np.abs(across - rows["level"]) <= tol) & (rows["lo"] - tol <= along) & (along <= rows["hi"] + tol), "does not contain the node"),
+        (np.abs(along - np.where(rows["upper"], rows["hi"], rows["lo"])) <= tol, "does not end at the node on its node side"),
         *extra,
     ]
     node_x, node_y = np.broadcast_arrays(node_x, node_y, along)[:2]
@@ -449,13 +454,13 @@ def verify_sigma_selection(mesh, selection: SigmaSelection, patch_factor: float 
     if not (np.array_equal(selection.nodes_x, nodes_x) and np.array_equal(selection.nodes_y, nodes_y)):
         raise ValueError("the selection's nodes are not the sigma nodes of the mesh")
     e = selection.edges.reshape(len(nodes_x), len(nodes_y))
-    x, y = xs[nodes_x][:, None], ys[nodes_y]
+    x, y, tol = xs[nodes_x][:, None], ys[nodes_y], _node_tol(xs, ys)
     extra = []
     if isinstance(mesh, ShishkinMesh):  # the level is in its node's band once the node is on the edge
-        low = np.where(e["horizontal"], x, y) <= mesh.lam + _TOL
-        inside = (np.where(low, 0.0, 1.0 - mesh.lam) - _TOL <= e["lo"]) & (e["hi"] <= np.where(low, mesh.lam, 1.0) + _TOL)
+        low = np.where(e["horizontal"], x, y) <= mesh.lam + tol
+        inside = (np.where(low, 0.0, 1.0 - mesh.lam) - tol <= e["lo"]) & (e["hi"] <= np.where(low, mesh.lam, 1.0) + tol)
         extra.append((inside, "leaves the closed corner region"))
-    _check_on_edge(e, x, y, nodes_x[:, None], nodes_y, extra)
+    _check_on_edge(e, x, y, nodes_x[:, None], nodes_y, tol, extra)
     if isinstance(mesh, ShishkinMesh):
         return
 

@@ -9,10 +9,13 @@ and ``compute_norm_report``.  It lays the points of a set of elements
 out as one matrix on the open grid of their distinct rows and columns,
 rows (jy, b) along y and columns (ix, a) along x, and walks it in
 blocks of whole element rows small enough to stay in the L2 cache,
-into buffers made once per call.  Per block and derivative order, one
-GEMM contracts the cell coefficients along x with the derivative basis
-of ``spline_core`` (sum factorisation), and one batched GEMM gives each
-element row's differences at once: the field's rank-one factors
+into buffers made once per call.  Consecutive derivative orders with
+the same x order ax form a group, and ``_seminorms`` sorts its orders by
+ax so that each ax is one group.  Per block and group, one GEMM
+contracts the cell coefficients along x with the derivative basis of
+``spline_core`` (sum factorisation), shared by every order of the group;
+per block and order, one batched GEMM then gives each element row's
+differences at once: the field's rank-one factors
 (``ScalarField.factors``) and the interpolant's y basis, scaled and
 negated, are the columns of its left factor, and the x factors of the
 field and the x contraction the rows of its right one.  None of these
@@ -42,6 +45,7 @@ takes no field, as a smooth field's normal derivative cancels from it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -129,23 +133,31 @@ def _gemm(a, b, out):
 def _per_cell(field, interp, region, loc, alphas, reduce):
     """Per multi-index in ``alphas``, ``reduce`` of D^alpha (field - interp) on each element of ``region``.
 
-    Yields one 1-D array per alpha, one value per element in (jy, ix)
-    order; the array is reused, so take what is needed before the next.
+    Yields one 1-D array per alpha, in ``alphas`` order, one value per
+    element in (jy, ix) order; the array is reused, so take what is needed
+    before the next.  Consecutive alphas with the same ax form a group: the
+    blocks are the outer loop within a group and its orders the inner one,
+    and a group's arrays are yielded once all its blocks are done.  A call
+    makes one (rows, columns) values array per order of its largest group,
+    once, so it holds as many per-cell arrays as that group has orders
+    (three for ``ORDERS`` sorted by ax).
     The points are ``loc`` x ``loc`` in every cell of the region's open
     grid, laid out as one matrix: row (jy, b) at y = Y[jy, b], column
     (ix, a) at x = X[ix, a].  The grid is walked in blocks of whole
     element rows, into buffers made once per call that each hold at
-    most about ``_BLOCK_VALUES`` values.  Per block, the coefficients
-    are copied once in (l, j, ix, k) order, scaled by (2/wx)^ax, and one
-    2-D GEMM contracts x: ``R = C @ (D^ax P).T``, where ``D^a P`` holds
-    the a-th derivatives of the local monomials at ``loc``.  Each element
-    row j's differences are then ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ;
-    R_j]``, with the field's rank-one factors ``field.factors`` (made once
-    per alpha, on all rows and columns) in the first ``terms`` columns and
-    rows.  Its inner sum is taken ``_FUSED_TERMS`` terms at a time and
-    the parts are added in order; a part of factors alone is one 2-D GEMM
-    over the block's rows, ``Fy.T @ Fx``, any other part one batched GEMM
-    with a product per element row.  A field without terms is called once
+    most about ``_BLOCK_VALUES`` values.  Per block and group, the
+    coefficients are copied once in (l, j, ix, k) order, scaled by
+    (2/wx)^ax, and one 2-D GEMM contracts x: ``R = C @ (D^ax P).T``, where
+    ``D^a P`` holds the a-th derivatives of the local monomials at
+    ``loc``; the copies of the x factors Fx, which depend on ax alone,
+    are laid out next to R.  Per order, each element row j's differences
+    are then ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ; R_j]``, with the
+    field's rank-one factors ``field.factors`` (made once per alpha, on
+    all rows and columns, before the group's blocks) in the first
+    ``terms`` columns and rows.  Its inner sum is taken ``_FUSED_TERMS``
+    terms at a time and the parts are added in order; a part of factors
+    alone is one 2-D GEMM over the block's rows, ``Fy.T @ Fx``, any other
+    part one batched GEMM with a product per element row.  A field without terms is called once
     per block, on its rows against all columns, and added; None measures
     the interpolant.  Every product is a GEMM, even for one row
     (``_gemm``), and those of the differences sum at most
@@ -168,14 +180,16 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
     rows = max(1, min(nuy, _BLOCK_VALUES // max(1, nux * max(p * p, p * (K - m), kx * ky))))
     W, G = np.empty(rows * nux * max(p * p, kx * ky)), np.empty((K - m) * rows * N)  # flat, so a block of any height is contiguous; W holds C, then D
     S = np.empty(rows * p * N) if K > T else None
-    A = np.empty((nuy, p, K))  # [Fy_j | -(2/wy_j)^ay D^ay Q] for every row j
-    values = np.empty((nuy, nux))
-    for ax, ay in alphas:
+    groups = [(ax, [ay for _, ay in group]) for ax, group in itertools.groupby(alphas, key=lambda alpha: alpha[0])]
+    A = np.empty((max(len(ays) for _, ays in groups), nuy, p, K))  # per order of a group, [Fy_j | -(2/wy_j)^ay D^ay Q] for every row j
+    values = [np.empty((nuy, nux)) for _ in A]
+    for ax, ays in groups:
         PT, sx = _derivative_basis(loc, kx, ax).T.copy(), np.repeat((2.0 / wx) ** ax, kx)  # BLAS takes a contiguous PT 4x faster
-        np.multiply(_derivative_basis(loc, ky, ay), -((2.0 / wy) ** ay)[:, None, None], out=A[:, :, terms:])
-        if terms:
-            Fx, Fy = field.factors(x, y, ax, ay)
-            A[:, :, :terms] = Fy.T.reshape(nuy, p, terms)
+        for i, ay in enumerate(ays):
+            np.multiply(_derivative_basis(loc, ky, ay), -((2.0 / wy) ** ay)[:, None, None], out=A[i, :, :, terms:])
+            if terms:
+                Fx, Fy = field.factors(x, y, ax, ay)  # Fx is the same for every order of the group
+                A[i, :, :, :terms] = Fy.T.reshape(nuy, p, terms)
         filled = 0
         for j0 in range(0, nuy, rows):
             n = min(rows, nuy - j0)
@@ -187,19 +201,22 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
             if terms > m and filled != n:  # the layout of Fx's copies depends on n
                 g[: terms - m] = Fx[m:, None, :]
                 filled = n
-            a, b, d = A[j0 : j0 + n], g.transpose(1, 0, 2), W[: n * p * N].reshape(n * p, N)
-            for k in range(0, K, T):
-                out = S[: n * p * N].reshape(n * p, N) if k else d
-                if k < m:
-                    _gemm(a.reshape(n * p, K)[:, k : k + T], Fx[k : k + T], out)
-                else:
-                    np.matmul(a[:, :, k : k + T], b[:, k - m : k - m + T], out=out.reshape(n, p, N))
-                if k:
-                    d += out
-            if field is not None and not terms:
-                d += field(x[None, :], y[j0 * p : (j0 + n) * p, None], ax, ay)
-            values[j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
-        yield values.ravel() if cells is None else values[cells]
+            b, d = g.transpose(1, 0, 2), W[: n * p * N].reshape(n * p, N)
+            for i, ay in enumerate(ays):
+                a = A[i, j0 : j0 + n]
+                for k in range(0, K, T):
+                    out = S[: n * p * N].reshape(n * p, N) if k else d
+                    if k < m:
+                        _gemm(a.reshape(n * p, K)[:, k : k + T], Fx[k : k + T], out)
+                    else:
+                        np.matmul(a[:, :, k : k + T], b[:, k - m : k - m + T], out=out.reshape(n, p, N))
+                    if k:
+                        d += out
+                if field is not None and not terms:
+                    d += field(x[None, :], y[j0 * p : (j0 + n) * p, None], ax, ay)
+                values[i][j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
+        for v in values[: len(ays)]:
+            yield v.ravel() if cells is None else v[cells]
 
 
 def _weighted_sum(w, square=False):
@@ -225,11 +242,17 @@ def _seminorms(field, interp, alphas, region=None, rule: QuadratureRule | None =
     Each cell contributes its ``_weighted_sum`` of squares, and the
     contributions are added pairwise in (jy, ix) order; a ``seminorm``
     call of its own makes the same sums, so the values are the same bit
-    for bit.
+    for bit.  The pass takes the multi-indices stably sorted by ax, so
+    those of one ax share each block's x contraction; the values come
+    back in ``alphas`` order.
     """
     if rule is None:
         rule = gauss_rule()
-    return [float(np.sqrt(max(_pairwise_sum(c), 0.0))) for c in _per_cell(field, interp, region, rule.nodes, alphas, _weighted_sum(rule.weights, square=True))]
+    order = sorted(range(len(alphas)), key=lambda i: alphas[i][0])
+    values = [0.0] * len(alphas)
+    for i, c in zip(order, _per_cell(field, interp, region, rule.nodes, [alphas[i] for i in order], _weighted_sum(rule.weights, square=True))):
+        values[i] = float(np.sqrt(max(_pairwise_sum(c), 0.0)))
+    return values
 
 
 def _error_norms(field, interp, rule: QuadratureRule | None = None, region=None) -> tuple:

@@ -11,7 +11,7 @@ from macrospline import interpolation
 from macrospline.cli import main
 from macrospline.fields import ScalarField, _LineGrids, _Terms, make_layer_decomposition, make_polynomial_field, make_smooth_field
 from macrospline.interpolation import build_composite, interp_aniso, nodal_q2
-from macrospline.mesh import SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, build_shishkin, classify_edges, select_sigma
+from macrospline.mesh import SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, _node_tol, build_shishkin, classify_edges, select_sigma
 from macrospline.norms import gauss_rule, jump_norm_sum, seminorm
 
 
@@ -242,7 +242,7 @@ def test_composite_from_stored_factors_is_the_pointwise_composite_bit_for_bit(mo
 def _per_corner_quasi_data(field, grid_x, grid_y, sigma, nodes_x, nodes_y):
     """Quasi data of one corner with its own sigma lookup, node check and field call."""
     rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
-    _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None])
+    _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None], _node_tol(grid_x, grid_y))
     G = interpolation._gather(field, grid_x, grid_y, interpolation._HERMITE, interpolation._HERMITE)
     A = interpolation._sigma_averages(field, rows)
     ny, nx = G.shape[:2]

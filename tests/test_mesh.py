@@ -573,6 +573,22 @@ def test_sigma_custom_map_defects_rejected_naming_the_node():
             select_sigma(shishkin, "custom", custom=leaving)
 
 
+def test_sigma_check_tolerance_is_narrower_than_the_fine_step():
+    # eps = 1e-28: a fine step of 3.1e-14, below the 1e-12 tolerance of
+    # coarser meshes.  Node (2, 0)'s down edge shifted one fine step along
+    # itself no longer holds the node, and must be rejected.
+    mesh = build_shishkin(1e-28, 8)
+    h = mesh.grid_x[1] - mesh.grid_x[0]
+    assert h < 1e-13
+    edges = _edge_map(select_sigma(mesh, "down"))
+    edge = edges[(2, 0)]
+    assert edge.orientation == "vertical" and edge.span == (mesh.grid_y[0], mesh.grid_y[2])
+    edges[(2, 0)] = SigmaEdge(edge.orientation, (edge.span[0] + h, edge.span[1] + h), edge.level, edge.node_side)
+    with pytest.raises(ValueError, match=re.escape("sigma edge for node (2, 0) does not contain the node")):
+        select_sigma(mesh, "custom", custom=edges)
+    assert select_sigma(mesh, "custom", custom=_edge_map(select_sigma(mesh, "down"))).edges.tobytes() == select_sigma(mesh, "down").edges.tobytes()
+
+
 def _patch_bounds_per_macro(mesh, edges, mi, mj):
     """Reference: the hull of one macro and its nodes' sigma edges (node -> SigmaEdge), snapped outward."""
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates

@@ -797,14 +797,18 @@ def test_open_grid_calls_the_field_once_per_order_on_distinct_coordinates(monkey
     # the block's rows against every column
     monkeypatch.setattr(norms, "_BLOCK_VALUES", 2 * p * p * nx)
     _seminorms(field, poly, ORDERS, None, gauss_rule(p))
-    assert [(ax, ay) for _, _, ax, ay in calls] == [a for a in ORDERS for _ in range(3)]
-    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (2 * p, 1)), ((1, nx * p), (2 * p, 1)), ((1, nx * p), (p, 1))] * len(ORDERS)
-    for k in range(len(ORDERS)):
-        blocks = calls[3 * k : 3 * k + 3]
+    # the orders of one ax share each block's x contraction: block by block, every order of the group
+    grouped = [[a for a in ORDERS if a[0] == ax] for ax in (0, 1, 2)]
+    expected = [(a, n) for group in grouped for n in (2, 2, 1) for a in group]
+    assert [(ax, ay) for _, _, ax, ay in calls] == [a for a, _ in expected]
+    assert [(x.shape, y.shape) for x, y, _, _ in calls] == [((1, nx * p), (n * p, 1)) for _, n in expected]
+    for alpha in ORDERS:
+        blocks = [call for call in calls if call[2:] == alpha]
+        assert len(blocks) == 3
         assert all(np.array_equal(x, blocks[0][0]) for x, _, _, _ in blocks)
         rows = np.concatenate([y.ravel() for _, y, _, _ in blocks])
         assert np.unique(blocks[0][0]).size == nx * p and np.unique(rows).size == rows.size == ny * p  # every point once
-    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [2 * p, 2 * p, p] * len(ORDERS)}
+    assert factor_points == {"x": [nx * p] * 3 * len(ORDERS), "y": [n * p for _, n in expected]}
     calls.clear()
     linf_sampled(field, poly, None, 4)
     assert [(x.shape, y.shape, ax, ay) for x, y, ax, ay in calls] == [((1, nx * 4), (12, 1), 0, 0), ((1, nx * 4), (8, 1), 0, 0)]
@@ -953,6 +957,35 @@ def test_no_product_of_the_norm_pass_sums_more_than_seven_terms(monkeypatch):
             _seminorms(_OPEN_GRID_FIELDS.get(name), poly, ORDERS, rule=gauss_rule(p))
             assert inner and max(inner) <= norms._FUSED_TERMS == 7
     assert len(_OPEN_GRID_FIELDS["layer_q2"].terms) == 19
+
+
+def test_orders_that_share_ax_share_each_blocks_x_contraction(monkeypatch):
+    # The pass takes the orders of one ax together: per block, one x
+    # contraction C @ (D^ax P).T serves all of them, so ORDERS makes three
+    # per block (ax = 0, 1, 2), not six.  Any order of the multi-indices,
+    # and a repeated one, gives each the values of its own seminorm call.
+    contractions, gemm = [], norms._gemm
+    rng = np.random.default_rng(9)
+    nx, ny, kx = 6, 5, 4
+    poly = PiecewisePoly2D(_graded(rng, nx), _graded(rng, ny), rng.normal(size=(ny, nx, kx, 3)))
+
+    def recorded(a, b, out):
+        if b.shape == (kx, len(loc)):  # the x basis; a part of a field's factors has 7 rows of nx p columns
+            contractions.append(next(ax for ax in range(3) if np.array_equal(b, norms._derivative_basis(loc, kx, ax).T)))
+        gemm(a, b, out)
+
+    monkeypatch.setattr(norms, "_gemm", recorded)
+    shuffled = [ORDERS[k] for k in rng.permutation(len(ORDERS))]
+    orderings = (ORDERS, ORDERS[::-1], shuffled, [(1, 1), (0, 0), (1, 1), (2, 0), (0, 2), (0, 0)], [])
+    for name, p, block in itertools.product(("sin_sin", "layer_total", "layer_q2", "exp_xy", None), (4, 5), (1, 2**62)):
+        field, rule, loc = _OPEN_GRID_FIELDS.get(name), gauss_rule(p), gauss_rule(p).nodes
+        monkeypatch.setattr(norms, "_BLOCK_VALUES", block)
+        contractions.clear()
+        _seminorms(field, poly, ORDERS, None, rule)
+        blocks = ny if block == 1 else 1
+        assert contractions == [ax for ax in range(3) for _ in range(blocks)]
+        for alphas in orderings:
+            assert _seminorms(field, poly, alphas, None, rule) == [seminorm(field, poly, a, None, rule) for a in alphas]
 
 
 def _same_bits(a, b):
