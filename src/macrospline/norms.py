@@ -35,12 +35,14 @@ Broken second-order seminorms never integrate across element
 interfaces, where the interpolant's second derivatives jump.  Edge
 norms and jump sums locate no point and gather no cell per edge: they
 read traces per grid line, not per edge.  ``_line_traces`` gives the
-traces on both sides of every line of one orientation from the cell
-coefficients, with the same basis.  Jump sums take groups of edge slots
-[ix, iy, horizontal], so one pass over the lines serves every group,
-such as one mask per edge type (``mesh._type_masks``); only the rows of
-an ``EdgeSet`` a caller gives are mapped to their slots.  A jump sum
-takes no field, as a smooth field's normal derivative cancels from it.
+traces on both sides of a range of lines of one orientation from the
+cell coefficients, with the same basis.  ``edge_l2`` reads every line at
+once; jump sums read the interior lines in blocks, like the norm pass,
+into one array of edge slots [ix, iy, horizontal] that serves every
+group of slots, such as one mask per edge type (``mesh._type_masks``);
+only the rows of an ``EdgeSet`` a caller gives are mapped to their
+slots.  A jump sum takes no field, as a smooth field's normal
+derivative cancels from it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ FIRST_ORDER = ((1, 0), (0, 1))
 SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
 JUMP_TYPES = EDGE_TYPES[1:5]  # the interior edge types I-IV, each with its own jump sum
-_BLOCK_VALUES = 2**16  # values of one block of the norm pass (512 KiB, well inside L2)
+_BLOCK_VALUES = 2**16  # values of one block of the norm pass or of the jump sums (512 KiB, well inside L2)
 _FUSED_TERMS = 7  # longest sum of one product of the norm pass: OpenBLAS's Haswell and Prescott kernels give a row of 8 or more terms bits that depend on the product's width
 
 
@@ -296,32 +298,43 @@ def _edge_slots(interp, edges, rows, interior):
     return h, ix, iy
 
 
-def _line_traces(interp, horizontal, nodes, alpha):
-    """``(lo, hi)``: D^alpha of ``interp`` at ``nodes`` along every element edge of one orientation.
+def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None):
+    """``(lo, hi)``: D^alpha of ``interp`` at ``nodes`` along the element edges of grid lines ``start`` to ``stop`` of one orientation.
 
-    Both are (lines, cells, p): ``lo`` reads the cell below or left of a
-    grid line and ``hi`` the one above or right of it, and a boundary
-    line reads its one cell from both sides.  ``alpha`` is (along,
-    across) the lines.  For each cell end, -1 and +1 across the lines,
-    one GEMM contracts every cell's coefficients with the derivative
-    basis across at that end; the basis along the lines at ``nodes``
-    follows, and then the scale (2/w)^alpha of each cell.
+    Both are (lines, cells, p), all the lines by default: ``lo`` reads the
+    cell below or left of a grid line and ``hi`` the one above or right of
+    it, and a boundary line reads its one cell from both sides.  ``alpha``
+    is (along, across) the lines.  For each cell end, -1 and +1 across the
+    lines, one GEMM contracts the coefficients of the cells the lines read
+    with the derivative basis across at that end; the basis along the
+    lines at ``nodes`` follows, and then the scale (2/w)^alpha of each
+    cell.  A line's normal derivative, alpha (0, 1), keeps its bits
+    whichever other lines are read with it (see the README on kernels).
     """
     gx, gy, coef = interp.grid_x, interp.grid_y, interp.coef
     ny, nx, kx, ky = coef.shape
     along, across, k, m = (gx, gy, kx, ky) if horizontal else (gy, gx, ky, kx)  # k coefficients along, m across
+    n, stop = len(across) - 1, len(across) if stop is None else stop  # n cells across the lines
     normal = _derivative_basis(np.array([-1.0, 1.0]), m, alpha[1])
     tangent = _derivative_basis(nodes, k, alpha[0]).T
-    scale = ((2.0 / np.diff(across)) ** alpha[1])[:, None, None] * ((2.0 / np.diff(along)) ** alpha[0])[None, :, None]
-    lo, hi = np.empty((2, len(across), len(along) - 1, len(nodes)))
-    for end, out in ((1, lo[1:]), (0, hi[:-1])):  # line j is the +1 end of cell j - 1 and the -1 end of cell j
+    lo, hi = np.empty((2, stop - start, len(along) - 1, len(nodes)))
+    a, b = max(start - 1, 0), min(stop, n)  # the cells across that the lines read
+    cells = (coef[a:b] if horizontal else coef[:, a:b]).reshape(-1, kx * ky)  # for vertical lines, a copy unless they read every cell
+    scale = ((2.0 / np.diff(across[a : b + 1])) ** alpha[1])[:, None, None] * ((2.0 / np.diff(along)) ** alpha[0])[None, :, None]
+    for end, out, shift in ((1, lo, 1), (0, hi, 0)):  # line j is the +1 end of cell j - 1 and the -1 end of cell j
         # (kx * ky, k): the basis row across at this end, on the diagonal of the coefficients along
         expand = np.einsum("l,km->klm" if horizontal else "k,lm->klm", normal[end], np.eye(k)).reshape(kx * ky, k)
-        ends = (coef.reshape(ny * nx, kx * ky) @ expand).reshape(ny, nx, k)  # [jy, ix, coefficient along]
-        np.matmul(ends if horizontal else ends.transpose(1, 0, 2), tangent, out=out)
-        out *= scale
+        ends = np.empty((b - a, nx, k) if horizontal else (ny, b - a, k))  # [jy, ix, coefficient along]
+        _gemm(cells, expand, ends.reshape(-1, k))
+        c0, c1 = max(start - shift, 0), min(stop - shift, n)  # the cells this end reads
+        rows = out[c0 + shift - start : c1 + shift - start]
+        np.matmul(ends[c0 - a : c1 - a] if horizontal else ends[:, c0 - a : c1 - a].transpose(1, 0, 2), tangent, out=rows)
+        rows *= scale[c0 - a : c1 - a]
         del ends  # one end's contraction is held at a time
-    lo[0], hi[-1] = hi[0], lo[-1]
+    if start == 0:
+        lo[0] = hi[0]
+    if stop == n + 1:
+        hi[-1] = lo[-1]
     return lo, hi
 
 
@@ -354,13 +367,15 @@ def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, a
     return np.sqrt(half * ((vals * vals) @ rule.weights))
 
 
-def _line_jumps(interp, horizontal, rule):
-    """Per interior line and cell of one orientation, the squared L2 norm of the normal-derivative jump on that edge."""
-    lo, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1))
-    jump = lo[1:-1]
-    jump -= hi[1:-1]
-    jump *= jump
-    return 0.5 * np.diff(interp.grid_x if horizontal else interp.grid_y) * (jump @ rule.weights)
+def _line_jumps(interp, horizontal, rule, out):
+    """Into ``out[j - 1]``, per interior line j and cell of one orientation, the squared L2 norm of the normal-derivative jump on that edge, read from ``_line_traces`` in blocks of lines."""
+    lines = max(1, _BLOCK_VALUES // max(1, out.shape[1] * max(math.prod(interp.coef.shape[2:]), len(rule.nodes))))  # sized on a block's largest array: for vertical lines, the copy of its cells' coefficients
+    half = 0.5 * np.diff(interp.grid_x if horizontal else interp.grid_y)
+    for j in range(1, len(out) + 1, lines):
+        jump, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1), j, min(j + lines, len(out) + 1))
+        jump -= hi
+        jump *= jump
+        out[j - 1 : j - 1 + len(jump)] = half * (jump @ rule.weights)
 
 
 def _jump_sums(interp, groups, rule: QuadratureRule | None = None) -> list:
@@ -369,15 +384,23 @@ def _jump_sums(interp, groups, rule: QuadratureRule | None = None) -> list:
     Slot [ix, iy, horizontal], in an (nx + 1, ny + 1, 2) array or its
     ravel, is the edge of that orientation from grid node (ix, iy), so
     slot order is the endpoint order (x0, y0, x1, y1).  Only interior
-    edges may be counted.  A group sums the ``_line_jumps`` of its slots
+    edges may be counted: ``ValueError`` names the first slot of a group
+    that counts any other.  A group sums the ``_line_jumps`` of its slots
     pairwise in slot order, each as many times as it is counted.
     """
     if rule is None:
         rule = gauss_rule()
     slots = np.zeros((len(interp.grid_x), len(interp.grid_y), 2))  # [ix, iy, horizontal]
-    slots[:-1, 1:-1, 1] = _line_jumps(interp, True, rule).T
-    slots[1:-1, :-1, 0] = _line_jumps(interp, False, rule)
-    return [_pairwise_sum(np.repeat(slots.ravel(), np.ravel(g))) for g in groups]
+    outside = np.ones(slots.shape, dtype=bool)  # the slots that hold no interior edge
+    outside[:-1, 1:-1, 1] = outside[1:-1, :-1, 0] = False
+    groups, outside = [np.ravel(g) for g in groups], np.flatnonzero(outside)
+    counted = np.flatnonzero([g[outside] for g in groups])  # group by group
+    if counted.size:
+        k, i = divmod(counted[0], outside.size)
+        raise ValueError(f"group {k} counts slot [ix, iy, horizontal] = {[int(v) for v in np.unravel_index(outside[i], slots.shape)]}, which holds no interior edge")
+    _line_jumps(interp, True, rule, slots[:-1, 1:-1, 1].T)
+    _line_jumps(interp, False, rule, slots[1:-1, :-1, 0])
+    return [_pairwise_sum(slots.ravel()[g] if g.dtype == bool else np.repeat(slots.ravel(), g)) for g in groups]
 
 
 def _slot_counts(interp, edges: EdgeSet, masks) -> list:

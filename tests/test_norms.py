@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrospline.fields import ScalarField, exp_profile, make_layer_decomposition, make_polynomial_field, make_smooth_field, separable_field, sin_profile
-from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, interp_full_macro, nodal_q2_mesh
+from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, interp_full_macro, nodal_q2_mesh, random_c1q2
 from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
-from macrospline import norms, quadrature
+from macrospline import mesh as mesh_module, norms, quadrature
 from macrospline.norms import (
     ORDERS,
     NormReport,
@@ -429,6 +429,103 @@ def test_jump_norm_sum_of_empty_edge_set_is_zero():
         assert len(empty) == 0
         assert jump_norm_sum(p, empty) == 0.0
         assert jump_norm_sum(p, empty, gauss_rule(4)) == 0.0
+
+
+def _slot_edges(poly, mask):
+    """The EdgeSet of the slots [ix, iy, horizontal] of ``mask``, each one interior element edge of ``poly``'s grid."""
+    gx, gy = poly.grid_x, poly.grid_y
+    ix, iy, h = np.nonzero(mask)
+    h = h.astype(bool)
+    normal = np.where(h[:, None], [0.0, 1.0], [1.0, 0.0])
+    return EdgeSet(gx[ix], gy[iy], gx[ix + h], gy[iy + ~h], h, normal, np.full(h.size, "I"))
+
+
+def _jump_block_cases():
+    """(poly, slot masks, rule, graded): u* at N = 64 and eps 1e-14 with one mask per edge type, and, on one
+    graded macro mesh of 10 x 6 elements, a random C1 member and discontinuous random cells with random slot masks."""
+    mesh = build_shishkin(1e-14, 64)
+    star = build_composite(make_layer_decomposition(1e-14).total, mesh, select_sigma(mesh, "toward_corner"))
+    cases = [(star, mesh_module._type_masks(mesh, norms.JUMP_TYPES), gauss_rule(4), False)]
+    rng = np.random.default_rng(31)
+    graded = build_macro_mesh(np.linspace(0.0, 1.0, 6) ** 2, 0.3 * np.linspace(0.0, 1.0, 4) ** 3)
+    c1 = random_c1q2(graded, rng)
+    cells = PiecewisePoly2D(c1.grid_x, c1.grid_y, 10.0 ** rng.integers(-3, 3, (6, 10, 1, 1)) * rng.normal(size=(6, 10, 3, 3)))
+    interior = np.zeros((11, 7, 2), bool)
+    interior[:-1, 1:-1, 1] = interior[1:-1, :-1, 0] = True
+    masks = [interior, interior & (rng.random(interior.shape) < 0.5), interior & (rng.random(interior.shape) < 0.2)]
+    cases += [(c1, masks, gauss_rule(4), True), (cells, masks, gauss_rule(5), True)]
+    return cases
+
+
+def test_jump_sums_do_not_depend_on_the_block_of_lines(monkeypatch):
+    # blocks of 1 line, 3 lines and every interior line; nx != ny on the graded mesh, so a
+    # swapped orientation or a transposed slot view does not fit its slots
+    heights = []
+
+    def spy(interp, horizontal, nodes, alpha, start=0, stop=None):
+        heights.append((horizontal, None if stop is None else stop - start))
+        return line_traces(interp, horizontal, nodes, alpha, start, stop)
+
+    line_traces = norms._line_traces
+    monkeypatch.setattr(norms, "_line_traces", spy)
+    eps = np.finfo(float).eps
+    for poly, masks, rule, graded in _jump_block_cases():
+        ny, nx, kx, ky = poly.coef.shape
+        counts = [m.astype(int) for m in masks]
+        edges = [_slot_edges(poly, m) for m in masks]
+        monkeypatch.setattr(norms, "_BLOCK_VALUES", 2**62)
+        whole = norms._jump_sums(poly, masks, rule)
+        assert norms._jump_sums(poly, counts, rule) == whole  # a 0/1 mask and the same counts sum the same bits
+        for value, subset in zip(whole, edges if graded else ()):  # world points on each edge are too coarse a reference at eps = 1e-14
+            reference, energy = _per_edge_jump_sum(poly, subset, rule)
+            assert abs(value - reference) <= JUMP_ROUNDOFF * eps * energy
+        traces = {h: line_traces(poly, h, rule.nodes, (0, 1)) for h in (True, False)}
+        sums = {alpha: [edge_l2(None, poly, subset, rule, alpha, side) for subset in edges for side in "-+"] for alpha in ((0, 1), (1, 0))}
+        for lines in (1, 3):
+            for cells in (nx, ny):
+                heights.clear()
+                monkeypatch.setattr(norms, "_BLOCK_VALUES", lines * cells * max(kx * ky, len(rule.nodes)))
+                assert norms._jump_sums(poly, masks, rule) == whole
+                assert norms._jump_sums(poly, counts, rule) == whole
+                assert (True, lines) in heights or (False, lines) in heights
+                for alpha, expected in sums.items():
+                    got = [edge_l2(None, poly, subset, rule, alpha, side) for subset in edges for side in "-+"]
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            # the normal derivative on every line, boundary lines too, read a block at a time; read so,
+            # the tangential one (1, 0) moves at roundoff on the Prescott and Nehalem kernels (README)
+            for h, (lo, hi) in traces.items():
+                blocks = [line_traces(poly, h, rule.nodes, (0, 1), j, min(j + lines, len(lo))) for j in range(0, len(lo), lines)]
+                assert np.array_equal(np.concatenate([b[0] for b in blocks]), lo)
+                assert np.array_equal(np.concatenate([b[1] for b in blocks]), hi)
+
+
+def test_a_jump_group_that_counts_a_slot_without_an_interior_edge_is_rejected():
+    mesh = build_shishkin(1e-6, 8)
+    star = build_composite(make_layer_decomposition(1e-6).total, mesh, select_sigma(mesh, "toward_corner"))
+    with pytest.raises(ValueError, match=re.escape("group 0 counts slot [ix, iy, horizontal] = [0, 0, 0], which holds no interior edge")):
+        norms._jump_sums(star, mesh_module._type_masks(mesh, ("boundary",)))
+    # the horizontal slot of the last x node holds no edge at all
+    counts = mesh_module._type_masks(mesh, ("I", "IV"))[1].astype(int)
+    assert norms._jump_sums(star, [counts])[0] > 0.0
+    counts[8, 3, 1] = 1
+    with pytest.raises(ValueError, match=re.escape("group 1 counts slot [ix, iy, horizontal] = [8, 3, 1], which holds no interior edge")):
+        norms._jump_sums(star, [np.zeros_like(counts), counts.ravel()])
+
+
+def test_jump_sum_memory_stays_within_the_slots_and_a_few_blocks():
+    # 256 x 256 elements: the slots take 1.0 MiB, the traces of every line of one
+    # orientation 4 MiB, and a block of lines 0.5 MiB
+    mesh = build_shishkin(1e-6, 256)
+    star = build_composite(make_layer_decomposition(1e-6, smooth="bounded_third").total, mesh, select_sigma(mesh, "toward_corner"))
+    masks, rule = mesh_module._type_masks(mesh, norms.JUMP_TYPES), gauss_rule(4)
+    norms._jump_sums(star, masks, rule)
+    tracemalloc.start()
+    try:
+        norms._jump_sums(star, masks, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_linf_sampled():
