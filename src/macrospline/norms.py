@@ -18,16 +18,12 @@ per block and order, one batched GEMM then gives each element row's
 differences at once: the field's rank-one factors
 (``ScalarField.factors``) and the interpolant's y basis, scaled and
 negated, are the columns of its left factor, and the x factors of the
-field and the x contraction the rows of its right one.  None of these
-products sums more than ``_FUSED_TERMS`` terms, as on some OpenBLAS
-kernels a longer sum gives a cell bits that depend on how many cells
-the product covers: a field of many terms takes its first terms seven
-at a time in 2-D GEMMs of its factors over the whole block, and the
-parts are added in order.  A field without terms is called once per
-block on the block's points and added.  Each cell is then reduced in
-place to its weighted sum of squares or of signed values
-(``_weighted_sum``, also the reducer of ``oracles.bound_consistency``)
-or to its largest absolute value.  Where the pointwise product of a field's factors is
+field and the x contraction the rows of its right one, for any number
+of terms.  A field without terms is called once per block on the
+block's points and added.  Each cell is then reduced in place to its
+weighted sum of squares or of signed values (``_weighted_sum``, also
+the reducer of ``oracles.bound_consistency``) or to its largest
+absolute value.  Where the pointwise product of a field's factors is
 -0.0, the block may hold +0.0; no result sees that sign, as every
 reducer squares the differences or takes their absolute value, except
 the signed sum, whose one caller takes the absolute value of each cell.
@@ -75,7 +71,6 @@ SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 ORDERS = ((0, 0),) + FIRST_ORDER + SECOND_ORDER  # L2, then H1 and broken H2 seminorm parts
 JUMP_TYPES = EDGE_TYPES[1:5]  # the interior edge types I-IV, each with its own jump sum
 _BLOCK_VALUES = 2**16  # values of one block of the norm pass or of the jump sums (512 KiB, well inside L2)
-_FUSED_TERMS = 7  # longest sum of one product of the norm pass: OpenBLAS's Haswell and Prescott kernels give a row of 8 or more terms bits that depend on the product's width
 
 
 def _pairwise_sum(values) -> float:
@@ -101,15 +96,25 @@ def _open_grid(poly, region):
     picks the elements in (jy, ix) order from the nuy x nux cells of that
     grid, and is None when they are all of its cells, whose C order is
     already (jy, ix).  Raises ValueError when ``poly`` is None, or names
-    the first element of ``region`` that lies outside the mesh, or else
-    the first that repeats an earlier one.
+    the first entry of ``region`` that is not a pair of integers, or else
+    the first element that lies outside the mesh, or else the first that
+    repeats an earlier one.
     """
     if poly is None:
         raise ValueError("an interpolant is required to define the element mesh")
     nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
     if region is None:
         return np.arange(nx), np.arange(ny), None
-    elements = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=int).reshape(-1, 2)
+    entries = region if isinstance(region, np.ndarray) else list(region)
+    try:
+        elements = np.asarray(entries)
+    except ValueError:  # entries of different lengths
+        elements = np.empty(0)
+    if elements.dtype.kind not in "iu" or elements.shape[1:] != (2,):
+        if len(entries):
+            bad = next((e for e in entries if np.ndim(e) != 1 or len(e) != 2 or not all(isinstance(v, numbers.Integral) for v in e)), entries[0])
+            raise ValueError(f"region entry {bad.tolist() if isinstance(bad, (np.ndarray, np.generic)) else bad!r} is not a pair of integers (ix, jy)")
+        elements = np.empty((0, 2), dtype=int)
     outside = np.flatnonzero((elements < 0).any(axis=1) | (elements[:, 0] >= nx) | (elements[:, 1] >= ny))
     if outside.size:
         raise ValueError(f"element {tuple(elements[outside[0]].tolist())} lies outside the {nx}x{ny} element mesh")
@@ -122,14 +127,6 @@ def _open_grid(poly, region):
     ux, cx = np.unique(elements[order, 0], return_inverse=True)
     uy, cy = np.unique(elements[order, 1], return_inverse=True)
     return ux, uy, None if key.size == ux.size * uy.size else (cy, cx)
-
-
-def _gemm(a, b, out):
-    """``a @ b`` into ``out`` for a 2-D ``a`` by GEMM, also for one row, which numpy would send to GEMV, whose bits differ from a row of a GEMM."""
-    if len(a) > 1:
-        np.matmul(a, b, out=out)
-    else:
-        out[...] = (np.repeat(a, 2, axis=0) @ b)[:1]
 
 
 def _per_cell(field, interp, region, loc, alphas, reduce):
@@ -152,22 +149,18 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
     (2/wx)^ax, and one 2-D GEMM contracts x: ``R = C @ (D^ax P).T``, where
     ``D^a P`` holds the a-th derivatives of the local monomials at
     ``loc``; the copies of the x factors Fx, which depend on ax alone,
-    are laid out next to R.  Per order, each element row j's differences
-    are then ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ; R_j]``, with the
-    field's rank-one factors ``field.factors`` (made once per alpha, on
-    all rows and columns, before the group's blocks) in the first
-    ``terms`` columns and rows.  Its inner sum is taken ``_FUSED_TERMS``
-    terms at a time and the parts are added in order; a part of factors
-    alone is one 2-D GEMM over the block's rows, ``Fy.T @ Fx``, any other
-    part one batched GEMM with a product per element row.  A field without terms is called once
-    per block, on its rows against all columns, and added; None measures
-    the interpolant.  Every product is a GEMM, even for one row
-    (``_gemm``), and those of the differences sum at most
-    ``_FUSED_TERMS`` terms, so a cell's values do not depend on the block
-    size or the region.  ``reduce(D, wx, wy)`` takes the block's
-    differences as an (rows, p, columns, p) array, which it may
-    overwrite, and the widths of its columns and rows, and returns
-    (rows, columns) cell values.
+    are laid out next to R.  Per order, one batched GEMM over the block's
+    element rows then gives each row j's differences,
+    ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ; R_j]``, with the field's rank-one
+    factors ``field.factors`` (made once per alpha, on all rows and
+    columns, before the group's blocks) in the first ``terms`` columns and
+    rows.  A field without terms is called once per block, on its rows
+    against all columns, and added; None measures the interpolant.  A
+    cell's values depend on the block size and the region only at
+    roundoff, as a BLAS kernel may order a product's sums by its shape.
+    ``reduce(D, wx, wy)`` takes the block's differences as an (rows, p,
+    columns, p) array, which it may overwrite, and the widths of its
+    columns and rows, and returns (rows, columns) cell values.
     """
     ux, uy, cells = _open_grid(interp, region)
     gx, gy = interp.grid_x, interp.grid_y
@@ -177,11 +170,9 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
     coef = interp.coef if region is None else interp.coef[np.ix_(uy, ux)]
     (nuy, nux, kx, ky), p = coef.shape, len(loc)
     terms = 0 if field is None or field.terms is None else len(field.terms)
-    K, N, T = terms + ky, nux * p, _FUSED_TERMS
-    m = T * (terms // T) if K > T else 0  # terms whose products are 2-D GEMMs of the factors alone
-    rows = max(1, min(nuy, _BLOCK_VALUES // max(1, nux * max(p * p, p * (K - m), kx * ky))))
-    W, G = np.empty(rows * nux * max(p * p, kx * ky)), np.empty((K - m) * rows * N)  # flat, so a block of any height is contiguous; W holds C, then D
-    S = np.empty(rows * p * N) if K > T else None
+    K, N = terms + ky, nux * p
+    rows = max(1, min(nuy, _BLOCK_VALUES // max(1, nux * max(p * p, p * K, kx * ky))))
+    W, G = np.empty(rows * nux * max(p * p, kx * ky)), np.empty(K * rows * N)  # flat, so a block of any height is contiguous; W holds C, then D
     groups = [(ax, [ay for _, ay in group]) for ax, group in itertools.groupby(alphas, key=lambda alpha: alpha[0])]
     A = np.empty((max(len(ays) for _, ays in groups), nuy, p, K))  # per order of a group, [Fy_j | -(2/wy_j)^ay D^ay Q] for every row j
     values = [np.empty((nuy, nux)) for _ in A]
@@ -195,25 +186,17 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
         filled = 0
         for j0 in range(0, nuy, rows):
             n = min(rows, nuy - j0)
-            c, g = W[: ky * n * nux * kx].reshape(ky, n, nux * kx), G[: (K - m) * n * N].reshape(K - m, n, N)
+            c, g = W[: ky * n * nux * kx].reshape(ky, n, nux * kx), G[: K * n * N].reshape(K, n, N)
             np.copyto(c, coef[j0 : j0 + n].reshape(n, nux * kx, ky).transpose(2, 0, 1))
             if ax:
                 c *= sx  # in place: 3x faster than scaling in the transposing copy
-            _gemm(c.reshape(-1, kx), PT, g[terms - m :].reshape(-1, p))
-            if terms > m and filled != n:  # the layout of Fx's copies depends on n
-                g[: terms - m] = Fx[m:, None, :]
+            np.matmul(c.reshape(-1, kx), PT, out=g[terms:].reshape(-1, p))
+            if terms and filled != n:  # the layout of Fx's copies depends on n
+                g[:terms] = Fx[:, None, :]
                 filled = n
             b, d = g.transpose(1, 0, 2), W[: n * p * N].reshape(n * p, N)
             for i, ay in enumerate(ays):
-                a = A[i, j0 : j0 + n]
-                for k in range(0, K, T):
-                    out = S[: n * p * N].reshape(n * p, N) if k else d
-                    if k < m:
-                        _gemm(a.reshape(n * p, K)[:, k : k + T], Fx[k : k + T], out)
-                    else:
-                        np.matmul(a[:, :, k : k + T], b[:, k - m : k - m + T], out=out.reshape(n, p, N))
-                    if k:
-                        d += out
+                np.matmul(A[i, j0 : j0 + n], b, out=d.reshape(n, p, N))
                 if field is not None and not terms:
                     d += field(x[None, :], y[j0 * p : (j0 + n) * p, None], ax, ay)
                 values[i][j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
@@ -325,7 +308,7 @@ def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None):
         # (kx * ky, k): the basis row across at this end, on the diagonal of the coefficients along
         expand = np.einsum("l,km->klm" if horizontal else "k,lm->klm", normal[end], np.eye(k)).reshape(kx * ky, k)
         ends = np.empty((b - a, nx, k) if horizontal else (ny, b - a, k))  # [jy, ix, coefficient along]
-        _gemm(cells, expand, ends.reshape(-1, k))
+        np.matmul(cells, expand, out=ends.reshape(-1, k))
         c0, c1 = max(start - shift, 0), min(stop - shift, n)  # the cells this end reads
         rows = out[c0 + shift - start : c1 + shift - start]
         np.matmul(ends[c0 - a : c1 - a] if horizontal else ends[:, c0 - a : c1 - a].transpose(1, 0, 2), tangent, out=rows)

@@ -29,6 +29,8 @@ from macrospline.norms import (
 from macrospline.quadrature import integrate, integrate2d
 from macrospline.spline_core import HermiteData1D, hermite_interpolate_1d
 
+from _reference import assert_within_roundoff, difference_per_element, linf_per_element, seminorm_per_alpha
+
 
 def _unit_mesh_poly(n=2):
     # zero interpolant over a uniform element mesh, to carry the grids
@@ -587,90 +589,6 @@ def test_pairwise_sum_matches_list_reduction():
         assert _pairwise_sum(x for x in v.tolist()) == want
 
 
-def _fused(a, b):
-    """``a @ b`` as the norm pass makes it: products of at most ``_FUSED_TERMS`` terms of the inner sum, added in order."""
-    t = norms._FUSED_TERMS
-    out = a[..., :t] @ b[..., :t, :]
-    for k in range(t, a.shape[-1], t):
-        out += a[..., k : k + t] @ b[..., k : k + t, :]
-    return out
-
-
-def _difference_per_element(field, poly, alpha, elements, loc):
-    """Reference: D^alpha (field - poly), element by element, shape (E, p, p) with entry [e, b, a] at (X[a], Y[b]).
-
-    Each element's differences are one product of the factors of y and
-    of x, ``[Fy_e | -(2/wy)^ay D^ay Q] @ [Fx_e ; R_e]``, made by ``_fused``.  ``R_e`` contracts
-    x, ``C_e @ (D^ax P).T``, with ``C_e`` the element's coefficients in
-    (l, k) order scaled by (2/wx)^ax; one 2-D product makes the rows of
-    every element.  ``D^a P`` and ``D^a Q`` hold the a-th derivatives of
-    the local monomials at ``loc``.  A field with terms takes ``Fx_e`` and
-    ``Fy_e`` from one ``field.factors`` call on the distinct columns and
-    rows of ``elements``; a field without terms, or None, has none, and a
-    field without terms is then added, called with one row of
-    coordinates per element, ``field(X[:, None, :], Y[:, :, None])``.
-    """
-    ix = np.array([e[0] for e in elements], dtype=int)
-    jy = np.array([e[1] for e in elements], dtype=int)
-    gx, gy = poly.grid_x, poly.grid_y
-    wx, wy = gx[ix + 1] - gx[ix], gy[jy + 1] - gy[jy]
-    c = poly.coef[jy, ix]
-    p, (kx, ky) = len(loc), c.shape[1:]
-    Q, PT = norms._derivative_basis(loc, ky, alpha[1]), norms._derivative_basis(loc, kx, alpha[0]).T.copy()
-    R = (np.multiply(c.transpose(0, 2, 1), ((2.0 / wx) ** alpha[0])[:, None, None]).reshape(-1, kx) @ PT).reshape(len(c), ky, p)
-    A = np.multiply(Q, -((2.0 / wy) ** alpha[1])[:, None, None])
-    if field is None or field.terms is None:
-        diff = _fused(A, R)
-        if field is not None:
-            X = (0.5 * (gx[ix] + gx[ix + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]
-            Y = (0.5 * (gy[jy] + gy[jy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]
-            diff += field(X[:, None, :], Y[:, :, None], alpha[0], alpha[1])
-        return diff
-    columns, rows = sorted(set(ix.tolist())), sorted(set(jy.tolist()))
-    ux, uy = np.array(columns), np.array(rows)
-    X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
-    Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
-    Fx, Fy = (F.reshape(len(F), -1, p) for F in field.factors(X.ravel(), Y.ravel(), alpha[0], alpha[1]))
-    diff = []
-    for e, (i, j) in enumerate(elements):
-        fx, fy = Fx[:, columns.index(i)], Fy[:, rows.index(j)]
-        diff.append(_fused(np.hstack([fy.T, A[e]]), np.vstack([fx, R[e]])))
-    return np.array(diff)
-
-
-def _sorted_elements(poly, region):
-    nx, ny = len(poly.grid_x) - 1, len(poly.grid_y) - 1
-    elements = region if region is not None else [(ix, jy) for jy in range(ny) for ix in range(nx)]
-    return sorted(elements, key=lambda e: (e[1], e[0]))
-
-
-def _seminorm_per_alpha(field, poly, alpha, region, rule):
-    """Reference: one element list sorted by (jy, ix), one field call per multi-index, and per cell (wx wy / 4) sum_b w_b sum_a w_a D^2."""
-    elements = _sorted_elements(poly, region)
-    if not elements:
-        return 0.0
-    diff = _difference_per_element(field, poly, alpha, elements, rule.nodes)
-    ix = np.array([e[0] for e in elements], dtype=int)
-    jy = np.array([e[1] for e in elements], dtype=int)
-    gx, gy = poly.grid_x, poly.grid_y
-    w = rule.weights
-    inner = ((diff * diff).reshape(-1, len(w)) @ w).reshape(len(elements), len(w))
-    cell = inner[:, 0] * w[0]
-    for b in range(1, len(w)):
-        cell += inner[:, b] * w[b]
-    contributions = cell * (0.25 * (gy[jy + 1] - gy[jy]) * (gx[ix + 1] - gx[ix]))
-    return float(np.sqrt(max(_pairwise_sum_of_list(contributions.tolist()), 0.0)))
-
-
-def _linf_per_element(field, poly, region, samples):
-    """Reference ``linf_sampled``: the per-element field call."""
-    elements = _sorted_elements(poly, region)
-    if not elements:
-        return 0.0
-    diff = _difference_per_element(field, poly, (0, 0), elements, np.linspace(-1.0, 1.0, samples))
-    return float(np.max(np.abs(diff)))
-
-
 def test_seminorms_match_per_alpha_seminorm():
     mesh = build_shishkin(1e-4, 16)
     u = make_layer_decomposition(1e-4, smooth="bounded_third").total
@@ -683,7 +601,8 @@ def test_seminorms_match_per_alpha_seminorm():
             for rule in (gauss_rule(4), gauss_rule(5)):
                 got = _seminorms(field, star, ORDERS, region, rule)
                 assert got == [seminorm(field, star, a, region, rule) for a in ORDERS]
-                assert got == [_seminorm_per_alpha(field, star, a, region, rule) for a in ORDERS]
+                want, scale = ([seminorm_per_alpha(field, star, a, region, rule, absolute) for a in ORDERS] for absolute in (False, True))
+                assert_within_roundoff(got, want, scale)
 
 
 # Fields for the open-grid tests: separable, non-separable, the layer sum,
@@ -698,22 +617,25 @@ _OPEN_GRID_FIELDS = {
     "constant": ScalarField("c", lambda x, y, ax, ay: 0.75 if ax == ay == 0 else 0.0),
     "q2_random": make_polynomial_field(np.random.default_rng(0).normal(size=(3, 3))),
 }
-_OPEN_GRID_FIELDS["layer_q2"] = _OPEN_GRID_FIELDS["layer_total"] + _OPEN_GRID_FIELDS["q2_random"]  # 19 terms: two parts of factors alone
+_OPEN_GRID_FIELDS["layer_q2"] = _OPEN_GRID_FIELDS["layer_total"] + _OPEN_GRID_FIELDS["q2_random"]  # 19 terms
 
 
-def _graded_grid(draw, n):
+def _graded_grid(draw, n, length=1.0):
     steps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
     grid = np.r_[0.0, np.cumsum(steps)] / steps.sum()
     grid[-1] = 1.0
     gap = draw(st.sampled_from([0.0, 2.0**-20, 2.0**-40, 2.0**-50]))
-    if gap and grid[-2] < 1.0 - gap:  # an element a few ulp wide at 1
+    if gap and grid[-2] < 1.0 - gap:  # an element a few ulp wide at the end
         grid = np.r_[grid[:-1], 1.0 - gap, 1.0]
-    return grid
+    return grid * length
 
 
 @st.composite
 def _open_grid_case(draw):
-    gx, gy = _graded_grid(draw, draw(st.integers(1, 7))), _graded_grid(draw, draw(st.integers(1, 7)))
+    # one axis of the domain is 1 to 1e-6 long, the other 1: aspect ratios up to 1e6 either way, times the grading
+    length = draw(st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]))
+    lengths = (length, 1.0) if draw(st.booleans()) else (1.0, length)
+    gx, gy = (_graded_grid(draw, draw(st.integers(1, 7)), h) for h in lengths)
     nx, ny = len(gx) - 1, len(gy) - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     degree = draw(st.sampled_from([(2, 2), (3, 3), (2, 3)]))
@@ -738,9 +660,10 @@ def _open_grid_case(draw):
 def test_open_grid_matches_per_element_field_call(case, order):
     poly, region, field = case
     rule = gauss_rule(order)
-    got = _seminorms(field, poly, ORDERS, region, rule)
-    assert got == [_seminorm_per_alpha(field, poly, a, region, rule) for a in ORDERS]
-    assert linf_sampled(field, poly, region, order) == _linf_per_element(field, poly, region, order)
+    want, scale = ([seminorm_per_alpha(field, poly, a, region, rule, absolute) for a in ORDERS] for absolute in (False, True))
+    assert_within_roundoff(_seminorms(field, poly, ORDERS, region, rule), want, scale)
+    want, scale = (linf_per_element(field, poly, region, order, absolute) for absolute in (False, True))
+    assert_within_roundoff(linf_sampled(field, poly, region, order), want, scale)
 
 
 def _one_block_and_row_blocks(monkeypatch, norm):
@@ -758,8 +681,9 @@ def test_blocks_of_element_rows_match_one_block(case, order, measure_interpolant
     field = None if measure_interpolant else field
     rule = gauss_rule(order)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        whole, rows = _one_block_and_row_blocks(monkeypatch, lambda: (_seminorms(field, poly, ORDERS, region, rule), linf_sampled(field, poly, region, order)))
-    assert whole == rows
+        whole, rows = _one_block_and_row_blocks(monkeypatch, lambda: (*_seminorms(field, poly, ORDERS, region, rule), linf_sampled(field, poly, region, order)))
+    scale = [seminorm_per_alpha(field, poly, a, region, rule, absolute=True) for a in ORDERS] + [linf_per_element(field, poly, region, order, absolute=True)]
+    assert_within_roundoff(rows, whole, scale)
 
 
 def test_blocks_of_element_rows_match_one_block_on_the_composite(monkeypatch):
@@ -811,8 +735,7 @@ def test_signed_zeros_of_the_factor_products_do_not_reach_a_norm():
 def test_norm_pass_memory_stays_within_a_few_blocks():
     # 256 x 256 elements: one field or difference matrix is 13 MB at p = 5,
     # a block of the pass 0.5 MiB.  The ten terms of the layer composite,
-    # at p = 4, add rows of x factors to each element row's product and a
-    # second block for the parts of its sum.
+    # at p = 4, add rows of x factors to each element row's product.
     f = make_smooth_field("sin_sin")
     poly = interp_full(f, build_macro_mesh(np.linspace(0.0, 1.0, 129), np.linspace(0.0, 1.0, 129)))
     mesh = build_shishkin(1e-6, 256)
@@ -976,7 +899,31 @@ def test_region_elements_outside_the_mesh_or_repeated_are_rejected():
     # four elements that only look like a 2x2 block by their count
     with pytest.raises(ValueError, match="appears more than once"):
         seminorm(f, p, (0, 0), [(0, 0), (0, 0), (1, 1), (1, 1)])
-    assert seminorm(f, p, (0, 0), [(0, 0), (1, 1), (1, 0), (0, 1)]) == _seminorm_per_alpha(f, p, (0, 0), [(0, 0), (1, 0), (0, 1), (1, 1)], gauss_rule())
+    want, scale = (seminorm_per_alpha(f, p, (0, 0), [(0, 0), (1, 0), (0, 1), (1, 1)], gauss_rule(), absolute) for absolute in (False, True))
+    assert_within_roundoff(seminorm(f, p, (0, 0), [(0, 0), (1, 1), (1, 0), (0, 1)]), want, scale)
+
+
+def test_region_entries_that_are_not_pairs_of_integers_are_rejected():
+    # A cast to int would read (0.9, 1.7) as element (0, 1), and a
+    # reshape to pairs would read (0, 1, 1, 0) as two elements.
+    f = make_smooth_field("sin_sin")
+    p = interp_full(f, build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 5)))  # 8x8 elements
+    bad = {
+        "(0.9, 1.7)": [(0.9, 1.7)],
+        "(0, 1, 1, 0)": [(0, 1, 1, 0)],
+        "(0.5, 2)": [(0, 0), (0.5, 2)],
+        "(1.0, 1)": [(0, 0), (1.0, 1)],
+        "(3,)": [(0, 0), (3,)],
+        "[0.0, 1.0]": np.array([[0.0, 1.0]]),
+        "0": [0, 1],
+    }
+    for entry, region in bad.items():
+        for norm in (lambda r: seminorm(f, p, (0, 0), r), lambda r: linf_sampled(f, p, r), lambda r: _seminorms(f, p, ORDERS, r)):
+            with pytest.raises(ValueError, match=re.escape(f"region entry {entry} is not a pair of integers (ix, jy)")):
+                norm(region)
+    for region in ([(0, 1)], np.array([[0, 1]]), np.array([[0, 1]], dtype=np.uint8), [(np.int64(0), 1)], iter([(0, 1)])):
+        assert seminorm(f, p, (0, 0), region) == seminorm(f, p, (0, 0), [(0, 1)])
+    assert seminorm(f, p, (0, 0), []) == seminorm(f, p, (0, 0), np.empty((0, 2), dtype=int)) == 0.0
 
 
 def test_composite_is_measured_as_its_piecewise_polynomial():
@@ -1033,45 +980,22 @@ def _cell_values(poly, loc, alpha, region=None):
     return -_differences(None, poly, loc, alpha, region)
 
 
-def test_no_product_of_the_norm_pass_sums_more_than_seven_terms(monkeypatch):
-    # OpenBLAS's Haswell and Prescott kernels give a row of a product of 8
-    # or more terms bits that depend on the product's width, so a cell's
-    # differences would depend on how many cells a product covers.  This
-    # checks the inner length of every product on any kernel, for fields
-    # of 1, 10 and 19 terms, one without terms and None, at p = 4 and 5.
-    inner, matmul = [], np.matmul
-
-    def recorded(a, b, *args, **kwargs):
-        inner.append(np.shape(a)[-1])
-        return matmul(a, b, *args, **kwargs)
-
-    rng = np.random.default_rng(7)
-    poly = PiecewisePoly2D(_graded(rng, 6), _graded(rng, 5), rng.normal(size=(5, 6, 4, 4)))
-    monkeypatch.setattr(np, "matmul", recorded)
-    for name in ("sin_sin", "layer_total", "layer_q2", "exp_xy", None):
-        for p in (4, 5):
-            inner.clear()
-            _seminorms(_OPEN_GRID_FIELDS.get(name), poly, ORDERS, rule=gauss_rule(p))
-            assert inner and max(inner) <= norms._FUSED_TERMS == 7
-    assert len(_OPEN_GRID_FIELDS["layer_q2"].terms) == 19
-
-
 def test_orders_that_share_ax_share_each_blocks_x_contraction(monkeypatch):
     # The pass takes the orders of one ax together: per block, one x
     # contraction C @ (D^ax P).T serves all of them, so ORDERS makes three
     # per block (ax = 0, 1, 2), not six.  Any order of the multi-indices,
     # and a repeated one, gives each the values of its own seminorm call.
-    contractions, gemm = [], norms._gemm
+    contractions, matmul = [], np.matmul
     rng = np.random.default_rng(9)
     nx, ny, kx = 6, 5, 4
     poly = PiecewisePoly2D(_graded(rng, nx), _graded(rng, ny), rng.normal(size=(ny, nx, kx, 3)))
 
-    def recorded(a, b, out):
-        if b.shape == (kx, len(loc)):  # the x basis; a part of a field's factors has 7 rows of nx p columns
+    def recorded(a, b, *args, **kwargs):
+        if np.shape(b) == (kx, len(loc)):  # the x basis; every other right factor of the pass is 1-D or 3-D
             contractions.append(next(ax for ax in range(3) if np.array_equal(b, norms._derivative_basis(loc, kx, ax).T)))
-        gemm(a, b, out)
+        return matmul(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(norms, "_gemm", recorded)
+    monkeypatch.setattr(np, "matmul", recorded)
     shuffled = [ORDERS[k] for k in rng.permutation(len(ORDERS))]
     orderings = (ORDERS, ORDERS[::-1], shuffled, [(1, 1), (0, 0), (1, 1), (2, 0), (0, 2), (0, 0)], [])
     for name, p, block in itertools.product(("sin_sin", "layer_total", "layer_q2", "exp_xy", None), (4, 5), (1, 2**62)):
@@ -1085,36 +1009,35 @@ def test_orders_that_share_ax_share_each_blocks_x_contraction(monkeypatch):
             assert _seminorms(field, poly, alphas, None, rule) == [seminorm(field, poly, a, None, rule) for a in alphas]
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("p", [4, 5])
 def test_cell_differences_do_not_depend_on_how_many_cells_a_product_covers(monkeypatch, p):
-    # numpy sends a one-row product to GEMV, whose bits can differ from the
-    # same row inside a GEMM.  A one-column mesh, a one-row mesh and each
-    # single element must give every cell the differences of the whole
-    # mesh bit for bit, with one element row per block and with one block,
-    # for coefficients of degree 2 in y and of degree 0 (a one-row x product).
+    # A BLAS kernel may order a product's sums by its shape, and numpy
+    # sends a one-row product to GEMV.  A one-column mesh, a one-row mesh
+    # and each single element must give every cell the differences of the
+    # whole mesh within the roundoff bound, with one element row per block
+    # and with one block, for coefficients of degree 2 in y and of degree 0
+    # (a one-row x product).
     rng = np.random.default_rng(40 + p)
     nx, ny = 5, 4
     gx, gy = _graded(rng, nx), _graded(rng, ny)
     loc = gauss_rule(p).nodes
     fields = (make_smooth_field("sin_sin"), _OPEN_GRID_FIELDS["layer_total"], _OPEN_GRID_FIELDS["layer_q2"], make_smooth_field("exp_xy"), None)
+    elements = [(ix, jy) for jy in range(ny) for ix in range(nx)]
     for shape in ((3, 3), (3, 1)):
         coef = rng.normal(size=(ny, nx, *shape))
         poly = PiecewisePoly2D(gx, gy, coef)
         for field, block, alpha in itertools.product(fields, (2**62, 1), ORDERS):
             monkeypatch.setattr(norms, "_BLOCK_VALUES", block)
             whole = _differences(field, poly, loc, alpha)
+            scale = difference_per_element(field, poly, alpha, elements, loc, absolute=True).reshape(ny, nx, p, p).transpose(0, 2, 1, 3)
             for ix in range(nx):
                 column = PiecewisePoly2D(gx[ix : ix + 2], gy, coef[:, ix : ix + 1])
-                assert _same_bits(_differences(field, column, loc, alpha), whole[:, :, ix : ix + 1])
+                assert_within_roundoff(_differences(field, column, loc, alpha), whole[:, :, ix : ix + 1], scale[:, :, ix : ix + 1])
             for jy in range(ny):
                 row = PiecewisePoly2D(gx, gy[jy : jy + 2], coef[jy : jy + 1])
-                assert _same_bits(_differences(field, row, loc, alpha), whole[jy : jy + 1])
+                assert_within_roundoff(_differences(field, row, loc, alpha), whole[jy : jy + 1], scale[jy : jy + 1])
                 for ix in range(nx):
-                    assert _same_bits(_differences(field, poly, loc, alpha, [(ix, jy)]), whole[jy : jy + 1, :, ix : ix + 1])
+                    assert_within_roundoff(_differences(field, poly, loc, alpha, [(ix, jy)]), whole[jy : jy + 1, :, ix : ix + 1], scale[jy : jy + 1, :, ix : ix + 1])
 
 
 def _graded(rng, n):

@@ -7,7 +7,7 @@ import pytest
 
 from macrospline import oracles
 from macrospline.fields import ScalarField, make_polynomial_field, make_smooth_field
-from macrospline.interpolation import interp_aniso, interp_bfs, interp_full_macro, interp_reduced_macro
+from macrospline.interpolation import PiecewisePoly2D, interp_aniso, interp_bfs, interp_full_macro, interp_reduced_macro
 from macrospline.mesh import build_macro_mesh
 from macrospline.norms import seminorm
 from macrospline.oracles import (
@@ -31,6 +31,8 @@ from macrospline.oracles import (
 )
 from macrospline.quadrature import gauss_rule, integrate2d
 from macrospline.spline_core import divided_difference
+
+from _reference import assert_within_roundoff, cell_integrals, seminorm_per_alpha
 
 
 REF_MACRO = (-1.0, 1.0, -1.0, 1.0)
@@ -325,21 +327,53 @@ def _macro_rhs(spec, field, bounds):
     return total
 
 
+# bound_consistency and the per-macro loop build their interpolants by
+# different products, the mesh operator and the scalar one.  Under
+# OPENBLAS_CORETYPE=Nehalem their coefficients differ at roundoff (see
+# Known fragilities in README.md), which the scale S of _reference does
+# not count.  The largest |batched - loop| / (eps scale) over the cases of
+# test_bound_consistency_matches_the_per_macro_loop is 115.2 there
+# (reduced_dx, exp_xy on the aspect-100 meshes) and at most 0.12 under the
+# other four kernels of _reference.ROUNDOFF; the test allows 4 times 115.2.
+_OPERATOR_ROUNDOFF = 461.0
+
+
+def _macro_rhs_scales(spec, field, mesh):
+    """Per macro of ``mesh``, in ``macro_bounds(i, j)`` order j then i, ``_macro_rhs`` of the scale S of ``_reference`` in place of each term's derivative: its norm for a seminorm term, its integral for a mean term."""
+    mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    zero = PiecewisePoly2D(mx, my, np.zeros((len(my) - 1, len(mx) - 1, 1, 1)))
+    elements = [(i, j) for j in range(len(my) - 1) for i in range(len(mx) - 1)]
+    h1, h2 = np.tile(0.5 * np.diff(mx), len(my) - 1), np.repeat(0.5 * np.diff(my), len(mx) - 1)
+    total = np.zeros(len(elements))
+    for term in spec.terms:
+        cells = cell_integrals(field, zero, term.total, elements, _RULE10, absolute=True, square=term.kind == "seminorm")
+        total += h1 ** term.weight[0] * h2 ** term.weight[1] * (np.sqrt(cells) if term.kind == "seminorm" else cells)
+    return total
+
+
 def _per_macro_bound_consistency(spec, field, meshes):
-    """The per-macro loop over the paper-level definitions: a scalar operator, ``seminorm`` and one ``integrate2d`` per term."""
-    sup_ratios, zero_rhs_lhs = [], []
+    """The per-macro loop over the paper-level definitions: a scalar operator, ``seminorm`` and one ``integrate2d`` per term.
+
+    A level's entry of ``scales`` bounds the roundoff of its sup ratio
+    LHS / RHS: the largest (LS + ratio RS) / RHS over the macros that
+    enter it, where LS and RS are the LHS and the RHS of the scale S of
+    ``_reference``.
+    """
+    sup_ratios, scales, zero_rhs_lhs = [], [], []
     for mesh in meshes:
         nmx, nmy = mesh.n_macros
-        pairs = []
-        for bounds in (mesh.macro_bounds(i, j) for j in range(nmy) for i in range(nmx)):
+        macros = []
+        for bounds, rhs_scale in zip((mesh.macro_bounds(i, j) for j in range(nmy) for i in range(nmx)), _macro_rhs_scales(spec, field, mesh)):
             poly = _MACRO_OPERATORS[spec.operator](field, bounds)
-            pairs.append((seminorm(field, poly, spec.gamma, rule=_RULE10), _macro_rhs(spec, field, bounds)))
-        floor = 1e-12 * max(max(r for _, r in pairs), 1.0)
-        ratios = [lhs / rhs for lhs, rhs in pairs if rhs > floor]
-        zero_rhs_lhs.extend(lhs for lhs, rhs in pairs if rhs <= floor)
+            lhs_scale = seminorm_per_alpha(field, poly, spec.gamma, None, _RULE10, absolute=True)
+            macros.append((seminorm(field, poly, spec.gamma, rule=_RULE10), _macro_rhs(spec, field, bounds), lhs_scale, rhs_scale))
+        floor = 1e-12 * max(max(rhs for _, rhs, _, _ in macros), 1.0)
+        ratios = [(lhs / rhs, (ls + lhs / rhs * rs) / rhs) for lhs, rhs, ls, rs in macros if rhs > floor]
+        zero_rhs_lhs.extend(lhs for lhs, rhs, _, _ in macros if rhs <= floor)
         if ratios:
-            sup_ratios.append(max(ratios))
-    return {"sup_ratios": sup_ratios, "zero_rhs_ok": all(lhs <= 1e-10 for lhs in zero_rhs_lhs)}
+            sup_ratios.append(max(ratio for ratio, _ in ratios))
+            scales.append(max(scale for _, scale in ratios))
+    return {"sup_ratios": sup_ratios, "scales": scales, "zero_rhs_ok": all(lhs <= 1e-10 for lhs in zero_rhs_lhs)}
 
 
 def _square_and_graded_meshes(aspect):
@@ -364,5 +398,4 @@ def test_bound_consistency_matches_the_per_macro_loop(name):
         got = bound_consistency(spec, field, meshes)
         want = _per_macro_bound_consistency(spec, field, meshes)
         assert got["zero_rhs_ok"] == want["zero_rhs_ok"]
-        assert len(got["sup_ratios"]) == len(want["sup_ratios"])
-        np.testing.assert_allclose(got["sup_ratios"], want["sup_ratios"], rtol=1e-14, atol=0.0)
+        assert_within_roundoff(got["sup_ratios"], want["sup_ratios"], want["scales"], _OPERATOR_ROUNDOFF)
