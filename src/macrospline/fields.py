@@ -16,7 +16,8 @@ them.  ``ScalarField.terms`` reads ``_eval.terms``, so a field rebuilt as
 ``ScalarField(name, f._eval)`` keeps them.  Polynomial fields are the one
 exception: their callable carries monomial terms, but pointwise values
 come from ``polyval2d``.  The pointwise call and ``ScalarField.factors``
-evaluate each distinct factor once per axis (``_factor_values``).  The
+(the pair of ``ScalarField.factor`` along x and along y) evaluate each
+distinct factor once per axis (``_factor_values``).  The
 call folds the terms left to right in place, in one output and one
 scratch array (``_fold``), bit for bit ``total + c * (vx * vy)`` term by
 term; ``factors`` stacks the values on the rows and the columns of an
@@ -25,7 +26,9 @@ factorisation).  ``_LineGrids`` keeps the factor values of each (axis,
 coordinate line, orders) for a run of open-grid gathers on shared lines,
 and folds them into each grid as the pointwise call would.  A field
 without terms (``exp_xy``, a mesh function, any plain callable) has
-none, and a sum or scale with one adds or scales calls.
+none, and a sum or scale with one adds or scales calls.  The layer
+factors (``exp_profile``) are never subnormal: they flush such values to
+exact 0 at the source, so every one of these paths sees the same values.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _check_orders(ax, ay):
@@ -81,25 +85,33 @@ class ScalarField:
     def factors(self, x, y, ax: int = 0, ay: int = 0):
         """Rank-one factors ``(Fx, Fy)`` of D^(ax,ay) u on the open grid of ``x`` and ``y``, or None without terms.
 
-        ``x`` and ``y`` are 1-D; row k of Fx (K, len(x)) is c * D^ax fx(x)
-        and of Fy (K, len(y)) D^ay fy(y) for the k-th term (c, fx, fy),
-        and each distinct factor is evaluated once.  The values at
-        (x[i], y[j]) are the matrix ``Fy.T @ Fx``, rows along y; for one
-        term with c = 1 it equals a pointwise call in value, but may hold
-        +0.0 where the pointwise product is -0.0.
+        ``x`` and ``y`` are 1-D; Fx is ``factor(0, x, ax)`` and Fy
+        ``factor(1, y, ay)``.  The values at (x[i], y[j]) are the matrix
+        ``Fy.T @ Fx``, rows along y; for one term with c = 1 it equals a
+        pointwise call in value, but may hold +0.0 where the pointwise
+        product is -0.0.
         """
         _check_orders(ax, ay)
+        return None if self.terms is None else (self.factor(0, x, ax), self.factor(1, y, ay))
+
+    def factor(self, axis: int, t, order: int = 0):
+        """The rank-one factors along ``axis`` (0 for x, 1 for y) at the 1-D ``t``, or None without terms.
+
+        Row k of the (K, len(t)) result is c * D^order fx(t) along x and
+        D^order fy(t) along y for the k-th term (c, fx, fy), and each
+        distinct factor is evaluated once.  A caller that needs the x
+        factors of several y orders evaluates them once this way.
+        """
+        _check_orders(order, 0)
         terms = self.terms
         if terms is None:
             return None
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        x_values = _factor_values((fx for _, fx, _ in terms), x, ax)
-        y_values = _factor_values((fy for _, _, fy in terms), y, ay)
-        Fx, Fy = np.empty((len(terms), x.size)), np.empty((len(terms), y.size))
-        for k, (c, fx, fy) in enumerate(terms):
-            np.multiply(c, x_values[fx], out=Fx[k])
-            Fy[k] = y_values[fy]
-        return Fx, Fy
+        t = np.asarray(t, dtype=float)
+        values = _factor_values((term[1 + axis] for term in terms), t, order)
+        F = np.empty((len(terms), t.size))
+        for k, term in enumerate(terms):
+            np.multiply(term[0] if axis == 0 else 1.0, values[term[1 + axis]], out=F[k])
+        return F
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if self.terms is not None and other.terms is not None:
@@ -256,10 +268,18 @@ def sin_profile(freq: float = math.pi, shift: float = 0.0):
 
 
 def exp_profile(rate: float):
-    """t -> exp(rate * t) with derivatives rate^k exp(rate t)."""
+    """t -> exp(rate * t) with derivatives rate^k exp(rate t), flushed to 0 below the smallest normal double.
+
+    A value whose magnitude is below ``np.finfo(float).tiny`` is returned
+    as exact 0: it moves by less than 2.3e-308, and no subnormal operand
+    reaches a product (x86 takes a microcode assist on each one, which
+    made the norm pass's GEMMs twice as slow on layer fields).  Every
+    caller of the profile sees the flushed values.
+    """
 
     def f(t, order):
-        return rate**order * np.exp(rate * np.asarray(t, dtype=float))
+        v = rate**order * np.exp(rate * np.asarray(t, dtype=float))
+        return np.where(np.abs(v) < _TINY, 0.0, v)
 
     return f
 

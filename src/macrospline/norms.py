@@ -7,24 +7,26 @@ only on its inputs.  One kernel, ``_per_cell``, serves ``seminorm``,
 ``_seminorms`` (every derivative order in one pass), ``linf_sampled``
 and ``compute_norm_report``.  It lays the points of a set of elements
 out as one matrix on the open grid of their distinct rows and columns,
-rows (jy, b) along y and columns (ix, a) along x, and walks it in
-blocks of whole element rows small enough to stay in the L2 cache,
-into buffers made once per call.  Consecutive derivative orders with
-the same x order ax form a group, and ``_seminorms`` sorts its orders by
-ax so that each ax is one group.  Per block and group, one GEMM
-contracts the cell coefficients along x with the derivative basis of
-``spline_core`` (sum factorisation), shared by every order of the group;
-per block and order, one batched GEMM then gives each element row's
-differences at once: the field's rank-one factors
-(``ScalarField.factors``) and the interpolant's y basis, scaled and
+rows (jy, b) along y and columns (a, ix) along x, node-major, and walks
+it in blocks of whole element rows small enough to stay in the L2
+cache, into buffers made once per call.  Consecutive derivative orders
+with the same x order ax form a group, and ``_seminorms`` sorts its
+orders by ax so that each ax is one group.  Per block and group, one
+batched GEMM contracts the cell coefficients along x with the
+derivative basis of ``spline_core`` (sum factorisation), shared by every
+order of the group, as are the field's x factors, evaluated once per
+group; per block and order, one batched GEMM then gives each element
+row's differences at once: the field's rank-one y factors
+(``ScalarField.factor``) and the interpolant's y basis, scaled and
 negated, are the columns of its left factor, and the x factors of the
 field and the x contraction the rows of its right one, for any number
 of terms.  A field without terms is called once per block on the
 block's points and added.  Each cell is then reduced in place to its
-weighted sum of squares or of signed values (``_weighted_sum``, also
-the reducer of ``oracles.bound_consistency``) or to its largest
-absolute value.  Where the pointwise product of a field's factors is
--0.0, the block may hold +0.0; no result sees that sign, as every
+weighted sum of squares or of signed values (``_weighted_sum``, one
+GEMV per block over the (b, a) products, also the reducer of
+``oracles.bound_consistency``) or to its largest absolute value.
+Where the pointwise product of a field's factors is -0.0, the block
+may hold +0.0; no result sees that sign, as every
 reducer squares the differences or takes their absolute value, except
 the signed sum, whose one caller takes the absolute value of each cell.
 Broken second-order seminorms never integrate across element
@@ -142,31 +144,33 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
     (three for ``ORDERS`` sorted by ax).
     The points are ``loc`` x ``loc`` in every cell of the region's open
     grid, laid out as one matrix: row (jy, b) at y = Y[jy, b], column
-    (ix, a) at x = X[ix, a].  The grid is walked in blocks of whole
-    element rows, into buffers made once per call that each hold at
-    most about ``_BLOCK_VALUES`` values.  Per block and group, the
-    coefficients are copied once in (l, j, ix, k) order, scaled by
-    (2/wx)^ax, and one 2-D GEMM contracts x: ``R = C @ (D^ax P).T``, where
+    (a, ix) at x = X[ix, a], so that each node a's columns are
+    contiguous.  The grid is walked in blocks of whole element rows, into
+    buffers made once per call that each hold at most about
+    ``_BLOCK_VALUES`` values.  Per block and group, the coefficients are
+    copied once in (l, j, k, ix) order, scaled by (2/wx)^ax, and one
+    batched GEMM contracts x: ``R[l, j] = D^ax P @ C[l, j]``, where
     ``D^a P`` holds the a-th derivatives of the local monomials at
-    ``loc``; the copies of the x factors Fx, which depend on ax alone,
+    ``loc``; the copies of the field's x factors Fx (``field.factor``,
+    evaluated once per group on all columns, as they depend on ax alone)
     are laid out next to R.  Per order, one batched GEMM over the block's
     element rows then gives each row j's differences,
-    ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ; R_j]``, with the field's rank-one
-    factors ``field.factors`` (made once per alpha, on all rows and
-    columns, before the group's blocks) in the first ``terms`` columns and
-    rows.  A field without terms is called once per block, on its rows
-    against all columns, and added; None measures the interpolant.  A
-    cell's values depend on the block size and the region only at
-    roundoff, as a BLAS kernel may order a product's sums by its shape.
-    ``reduce(D, wx, wy)`` takes the block's differences as an (rows, p,
-    columns, p) array, which it may overwrite, and the widths of its
-    columns and rows, and returns (rows, columns) cell values.
+    ``[Fy_j | -(2/wy_j)^ay D^ay Q] @ [Fx ; R_j]``, with the field's y
+    factors Fy (made once per alpha, on all rows, before the group's
+    blocks) in the first ``terms`` columns and rows.  A field without
+    terms is called once per block, on its rows against all columns, and
+    added; None measures the interpolant.  A cell's values depend on the
+    block size and the region only at roundoff, as a BLAS kernel may
+    order a product's sums by its shape.  ``reduce(D, wx, wy)`` takes the
+    block's differences as an (rows, p_b, p_a, columns) array, which it
+    may overwrite, and the widths of its columns and rows, and returns
+    (rows, columns) cell values.
     """
     ux, uy, cells = _open_grid(interp, region)
     gx, gy = interp.grid_x, interp.grid_y
     wx, wy = gx[ux + 1] - gx[ux], gy[uy + 1] - gy[uy]
-    x = ((0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * wx)[:, None] * loc[None, :]).ravel()
-    y = ((0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]).ravel()
+    x = ((0.5 * (gx[ux] + gx[ux + 1]))[None, :] + (0.5 * wx)[None, :] * loc[:, None]).ravel()  # columns (a, ix)
+    y = ((0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * wy)[:, None] * loc[None, :]).ravel()  # rows (jy, b)
     coef = interp.coef if region is None else interp.coef[np.ix_(uy, ux)]
     (nuy, nux, kx, ky), p = coef.shape, len(loc)
     terms = 0 if field is None or field.terms is None else len(field.terms)
@@ -177,20 +181,20 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
     A = np.empty((max(len(ays) for _, ays in groups), nuy, p, K))  # per order of a group, [Fy_j | -(2/wy_j)^ay D^ay Q] for every row j
     values = [np.empty((nuy, nux)) for _ in A]
     for ax, ays in groups:
-        PT, sx = _derivative_basis(loc, kx, ax).T.copy(), np.repeat((2.0 / wx) ** ax, kx)  # BLAS takes a contiguous PT 4x faster
+        P, sx = _derivative_basis(loc, kx, ax), (2.0 / wx) ** ax
+        Fx = field.factor(0, x, ax) if terms else None  # the same for every order of the group
         for i, ay in enumerate(ays):
             np.multiply(_derivative_basis(loc, ky, ay), -((2.0 / wy) ** ay)[:, None, None], out=A[i, :, :, terms:])
             if terms:
-                Fx, Fy = field.factors(x, y, ax, ay)  # Fx is the same for every order of the group
-                A[i, :, :, :terms] = Fy.T.reshape(nuy, p, terms)
+                A[i, :, :, :terms] = field.factor(1, y, ay).T.reshape(nuy, p, terms)
         filled = 0
         for j0 in range(0, nuy, rows):
             n = min(rows, nuy - j0)
-            c, g = W[: ky * n * nux * kx].reshape(ky, n, nux * kx), G[: K * n * N].reshape(K, n, N)
-            np.copyto(c, coef[j0 : j0 + n].reshape(n, nux * kx, ky).transpose(2, 0, 1))
+            c, g = W[: ky * n * kx * nux].reshape(ky, n, kx, nux), G[: K * n * N].reshape(K, n, N)
+            np.copyto(c, coef[j0 : j0 + n].transpose(3, 0, 2, 1))
             if ax:
                 c *= sx  # in place: 3x faster than scaling in the transposing copy
-            np.matmul(c.reshape(-1, kx), PT, out=g[terms:].reshape(-1, p))
+            np.matmul(P, c, out=g[terms:].reshape(ky, n, p, nux))
             if terms and filled != n:  # the layout of Fx's copies depends on n
                 g[:terms] = Fx[:, None, :]
                 filled = n
@@ -199,22 +203,24 @@ def _per_cell(field, interp, region, loc, alphas, reduce):
                 np.matmul(A[i, j0 : j0 + n], b, out=d.reshape(n, p, N))
                 if field is not None and not terms:
                     d += field(x[None, :], y[j0 * p : (j0 + n) * p, None], ax, ay)
-                values[i][j0 : j0 + n] = reduce(d.reshape(n, p, nux, p), wx, wy[j0 : j0 + n])
+                values[i][j0 : j0 + n] = reduce(d.reshape(n, p, p, nux), wx, wy[j0 : j0 + n])
         for v in values[: len(ays)]:
             yield v.ravel() if cells is None else v[cells]
 
 
 def _weighted_sum(w, square=False):
-    """A ``_per_cell`` reducer: each cell's (wx wy / 4) sum_b w_b sum_a w_a D[b, a] (D[b, a]^2, squared in place, with ``square``), both sums in index order."""
+    """A ``_per_cell`` reducer: each cell's (wx wy / 4) sum_(b, a) w_b w_a D[b, a] (D[b, a]^2, squared in place, with ``square``).
+
+    The sum over the (b, a) products is one batched GEMV of the block,
+    viewed as (rows, p * p, columns), against the weights w_b w_a.
+    """
+    ww = np.outer(w, w).ravel()
 
     def reduce(d, wx, wy):
-        n, p, nux = d.shape[:3]
+        n, p, _, nux = d.shape
         if square:
             np.multiply(d, d, out=d)
-        inner = np.matmul(d.reshape(n, p * nux, p), w).reshape(n, p, nux)
-        cell = inner[:, 0] * w[0]
-        for b in range(1, p):
-            cell += inner[:, b] * w[b]
+        cell = np.matmul(ww, d.reshape(n, p * p, nux))
         cell *= 0.25 * wy[:, None] * wx[None, :]
         return cell
 
@@ -281,7 +287,24 @@ def _edge_slots(interp, edges, rows, interior):
     return h, ix, iy
 
 
-def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None):
+def _trace_basis(interp, horizontal, nodes, alpha):
+    """``(expand, tangent, across, along)`` of ``_line_traces``, which depend on the orientation, ``nodes`` and ``alpha`` alone.
+
+    ``expand`` holds, per cell end (-1, then +1 across the lines), the
+    (kx * ky, k) matrix with the basis row across at that end on the
+    diagonal of the k coefficients along; ``tangent`` is the basis along
+    the lines at ``nodes``, and ``across`` and ``along`` are (2/w)^alpha
+    of every cell across and along.  A caller that reads the lines in
+    blocks builds them once.
+    """
+    kx, ky = interp.coef.shape[2:]
+    along, across, k, m = (interp.grid_x, interp.grid_y, kx, ky) if horizontal else (interp.grid_y, interp.grid_x, ky, kx)
+    normal = _derivative_basis(np.array([-1.0, 1.0]), m, alpha[1])
+    expand = [np.einsum("l,km->klm" if horizontal else "k,lm->klm", normal[end], np.eye(k)).reshape(kx * ky, k) for end in (0, 1)]
+    return expand, _derivative_basis(nodes, k, alpha[0]).T, (2.0 / np.diff(across)) ** alpha[1], (2.0 / np.diff(along)) ** alpha[0]
+
+
+def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None, basis=None):
     """``(lo, hi)``: D^alpha of ``interp`` at ``nodes`` along the element edges of grid lines ``start`` to ``stop`` of one orientation.
 
     Both are (lines, cells, p), all the lines by default: ``lo`` reads the
@@ -291,24 +314,22 @@ def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None):
     lines, one GEMM contracts the coefficients of the cells the lines read
     with the derivative basis across at that end; the basis along the
     lines at ``nodes`` follows, and then the scale (2/w)^alpha of each
-    cell.  A line's normal derivative, alpha (0, 1), keeps its bits
+    cell.  ``basis`` is ``_trace_basis`` of the same arguments, built here
+    when None.  A line's normal derivative, alpha (0, 1), keeps its bits
     whichever other lines are read with it (see the README on kernels).
     """
     gx, gy, coef = interp.grid_x, interp.grid_y, interp.coef
     ny, nx, kx, ky = coef.shape
-    along, across, k, m = (gx, gy, kx, ky) if horizontal else (gy, gx, ky, kx)  # k coefficients along, m across
+    along, across, k = (gx, gy, kx) if horizontal else (gy, gx, ky)  # k coefficients along
     n, stop = len(across) - 1, len(across) if stop is None else stop  # n cells across the lines
-    normal = _derivative_basis(np.array([-1.0, 1.0]), m, alpha[1])
-    tangent = _derivative_basis(nodes, k, alpha[0]).T
+    expand, tangent, across_scale, along_scale = _trace_basis(interp, horizontal, nodes, alpha) if basis is None else basis
     lo, hi = np.empty((2, stop - start, len(along) - 1, len(nodes)))
     a, b = max(start - 1, 0), min(stop, n)  # the cells across that the lines read
     cells = (coef[a:b] if horizontal else coef[:, a:b]).reshape(-1, kx * ky)  # for vertical lines, a copy unless they read every cell
-    scale = ((2.0 / np.diff(across[a : b + 1])) ** alpha[1])[:, None, None] * ((2.0 / np.diff(along)) ** alpha[0])[None, :, None]
+    scale = across_scale[a:b, None, None] * along_scale[None, :, None]
     for end, out, shift in ((1, lo, 1), (0, hi, 0)):  # line j is the +1 end of cell j - 1 and the -1 end of cell j
-        # (kx * ky, k): the basis row across at this end, on the diagonal of the coefficients along
-        expand = np.einsum("l,km->klm" if horizontal else "k,lm->klm", normal[end], np.eye(k)).reshape(kx * ky, k)
         ends = np.empty((b - a, nx, k) if horizontal else (ny, b - a, k))  # [jy, ix, coefficient along]
-        np.matmul(cells, expand, out=ends.reshape(-1, k))
+        np.matmul(cells, expand[end], out=ends.reshape(-1, k))
         c0, c1 = max(start - shift, 0), min(stop - shift, n)  # the cells this end reads
         rows = out[c0 + shift - start : c1 + shift - start]
         np.matmul(ends[c0 - a : c1 - a] if horizontal else ends[:, c0 - a : c1 - a].transpose(1, 0, 2), tangent, out=rows)
@@ -354,8 +375,9 @@ def _line_jumps(interp, horizontal, rule, out):
     """Into ``out[j - 1]``, per interior line j and cell of one orientation, the squared L2 norm of the normal-derivative jump on that edge, read from ``_line_traces`` in blocks of lines."""
     lines = max(1, _BLOCK_VALUES // max(1, out.shape[1] * max(math.prod(interp.coef.shape[2:]), len(rule.nodes))))  # sized on a block's largest array: for vertical lines, the copy of its cells' coefficients
     half = 0.5 * np.diff(interp.grid_x if horizontal else interp.grid_y)
+    basis = _trace_basis(interp, horizontal, rule.nodes, (0, 1))
     for j in range(1, len(out) + 1, lines):
-        jump, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1), j, min(j + lines, len(out) + 1))
+        jump, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1), j, min(j + lines, len(out) + 1), basis)
         jump -= hi
         jump *= jump
         out[j - 1 : j - 1 + len(jump)] = half * (jump @ rule.weights)
@@ -413,7 +435,7 @@ def linf_sampled(field, interp, region=None, samples_per_element: int = 5) -> fl
         raise ValueError(f"samples_per_element must be an integer of at least 1, not {samples_per_element!r}")
 
     def largest(d, wx, wy):
-        return np.abs(d, out=d).max(axis=(1, 3))
+        return np.abs(d, out=d).max(axis=(1, 2))
 
     (cells,) = _per_cell(field, interp, region, np.linspace(-1.0, 1.0, samples_per_element), ((0, 0),), largest)
     return float(cells.max()) if cells.size else 0.0

@@ -1,4 +1,4 @@
-"""Per-element references of the norm pass, and the roundoff bound that holds the pass to them.
+"""Per-element references of the norm pass, the roundoff bound that holds the pass to them, and an exp factor without the flush.
 
 A reference makes each element's differences D^alpha (field - poly) on
 its own, from its own coefficients, and sums its cells with
@@ -109,3 +109,12 @@ def linf_per_element(field, poly, region, samples, absolute=False):
     if not elements:
         return 0.0
     return float(np.max(np.abs(difference_per_element(field, poly, (0, 0), elements, np.linspace(-1.0, 1.0, samples), absolute))))
+
+
+def unflushed_exp_profile(rate):
+    """``fields.exp_profile`` without its flush: t -> rate^k exp(rate t), subnormal values included."""
+
+    def f(t, order):
+        return rate**order * np.exp(rate * np.asarray(t, dtype=float))
+
+    return f

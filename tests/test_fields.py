@@ -22,6 +22,8 @@ from macrospline.interpolation import PiecewisePoly2D
 from macrospline.norms import ORDERS, _per_cell
 from macrospline.quadrature import gauss_rule
 
+from _reference import unflushed_exp_profile
+
 # 4th-order central difference weights for first/second derivative
 _D1 = ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12])
 _D2 = ([-2, -1, 0, 1, 2], [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12])
@@ -152,6 +154,26 @@ def test_edge_layer_small_at_transition_line():
     xs = np.linspace(0, 1, 33)
     gmax = 1.25  # max of 1 + t(1-t)
     assert np.max(np.abs(e1(xs, lam))) <= N ** (-3.0) * gmax * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("c_star", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_layer_factors_are_never_subnormal(eps, c_star):
+    # exp(-rate t) is a subnormal double for rate t between about 708 and 745,
+    # and x86 takes a microcode assist on each subnormal operand of a product.
+    # The decays flush such values to exact 0 and keep the bits of every other.
+    tiny = np.finfo(float).tiny
+    layers = make_layer_decomposition(eps, c_star=c_star).edge_layers
+    decay0, decay1 = layers[1].terms[0][1], layers[3].terms[0][1]  # E2 = decay0(x) g(y), E4 = decay1(x) g(y)
+    rate = c_star / math.sqrt(eps)
+    band = np.linspace(700.0, 750.0, 5001) / rate  # rate t across the subnormal band and past it
+    t0, t1 = np.r_[np.linspace(0.0, 1.0, 10001), band], np.r_[np.linspace(0.0, 1.0, 10001), 1.0 - band]  # decay1 meets the band at 1 - t
+    raw = unflushed_exp_profile(-rate)
+    assert np.any((raw(band, 0) != 0.0) & (np.abs(raw(band, 0)) < tiny))
+    for order in range(5):
+        for values, unflushed in ((decay0(t0, order), raw(t0, order)), (decay1(t1, order), (-1.0) ** order * raw(1.0 - t1, order))):
+            assert np.all((values == 0.0) | (np.abs(values) >= tiny))
+            assert np.array_equal(values, np.where(np.abs(unflushed) < tiny, 0.0, unflushed))
 
 
 def test_smooth_variants():
@@ -320,8 +342,8 @@ def test_grid_without_terms_is_the_broadcast_call():
         for ax, ay in ORDERS:
             assert field.factors(X.ravel(), Y.ravel(), ax, ay) is None
             blocks = []
-            next(_per_cell(field, zero, None, loc, ((ax, ay),), lambda d, wx, wy: blocks.append(d.copy()) or np.zeros(d.shape[::2])))
-            grid = np.concatenate(blocks).transpose(0, 2, 3, 1)
+            next(_per_cell(field, zero, None, loc, ((ax, ay),), lambda d, wx, wy: blocks.append(d.copy()) or np.zeros(d.shape[::3])))
+            grid = np.concatenate(blocks).transpose(0, 3, 2, 1)
             assert grid.shape == (3, 4, 3, 3)
             assert np.array_equal(grid, np.broadcast_to(field(X[None, :, :, None], Y[:, None, None, :], ax, ay), grid.shape))
     with pytest.raises(ValueError, match="derivative orders"):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from macrospline.fields import ScalarField, exp_profile, make_layer_decomposition, make_polynomial_field, make_smooth_field, separable_field, sin_profile
 from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, interp_full_macro, nodal_q2_mesh, random_c1q2
 from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
-from macrospline import mesh as mesh_module, norms, quadrature
+from macrospline import fields as fields_module, mesh as mesh_module, norms, quadrature
 from macrospline.norms import (
     ORDERS,
     NormReport,
+    _error_norms,
     _pairwise_sum,
     _per_cell,
     _seminorms,
@@ -29,7 +30,7 @@ from macrospline.norms import (
 from macrospline.quadrature import integrate, integrate2d
 from macrospline.spline_core import HermiteData1D, hermite_interpolate_1d
 
-from _reference import assert_within_roundoff, difference_per_element, linf_per_element, seminorm_per_alpha
+from _reference import assert_within_roundoff, difference_per_element, linf_per_element, seminorm_per_alpha, unflushed_exp_profile
 
 
 def _unit_mesh_poly(n=2):
@@ -464,9 +465,9 @@ def test_jump_sums_do_not_depend_on_the_block_of_lines(monkeypatch):
     # swapped orientation or a transposed slot view does not fit its slots
     heights = []
 
-    def spy(interp, horizontal, nodes, alpha, start=0, stop=None):
+    def spy(interp, horizontal, nodes, alpha, start=0, stop=None, basis=None):
         heights.append((horizontal, None if stop is None else stop - start))
-        return line_traces(interp, horizontal, nodes, alpha, start, stop)
+        return line_traces(interp, horizontal, nodes, alpha, start, stop, basis)
 
     line_traces = norms._line_traces
     monkeypatch.setattr(norms, "_line_traces", spy)
@@ -869,7 +870,7 @@ def test_norm_pass_evaluates_each_factor_of_a_separable_field_once_per_order(mon
         points.clear()
     assert _seminorms(field, poly, ORDERS, None, gauss_rule(p)) == expected
     assert calls == []
-    assert factor_points == {"x": [nx * p] * len(ORDERS), "y": [ny * p] * len(ORDERS)}
+    assert factor_points == {"x": [nx * p] * 3, "y": [ny * p] * len(ORDERS)}
     linf_sampled(field, poly, [(4, 3), (1, 0), (4, 0)], 4)
     assert calls == []
     assert factor_points["x"][-1] == 2 * 4 and factor_points["y"][-1] == 2 * 4
@@ -949,6 +950,29 @@ def test_composite_is_measured_as_its_piecewise_polynomial():
         assert jump_norm_sum(star, edges[edges.edge_type == t], rule) == jump_norm_sum(plain, edges[edges.edge_type == t], rule)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_flushing_the_subnormal_layer_factors_changes_no_norm(monkeypatch, eps):
+    # The decays flush values below the smallest normal double to 0; the same
+    # decomposition with factors that keep them gives the same composite and
+    # the same norms, bit for bit, though the pass's points meet them.
+    mesh = build_shishkin(eps, 64)
+    sigma = select_sigma(mesh, "toward_corner")
+
+    def total():
+        return make_layer_decomposition(eps, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
+
+    flushed = total()
+    monkeypatch.setattr(fields_module, "exp_profile", unflushed_exp_profile)
+    unflushed = total()
+    loc, g = gauss_rule().nodes, mesh.grid_x
+    x = ((0.5 * (g[:-1] + g[1:]))[:, None] + (0.5 * np.diff(g))[:, None] * loc[None, :]).ravel()
+    Fx = unflushed.factor(0, x, 0)
+    assert np.any((Fx != 0.0) & (np.abs(Fx) < np.finfo(float).tiny))
+    star = build_composite(flushed, mesh, sigma)
+    assert np.array_equal(build_composite(unflushed, mesh, sigma).coef, star.coef)
+    assert _error_norms(unflushed, star) == _error_norms(flushed, star)
+
+
 def test_jump_sums_make_no_pointwise_evaluation(monkeypatch):
     mesh = build_shishkin(1e-6, 16)
     u = make_layer_decomposition(1e-6, smooth="bounded_third").total
@@ -968,8 +992,8 @@ def _differences(field, poly, loc, alpha, region=None):
     blocks = []
 
     def keep(d, wx, wy):
-        blocks.append(d.copy())
-        return np.zeros(d.shape[::2])
+        blocks.append(d.transpose(0, 1, 3, 2).copy())
+        return np.zeros(d.shape[::3])
 
     next(_per_cell(field, poly, region, loc, (alpha,), keep))
     return np.concatenate(blocks)
@@ -982,7 +1006,7 @@ def _cell_values(poly, loc, alpha, region=None):
 
 def test_orders_that_share_ax_share_each_blocks_x_contraction(monkeypatch):
     # The pass takes the orders of one ax together: per block, one x
-    # contraction C @ (D^ax P).T serves all of them, so ORDERS makes three
+    # contraction D^ax P @ C serves all of them, so ORDERS makes three
     # per block (ax = 0, 1, 2), not six.  Any order of the multi-indices,
     # and a repeated one, gives each the values of its own seminorm call.
     contractions, matmul = [], np.matmul
@@ -991,8 +1015,8 @@ def test_orders_that_share_ax_share_each_blocks_x_contraction(monkeypatch):
     poly = PiecewisePoly2D(_graded(rng, nx), _graded(rng, ny), rng.normal(size=(ny, nx, kx, 3)))
 
     def recorded(a, b, *args, **kwargs):
-        if np.shape(b) == (kx, len(loc)):  # the x basis; every other right factor of the pass is 1-D or 3-D
-            contractions.append(next(ax for ax in range(3) if np.array_equal(b, norms._derivative_basis(loc, kx, ax).T)))
+        if np.shape(a) == (len(loc), kx):  # the x basis D^ax P; every other left factor of the pass is 1-D or 3-D
+            contractions.append(next(ax for ax in range(3) if np.array_equal(a, norms._derivative_basis(loc, kx, ax))))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
