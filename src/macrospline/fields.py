@@ -111,6 +111,7 @@ class ScalarField:
         F = np.empty((len(terms), t.size))
         for k, term in enumerate(terms):
             np.multiply(term[0] if axis == 0 else 1.0, values[term[1 + axis]], out=F[k])
+        F[np.abs(F) < _TINY] = 0.0  # flushed as exp_profile is: a |c| < 1 takes values just above tiny below it
         return F
 
     def __add__(self, other: "ScalarField") -> "ScalarField":

@@ -12,11 +12,12 @@ cells at once: ``_gather`` takes the field's values for each derivative
 order on the tensor grid of nodes, one open-grid evaluation through
 ``fields._LineGrids``, and returns G for every cell, and the fixed
 matrices act on the stacked array, one direction at a time, which
-reproduces the per-macro coefficients bit for bit.  Quasi-interpolation
-replaces the mixed entries of G by weighted edge averages of u_xy; the
-Shishkin composite glues quasi, anisotropic and nodal interpolation,
-with interface slopes taken from the interior so the normal derivative
-is continuous across long edges.
+reproduces the per-macro coefficients bit for bit under the default,
+Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff only
+under Nehalem.  Quasi-interpolation replaces the mixed entries of G by
+weighted edge averages of u_xy; the Shishkin composite glues quasi,
+anisotropic and nodal interpolation, with interface slopes taken from
+the interior so the normal derivative is continuous across long edges.
 The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
 ``evaluate``, the norm pass and jump sums all read the cells one way: as
 weights of ``spline_core._derivative_basis``, the local monomials' derivatives.
@@ -30,7 +31,7 @@ import warnings
 import numpy as np
 
 from .fields import ScalarField, _LineGrids
-from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bisect, _check_on_edge, _edge_row, _node_tol, _sigma_runs
+from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bands, _bisect, _check_on_edge, _edge_row, _node_tol, _sigma_runs
 from .quadrature import gauss_rule
 from .spline_core import (
     DualWeight,
@@ -560,10 +561,9 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     averages of all four corner regions, so an edge that misses its node
     raises ValueError naming the first such node, y outer, of that grid.
     """
-    N, n4 = mesh.N, mesh.N // 4
     gx, gy, runs_x, runs_y = _sigma_runs(mesh)  # the grids, and the macro lines of the low and the high fine band
-    core, inner = slice(n4, 3 * n4 + 1), slice(n4, 3 * n4)  # core node lines, core elements
-    bands = (slice(0, n4), slice(3 * n4, N))  # elements of the low and the high fine band
+    low, inner, high = _bands(mesh.N)  # elements of the low fine band, the core and the high fine band
+    core = slice(inner.start, inner.stop + 1)  # core node lines
     u = _LineGrids(field)
     core_x, core_y = _bisect(gx[core]), _bisect(gy[core])
     band_x, band_y = [gx[run] for run in runs_x], [gy[run] for run in runs_y]
@@ -571,7 +571,7 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # made first so that its temporaries are gone before the coefficient grid is.
     A = [np.split(rows, 2, axis=1) for rows in np.split(_node_averages(u, mesh, sigma), 2)]
 
-    coef = np.zeros((N, N, 3, 3))
+    coef = np.zeros((mesh.N, mesh.N, 3, 3))
     V = _gather(u, core_x, core_y, _LAGRANGE, _LAGRANGE)
     coef[inner, inner] = _LG3.T @ V @ _LG3
     # Normal slopes of the interior nodal interpolant on its low and high
@@ -585,7 +585,7 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # the y-strips of the transposed field, written through a transposed view.
     strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
     for f, along, across, slopes, out in strips:
-        for lines, elements, j, c, s in zip(across, bands, (-1, 0), (3, 1), slopes):
+        for lines, elements, j, c, s in zip(across, (low, high), (-1, 0), (3, 1), slopes):
             G = _gather(f, along, lines, _LAGRANGE, _HERMITE)
             G[j, :, :, c] = _half_widths(lines)[j] * s
             out[elements, inner] = _aniso_coef(G)
@@ -593,8 +593,8 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     # Corner regions: one quasi gather per band with its block of averages.
     # In the one cell touching the core, the slopes at the junction node
     # follow the interior so its traces agree with the adjacent strips.
-    for a, xe in enumerate(bands):
-        for b, ye in enumerate(bands):
+    for a, xe in enumerate((low, high)):
+        for b, ye in enumerate((low, high)):
             G = _with_averages(_gather(u, band_x[a], band_y[b], _HERMITE, _HERMITE), A[b][a], band_x[a], band_y[b])
             i, j = a - 1, b - 1  # the junction is the far end of the last cell of a low band
             G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]

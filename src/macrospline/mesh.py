@@ -2,13 +2,13 @@
 
 A macro mesh is refined into an element mesh by bisecting every macro
 interval at its midpoint.  The Shishkin generator builds the
-layer-adapted piecewise-uniform mesh on the unit square, labels every
-element with its subdomain, and types its element edges (I-IV, boundary)
-by one-byte codes into ``EDGE_TYPES`` on a grid of slots [ix, iy,
-horizontal], as the jump sums read them, or by name in an ``EdgeSet`` of
-columns, one row per edge.  ``select_sigma`` picks the averaging edges
-of the quasi-interpolation operator, one row of columns per node of a
-tensor node set (orientation, span, level, which end holds the node).
+layer-adapted piecewise-uniform mesh on the unit square, and the
+classification types its element edges (I-IV, boundary) by one-byte
+codes into ``EDGE_TYPES`` on a grid of slots [ix, iy, horizontal], as
+the jump sums read them, or by name in an ``EdgeSet`` of columns, one
+row per edge.  ``select_sigma`` picks the averaging edges of the
+quasi-interpolation operator, one row of columns per node of a tensor
+node set (orientation, span, level, which end holds the node).
 """
 
 from __future__ import annotations
@@ -104,9 +104,33 @@ def build_macro_mesh(grid_x, grid_y) -> MacroMesh:
 # ---------------------------------------------------------------------------
 
 
+def _bands(N: int) -> tuple:
+    """Element-index slices (low fine, coarse, high fine) of an axis of the Shishkin mesh: N/4, N/2 and N/4 cells."""
+    return slice(0, N // 4), slice(N // 4, 3 * N // 4), slice(3 * N // 4, N)
+
+
+def _by_bands(N: int, table: np.ndarray) -> np.ndarray:
+    """``table[band of i, band of j]`` at [i, j] for element indices i, j < N, the bands 0, 1, 2 of ``_bands``."""
+    band = np.repeat([0, 1, 2], [s.stop - s.start for s in _bands(N)])
+    return table[band[:, None], band[None, :]]
+
+
+# Subdomain of an element by the bands of its x and y index [x band, y band] (fine0, coarse, fine1).
+_REGIONS = np.array(
+    [
+        ["omega12", "omega2", "omega23"],
+        ["omega1", "omega0", "omega3"],
+        ["omega41", "omega4", "omega34"],
+    ],
+    dtype="<U8",
+)
+# Edge class of an element by [x band, y band] (_interior_types): 0 omega0, 1 bottom/top strip, 2 left/right strip, 3 corner.
+_CLASSES = np.array([[3, 2, 3], [1, 0, 1], [3, 2, 3]], dtype=np.uint8)
+
+
 @record
 class ShishkinMesh:
-    """ShishkinMesh(epsilon: float, N: int, lambda0: float, c_star: float, lam: float, grid_x: np.ndarray, grid_y: np.ndarray, region: np.ndarray)"""
+    """The mesh of ``build_shishkin``: per axis N/4 fine, N/2 coarse and N/4 fine cells (``_bands``); ``region`` derives the subdomain names."""
 
     epsilon: float
     N: int
@@ -115,7 +139,6 @@ class ShishkinMesh:
     lam: float
     grid_x: np.ndarray
     grid_y: np.ndarray
-    region: np.ndarray  # [jy, ix] subdomain name per element
 
     @property
     def fine_step(self) -> float:
@@ -125,23 +148,14 @@ class ShishkinMesh:
     def coarse_step(self) -> float:
         return 2.0 * (1.0 - 2.0 * self.lam) / self.N
 
+    @property
+    def region(self) -> np.ndarray:
+        """The subdomain name (``<U8``) of each element [jy, ix], made on each call."""
+        return _by_bands(self.N, _REGIONS.T)
+
     def band(self, index: int) -> str:
-        if index < self.N // 4:
-            return "fine0"
-        if index < 3 * self.N // 4:
-            return "coarse"
-        return "fine1"
-
-
-# Subdomain of an element by the bands of its x and y index (fine0, coarse, fine1).
-_REGIONS = np.array(
-    [
-        ["omega12", "omega2", "omega23"],
-        ["omega1", "omega0", "omega3"],
-        ["omega41", "omega4", "omega34"],
-    ],
-    dtype="<U8",
-)
+        low, coarse, _ = _bands(self.N)
+        return "fine0" if index < low.stop else "coarse" if index < coarse.stop else "fine1"
 
 
 def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tuple:
@@ -162,7 +176,7 @@ def _shishkin_steps(epsilon: float, N: int, lambda0: float, c_star: float) -> tu
     h = math.ldexp(math.floor(math.ldexp(4.0 * lam / N, 52)), -52)
     if h == 0.0:
         raise ValueError("epsilon is too small for a fine step of at least 2^-52")
-    return (N // 4) * h, h
+    return _bands(N)[0].stop * h, h
 
 
 def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float = 1.0) -> ShishkinMesh:
@@ -175,13 +189,10 @@ def build_shishkin(epsilon: float, N: int, lambda0: float = 3.0, c_star: float =
     lam, h = _shishkin_steps(epsilon, N, lambda0, c_star)
     if math.sqrt(epsilon) > 1.0 / N:
         warnings.warn("sqrt(epsilon) exceeds 1/N; the layers are not mesh-resolved", stacklevel=2)
-    n4, n2 = N // 4, N // 2
-    fine = h * np.arange(n4 + 1)
-    grid = np.concatenate([fine, np.linspace(lam, 1.0 - lam, n2 + 1)[1:], (1.0 - lam + fine)[1:]])
-
-    band = np.repeat([0, 1, 2], [n4, n2, n4])  # ShishkinMesh.band per element index: fine0, coarse, fine1
-    region = _REGIONS[band[None, :], band[:, None]]
-    return ShishkinMesh(epsilon, N, lambda0, c_star, lam, grid, grid.copy(), region)
+    low, coarse, _ = _bands(N)
+    fine = h * np.arange(low.stop + 1)
+    grid = np.concatenate([fine, np.linspace(lam, 1.0 - lam, coarse.stop - coarse.start + 1)[1:], (1.0 - lam + fine)[1:]])
+    return ShishkinMesh(epsilon, N, lambda0, c_star, lam, grid, grid.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +244,9 @@ def _interior_types(lo: np.ndarray, hi: np.ndarray, horizontal: bool) -> np.ndar
 def _slot_types(mesh: ShishkinMesh) -> np.ndarray:
     """``uint8`` codes into ``EDGE_TYPES`` on the slots ``[ix, iy, horizontal]`` of ``norms._jump_sums``, 0 where no edge is.
 
-    Each element is classed once from its subdomain, whatever its name: 0 omega0,
-    1 omega1/omega3 (bottom/top strips), 2 omega2/omega4 (left/right), 3 any other.
+    Each element is classed once from the bands of its x and y index (``_CLASSES``).
     """
-    classes = np.select([np.isin(mesh.region, names) for names in (("omega0",), ("omega1", "omega3"), ("omega2", "omega4"))], (0, 1, 2), 3).T  # [ix, jy]
+    classes = _by_bands(mesh.N, _CLASSES)  # [ix, jy]
     types = np.zeros((len(mesh.grid_x), len(mesh.grid_y), 2), dtype=np.uint8)
     types[[0, -1], :-1, 0] = types[:-1, [0, -1], 1] = _CODES["boundary"]
     types[1:-1, :-1, 0] = _interior_types(classes[:-1], classes[1:], False)
@@ -341,7 +351,7 @@ def _sigma_runs(mesh) -> tuple:
     of the fine bands, and each band is a run of its own.
     """
     if isinstance(mesh, ShishkinMesh):
-        runs = (np.arange(0, mesh.N // 4 + 1, 2), np.arange(3 * mesh.N // 4, mesh.N + 1, 2))
+        runs = tuple(np.arange(band.start, band.stop + 1, 2) for band in _bands(mesh.N)[::2])  # the low and the high fine band
         return mesh.grid_x, mesh.grid_y, runs, runs
     xs, ys = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     return xs, ys, (np.arange(len(xs)),), (np.arange(len(ys)),)

@@ -53,7 +53,7 @@ import numbers
 import numpy as np
 
 from ._record import default_factory, record
-from .mesh import EDGE_TYPES, EdgeSet
+from .mesh import _REGIONS, EDGE_TYPES, EdgeSet, _bands
 from .quadrature import QuadratureRule, gauss_rule
 from .spline_core import _derivative_basis
 
@@ -476,7 +476,7 @@ class NormReport:
 
 
 def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | None = None, samples_per_element: int = 4) -> NormReport:
-    """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain.
+    """L2, H1-semi, broken-H2-semi and sampled sup norms per subdomain, in name order.
 
     ``interp`` must lie on the grids of ``mesh``, or ``ValueError`` is raised.
     """
@@ -484,22 +484,11 @@ def compute_norm_report(field, interp, mesh, edges=None, rule: QuadratureRule | 
         raise ValueError(f"samples_per_element must be an integer of at least 1, not {samples_per_element!r}")
     if not (np.array_equal(interp.grid_x, mesh.grid_x) and np.array_equal(interp.grid_y, mesh.grid_y)):
         raise ValueError("the interpolant's grids are not the mesh's grids")
-    regional = {}
-    for region in np.unique(mesh.region):
-        jy, ix = np.nonzero(mesh.region == region)
-        elements = np.column_stack((ix, jy))
-        l2, h1, h2 = _error_norms(field, interp, rule, elements)
-        regional[region] = {
-            "L2": l2,
-            "H1_semi": h1,
-            "broken_H2_semi": h2,
-            "Linf_sampled": linf_sampled(field, interp, elements, samples_per_element),
-        }
-    global_values = {
-        "L2": float(np.sqrt(_pairwise_sum(v["L2"] ** 2 for v in regional.values()))),
-        "H1_semi": float(np.sqrt(_pairwise_sum(v["H1_semi"] ** 2 for v in regional.values()))),
-        "broken_H2_semi": float(np.sqrt(_pairwise_sum(v["broken_H2_semi"] ** 2 for v in regional.values()))),
-        "Linf_sampled": float(np.max([v["Linf_sampled"] for v in regional.values()])),  # np.max keeps a NaN, max() may drop it
-    }
+    regional, bands, quantities = {}, _bands(mesh.N), ("L2", "H1_semi", "broken_H2_semi")
+    for region, (bx, by) in sorted(zip(_REGIONS.ravel().tolist(), np.ndindex(_REGIONS.shape))):
+        elements = np.mgrid[bands[by], bands[bx]].reshape(2, -1)[::-1].T  # (ix, jy) on the block of its x and y band, jy outer
+        regional[region] = dict(zip(quantities, _error_norms(field, interp, rule, elements)), Linf_sampled=linf_sampled(field, interp, elements, samples_per_element))
+    global_values = {q: float(np.sqrt(_pairwise_sum(v[q] ** 2 for v in regional.values()))) for q in quantities}
+    global_values["Linf_sampled"] = float(np.max([v["Linf_sampled"] for v in regional.values()]))  # np.max keeps a NaN, max() may drop it
     jump_sums = {} if edges is None else dict(zip(JUMP_TYPES, _jump_sums(interp, _slot_counts(interp, edges, [edges.edge_type == t for t in JUMP_TYPES]), rule)))
     return NormReport(regional, global_values, jump_sums)

@@ -1,4 +1,4 @@
-"""Per-element references of the norm pass, the roundoff bound that holds the pass to them, and an exp factor without the flush.
+"""Per-element references of the norm pass, the roundoff bound that holds the pass to them, an exp factor without the flush, and Shishkin subdomain names made one element at a time.
 
 A reference makes each element's differences D^alpha (field - poly) on
 its own, from its own coefficients, and sums its cells with
@@ -118,3 +118,35 @@ def unflushed_exp_profile(rate):
         return rate**order * np.exp(rate * np.asarray(t, dtype=float))
 
     return f
+
+
+# The subdomain of a Shishkin-mesh element by the bands of its (x, y) indices.
+SUBDOMAINS = {
+    ("coarse", "coarse"): "omega0",
+    ("coarse", "fine0"): "omega1",
+    ("fine0", "coarse"): "omega2",
+    ("coarse", "fine1"): "omega3",
+    ("fine1", "coarse"): "omega4",
+    ("fine0", "fine0"): "omega12",
+    ("fine0", "fine1"): "omega23",
+    ("fine1", "fine1"): "omega34",
+    ("fine1", "fine0"): "omega41",
+}
+
+
+def shishkin_band(index, N):
+    """The band of element index ``index`` on an axis of N Shishkin cells: N/4 fine, N/2 coarse, N/4 fine."""
+    if index < N // 4:
+        return "fine0"
+    if index < 3 * N // 4:
+        return "coarse"
+    return "fine1"
+
+
+def shishkin_region_names(N):
+    """The subdomain name (``<U8``) of each element [jy, ix] of a Shishkin mesh of N cells per axis, one element at a time."""
+    names = np.empty((N, N), dtype="<U8")
+    for jy in range(N):
+        for ix in range(N):
+            names[jy, ix] = SUBDOMAINS[(shishkin_band(ix, N), shishkin_band(jy, N))]
+    return names

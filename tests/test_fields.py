@@ -174,6 +174,14 @@ def test_layer_factors_are_never_subnormal(eps, c_star):
         for values, unflushed in ((decay0(t0, order), raw(t0, order)), (decay1(t1, order), (-1.0) ** order * raw(1.0 - t1, order))):
             assert np.all((values == 0.0) | (np.abs(values) >= tiny))
             assert np.array_equal(values, np.where(np.abs(unflushed) < tiny, 0.0, unflushed))
+    # the norm pass's x factors are c times the decays: an edge amplitude below 1
+    # takes values just above tiny below it, and the scaled factors are flushed again
+    total = make_layer_decomposition(eps, c_star=c_star, edge_amplitude=0.05).total
+    x = np.r_[t0, t1]
+    x = x[(0.0 <= x) & (x <= 1.0)]  # the domain: the growing factors overflow far outside it
+    for order in range(5):
+        F = total.factor(0, x, order)
+        assert np.all((F == 0.0) | (np.abs(F) >= tiny))
 
 
 def test_smooth_variants():

@@ -5,8 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from macrospline.mesh import (
     EDGE_TYPES,
@@ -25,6 +23,8 @@ from macrospline.mesh import (
     select_sigma,
     verify_sigma_selection,
 )
+
+from _reference import shishkin_band, shishkin_region_names
 
 
 def test_grid_validation():
@@ -142,32 +142,20 @@ def test_shishkin_region_labels():
 @pytest.mark.parametrize("N", (8, 64))
 def test_region_matches_per_element_loop(N):
     mesh = build_shishkin(1e-6, N)
-    table = {
-        ("coarse", "coarse"): "omega0",
-        ("coarse", "fine0"): "omega1",
-        ("fine0", "coarse"): "omega2",
-        ("coarse", "fine1"): "omega3",
-        ("fine1", "coarse"): "omega4",
-        ("fine0", "fine0"): "omega12",
-        ("fine0", "fine1"): "omega23",
-        ("fine1", "fine1"): "omega34",
-        ("fine1", "fine0"): "omega41",
-    }
-    expected = np.empty((N, N), dtype="<U8")
-    for jy in range(N):
-        for ix in range(N):
-            expected[jy, ix] = table[(mesh.band(ix), mesh.band(jy))]
+    expected = shishkin_region_names(N)
     assert mesh.region.dtype == expected.dtype
     assert np.array_equal(mesh.region, expected)
+    assert [mesh.band(i) for i in range(N)] == [shishkin_band(i, N) for i in range(N)]
 
 
 def _brute_force_edge_counts(mesh):
     """Independent edge-type enumeration straight from the definition."""
     N = mesh.N
     counts = {"I": 0, "II": 0, "III": 0, "IV": 0, "boundary": 0}
+    region = shishkin_region_names(N)
 
     def elem_kind(ix, jy):
-        r = mesh.region[jy, ix]
+        r = region[jy, ix]
         if r == "omega0":
             return "coarse"
         if r in ("omega1", "omega3"):
@@ -242,7 +230,7 @@ def test_edge_examples():
 def _per_edge_classification(mesh):
     """The per-edge loop that classify_edges replaced: one (endpoints, orientation, normal, type) per edge."""
     N = mesh.N
-    gx, gy, region = mesh.grid_x, mesh.grid_y, mesh.region
+    gx, gy, region = mesh.grid_x, mesh.grid_y, shishkin_region_names(N)
 
     def interior_type(r1, r2, orientation):
         for r in (r1, r2):
@@ -287,7 +275,7 @@ def _per_edge_json(mesh, edges):
         "transition": mesh.lam,
         "grid_x": mesh.grid_x.tolist(),
         "grid_y": mesh.grid_y.tolist(),
-        "regions": mesh.region.tolist(),
+        "regions": shishkin_region_names(mesh.N).tolist(),
         "edges": [
             {"endpoints": [list(p[0]), list(p[1])], "orientation": o, "normal": list(n), "type": t}
             for p, o, n, t in edges
@@ -311,48 +299,17 @@ def test_classify_edges_matches_per_edge_loop(N, eps):
     assert np.array_equal(edges.horizontal, np.array([o == "horizontal" for _, o, _, _ in expected]))
     assert np.array_equal(edges.normal, np.array([n for _, _, n, _ in expected]))
     assert np.array_equal(edges.edge_type, np.array([t for _, _, _, t in expected]))
+    assert edges.edge_type.dtype == np.dtype("<U8")
+    # each edge's uint8 code sits in the slot [ix, iy, horizontal] of its lower end, and every other slot holds 0
+    codes = _slot_types(mesh)
+    assert codes.dtype == np.uint8 and codes.shape == (N + 1, N + 1, 2)
+    slots = np.full((N + 1, N + 1, 2), "", dtype="<U8")
+    for ((x0, y0), _), orientation, _, t in expected:
+        slots[np.searchsorted(mesh.grid_x, x0), np.searchsorted(mesh.grid_y, y0), int(orientation == "horizontal")] = t
+    assert np.array_equal(np.array(EDGE_TYPES)[codes], slots)
     text = _per_edge_json(mesh, expected)
     assert mesh_to_json(mesh) == text
     assert mesh_to_json(mesh, edges) == text
-
-
-def test_classify_edges_of_a_mesh_with_other_subdomain_names():
-    # names outside the nine subdomains are classified as the per-edge loop does
-    mesh = build_shishkin(1e-4, 8)
-    region = mesh.region.copy()
-    region[2, 3], region[5, 5], region[0, 0] = "omega9", "hole", "omega0"
-    odd = ShishkinMesh(mesh.epsilon, mesh.N, mesh.lambda0, mesh.c_star, mesh.lam, mesh.grid_x, mesh.grid_y, region)
-    expected = _per_edge_classification(odd)
-    assert np.array_equal(classify_edges(odd).edge_type, np.array([t for _, _, _, t in expected]))
-    assert not np.array_equal(classify_edges(odd).edge_type, classify_edges(mesh).edge_type)
-    # each edge's type sits in its slot [ix, iy, horizontal], and every other slot is empty
-    for m in (mesh, odd):
-        types = np.array(EDGE_TYPES)[_slot_types(m)]
-        assert types.shape == (m.N + 1, m.N + 1, 2) and np.count_nonzero(types) == 2 * m.N * (m.N + 1)
-        assert np.array_equal(np.concatenate([types[:, :-1, 0].ravel(), types[:-1, :, 1].T.ravel()]), classify_edges(m).edge_type)
-
-
-_SUBDOMAINS = ("omega0", "omega1", "omega2", "omega3", "omega4", "omega12", "omega23", "omega34", "omega41")
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from((8, 16)), st.data())
-def test_slot_types_of_any_subdomain_names_match_the_per_edge_loop(N, data):
-    # one classification path for every name: the nine subdomains and foreign ones alike
-    names = st.sampled_from(_SUBDOMAINS + ("hole", "omega9", "", "omega00"))
-    region = np.array(data.draw(st.lists(names, min_size=N * N, max_size=N * N)), dtype="<U8").reshape(N, N)
-    base = build_shishkin(1e-4, N)
-    m = ShishkinMesh(base.epsilon, base.N, base.lambda0, base.c_star, base.lam, base.grid_x, base.grid_y, region)
-    codes = _slot_types(m)
-    assert codes.dtype == np.uint8 and codes.shape == (N + 1, N + 1, 2)
-    edges = _per_edge_classification(m)
-    expected = np.full((N + 1, N + 1, 2), "", dtype="<U8")  # slot [ix, iy, horizontal] of each edge's lower end
-    for ((x0, y0), _), orientation, _, t in edges:
-        expected[np.searchsorted(m.grid_x, x0), np.searchsorted(m.grid_y, y0), int(orientation == "horizontal")] = t
-    assert np.array_equal(np.array(EDGE_TYPES)[codes], expected)
-    edge_type = classify_edges(m).edge_type
-    assert edge_type.dtype == np.dtype("<U8")
-    assert np.array_equal(edge_type, np.array([t for _, _, _, t in edges]))
 
 
 def test_edge_set_selection():

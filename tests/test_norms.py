@@ -30,7 +30,7 @@ from macrospline.norms import (
 from macrospline.quadrature import integrate, integrate2d
 from macrospline.spline_core import HermiteData1D, hermite_interpolate_1d
 
-from _reference import assert_within_roundoff, difference_per_element, linf_per_element, seminorm_per_alpha, unflushed_exp_profile
+from _reference import assert_within_roundoff, difference_per_element, linf_per_element, seminorm_per_alpha, shishkin_region_names, unflushed_exp_profile
 
 
 def _unit_mesh_poly(n=2):
@@ -952,9 +952,10 @@ def test_composite_is_measured_as_its_piecewise_polynomial():
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
 def test_flushing_the_subnormal_layer_factors_changes_no_norm(monkeypatch, eps):
-    # The decays flush values below the smallest normal double to 0; the same
-    # decomposition with factors that keep them gives the same composite and
-    # the same norms, bit for bit, though the pass's points meet them.
+    # The decays flush values below the smallest normal double to 0, and so
+    # does ScalarField.factor after its scale by c; the same decomposition
+    # with neither flush gives the same composite and the same norms, bit
+    # for bit, though the pass's points meet subnormal factors.
     mesh = build_shishkin(eps, 64)
     sigma = select_sigma(mesh, "toward_corner")
 
@@ -962,15 +963,17 @@ def test_flushing_the_subnormal_layer_factors_changes_no_norm(monkeypatch, eps):
         return make_layer_decomposition(eps, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
 
     flushed = total()
+    star = build_composite(flushed, mesh, sigma)
+    norms = _error_norms(flushed, star)
     monkeypatch.setattr(fields_module, "exp_profile", unflushed_exp_profile)
+    monkeypatch.setattr(fields_module, "_TINY", 0.0)  # the flush threshold of ScalarField.factor (and of the flushed decays)
     unflushed = total()
     loc, g = gauss_rule().nodes, mesh.grid_x
     x = ((0.5 * (g[:-1] + g[1:]))[:, None] + (0.5 * np.diff(g))[:, None] * loc[None, :]).ravel()
     Fx = unflushed.factor(0, x, 0)
     assert np.any((Fx != 0.0) & (np.abs(Fx) < np.finfo(float).tiny))
-    star = build_composite(flushed, mesh, sigma)
     assert np.array_equal(build_composite(unflushed, mesh, sigma).coef, star.coef)
-    assert _error_norms(unflushed, star) == _error_norms(flushed, star)
+    assert _error_norms(unflushed, star) == norms
 
 
 def test_jump_sums_make_no_pointwise_evaluation(monkeypatch):
@@ -1109,14 +1112,10 @@ def test_element_kernel_matches_einsum(shape, order):
         assert np.all(np.abs(einsum - reference) <= bound)
 
 
-def _norm_report_by_loop_grouping(field, poly, mesh, edges, rule):
-    """Reference: compute_norm_report with the per-element dict grouping of regions."""
-    by_region = {}
-    for jy in range(mesh.N):
-        for ix in range(mesh.N):
-            by_region.setdefault(mesh.region[jy, ix], []).append((ix, jy))
+def _norm_report_of_groups(field, poly, groups, edges, rule):
+    """Reference: compute_norm_report over the regions ``groups``, pairs (name, elements) in name order."""
     regional = {}
-    for region, elements in sorted(by_region.items()):
+    for region, elements in groups:
         l2, h1x, h1y, h2xx, h2xy, h2yy = _seminorms(field, poly, ORDERS, elements, rule)
         regional[region] = {
             "L2": l2,
@@ -1143,4 +1142,12 @@ def test_norm_report_grouping_matches_per_element_loop(N):
     rule = gauss_rule(4)
     report = compute_norm_report(u, star, mesh, edges, rule)
     assert list(report.regional) == sorted(set(mesh.region.ravel().tolist()))
-    assert report.to_json() == _norm_report_by_loop_grouping(u, star, mesh, edges, rule).to_json()
+    by_region = {}  # the per-element dict grouping of regions
+    for jy in range(mesh.N):
+        for ix in range(mesh.N):
+            by_region.setdefault(mesh.region[jy, ix], []).append((ix, jy))
+    assert report.to_json() == _norm_report_of_groups(u, star, sorted(by_region.items()), edges, rule).to_json()
+    # the report as it was made from a name per element: np.unique over the names, then one nonzero per name
+    names = shishkin_region_names(N)
+    groups = [(name, np.column_stack(np.nonzero(names == name)[::-1])) for name in np.unique(names).tolist()]
+    assert report.to_json() == _norm_report_of_groups(u, star, groups, edges, rule).to_json()

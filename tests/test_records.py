@@ -39,7 +39,7 @@ RECORDS = {
     DualWeight: (("edge_interval", "endpoint_side"), lambda: DualWeight((0.0, 0.5), "left"), {}, {"endpoint_side": "middle"}),
     Grid1D: (("coordinates",), lambda: Grid1D(np.linspace(0.0, 1.0, 3)), {}, {"coordinates": np.array([0.0, 1.0, 1.0])}),
     MacroMesh: (("macro_x", "macro_y"), lambda: mesh.build_macro_mesh([0.0, 1.0], [0.0, 0.5, 1.0]), {}, None),
-    ShishkinMesh: (("epsilon", "N", "lambda0", "c_star", "lam", "grid_x", "grid_y", "region"), lambda: mesh.build_shishkin(1e-4, 8), {}, None),
+    ShishkinMesh: (("epsilon", "N", "lambda0", "c_star", "lam", "grid_x", "grid_y"), lambda: mesh.build_shishkin(1e-4, 8), {}, None),
     EdgeSet: (("x0", "y0", "x1", "y1", "horizontal", "normal", "edge_type"), lambda: mesh.classify_edges(mesh.build_shishkin(1e-4, 8)), {}, None),
     SigmaEdge: (("orientation", "span", "level", "node_side"), lambda: SigmaEdge("horizontal", (0.0, 0.5), 0.0, "left"), {}, None),
     SigmaSelection: (("nodes_x", "nodes_y", "edges"), lambda: mesh.select_sigma(mesh.build_macro_mesh([0.0, 0.5, 1.0], [0.0, 1.0])), {}, None),
