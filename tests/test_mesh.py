@@ -12,6 +12,7 @@ from macrospline.mesh import (
     Grid1D,
     ShishkinMesh,
     SigmaEdge,
+    _bands,
     _build_selection,
     _shishkin_steps,
     _slot_types,
@@ -146,6 +147,19 @@ def test_region_matches_per_element_loop(N):
     assert mesh.region.dtype == expected.dtype
     assert np.array_equal(mesh.region, expected)
     assert [mesh.band(i) for i in range(N)] == [shishkin_band(i, N) for i in range(N)]
+
+
+@pytest.mark.parametrize("N", (8, 64, 1024))
+def test_bands_split_each_axis_fine_coarse_fine(N):
+    # contiguous slices of N/4, N/2 and N/4 cells, the bands of the grid's fine and coarse steps
+    low, coarse, high = _bands(N)
+    assert (low.start, low.stop, coarse.start, coarse.stop, high.start, high.stop) == (0, N // 4, N // 4, 3 * N // 4, 3 * N // 4, N)
+    for band, s in zip(("fine0", "coarse", "fine1"), (low, coarse, high)):
+        assert all(shishkin_band(i, N) == band for i in range(N)[s])
+    mesh = build_shishkin(1e-8, N)
+    steps = np.diff(mesh.grid_x)
+    assert np.all(steps[low] == mesh.fine_step) and np.all(steps[high] == mesh.fine_step)
+    assert np.allclose(steps[coarse], (1.0 - 2.0 * mesh.lam) / (N // 2))
 
 
 def _brute_force_edge_counts(mesh):

@@ -1147,7 +1147,17 @@ def test_norm_report_grouping_matches_per_element_loop(N):
         for ix in range(mesh.N):
             by_region.setdefault(mesh.region[jy, ix], []).append((ix, jy))
     assert report.to_json() == _norm_report_of_groups(u, star, sorted(by_region.items()), edges, rule).to_json()
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_norm_report_matches_the_grouping_by_unique_names(N):
     # the report as it was made from a name per element: np.unique over the names, then one nonzero per name
+    mesh = build_shishkin(1e-6, N)
+    u = make_layer_decomposition(1e-6, smooth="bounded_third").total
+    star = build_composite(u, mesh, select_sigma(mesh, "toward_corner"))
+    edges = classify_edges(mesh)
+    rule = gauss_rule(4)
+    report = compute_norm_report(u, star, mesh, edges, rule)
     names = shishkin_region_names(N)
     groups = [(name, np.column_stack(np.nonzero(names == name)[::-1])) for name in np.unique(names).tolist()]
     assert report.to_json() == _norm_report_of_groups(u, star, groups, edges, rule).to_json()
