@@ -15,7 +15,8 @@ matrices act on the stacked array, one direction at a time, which
 reproduces the per-macro coefficients bit for bit under the default,
 Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff only
 under Nehalem.  Quasi-interpolation replaces the mixed entries of G by
-weighted edge averages of u_xy; the Shishkin composite glues quasi,
+weighted edge averages of u_xy, which a field with terms sums by factors
+(``_sigma_averages``); the Shishkin composite glues quasi,
 anisotropic and nodal interpolation, with interface slopes taken from
 the interior so the normal derivative is continuous across long edges.
 The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
@@ -30,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from .fields import ScalarField, _LineGrids
+from .fields import ScalarField, _LineGrids, _factor_values, _fold
 from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bands, _bisect, _check_on_edge, _edge_row, _node_tol, _sigma_runs
 from .quadrature import gauss_rule
 from .spline_core import (
@@ -366,21 +367,28 @@ _HB2T = np.ascontiguousarray(np.hstack([_HB[0], _HB[1]]).T)  # both Hermite base
 _LG3T = np.ascontiguousarray(_LG3.T)
 
 
-def _assemble(BxT, G, By) -> np.ndarray:
+def _assemble(BxT, G, By, out=None) -> np.ndarray:
     """Biquadratic cells ``Bx[sx].T @ G[j, i] @ By[sy]`` of every macro (i, j), interleaved into one element grid.
 
     ``BxT`` stacks the transposed x bases, rows (sx, kx); ``By`` lists
     the y bases.  The sums run along x first, as one batched product,
     then along y, as one GEMM per macro row and y side written straight
     into the element grid, so each cell associates its sums as the
-    per-macro operators do and equals theirs bit for bit.
+    per-macro operators do: it equals theirs bit for bit under the
+    default, Sandybridge, Haswell and Prescott OpenBLAS kernels, and at
+    roundoff only under Nehalem.  ``out``, if given, is the element grid
+    to write, of shape (len(By) * ny, nx * len(BxT) // 3, 3, 3), such as
+    a block of a larger grid; its element-column and kx axes must merge
+    into one axis without a copy.
     """
     ny = len(G)
     A = np.matmul(BxT, G).reshape(ny, -1, G.shape[3])  # macro row j: rows (i, sx, kx)
-    coef = np.empty((ny, len(By), A.shape[1], 3))  # element row 2j + sy: rows (i, sx, kx)
+    if out is None:
+        out = np.empty((len(By) * ny, A.shape[1] // 3, 3, 3))
+    rows = out.reshape(ny, len(By), A.shape[1], 3)  # element row 2j + sy: rows (i, sx, kx)
     for sy, B in enumerate(By):
-        np.matmul(A, B, out=coef[:, sy])
-    return coef.reshape(len(By) * ny, -1, 3, 3)
+        np.matmul(A, B, out=rows[:, sy])
+    return out
 
 
 def _c1_coef(G) -> np.ndarray:
@@ -413,7 +421,7 @@ def interp_bfs_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
 def nodal_q2_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
     G = _gather(field, _bisect(gx), _bisect(gy), _LAGRANGE, _LAGRANGE)
-    return PiecewisePoly2D(gx, gy, _LG3.T @ G @ _LG3)
+    return PiecewisePoly2D(gx, gy, _assemble(_LG3T, G, (_LG3,)))
 
 
 def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_spline") -> PiecewisePoly2D:
@@ -446,7 +454,14 @@ _SIGMA_W = np.array([_SIGMA_RULE.weights * eval_dual_weight(DualWeight((-1.0, 1.
 
 
 def _sigma_averages(field, rows) -> np.ndarray:
-    """Weighted means of u_xy over sigma edges, selection rows of any shape, in one field call.
+    """Weighted means of u_xy over sigma edges, selection rows of any shape.
+
+    A field with terms (``fields._LineGrids.terms``) is summed by factors
+    (``_axis_sums``): each span's two weighted Gauss sums, one per node
+    side, come before the fold of the terms on the rows, c * (S_x * F_y)
+    on a horizontal edge.  A row has the same bits alone as in any batch,
+    and the pointwise Gauss sum's value at roundoff.  Any other field is
+    summed from one pointwise call at every row's Gauss points.
 
     ValueError on a span or level that is not finite, or a span with hi <= lo."""
     lo, hi, level = rows["lo"], rows["hi"], rows["level"]
@@ -454,11 +469,70 @@ def _sigma_averages(field, rows) -> np.ndarray:
         raise ValueError("sigma edge span and level must be finite")
     if np.any(hi <= lo):
         raise ValueError("degenerate edge interval")
-    along = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _SIGMA_T
-    across = np.broadcast_to(level[..., None], along.shape)
-    horizontal = rows["horizontal"][..., None]
-    vals = field(np.where(horizontal, along, across), np.where(horizontal, across, along), 1, 1)
-    return np.sum(_SIGMA_W[rows["upper"].astype(int)] * vals, axis=-1)
+    lines = field if isinstance(field, _LineGrids) else _LineGrids(field)
+    if lines.terms is None:
+        along = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _SIGMA_T
+        across = np.broadcast_to(level[..., None], along.shape)
+        horizontal = rows["horizontal"][..., None]
+        vals = field(np.where(horizontal, along, across), np.where(horizontal, across, along), 1, 1)
+        return np.sum(_SIGMA_W[rows["upper"].astype(int)] * vals, axis=-1)
+    terms = tuple((c, fy, fx) for c, fx, fy in lines.terms) if lines.swapped else lines.terms
+    horizontal = rows["horizontal"]
+    x_values = _axis_sums([fx for _, fx, _ in terms], rows, horizontal)
+    y_values = _axis_sums([fy for _, _, fy in terms], rows, ~horizontal)
+    return _fold(terms, x_values, y_values, rows.shape)
+
+
+def _axis_sums(factors, rows, along) -> dict:
+    """``{f: V}`` for the distinct 1-D ``factors`` of one axis, each V of the shape of ``rows``.
+
+    V is the first derivative's Gauss sum over the span, with the weights
+    of the node side, on the rows ``along`` this axis, and its value at
+    the level on the others.  Each factor is evaluated once, at the Gauss
+    points of the distinct spans and then the distinct levels.
+    """
+    (lo, hi), at_span = _distinct_spans(rows["lo"][along], rows["hi"][along])
+    levels, _, at_level = _distinct(rows["level"][~along])
+    n, m = len(lo), len(_SIGMA_T)
+    t = np.concatenate([((0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _SIGMA_T).ravel(), levels])
+    values = _factor_values(factors, t, 1)
+    F = np.array(list(values.values()))  # [factor, point]
+    sums = (F[:, : n * m].reshape(len(F), n, 1, m) * _SIGMA_W).sum(axis=-1)  # [factor, span, node side]
+    table = np.concatenate([sums.reshape(len(F), 2 * n), F[:, n * m :]], axis=1)
+    index = np.empty(rows.shape, np.intp)
+    index[along] = 2 * at_span + rows["upper"][along]
+    index[~along] = 2 * n + at_level
+    return dict(zip(values, table[:, index]))
+
+
+def _distinct_spans(lo, hi) -> tuple:
+    """The distinct spans ``(lo, hi)`` of the 1-D ``lo``, ``hi``, and each row's index into them.
+
+    Spans are told apart by lo; a row whose lo comes with another hi than
+    the first row of that lo keeps a span of its own.
+    """
+    starts, first, at = _distinct(lo)
+    ends = hi[first]
+    own = np.flatnonzero(ends[at] != hi)
+    at[own] = len(starts) + np.arange(len(own))
+    return (np.concatenate([starts, lo[own]]), np.concatenate([ends, hi[own]])), at
+
+
+def _distinct(v) -> tuple:
+    """The sorted distinct values of the 1-D ``v``, the index of each one's first entry, and each entry's index into them.
+
+    One stable argsort: ``np.unique`` runs other sort and hash code, whose
+    pages add about 0.4 MiB of resident memory the first time a process
+    runs them.
+    """
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    new = np.empty(len(s), bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    at = np.empty(len(v), np.intp)
+    at[order] = np.cumsum(new) - 1
+    return s[new], order[new], at
 
 
 def sigma_average(field, edge: SigmaEdge) -> float:
@@ -467,7 +541,7 @@ def sigma_average(field, edge: SigmaEdge) -> float:
 
 
 def _node_averages(field, mesh, sigma: SigmaSelection) -> np.ndarray:
-    """Sigma averages ``A[j, i]`` on the node grid ``mesh._sigma_runs``, in one field call.
+    """Sigma averages ``A[j, i]`` on the node grid ``mesh._sigma_runs``, in one ``_sigma_averages`` pass.
     ValueError names the first node, y outer, that the selection lacks or
     that is off its edge."""
     xs, ys, runs_x, runs_y = _sigma_runs(mesh)
@@ -559,7 +633,8 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     for this call.  One ``_node_averages`` pass on ``mesh``, whose sigma
     nodes are the macro lines of both fine bands per axis, gives the sigma
     averages of all four corner regions, so an edge that misses its node
-    raises ValueError naming the first such node, y outer, of that grid.
+    raises ValueError naming the first such node, y outer, of that grid;
+    it evaluates each factor once more per axis (``_sigma_averages``).
     """
     gx, gy, runs_x, runs_y = _sigma_runs(mesh)  # the grids, and the macro lines of the low and the high fine band
     low, inner, high = _bands(mesh.N)  # elements of the low fine band, the core and the high fine band
@@ -573,7 +648,7 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
 
     coef = np.zeros((mesh.N, mesh.N, 3, 3))
     V = _gather(u, core_x, core_y, _LAGRANGE, _LAGRANGE)
-    coef[inner, inner] = _LG3.T @ V @ _LG3
+    _assemble(_LG3T, V, (_LG3,), out=coef[inner, inner])
     # Normal slopes of the interior nodal interpolant on its low and high
     # interfaces, [element along the interface, Lagrange point].
     wx, wy = np.diff(gx[core]), np.diff(gy[core])

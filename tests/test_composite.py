@@ -345,15 +345,26 @@ def test_a_degenerate_edge_in_any_corner_is_rejected(node):
         build_composite(make_smooth_field("exp_xy"), mesh, sigma)
 
 
-def _counted_layer_field(calls):
-    """The sweep's layer field with each distinct 1-D factor counting its calls in ``calls``."""
+def _counted_layer_field(calls, points):
+    """The sweep's layer field with each distinct 1-D factor of each axis counting its calls in ``calls``
+    and the points it is evaluated at in ``points``, keyed (axis, factor)."""
     total = make_layer_decomposition(1e-6, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
 
-    def counted(f):
-        return lambda t, order: calls.update([f]) or f(t, order)
+    def counted(key):
+        return lambda t, order: calls.update([key]) or points.update({key: np.size(t)}) or key[1](t, order)
 
-    wrapped = {f: counted(f) for _, fx, fy in total.terms for f in (fx, fy)}
-    return total, ScalarField("counted", _Terms((c, wrapped[fx], wrapped[fy]) for c, fx, fy in total.terms))
+    wrapped = [{f: counted((axis, f)) for f in {term[1 + axis] for term in total.terms}} for axis in (0, 1)]
+    return total, ScalarField("counted", _Terms((c, wrapped[0][fx], wrapped[1][fy]) for c, fx, fy in total.terms))
+
+
+def _sigma_points(mesh, sigma):
+    """Per axis, the distinct spans along it times the Gauss points per span plus the distinct levels across it."""
+    rows = sigma.edges
+    bound = []
+    for along in (rows["horizontal"], ~rows["horizontal"]):
+        spans = set(zip(rows["lo"][along].tolist(), rows["hi"][along].tolist()))
+        bound.append(len(spans) * len(interpolation._SIGMA_T) + len(np.unique(rows["level"][~along])))
+    return bound
 
 
 @pytest.mark.parametrize("N", [8, 64])
@@ -362,13 +373,20 @@ def test_a_shishkin_point_evaluates_each_factor_once_per_line_set_and_order(N):
     # at order 0 and the two bands' macro lines at orders 0 and 1, so
     # 5 * 5 * 2 = 50 evaluations for the 25 gathers, plus 10 for the one
     # sigma pass of all four corners: 60 in all, where 29 pointwise calls of
-    # 10 evaluations each made 290.
-    calls = Counter()
-    total, counted = _counted_layer_field(calls)
+    # 10 evaluations each made 290.  The sigma pass evaluates each factor
+    # at no more points than the Gauss points of the distinct spans along
+    # its axis and the distinct levels across it.
+    calls, points = Counter(), Counter()
+    total, counted = _counted_layer_field(calls, points)
     mesh, sigma = _setup(1e-6, N)
     coef = build_composite(counted, mesh, sigma).coef
     assert sum(calls.values()) == 60
     assert np.all(coef == build_composite(total, mesh, sigma).coef)
+    calls.clear(), points.clear()
+    interpolation._node_averages(counted, mesh, sigma)
+    assert len(calls) == 10 and set(calls.values()) == {1}
+    for axis, bound in enumerate(_sigma_points(mesh, sigma)):
+        assert all(n <= bound for (a, _), n in points.items() if a == axis)
 
 
 def _csv_rows(path):

@@ -13,8 +13,10 @@ from macrospline.fields import (
 from macrospline.interpolation import (
     _HB,
     _LG3,
+    _LG3T,
     PiecewisePoly2D,
     _aniso_coef,
+    _assemble,
     _c1_coef,
     _derivative_basis,
     interp_aniso,
@@ -561,3 +563,20 @@ def test_fixed_matrix_assembly_matches_the_two_matmul_form(shape):
         coef, by_cell = (_c1_coef(G), _c1_coef_by_cell(G)) if cols == 4 else (_aniso_coef(G), _aniso_coef_by_cell(G))
         assert coef.shape == by_cell.shape
         assert np.array_equal(coef, by_cell)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 48)])
+def test_nodal_assembly_matches_the_stacked_form_also_into_a_block(shape):
+    # One Lagrange side per axis: the stacked _LG3.T @ G @ _LG3 per cell,
+    # bit for bit, also when written into a block of a larger grid.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    G = rng.normal(size=(*shape, 3, 3)) * 10.0 ** rng.integers(-12, 12, size=(*shape, 3, 3))
+    stacked = _LG3.T @ G @ _LG3
+    assert np.array_equal(_assemble(_LG3T, G, (_LG3,)), stacked)
+    grid = np.zeros((shape[0] + 3, shape[1] + 4, 3, 3))
+    block = (slice(1, shape[0] + 1), slice(2, shape[1] + 2))
+    out = grid[block]
+    assert _assemble(_LG3T, G, (_LG3,), out=out) is out
+    assert np.array_equal(grid[block], stacked)
+    grid[block] = 0.0
+    assert not grid.any()
