@@ -51,7 +51,7 @@ ELEMENTS_PER_MACRO = {"full": (2, 2), "reduced": (2, 2), "quasi": (2, 2), "bfs":
 ELEMENTS_PER_CELL = {operator: ex * ey for operator, (ex, ey) in ELEMENTS_PER_MACRO.items()}
 OPERATORS = tuple(ELEMENTS_PER_MACRO)
 # Largest finest mesh a run may build.  `macrospline shishkin --N <N> --eps 1e-6` peaks
-# (ru_maxrss) at 40.5 MiB at N=256 and 146 MiB at N=1024, the budget: about 0.11 KiB per
+# (ru_maxrss) at 39.9 MiB at N=256 and 139 MiB at N=1024, the budget: about 0.10 KiB per
 # element over the 32 MiB of the imported package (2-core x86_64 Xeon, Python 3.11, numpy 2.4).
 MAX_ELEMENTS = 2**20
 FLOAT_FMT = "%.17g"

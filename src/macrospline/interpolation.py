@@ -7,18 +7,19 @@ defined on one macro the same way: gather the corner functionals
 a matrix G, then apply fixed basis matrices, B_x^T G B_y.  The per-macro
 functions (full and reduced C1 macro, bicubic Hermite, biquadratic
 nodal, anisotropic two-element macro) spell this out for one macro and
-are the reference.  The mesh-level operators run the same recipe for all
-cells at once: ``_gather`` takes the field's values for each derivative
-order on the tensor grid of nodes, one open-grid evaluation through
-``fields._LineGrids``, and returns G for every cell, and the fixed
-matrices act on the stacked array, one direction at a time, which
-reproduces the per-macro coefficients bit for bit under the default,
-Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff only
-under Nehalem.  Quasi-interpolation replaces the mixed entries of G by
-weighted edge averages of u_xy, which a field with terms sums by factors
-(``_sigma_averages``); the Shishkin composite glues quasi,
-anisotropic and nodal interpolation, with interface slopes taken from
-the interior so the normal derivative is continuous across long edges.
+are the reference.  The mesh-level operators run it for all cells:
+``_node_values`` takes the field's values for each derivative order on
+the node grid, one open-grid call of ``fields._LineGrids``, an operator
+edits those of a functional it replaces, and ``_assemble`` gathers G and
+applies the fixed matrices per block of macro rows, in reused buffers,
+straight into the coefficient grid.  No product changes shape with the
+block: each cell equals the per-macro one bit for bit under the default,
+Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff under
+Nehalem.  Quasi-interpolation replaces the mixed node values by weighted
+edge averages of u_xy, which a field with terms sums by factors
+(``_sigma_averages``); the Shishkin composite glues quasi, anisotropic
+and nodal interpolation, with interface slopes taken from the interior
+so the normal derivative is continuous across long edges.
 The composite is itself a ``PiecewisePoly2D``; its jump sums depend on it alone.
 ``evaluate``, the norm pass and jump sums all read the cells one way: as
 weights of ``spline_core._derivative_basis``, the local monomials' derivatives.
@@ -33,6 +34,7 @@ import numpy as np
 
 from .fields import ScalarField, _LineGrids, _factor_values, _fold
 from .mesh import _SIGMA_ROW, MacroMesh, ShishkinMesh, SigmaEdge, SigmaSelection, _bands, _bisect, _check_on_edge, _edge_row, _node_tol, _sigma_runs
+from .norms import _BLOCK_VALUES
 from .quadrature import gauss_rule
 from .spline_core import (
     DualWeight,
@@ -323,105 +325,124 @@ def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "l
 # ---------------------------------------------------------------------------
 
 # Functionals of a cell along one axis as (node offset, derivative order);
-# the last offset is the cell's stride on the node grid.
+# the last offset is the cell's stride on the node grid.  The orders of
+# each set run from 0 up, so ``V[p, q]`` of ``_node_values`` is order (p, q).
 _HERMITE = ((0, 0), (0, 1), (1, 0), (1, 1))  # value, scaled slope at each end
 _LAGRANGE = ((0, 0), (1, 0), (2, 0))  # ends and midpoint, on a bisected grid
 
 
-def _half_widths(grid, stride=1):
+def _half_widths(grid, stride):
     return 0.5 * (grid[stride::stride] - grid[:-stride:stride])
 
 
-def _gather(field, grid_x, grid_y, rows_x, rows_y) -> np.ndarray:
-    """Scaled functionals ``G[j, i, r, c]`` of every cell (i, j) of a tensor grid.
+def _node_values(field, grid_x, grid_y, scheme) -> np.ndarray:
+    """``V[p, q, i, k]``: D^(p,q) u at node (grid_x[i], grid_y[k]) for each order pair of ``scheme``, a new array that operators may edit.
 
-    Row r applies ``rows_x[r]`` along x and column c applies ``rows_y[c]``
-    along y; derivative order (p, q) is scaled by hx**p * hy**q with the
-    cell half-widths.  One open-grid evaluation of every derivative order
-    covers the whole node grid; a NaN or infinite value raises
-    ``ValueError``.  A ``fields._LineGrids`` passed as ``field`` shares its
-    stored factor values with every gather on the same line arrays.
+    One open-grid call of ``fields._LineGrids``, which shares stored
+    factor values with all calls on the same line arrays.  ValueError on
+    a cell of no positive width or a value that is not finite.
     """
     lines = field if isinstance(field, _LineGrids) else _LineGrids(field)
-    gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
-    sx, sy = rows_x[-1][0], rows_y[-1][0]
-    hx, hy = _half_widths(gx, sx), _half_widths(gy, sy)
-    _check_widths(hx, hy, stacklevel=4)
-    nx, ny = len(hx), len(hy)
-    G = np.empty((ny, nx, len(rows_x), len(rows_y)))
-    x_orders, y_orders = sorted({p for _, p in rows_x}), sorted({p for _, p in rows_y})
-    V = lines.grid(gx, gy, x_orders, y_orders)
+    _check_widths(_half_widths(grid_x, scheme[0][-1][0]), _half_widths(grid_y, scheme[1][-1][0]), stacklevel=4)
+    x_orders, y_orders = (sorted({p for _, p in rows}) for rows in scheme[:2])
+    V = lines.grid(grid_x, grid_y, x_orders, y_orders)
     finite = np.isfinite(V).all(axis=(2, 3))
     if not finite.all():
         a, b = np.argwhere(~finite)[0]
         raise ValueError(f"field derivative ({x_orders[a]}, {y_orders[b]}) is not finite at a node")
-    hx_pow, hy_pow = {p: hx**p for p in x_orders}, {q: hy**q for q in y_orders}
-    for r, (ox, px) in enumerate(rows_x):
-        for c, (oy, py) in enumerate(rows_y):
-            v = V[x_orders.index(px), y_orders.index(py)].T  # rows along y
-            np.multiply(hx_pow[px][None, :] * hy_pow[py][:, None], v[oy : oy + sy * ny : sy, ox : ox + sx * nx : sx], out=G[:, :, r, c])
-    return G
+    return V
+
+
+def _blocks(V, grid_x, grid_y, rows_x, rows_y, per_cell):
+    """``(j0, G, W)`` per block of whole cell rows: ``G[j - j0, i, r, c]`` applies ``rows_x[r]`` along x and ``rows_y[c]`` along y to cell (i, j).
+
+    Order (p, q) of the node values V is scaled by hx**p * hy**q with the
+    cell half-widths; W is work space of ``per_cell`` values a cell.  G
+    and W are views of buffers of as many rows as keep ``per_cell``
+    values a cell within ``norms._BLOCK_VALUES``.
+    """
+    sx, sy = rows_x[-1][0], rows_y[-1][0]
+    hx, hy = _half_widths(grid_x, sx), _half_widths(grid_y, sy)
+    hx_pow, hy_pow = {p: hx**p for _, p in rows_x}, {q: hy**q for _, q in rows_y}
+    nx, ny = len(hx), len(hy)
+    rows = max(1, min(ny, _BLOCK_VALUES // (nx * per_cell)))
+    buffer, work = np.empty((rows, nx, len(rows_x), len(rows_y))), np.empty(rows * nx * per_cell)
+    for j0 in range(0, ny, rows):
+        G = buffer[: min(rows, ny - j0)]
+        for r, (ox, px) in enumerate(rows_x):
+            for c, (oy, py) in enumerate(rows_y):
+                v = V[px, py].T[oy + sy * j0 : oy + sy * (j0 + len(G)) : sy, ox : ox + sx * nx : sx]  # rows along y
+                np.multiply(hx_pow[px][None, :] * hy_pow[py][j0 : j0 + len(G), None], v, out=G[:, :, r, c])
+        yield j0, G, work[: len(G) * nx * per_cell]
 
 
 _HB2T = np.ascontiguousarray(np.hstack([_HB[0], _HB[1]]).T)  # both Hermite bases, rows (side, k)
 _LG3T = np.ascontiguousarray(_LG3.T)
+_C1 = (_HERMITE, _HERMITE, _HB2T, (_HB[0], _HB[1]))  # the C1 macro interpolant
+_ANISO = (_LAGRANGE, _HERMITE, _LG3T, (_HB[0], _HB[1]))  # the y-spline anisotropic operator
+_NODAL = (_LAGRANGE, _LAGRANGE, _LG3T, (_LG3,))  # biquadratic nodal interpolation
 
 
-def _assemble(BxT, G, By, out=None) -> np.ndarray:
+def _assemble(V, grid_x, grid_y, scheme, out=None) -> np.ndarray:
     """Biquadratic cells ``Bx[sx].T @ G[j, i] @ By[sy]`` of every macro (i, j), interleaved into one element grid.
 
-    ``BxT`` stacks the transposed x bases, rows (sx, kx); ``By`` lists
-    the y bases.  The sums run along x first, as one batched product,
-    then along y, as one GEMM per macro row and y side written straight
-    into the element grid, so each cell associates its sums as the
-    per-macro operators do: it equals theirs bit for bit under the
-    default, Sandybridge, Haswell and Prescott OpenBLAS kernels, and at
-    roundoff only under Nehalem.  ``out``, if given, is the element grid
-    to write, of shape (len(By) * ny, nx * len(BxT) // 3, 3, 3), such as
-    a block of a larger grid; its element-column and kx axes must merge
-    into one axis without a copy.
+    ``scheme`` is (rows_x, rows_y, BxT, By): the functionals of
+    ``_blocks``, which reads G from the node values V, the transposed x
+    bases stacked, rows (sx, kx), and the y bases.  Per block, the sums
+    run along x first, as one batched product into a buffer that every
+    block reuses, then along y, as one GEMM per macro row and y side
+    written straight into the element grid, so each cell associates its
+    sums as the per-macro operators do, in products whose shapes do not
+    depend on the block: it equals theirs bit for bit under the default,
+    Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff
+    only under Nehalem.  ``out``, if given, is the element grid to write,
+    such as a block of a larger grid; where its element-column and kx
+    axes do not merge, as in a transposed grid, each block is copied in.
     """
-    ny = len(G)
-    A = np.matmul(BxT, G).reshape(ny, -1, G.shape[3])  # macro row j: rows (i, sx, kx)
+    rows_x, rows_y, BxT, By = scheme
     if out is None:
-        out = np.empty((len(By) * ny, A.shape[1] // 3, 3, 3))
-    rows = out.reshape(ny, len(By), A.shape[1], 3)  # element row 2j + sy: rows (i, sx, kx)
-    for sy, B in enumerate(By):
-        np.matmul(A, B, out=rows[:, sy])
+        ny, nx = (len(grid_y) - 1) // rows_y[-1][0], (len(grid_x) - 1) // rows_x[-1][0]
+        out = np.empty((len(By) * ny, nx * len(BxT) // 3, 3, 3))
+    for j0, G, W in _blocks(V, grid_x, grid_y, rows_x, rows_y, len(BxT) * len(rows_y)):
+        a = np.matmul(BxT, G, out=W.reshape(*G.shape[:2], len(BxT), len(rows_y))).reshape(len(G), -1, len(rows_y))  # macro row j: rows (i, sx, kx)
+        block = out[len(By) * j0 : len(By) * (j0 + len(G))]
+        rows = block.reshape(len(G), len(By), a.shape[1], 3)  # element row 2j + sy: rows (i, sx, kx)
+        for sy, B in enumerate(By):
+            np.matmul(a, B, out=rows[:, sy])
+        if not np.may_share_memory(rows, block):
+            block[...] = rows.reshape(block.shape)
     return out
 
 
-def _c1_coef(G) -> np.ndarray:
-    """Element coefficients of the C1 macro interpolant from Hermite data G."""
-    return _assemble(_HB2T, G, (_HB[0], _HB[1]))
-
-
-def _aniso_coef(G) -> np.ndarray:
-    """Element coefficients of the y-spline anisotropic operator from G."""
-    return _assemble(_LG3T, G, (_HB[0], _HB[1]))
-
-
 def interp_full(field, mesh: MacroMesh) -> PiecewisePoly2D:
-    G = _gather(field, mesh.macro_x.coordinates, mesh.macro_y.coordinates, _HERMITE, _HERMITE)
-    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
+    mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    V = _node_values(field, mx, my, _C1)
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _assemble(V, mx, my, _C1))
 
 
 def interp_reduced(field, mesh: MacroMesh) -> PiecewisePoly2D:
-    G = _gather(field, mesh.macro_x.coordinates, mesh.macro_y.coordinates, _HERMITE, _HERMITE)
-    G[:, :, 1::2, 1::2] = 0.0
-    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
+    mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
+    V = _node_values(field, mx, my, _C1)
+    V[1, 1] = 0.0
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _assemble(V, mx, my, _C1))
 
 
 def interp_bfs_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
-    G = _gather(field, grid_x, grid_y, _HERMITE, _HERMITE)
-    F = HERMITE_DD_MATRIX @ G @ HERMITE_DD_MATRIX.T
-    return PiecewisePoly2D(grid_x, grid_y, _BFSN.T @ F @ _BFSN)
+    gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
+    V = _node_values(field, gx, gy, _C1)
+    coef = np.empty((len(gy) - 1, len(gx) - 1, 4, 4))
+    for j0, G, W in _blocks(V, gx, gy, _HERMITE, _HERMITE, 16):
+        F = np.matmul(HERMITE_DD_MATRIX, G, out=W.reshape(G.shape))  # the chain alternates between the two buffers
+        np.matmul(_BFSN.T, np.matmul(F, HERMITE_DD_MATRIX.T, out=G), out=F)
+        np.matmul(F, _BFSN, out=coef[j0 : j0 + len(G)])
+    return PiecewisePoly2D(gx, gy, coef)
 
 
 def nodal_q2_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
-    G = _gather(field, _bisect(gx), _bisect(gy), _LAGRANGE, _LAGRANGE)
-    return PiecewisePoly2D(gx, gy, _assemble(_LG3T, G, (_LG3,)))
+    bx, by = _bisect(gx), _bisect(gy)
+    V = _node_values(field, bx, by, _NODAL)
+    return PiecewisePoly2D(gx, gy, _assemble(V, bx, by, _NODAL))
 
 
 def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_spline") -> PiecewisePoly2D:
@@ -430,8 +451,9 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
     lag = np.asarray(lagrange_grid, dtype=float)
     spl = np.asarray(spline_grid, dtype=float)
     if orientation == "y_spline":
-        G = _gather(field, _bisect(lag), spl, _LAGRANGE, _HERMITE)
-        return PiecewisePoly2D(lag, _bisect(spl), _aniso_coef(G))
+        bx = _bisect(lag)
+        V = _node_values(field, bx, spl, _ANISO)
+        return PiecewisePoly2D(lag, _bisect(spl), _assemble(V, bx, spl, _ANISO))
     if orientation != "x_spline":
         raise ValueError("orientation must be 'y_spline' or 'x_spline'")
     swapped = interp_aniso_mesh(_LineGrids(field).transposed(), lag, spl, "y_spline")
@@ -554,17 +576,6 @@ def _node_averages(field, mesh, sigma: SigmaSelection) -> np.ndarray:
     return _sigma_averages(field, rows)
 
 
-def _with_averages(G, A, grid_x, grid_y) -> np.ndarray:
-    """Hermite data ``G`` on a macro grid with every mixed entry replaced by
-    the scaled sigma average ``A[j, i]`` at grid node (i, j); G is changed in place."""
-    ny, nx = G.shape[:2]
-    hxy = _half_widths(grid_x)[None, :] * _half_widths(grid_y)[:, None]
-    for p, di in ((1, 0), (3, 1)):
-        for q, dj in ((1, 0), (3, 1)):
-            G[:, :, p, q] = hxy * A[dj : dj + ny, di : di + nx]
-    return G
-
-
 def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly2D:
     """Quasi-interpolant: reduced operator plus edge-averaged mixed terms.
 
@@ -575,8 +586,9 @@ def quasi_interp(field, mesh: MacroMesh, sigma: SigmaSelection) -> PiecewisePoly
     """
     mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
     A = _node_averages(field, mesh, sigma)
-    G = _with_averages(_gather(field, mx, my, _HERMITE, _HERMITE), A, mx, my)
-    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
+    V = _node_values(field, mx, my, _C1)
+    V[1, 1] = A.T
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _assemble(V, mx, my, _C1))
 
 
 def assemble_from_nodal_data(mesh: MacroMesh, dofs) -> PiecewisePoly2D:
@@ -588,8 +600,8 @@ def assemble_from_nodal_data(mesh: MacroMesh, dofs) -> PiecewisePoly2D:
     nmx, nmy = mesh.n_macros
     D = np.array([[dofs[i, j] for j in range(nmy + 1)] for i in range(nmx + 1)], dtype=float)
     mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
-    G = _gather(lambda x, y, px, py: D[:, :, px + 2 * py], mx, my, _HERMITE, _HERMITE)
-    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _c1_coef(G))
+    V = _node_values(lambda x, y, px, py: D[:, :, px + 2 * py], mx, my, _C1)
+    return PiecewisePoly2D(mesh.element_x, mesh.element_y, _assemble(V, mx, my, _C1))
 
 
 def random_c1q2(mesh: MacroMesh, rng) -> PiecewisePoly2D:
@@ -625,9 +637,9 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     interpolation; the result is continuous with a continuous normal
     derivative across long (type II) and corner-region (type IV) edges.
 
-    All gathers read the field through one ``fields._LineGrids``: a field
-    with terms evaluates each distinct 1-D factor once per axis, order
-    and node-line set (the bisected core lines at order 0, each fine
+    All node values read the field through one ``fields._LineGrids``: a
+    field with terms evaluates each distinct 1-D factor once per axis,
+    order and node-line set (the bisected core lines at order 0, each fine
     band's macro lines at orders 0 and 1), and every grid is folded from
     those values, bit for bit the pointwise call.  The values live only
     for this call.  One ``_node_averages`` pass on ``mesh``, whose sigma
@@ -635,6 +647,8 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     averages of all four corner regions, so an edge that misses its node
     raises ValueError naming the first such node, y outer, of that grid;
     it evaluates each factor once more per axis (``_sigma_averages``).
+    Interface slopes are read from the core's node values (a Lagrange
+    scale is exactly 1); each region is written into the coefficient grid.
     """
     gx, gy, runs_x, runs_y = _sigma_runs(mesh)  # the grids, and the macro lines of the low and the high fine band
     low, inner, high = _bands(mesh.N)  # elements of the low fine band, the core and the high fine band
@@ -647,33 +661,33 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     A = [np.split(rows, 2, axis=1) for rows in np.split(_node_averages(u, mesh, sigma), 2)]
 
     coef = np.zeros((mesh.N, mesh.N, 3, 3))
-    V = _gather(u, core_x, core_y, _LAGRANGE, _LAGRANGE)
-    _assemble(_LG3T, V, (_LG3,), out=coef[inner, inner])
+    V = _node_values(u, core_x, core_y, _NODAL)
+    _assemble(V, core_x, core_y, _NODAL, coef[inner, inner])
     # Normal slopes of the interior nodal interpolant on its low and high
-    # interfaces, [element along the interface, Lagrange point].
-    wx, wy = np.diff(gx[core]), np.diff(gy[core])
-    slope_y = (_edge_slope(V[0], wy[0]), -_edge_slope(V[-1, :, :, ::-1], wy[-1]))
-    slope_x = (_edge_slope(V[:, 0].swapaxes(1, 2), wx[0]), -_edge_slope(V[:, -1, ::-1].swapaxes(1, 2), wx[-1]))
+    # interfaces, per node along the interface.
+    v, wx, wy = V[0, 0], np.diff(gx[core]), np.diff(gy[core])
+    slope_x = (_edge_slope(v[:3].T, wx[0]), -_edge_slope(v[:-4:-1].T, wx[-1]))
+    slope_y = (_edge_slope(v[:, :3], wy[0]), -_edge_slope(v[:, :-4:-1], wy[-1]))
 
-    # Edge strips: one anisotropic gather per band, with the spline slopes
-    # on the core-facing edge taken from the interior.  The x-strips are
+    # Edge strips: one anisotropic operator per band, with the spline slopes
+    # on the core-facing line taken from the interior.  The x-strips are
     # the y-strips of the transposed field, written through a transposed view.
     strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
     for f, along, across, slopes, out in strips:
-        for lines, elements, j, c, s in zip(across, (low, high), (-1, 0), (3, 1), slopes):
-            G = _gather(f, along, lines, _LAGRANGE, _HERMITE)
-            G[j, :, :, c] = _half_widths(lines)[j] * s
-            out[elements, inner] = _aniso_coef(G)
+        for lines, elements, j, s in zip(across, (low, high), (-1, 0), slopes):
+            V = _node_values(f, along, lines, _ANISO)
+            V[0, 1, :, j] = s
+            _assemble(V, along, lines, _ANISO, out[elements, inner])
 
-    # Corner regions: one quasi gather per band with its block of averages.
-    # In the one cell touching the core, the slopes at the junction node
+    # Corner regions: one quasi operator per band with its block of averages.
+    # At the junction node, in the one cell touching the core, the slopes
     # follow the interior so its traces agree with the adjacent strips.
     for a, xe in enumerate((low, high)):
         for b, ye in enumerate((low, high)):
-            G = _with_averages(_gather(u, band_x[a], band_y[b], _HERMITE, _HERMITE), A[b][a], band_x[a], band_y[b])
-            i, j = a - 1, b - 1  # the junction is the far end of the last cell of a low band
-            G[j, i, 3 - 2 * a, 2 - 2 * b] = _half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]
-            G[j, i, 2 - 2 * a, 3 - 2 * b] = _half_widths(band_y[b])[j] * slope_y[b][-a, 2 * a]
-            coef[ye, xe] = _c1_coef(G)
+            V = _node_values(u, band_x[a], band_y[b], _C1)
+            V[1, 1] = A[b][a].T
+            i, j = a - 1, b - 1  # the junction is the last node of a low band, the first of a high one
+            V[1, 0, i, j], V[0, 1, i, j] = slope_x[a][-b], slope_y[b][-a]
+            _assemble(V, band_x[a], band_y[b], _C1, coef[ye, xe])
 
     return CompositeInterpolant(mesh, coef)

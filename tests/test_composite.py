@@ -193,21 +193,11 @@ def test_composite_error_decreases_with_n():
 # ---------------------------------------------------------------------------
 
 
-def _pointwise_gather(field, grid_x, grid_y, rows_x, rows_y):
-    """The gather with one plain pointwise field call per derivative order on the open node grid."""
+def _pointwise_node_values(field, grid_x, grid_y, scheme):
+    """The node values with one plain pointwise field call per derivative order on the open node grid."""
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
-    sx, sy = rows_x[-1][0], rows_y[-1][0]
-    hx, hy = interpolation._half_widths(gx, sx), interpolation._half_widths(gy, sy)
-    nx, ny = len(hx), len(hy)
-    G = np.empty((ny, nx, len(rows_x), len(rows_y)))
-    values = {}
-    for r, (ox, px) in enumerate(rows_x):
-        for c, (oy, py) in enumerate(rows_y):
-            if (px, py) not in values:
-                values[px, py] = np.broadcast_to(field(gx[:, None], gy[None, :], px, py), (len(gx), len(gy))).T
-            V = values[px, py][oy : oy + sy * ny : sy, ox : ox + sx * nx : sx]
-            G[:, :, r, c] = hx[None, :] ** px * hy[:, None] ** py * V
-    return G
+    x_orders, y_orders = (sorted({p for _, p in rows}) for rows in scheme[:2])
+    return np.array([[np.broadcast_to(field(gx[:, None], gy[None, :], px, py), (len(gx), len(gy))) for py in y_orders] for px in x_orders])
 
 
 def _sigma_selections(mesh):
@@ -234,23 +224,18 @@ def test_composite_from_stored_factors_is_the_pointwise_composite_bit_for_bit(mo
     # every field on this mesh, the sigma strategies taken in turn
     cases = [(f, sigmas[k % len(sigmas)]) for k, f in enumerate(fields)]
     stored = [build_composite(f, mesh, sigma).coef for f, sigma in cases]
-    monkeypatch.setattr(interpolation, "_gather", _pointwise_gather)
+    monkeypatch.setattr(interpolation, "_node_values", _pointwise_node_values)
     for (f, sigma), coef in zip(cases, stored):
         assert np.all(coef == build_composite(f, mesh, sigma).coef)
 
 
 def _per_corner_quasi_data(field, grid_x, grid_y, sigma, nodes_x, nodes_y):
-    """Quasi data of one corner with its own sigma lookup, node check and field call."""
+    """Quasi node values of one corner with its own sigma lookup, node check and field call."""
     rows = sigma.rows(nodes_x[None, :], nodes_y[:, None])
     _check_on_edge(rows, grid_x[None, :], grid_y[:, None], nodes_x[None, :], nodes_y[:, None], _node_tol(grid_x, grid_y))
-    G = interpolation._gather(field, grid_x, grid_y, interpolation._HERMITE, interpolation._HERMITE)
-    A = interpolation._sigma_averages(field, rows)
-    ny, nx = G.shape[:2]
-    hxy = interpolation._half_widths(grid_x)[None, :] * interpolation._half_widths(grid_y)[:, None]
-    for p, di in ((1, 0), (3, 1)):
-        for q, dj in ((1, 0), (3, 1)):
-            G[:, :, p, q] = hxy * A[dj : dj + ny, di : di + nx]
-    return G
+    V = interpolation._node_values(field, grid_x, grid_y, interpolation._C1)
+    V[1, 1] = interpolation._sigma_averages(field, rows).T
+    return V
 
 
 def _per_corner_composite(field, mesh, sigma):
@@ -263,26 +248,26 @@ def _per_corner_composite(field, mesh, sigma):
     u = _LineGrids(field)
     core_x, core_y = _bisect(gx[core]), _bisect(gy[core])
     band_x, band_y = [gx[lines] for lines, _ in bands], [gy[lines] for lines, _ in bands]
-    V = interpolation._gather(u, core_x, core_y, interpolation._LAGRANGE, interpolation._LAGRANGE)
-    coef[inner, inner] = interpolation._LG3.T @ V @ interpolation._LG3
-    wx, wy = np.diff(gx[core]), np.diff(gy[core])
+    V = interpolation._node_values(u, core_x, core_y, interpolation._NODAL)
+    G = np.lib.stride_tricks.sliding_window_view(V[0, 0], (3, 3))[::2, ::2].transpose(1, 0, 2, 3)  # [j, i, r, c]: node (2i + r, 2j + c)
+    coef[inner, inner] = interpolation._LG3.T @ G @ interpolation._LG3
+    v, wx, wy = V[0, 0], np.diff(gx[core]), np.diff(gy[core])
     edge_slope = interpolation._edge_slope
-    slope_y = (edge_slope(V[0], wy[0]), -edge_slope(V[-1, :, :, ::-1], wy[-1]))
-    slope_x = (edge_slope(V[:, 0].swapaxes(1, 2), wx[0]), -edge_slope(V[:, -1, ::-1].swapaxes(1, 2), wx[-1]))
+    slope_x = (edge_slope(v[:3].T, wx[0]), -edge_slope(v[:-4:-1].T, wx[-1]))
+    slope_y = (edge_slope(v[:, :3], wy[0]), -edge_slope(v[:, :-4:-1], wy[-1]))
     strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
     for f, along, across, slopes, out in strips:
-        for lines, (_, elements), j, c, s in zip(across, bands, (-1, 0), (3, 1), slopes):
-            G = interpolation._gather(f, along, lines, interpolation._LAGRANGE, interpolation._HERMITE)
-            G[j, :, :, c] = interpolation._half_widths(lines)[j] * s
-            out[elements, inner] = interpolation._aniso_coef(G)
+        for lines, (_, elements), j, s in zip(across, bands, (-1, 0), slopes):
+            V = interpolation._node_values(f, along, lines, interpolation._ANISO)
+            V[0, 1, :, j] = s
+            out[elements, inner] = interpolation._assemble(V, along, lines, interpolation._ANISO)
     nodes = np.arange(N + 1)
     for a, (xl, xe) in enumerate(bands):
         for b, (yl, ye) in enumerate(bands):
-            G = _per_corner_quasi_data(u, band_x[a], band_y[b], sigma, nodes[xl], nodes[yl])
+            V = _per_corner_quasi_data(u, band_x[a], band_y[b], sigma, nodes[xl], nodes[yl])
             i, j = a - 1, b - 1
-            G[j, i, 3 - 2 * a, 2 - 2 * b] = interpolation._half_widths(band_x[a])[i] * slope_x[a][-b, 2 * b]
-            G[j, i, 2 - 2 * a, 3 - 2 * b] = interpolation._half_widths(band_y[b])[j] * slope_y[b][-a, 2 * a]
-            coef[ye, xe] = interpolation._c1_coef(G)
+            V[1, 0, i, j], V[0, 1, i, j] = slope_x[a][-b], slope_y[b][-a]
+            coef[ye, xe] = interpolation._assemble(V, band_x[a], band_y[b], interpolation._C1)
     return coef
 
 
@@ -293,6 +278,22 @@ def test_one_sigma_pass_for_all_corners_is_the_per_corner_composite_bit_for_bit(
     for sigma in _sigma_selections(mesh):
         for f in _composite_fields(eps, N):
             assert build_composite(f, mesh, sigma).coef.tobytes() == _per_corner_composite(f, mesh, sigma).tobytes()
+
+
+@pytest.mark.parametrize("N", [40, 48, 56])
+def test_composite_does_not_depend_on_the_block_size(monkeypatch, N):
+    # 5 to 7 macro rows per corner and strip, N/2 element rows in the
+    # core: blocks of one row, and of several with a ragged last one in
+    # every part, give the coefficients of one block bit for bit.
+    mesh = build_shishkin(1e-6, N)
+    sigmas = _sigma_selections(mesh)
+    cases = [(f, sigmas[k % len(sigmas)]) for k, f in enumerate(_composite_fields(1e-6, N))]
+    monkeypatch.setattr(interpolation, "_BLOCK_VALUES", 2**62)
+    whole = [build_composite(f, mesh, sigma).coef for f, sigma in cases]
+    for block in (1, 2**8, 2**9, 2**10, 2**11):
+        monkeypatch.setattr(interpolation, "_BLOCK_VALUES", block)
+        for (f, sigma), coef in zip(cases, whole):
+            assert np.array_equal(build_composite(f, mesh, sigma).coef, coef)
 
 
 def _unverified(sigma, broken):

@@ -11,14 +11,15 @@ from macrospline.fields import (
     make_smooth_field,
 )
 from macrospline.interpolation import (
+    _ANISO,
+    _C1,
     _HB,
     _LG3,
-    _LG3T,
+    _NODAL,
     PiecewisePoly2D,
-    _aniso_coef,
     _assemble,
-    _c1_coef,
     _derivative_basis,
+    assemble_from_nodal_data,
     interp_aniso,
     interp_aniso_mesh,
     interp_bfs,
@@ -29,8 +30,9 @@ from macrospline.interpolation import (
     interp_reduced_macro,
     nodal_q2,
     nodal_q2_mesh,
+    quasi_interp,
 )
-from macrospline.mesh import build_macro_mesh
+from macrospline.mesh import build_macro_mesh, select_sigma
 
 REF = (-1.0, 1.0, -1.0, 1.0)
 
@@ -553,14 +555,34 @@ def _aniso_coef_by_cell(G):
     return coef
 
 
+def _random_node_values(rng, shape, rows_x, rows_y):
+    """Node values V of random sizes over ``shape`` (ny, nx) cells, and random grids of the cells' strides."""
+    sx, sy = rows_x[-1][0], rows_y[-1][0]
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, sx * shape[1])])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, sy * shape[0])])
+    size = (1 + max(p for _, p in rows_x), 1 + max(q for _, q in rows_y), len(gx), len(gy))
+    return rng.normal(size=size) * 10.0 ** rng.integers(-12, 12, size=size), gx, gy
+
+
+def _cell_data(V, gx, gy, rows_x, rows_y):
+    """``G[j, i, r, c]`` of every cell from node values V: one strided read per functional pair, scaled by the half-widths."""
+    sx, sy = rows_x[-1][0], rows_y[-1][0]
+    hx, hy = 0.5 * (gx[sx::sx] - gx[:-sx:sx]), 0.5 * (gy[sy::sy] - gy[:-sy:sy])
+    G = np.empty((len(hy), len(hx), len(rows_x), len(rows_y)))
+    for r, (ox, px) in enumerate(rows_x):
+        for c, (oy, py) in enumerate(rows_y):
+            G[:, :, r, c] = hx[None, :] ** px * hy[:, None] ** py * V[px, py, ox : ox + sx * len(hx) : sx, oy : oy + sy * len(hy) : sy].T
+    return G
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 48)])
 def test_fixed_matrix_assembly_matches_the_two_matmul_form(shape):
     # Bound 0: the fixed matrices contract along x first, then along y,
     # as the per-cell products do, so the coefficients agree bit for bit.
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
-    for cols in (4, 3):
-        G = rng.normal(size=(*shape, cols, 4)) * 10.0 ** rng.integers(-12, 12, size=(*shape, cols, 4))
-        coef, by_cell = (_c1_coef(G), _c1_coef_by_cell(G)) if cols == 4 else (_aniso_coef(G), _aniso_coef_by_cell(G))
+    for scheme, per_cell in ((_C1, _c1_coef_by_cell), (_ANISO, _aniso_coef_by_cell)):
+        V, gx, gy = _random_node_values(rng, shape, *scheme[:2])
+        coef, by_cell = _assemble(V, gx, gy, scheme), per_cell(_cell_data(V, gx, gy, *scheme[:2]))
         assert coef.shape == by_cell.shape
         assert np.array_equal(coef, by_cell)
 
@@ -570,13 +592,42 @@ def test_nodal_assembly_matches_the_stacked_form_also_into_a_block(shape):
     # One Lagrange side per axis: the stacked _LG3.T @ G @ _LG3 per cell,
     # bit for bit, also when written into a block of a larger grid.
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
-    G = rng.normal(size=(*shape, 3, 3)) * 10.0 ** rng.integers(-12, 12, size=(*shape, 3, 3))
-    stacked = _LG3.T @ G @ _LG3
-    assert np.array_equal(_assemble(_LG3T, G, (_LG3,)), stacked)
+    V, gx, gy = _random_node_values(rng, shape, *_NODAL[:2])
+    stacked = _LG3.T @ _cell_data(V, gx, gy, *_NODAL[:2]) @ _LG3
+    assert np.array_equal(_assemble(V, gx, gy, _NODAL), stacked)
     grid = np.zeros((shape[0] + 3, shape[1] + 4, 3, 3))
     block = (slice(1, shape[0] + 1), slice(2, shape[1] + 2))
     out = grid[block]
-    assert _assemble(_LG3T, G, (_LG3,), out=out) is out
+    assert _assemble(V, gx, gy, _NODAL, out) is out
     assert np.array_equal(grid[block], stacked)
     grid[block] = 0.0
     assert not grid.any()
+
+
+@pytest.mark.parametrize("cells", [(4, 5), (3, 6), (2, 7)])
+def test_mesh_operators_do_not_depend_on_the_block_size(monkeypatch, cells):
+    # Blocks of 1 to 7 macro rows, ragged ones among them, give the
+    # coefficients of one block bit for bit: no product changes shape.
+    from macrospline import interpolation
+
+    rng = np.random.default_rng(sum(cells))
+    gx = np.cumsum(np.r_[0.0, rng.uniform(0.8, 1.0, cells[0])])
+    gy = np.cumsum(np.r_[0.0, rng.uniform(0.8, 1.0, cells[1])]) / 3.0
+    mesh = build_macro_mesh(gx, gy)
+    dofs = rng.normal(size=(cells[0] + 1, cells[1] + 1, 4))
+    builds = [
+        lambda f: interp_full(f, mesh),
+        lambda f: interp_reduced(f, mesh),
+        lambda f: quasi_interp(f, mesh, select_sigma(mesh, "down")),
+        lambda f: interp_bfs_mesh(f, gx, gy),
+        lambda f: nodal_q2_mesh(f, gx, gy),
+        lambda f: interp_aniso_mesh(f, gx, gy, "y_spline"),
+        lambda f: interp_aniso_mesh(f, gy, gx, "x_spline"),
+        lambda f: assemble_from_nodal_data(mesh, dofs),
+    ]
+    fields = (make_smooth_field("exp_xy"), get_field("q2_random"))
+    monkeypatch.setattr(interpolation, "_BLOCK_VALUES", 2**62)
+    whole = [build(f).coef for build in builds for f in fields]
+    for block in (1, 2**7, 2**8, 2**9, 2**10, 2**11):
+        monkeypatch.setattr(interpolation, "_BLOCK_VALUES", block)
+        assert all(np.array_equal(build(f).coef, coef) for (build, f), coef in zip(((b, f) for b in builds for f in fields), whole))

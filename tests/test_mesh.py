@@ -486,6 +486,21 @@ def test_sigma_edge_round_trips_and_rejects_outside_nodes():
                 sel.edge(node)
 
 
+def test_rows_by_offset_are_the_rows_by_search():
+    # A macro mesh's sigma nodes are a contiguous index range, read by
+    # offset; float indices take the search.  Both give the same rows and
+    # name the same first node outside the set.
+    sel = select_sigma(build_macro_mesh(np.linspace(0, 1, 6), np.linspace(0, 1, 4)), "toward_corner")
+    a, b = np.arange(6)[:, None], np.arange(4)[None, :]
+    assert sel.rows(a, b).tobytes() == sel.rows(a.astype(float), b.astype(float)).tobytes()
+    cases = [((np.arange(-1, 6)[:, None], b), (-1, 0)), ((a, np.arange(5)[None, :]), (0, 4)), ((np.array([[2], [9]]), np.array([[1, -3]])), (2, -3))]
+    for (bad_a, bad_b), node in cases:
+        for cast in (int, float):
+            with pytest.raises(KeyError) as missing:
+                sel.rows(bad_a.astype(cast), bad_b.astype(cast))
+            assert missing.value.args[0] == node
+
+
 @pytest.mark.parametrize("strategy", ["left", "down", "toward_corner"])
 def test_a_custom_map_with_another_strategy_is_rejected(strategy):
     for mesh in (build_macro_mesh(np.linspace(0, 1, 5), np.linspace(0, 1, 7)), build_shishkin(1e-4, 8), build_shishkin(1e-8, 64)):

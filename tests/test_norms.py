@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrospline.fields import ScalarField, exp_profile, make_layer_decomposition, make_polynomial_field, make_smooth_field, separable_field, sin_profile
-from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_full, interp_full_macro, nodal_q2_mesh, random_c1q2
+from macrospline.interpolation import PiecewisePoly2D, build_composite, interp_aniso_mesh, interp_bfs_mesh, interp_full, interp_full_macro, interp_reduced, nodal_q2_mesh, quasi_interp, random_c1q2
 from macrospline.mesh import EdgeSet, build_macro_mesh, build_shishkin, classify_edges, select_sigma
 from macrospline import fields as fields_module, mesh as mesh_module, norms, quadrature
 from macrospline.norms import (
@@ -752,6 +752,33 @@ def test_norm_pass_memory_stays_within_a_few_blocks():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+def test_mesh_operator_memory_stays_within_a_few_blocks_of_the_coefficient_grid():
+    # 128 x 128 macros: the node values (0.5 MiB) stay whole, the cell
+    # functionals and their products live in buffers of a block each
+    # (0.5 MiB), and the coefficients (1.1 to 4.5 MiB) are written in place.
+    f = make_smooth_field("sin_sin")
+    grid = np.linspace(0.0, 1.0, 129)
+    mesh = build_macro_mesh(grid, grid)
+    sigma = select_sigma(mesh, "toward_corner")
+    builds = {
+        "full": lambda: interp_full(f, mesh),
+        "reduced": lambda: interp_reduced(f, mesh),
+        "quasi": lambda: quasi_interp(f, mesh, sigma),
+        "bfs": lambda: interp_bfs_mesh(f, grid, grid),
+        "nodal": lambda: nodal_q2_mesh(f, grid, grid),
+        "aniso_y": lambda: interp_aniso_mesh(f, grid, grid, "y_spline"),
+    }
+    for name, build in builds.items():
+        build()
+        tracemalloc.start()
+        try:
+            coef = build().coef
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coef.nbytes + 2 * 2**20, name
 
 
 def test_linf_sampled_rejects_a_sample_count_that_is_not_a_positive_integer():
