@@ -15,20 +15,21 @@ scales each c, and ``+`` joins the terms of two fields that both have
 them.  ``ScalarField.terms`` reads ``_eval.terms``, so a field rebuilt as
 ``ScalarField(name, f._eval)`` keeps them.  Polynomial fields are the one
 exception: their callable carries monomial terms, but pointwise values
-come from ``polyval2d``.  The pointwise call and ``ScalarField.factors``
-(the pair of ``ScalarField.factor`` along x and along y) evaluate each
-distinct factor once per axis (``_factor_values``).  The
+come from ``polyval2d``.  The pointwise call and ``ScalarField.factor``
+evaluate each distinct factor once per axis (``_factor_values``).  The
 call folds the terms left to right in place, in one output and one
 scratch array (``_fold``), bit for bit ``total + c * (vx * vy)`` term by
-term; ``factors`` stacks the values on the rows and the columns of an
-open grid, so the values on any block of its rows are one GEMM (sum
+term; ``factor`` stacks one axis's values over the terms, so the values
+on an open grid are one GEMM of the x and the y factors (sum
 factorisation).  ``_LineGrids`` keeps the factor values of each (axis,
 coordinate line, orders) for a run of open-grid gathers on shared lines,
-and folds them into each grid as the pointwise call would.  A field
-without terms (``exp_xy``, a mesh function, any plain callable) has
-none, and a sum or scale with one adds or scales calls.  The layer
-factors (``exp_profile``) are never subnormal: they flush such values to
-exact 0 at the source, so every one of these paths sees the same values.
+and folds them into each grid as the pointwise call would.  Fields know
+one orientation: an operator that swaps the axes swaps its node values
+(``interpolation``).  A field without terms (``exp_xy``, a mesh
+function, any plain callable) has none, and a sum or scale with one adds
+or scales calls.  The layer factors (``exp_profile``) are never
+subnormal: they flush such values to exact 0 at the source, so every one
+of these paths sees the same values.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ScalarField:
     """Scalar function on the plane with exact derivatives.
 
     Every order up to (4, 4) is supported; any other raises
-    ``ValueError``, from ``__call__`` and ``factors`` alike.
+    ``ValueError``, from ``__call__`` and ``factor`` alike.
     """
 
     name: str
@@ -81,18 +82,6 @@ class ScalarField:
         y = np.asarray(y, dtype=float)
         out = self._eval(x, y, ax, ay)
         return out if np.ndim(out) else float(out)
-
-    def factors(self, x, y, ax: int = 0, ay: int = 0):
-        """Rank-one factors ``(Fx, Fy)`` of D^(ax,ay) u on the open grid of ``x`` and ``y``, or None without terms.
-
-        ``x`` and ``y`` are 1-D; Fx is ``factor(0, x, ax)`` and Fy
-        ``factor(1, y, ay)``.  The values at (x[i], y[j]) are the matrix
-        ``Fy.T @ Fx``, rows along y; for one term with c = 1 it equals a
-        pointwise call in value, but may hold +0.0 where the pointwise
-        product is -0.0.
-        """
-        _check_orders(ax, ay)
-        return None if self.terms is None else (self.factor(0, x, ax), self.factor(1, y, ay))
 
     def factor(self, axis: int, t, order: int = 0):
         """The rank-one factors along ``axis`` (0 for x, 1 for y) at the 1-D ``t``, or None without terms.
@@ -181,36 +170,24 @@ class _LineGrids:
     """A field on open grids of 1-D coordinate lines, for gathers that share lines.
 
     ``grid(x, y, x_orders, y_orders)[a, b]`` is D^(x_orders[a], y_orders[b])
-    u at (x[i], y[j]), bit for bit the pointwise call on ``x[:, None]`` and
-    ``y[None, :]``.  If the field's ``_eval`` is a ``_Terms``, each distinct
-    factor is evaluated once per (axis, line, orders), a line being one
-    array object, kept as long as this object, and all orders of a grid
-    are one ``_fold`` of those values; any other field makes one pointwise
-    call per order pair.  Called, it is the pointwise field, and
-    ``transposed()`` is (x, y) -> u(y, x) on the same stored values.
+    u at (x[i], y[j]), bit for bit the pointwise call ``field`` on
+    ``x[:, None]`` and ``y[None, :]``.  If the field's ``_eval`` is a
+    ``_Terms``, each distinct factor is evaluated once per (axis, line,
+    orders), a line being one array object, kept as long as this object,
+    and all orders of a grid are one ``_fold`` of those values; any other
+    field makes one pointwise call per order pair.
     """
 
-    def __init__(self, field, swapped=False, tables=None):
-        self.field, self.swapped = field, swapped
+    def __init__(self, field):
+        self.field = field
         eval_ = getattr(field, "_eval", None)
         self.terms = eval_.terms if isinstance(eval_, _Terms) else None
-        self.tables = {} if tables is None else tables  # (axis, id(line), orders) -> (line, factor values)
-
-    def transposed(self) -> "_LineGrids":
-        return _LineGrids(self.field, not self.swapped, self.tables)
-
-    def __call__(self, x, y, ax=0, ay=0):
-        return self.field(y, x, ay, ax) if self.swapped else self.field(x, y, ax, ay)
+        self.tables = {}  # (axis, id(line), orders) -> (line, factor values)
 
     def grid(self, x, y, x_orders, y_orders):
         if self.terms is None:
             shape = (len(x), len(y))
-            return np.array([[np.broadcast_to(self(x[:, None], y[None, :], a, b), shape) for b in y_orders] for a in x_orders])
-        if self.swapped:
-            return self._fold(y, x, y_orders, x_orders).transpose(1, 0, 3, 2)
-        return self._fold(x, y, x_orders, y_orders)
-
-    def _fold(self, x, y, x_orders, y_orders):
+            return np.array([[np.broadcast_to(self.field(x[:, None], y[None, :], a, b), shape) for b in y_orders] for a in x_orders])
         shape = (len(x_orders), len(y_orders), len(x), len(y))
         return _fold(self.terms, self._factor_values(0, x, x_orders), self._factor_values(1, y, y_orders), shape)
 

@@ -15,8 +15,10 @@ applies the fixed matrices per block of macro rows, in reused buffers,
 straight into the coefficient grid.  No product changes shape with the
 block: each cell equals the per-macro one bit for bit under the default,
 Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff under
-Nehalem.  Quasi-interpolation replaces the mixed node values by weighted
-edge averages of u_xy, which a field with terms sums by factors
+Nehalem.  Orientation lives here alone: the x-spline anisotropic operator
+is the y-spline one on transposed node values, its cells transposed back.
+Quasi-interpolation replaces the mixed node values by weighted edge
+averages of u_xy, which a field with terms sums by factors
 (``_sigma_averages``); the Shishkin composite glues quasi, anisotropic
 and nodal interpolation, with interface slopes taken from the interior
 so the normal derivative is continuous across long edges.
@@ -314,7 +316,7 @@ def interp_aniso(field, macro, orientation: str = "y_spline", assembly: str = "l
         gy = np.array([y0, 0.5 * (y0 + y1), y1])
         return PiecewisePoly2D(gx, gy, np.array([[block] for block in blocks]))
     if orientation == "x_spline":
-        swapped = interp_aniso(_LineGrids(field).transposed(), (y0, y1, x0, x1), "y_spline", assembly)
+        swapped = interp_aniso(lambda x, y, ax, ay: field(y, x, ay, ax), (y0, y1, x0, x1), "y_spline", assembly)
         coef = np.transpose(swapped.coef, (1, 0, 3, 2))
         return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
     raise ValueError("orientation must be 'y_spline' or 'x_spline'")
@@ -340,17 +342,12 @@ def _node_values(field, grid_x, grid_y, scheme) -> np.ndarray:
 
     One open-grid call of ``fields._LineGrids``, which shares stored
     factor values with all calls on the same line arrays.  ValueError on
-    a cell of no positive width or a value that is not finite.
+    a cell of no positive width; ``_blocks`` rejects what is not finite.
     """
     lines = field if isinstance(field, _LineGrids) else _LineGrids(field)
     _check_widths(_half_widths(grid_x, scheme[0][-1][0]), _half_widths(grid_y, scheme[1][-1][0]), stacklevel=4)
     x_orders, y_orders = (sorted({p for _, p in rows}) for rows in scheme[:2])
-    V = lines.grid(grid_x, grid_y, x_orders, y_orders)
-    finite = np.isfinite(V).all(axis=(2, 3))
-    if not finite.all():
-        a, b = np.argwhere(~finite)[0]
-        raise ValueError(f"field derivative ({x_orders[a]}, {y_orders[b]}) is not finite at a node")
-    return V
+    return lines.grid(grid_x, grid_y, x_orders, y_orders)
 
 
 def _blocks(V, grid_x, grid_y, rows_x, rows_y, per_cell):
@@ -359,8 +356,13 @@ def _blocks(V, grid_x, grid_y, rows_x, rows_y, per_cell):
     Order (p, q) of the node values V is scaled by hx**p * hy**q with the
     cell half-widths; W is work space of ``per_cell`` values a cell.  G
     and W are views of buffers of as many rows as keep ``per_cell``
-    values a cell within ``norms._BLOCK_VALUES``.
+    values a cell within ``norms._BLOCK_VALUES``.  ValueError first on
+    node values that are not finite after the operator's edits.
     """
+    finite = np.isfinite(V).all(axis=(2, 3))
+    if not finite.all():
+        a, b = np.argwhere(~finite)[0]
+        raise ValueError(f"field derivative ({a}, {b}) is not finite at a node")
     sx, sy = rows_x[-1][0], rows_y[-1][0]
     hx, hy = _half_widths(grid_x, sx), _half_widths(grid_y, sy)
     hx_pow, hy_pow = {p: hx**p for _, p in rows_x}, {q: hy**q for _, q in rows_y}
@@ -450,15 +452,14 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
     Lagrange direction, one grid of two-element macros across it."""
     lag = np.asarray(lagrange_grid, dtype=float)
     spl = np.asarray(spline_grid, dtype=float)
+    bx = _bisect(lag)
     if orientation == "y_spline":
-        bx = _bisect(lag)
         V = _node_values(field, bx, spl, _ANISO)
         return PiecewisePoly2D(lag, _bisect(spl), _assemble(V, bx, spl, _ANISO))
     if orientation != "x_spline":
         raise ValueError("orientation must be 'y_spline' or 'x_spline'")
-    swapped = interp_aniso_mesh(_LineGrids(field).transposed(), lag, spl, "y_spline")
-    coef = np.transpose(swapped.coef, (1, 0, 3, 2))
-    return PiecewisePoly2D(swapped.grid_y, swapped.grid_x, coef)
+    V = _node_values(field, spl, bx, (_HERMITE, _LAGRANGE)).transpose(1, 0, 3, 2)  # into the y-spline operator's axes
+    return PiecewisePoly2D(_bisect(spl), lag, _assemble(V, bx, spl, _ANISO).transpose(1, 0, 3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +497,12 @@ def _sigma_averages(field, rows) -> np.ndarray:
         along = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _SIGMA_T
         across = np.broadcast_to(level[..., None], along.shape)
         horizontal = rows["horizontal"][..., None]
-        vals = field(np.where(horizontal, along, across), np.where(horizontal, across, along), 1, 1)
+        vals = lines.field(np.where(horizontal, along, across), np.where(horizontal, across, along), 1, 1)
         return np.sum(_SIGMA_W[rows["upper"].astype(int)] * vals, axis=-1)
-    terms = tuple((c, fy, fx) for c, fx, fy in lines.terms) if lines.swapped else lines.terms
     horizontal = rows["horizontal"]
-    x_values = _axis_sums([fx for _, fx, _ in terms], rows, horizontal)
-    y_values = _axis_sums([fy for _, _, fy in terms], rows, ~horizontal)
-    return _fold(terms, x_values, y_values, rows.shape)
+    x_values = _axis_sums([fx for _, fx, _ in lines.terms], rows, horizontal)
+    y_values = _axis_sums([fy for _, _, fy in lines.terms], rows, ~horizontal)
+    return _fold(lines.terms, x_values, y_values, rows.shape)
 
 
 def _axis_sums(factors, rows, along) -> dict:
@@ -598,9 +598,11 @@ def assemble_from_nodal_data(mesh: MacroMesh, dofs) -> PiecewisePoly2D:
     index pairs or an array of shape (nx + 1, ny + 1, 4).
     """
     nmx, nmy = mesh.n_macros
-    D = np.array([[dofs[i, j] for j in range(nmy + 1)] for i in range(nmx + 1)], dtype=float)
+    if isinstance(dofs, dict):
+        dofs = [[dofs[i, j] for j in range(nmy + 1)] for i in range(nmx + 1)]
     mx, my = mesh.macro_x.coordinates, mesh.macro_y.coordinates
-    V = _node_values(lambda x, y, px, py: D[:, :, px + 2 * py], mx, my, _C1)
+    _check_widths(_half_widths(mx, 1), _half_widths(my, 1))
+    V = np.asarray(dofs, dtype=float).reshape(nmx + 1, nmy + 1, 2, 2).transpose(3, 2, 0, 1)  # [x order, y order, i, j]
     return PiecewisePoly2D(mesh.element_x, mesh.element_y, _assemble(V, mx, my, _C1))
 
 
@@ -671,11 +673,11 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
 
     # Edge strips: one anisotropic operator per band, with the spline slopes
     # on the core-facing line taken from the interior.  The x-strips are
-    # the y-strips of the transposed field, written through a transposed view.
-    strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
-    for f, along, across, slopes, out in strips:
+    # y-strips on their node values transposed, written through a transposed view.
+    strips = ((False, core_x, band_y, slope_y, coef), (True, core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
+    for x_spline, along, across, slopes, out in strips:
         for lines, elements, j, s in zip(across, (low, high), (-1, 0), slopes):
-            V = _node_values(f, along, lines, _ANISO)
+            V = _node_values(u, lines, along, (_HERMITE, _LAGRANGE)).transpose(1, 0, 3, 2) if x_spline else _node_values(u, along, lines, _ANISO)
             V[0, 1, :, j] = s
             _assemble(V, along, lines, _ANISO, out[elements, inner])
 

@@ -56,8 +56,8 @@ def difference_per_element(field, poly, alpha, elements, loc, absolute=False):
     (l, k) order scaled by (2/wx)^ax; one 2-D product makes the rows of
     every element.  ``D^a P`` and ``D^a Q`` hold the a-th derivatives of
     the local monomials at ``loc``.  A field with terms takes ``Fx_e`` and
-    ``Fy_e`` from one ``field.factors`` call on the distinct columns and
-    rows of ``elements``; a field without terms, or None, has none, and a
+    ``Fy_e`` from one ``field.factor`` call per axis on the distinct columns
+    and rows of ``elements``; a field without terms, or None, has none, and a
     field without terms is then added, called with one row of
     coordinates per element, ``field(X[:, None, :], Y[:, :, None])``.
     """
@@ -81,7 +81,7 @@ def difference_per_element(field, poly, alpha, elements, loc, absolute=False):
     (ux, cx), (uy, cy) = np.unique(ix, return_inverse=True), np.unique(jy, return_inverse=True)
     X = (0.5 * (gx[ux] + gx[ux + 1]))[:, None] + (0.5 * (gx[ux + 1] - gx[ux]))[:, None] * loc[None, :]
     Y = (0.5 * (gy[uy] + gy[uy + 1]))[:, None] + (0.5 * (gy[uy + 1] - gy[uy]))[:, None] * loc[None, :]
-    Fx, Fy = (part(F).reshape(len(F), -1, p) for F in field.factors(X.ravel(), Y.ravel(), alpha[0], alpha[1]))
+    Fx, Fy = (part(F).reshape(len(F), -1, p) for F in (field.factor(0, X.ravel(), alpha[0]), field.factor(1, Y.ravel(), alpha[1])))
     return np.concatenate([Fy[:, cy].transpose(1, 2, 0), A], axis=2) @ np.concatenate([Fx[:, cx].transpose(1, 0, 2), R], axis=1)
 
 

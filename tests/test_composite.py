@@ -195,6 +195,7 @@ def test_composite_error_decreases_with_n():
 
 def _pointwise_node_values(field, grid_x, grid_y, scheme):
     """The node values with one plain pointwise field call per derivative order on the open node grid."""
+    field = field.field if isinstance(field, _LineGrids) else field
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
     x_orders, y_orders = (sorted({p for _, p in rows}) for rows in scheme[:2])
     return np.array([[np.broadcast_to(field(gx[:, None], gy[None, :], px, py), (len(gx), len(gy))) for py in y_orders] for px in x_orders])
@@ -255,10 +256,13 @@ def _per_corner_composite(field, mesh, sigma):
     edge_slope = interpolation._edge_slope
     slope_x = (edge_slope(v[:3].T, wx[0]), -edge_slope(v[:-4:-1].T, wx[-1]))
     slope_y = (edge_slope(v[:, :3], wy[0]), -edge_slope(v[:, :-4:-1], wy[-1]))
-    strips = ((u, core_x, band_y, slope_y, coef), (u.transposed(), core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
-    for f, along, across, slopes, out in strips:
+    strips = ((False, core_x, band_y, slope_y, coef), (True, core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
+    for x_spline, along, across, slopes, out in strips:
         for lines, (_, elements), j, s in zip(across, bands, (-1, 0), slopes):
-            V = interpolation._node_values(f, along, lines, interpolation._ANISO)
+            if x_spline:  # the y-strip operator on the transposed node values
+                V = interpolation._node_values(u, lines, along, (interpolation._HERMITE, interpolation._LAGRANGE)).transpose(1, 0, 3, 2)
+            else:
+                V = interpolation._node_values(u, along, lines, interpolation._ANISO)
             V[0, 1, :, j] = s
             out[elements, inner] = interpolation._assemble(V, along, lines, interpolation._ANISO)
     nodes = np.arange(N + 1)

@@ -279,8 +279,8 @@ def _terms_reference(field, X, Y, ax, ay):
 
 
 def _open_grid_matrix(field, X, Y, ax, ay):
-    """``field.factors`` on the rows and columns of the open grid, multiplied out as (ny, nx, p, p), entry [jy, ix, a, b] at (X[ix, a], Y[jy, b])."""
-    Fx, Fy = field.factors(X.ravel(), Y.ravel(), ax, ay)
+    """``field.factor`` on the rows and the columns of the open grid, multiplied out as (ny, nx, p, p), entry [jy, ix, a, b] at (X[ix, a], Y[jy, b])."""
+    Fx, Fy = field.factor(0, X.ravel(), ax), field.factor(1, Y.ravel(), ay)
     assert Fx.shape == (len(field.terms), X.size) and Fy.shape == (len(field.terms), Y.size)
     matrix = np.multiply.outer(Fy[0], Fx[0]) if len(Fx) == 1 else Fy.T @ Fx  # rows (jy, b), columns (ix, a)
     return matrix.reshape(len(Y), Y.shape[1], len(X), X.shape[1]).transpose(0, 2, 3, 1)
@@ -315,7 +315,7 @@ def test_grid_layout_on_an_asymmetric_field():
         bound = _terms_reference(u, X, Y, ax, ay)[1]
         broadcast = u(X[None, :, :, None], Y[:, None, None, :], ax, ay)
         assert np.all(np.abs(_open_grid_matrix(u, X, Y, ax, ay) - broadcast) <= bound)
-        Fx, Fy = u.factors(X.ravel(), Y.ravel(), ax, ay)
+        Fx, Fy = u.factor(0, X.ravel(), ax), u.factor(1, Y.ravel(), ay)
         matrix = Fy.T @ Fx
         assert matrix.shape == (3 * 4, 7 * 4)
         assert np.all(np.abs(matrix - u(X.ravel()[None, :], Y.ravel()[:, None], ax, ay)) <= bound.transpose(0, 3, 1, 2).reshape(matrix.shape))
@@ -348,14 +348,14 @@ def test_grid_without_terms_is_the_broadcast_call():
     x_only = ScalarField("x", lambda x, y, ax, ay: np.sin(x) if ax == ay == 0 else 0.0)
     for field in (make_smooth_field("exp_xy"), x_only):
         for ax, ay in ORDERS:
-            assert field.factors(X.ravel(), Y.ravel(), ax, ay) is None
+            assert field.factor(0, X.ravel(), ax) is None and field.factor(1, Y.ravel(), ay) is None
             blocks = []
             next(_per_cell(field, zero, None, loc, ((ax, ay),), lambda d, wx, wy: blocks.append(d.copy()) or np.zeros(d.shape[::3])))
             grid = np.concatenate(blocks).transpose(0, 3, 2, 1)
             assert grid.shape == (3, 4, 3, 3)
             assert np.array_equal(grid, np.broadcast_to(field(X[None, :, :, None], Y[:, None, None, :], ax, ay), grid.shape))
     with pytest.raises(ValueError, match="derivative orders"):
-        make_smooth_field("sin_sin").factors(X.ravel(), Y.ravel(), 5, 0)
+        make_smooth_field("sin_sin").factor(0, X.ravel(), 5)
 
 
 def test_terms_ride_on_eval():
@@ -462,13 +462,14 @@ def test_orders_up_to_four_are_finite_and_others_are_rejected(name):
     f = _ALL_FIELDS[name]()
     x, y = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
     assert np.all(np.isfinite(f(x[:, None], y[None, :], 4, 4)))
-    factors = f.factors(x, y, 4, 4)
-    assert factors is None or all(np.all(np.isfinite(F)) for F in factors)
+    assert all(F is None or np.all(np.isfinite(F)) for F in (f.factor(0, x, 4), f.factor(1, y, 4)))
     for order in ((5, 0), (-1, 0), (0, 5), (0, -1)):
         with pytest.raises(ValueError, match="0..4"):
             f(x, y, *order)
-        with pytest.raises(ValueError, match="0..4"):
-            f.factors(x, y, *order)
+    for axis, t in ((0, x), (1, y)):
+        for order in (5, -1):
+            with pytest.raises(ValueError, match="0..4"):
+                f.factor(axis, t, order)
 
 
 def _fold_reference(terms, x, y, ax, ay):
@@ -524,8 +525,8 @@ def test_terms_call_is_the_plain_left_fold_bit_for_bit(c):
 
 
 def test_line_grids_are_the_pointwise_call_bit_for_bit():
-    # Each factor is evaluated once per (axis, order, line), and a grid or its
-    # transpose folds the stored values as the pointwise call does.
+    # Each factor is evaluated once per (axis, order, line), and a grid
+    # folds the stored values as the pointwise call does.
     total = make_layer_decomposition(1e-8, smooth="bounded_third", smooth_amplitude=10.0, edge_amplitude=0.05).total
     calls = Counter()
 
@@ -536,20 +537,16 @@ def test_line_grids_are_the_pointwise_call_bit_for_bit():
     field = ScalarField("counted", fields_mod._Terms((c, wrapped[fx], wrapped[fy]) for c, fx, fy in total.terms))
     x, y = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5)[::2]  # a strided line too
     grids = fields_mod._LineGrids(field)
-    swapped = grids.transposed()
     for _ in range(2):
-        V, S = grids.grid(x, y, [0, 1], [0, 1]), swapped.grid(y, x, [0, 1], [0, 1])
-        assert V.shape == (2, 2, 9, 3) and S.shape == (2, 2, 3, 9)
+        V = grids.grid(x, y, [0, 1], [0, 1])
+        assert V.shape == (2, 2, 9, 3)
         for ax in range(2):
             for ay in range(2):
                 want = total(x[:, None], y[None, :], ax, ay)
                 assert V[ax, ay].tobytes() == want.tobytes()
-                assert np.array_equal(S[ay, ax], want.T)
-                assert np.array_equal(fields_mod._LineGrids(total).transposed()(y[None, :], x[:, None], ay, ax), want)
     # 5 distinct factors on each of the 2 axes, at 2 orders, however often the grids are asked for
     assert sum(calls.values()) == 5 * 2 * 2
     # a field without terms makes one pointwise call per order pair
     exp_xy = make_smooth_field("exp_xy")
     plain = fields_mod._LineGrids(exp_xy)
     assert np.array_equal(plain.grid(x, y, [1], [0, 2])[0, 1], exp_xy(x[:, None], y[None, :], 1, 2))
-    assert np.array_equal(plain.transposed().grid(y, x, [2], [1])[0, 0], exp_xy(x[None, :], y[:, None], 1, 2))

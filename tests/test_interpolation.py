@@ -538,6 +538,55 @@ def test_gather_rejects_non_finite_field_values():
     interp_full(bad_at(np.nan, (0.3, 0.3)), build_macro_mesh(gx, gy))  # NaN off the nodes is never read
 
 
+def _re_z_power(beta, at_origin=np.inf):
+    """u = Re z^beta on the closed first quadrant: D^(ax,ay) u = Re(i^ay beta (beta-1) ... z^(beta-ax-ay)); an order above beta takes ``at_origin`` at z = 0."""
+
+    def ev(x, y, ax, ay):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        z, k = x + 1j * y, ax + ay
+        origin = z == 0
+        v = (np.prod([beta - m for m in range(k)]) * 1j**ay * np.where(origin, 1.0, z) ** (beta - k)).real
+        return np.where(origin, 0.0 if k < beta else at_origin, v)
+
+    return ScalarField(f"re_z^{beta}", ev)
+
+
+def test_operators_that_replace_the_mixed_node_values_accept_a_singular_u_xy():
+    # u = Re z^1.5 on 4 x 4 macros: u_xy ~ r^-1/2 is infinite at the corner node
+    # and integrable along every edge.  Reduced and quasi never read u_xy at a
+    # node, so they equal themselves on the field with u_xy(0, 0) = 0; full reads it.
+    grid = np.linspace(0.0, 1.0, 5)
+    mesh = build_macro_mesh(grid, grid)
+    sigma = select_sigma(mesh, "toward_corner")
+    u, tamed = _re_z_power(1.5), _re_z_power(1.5, at_origin=0.0)
+    assert u(0.0, 0.0, 1, 1) == np.inf and u(0.0, 0.0, 1, 0) == 0.0
+    for build in (lambda f: interp_reduced(f, mesh), lambda f: quasi_interp(f, mesh, sigma)):
+        coef = build(u).coef
+        assert np.all(np.isfinite(coef))
+        assert coef.tobytes() == build(tamed).coef.tobytes()
+    with pytest.raises(ValueError, match=re.escape("field derivative (1, 1) is not finite at a node")):
+        interp_full(u, mesh)
+    # a sigma average that is not finite is rejected as the node value it replaces
+    base = make_smooth_field("sin_sin")
+    nan_off_nodes = ScalarField("nan_off_nodes", lambda x, y, ax, ay: np.where(np.isin(x, grid) & np.isin(y, grid), base(x, y, ax, ay), np.nan))
+    interp_full(nan_off_nodes, mesh)
+    with pytest.raises(ValueError, match=re.escape("field derivative (1, 1) is not finite at a node")):
+        quasi_interp(nan_off_nodes, mesh, sigma)
+
+
+def test_x_spline_is_the_y_spline_of_the_swapped_field_transposed_bit_for_bit():
+    # Both sides gather the same node values and run the same products, so
+    # this holds under every OpenBLAS kernel.
+    rng = np.random.default_rng(37)
+    lag = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 4)), [1.0]])
+    spl = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 6)), [2.0]])
+    for f in (get_field("sin_plus_sin"), make_polynomial_field(rng.normal(size=(3, 4))), make_smooth_field("exp_xy")):
+        swapped = ScalarField("swapped", lambda x, y, ax, ay, f=f: f(y, x, ay, ax))
+        x_spline, y_spline = interp_aniso_mesh(f, lag, spl, "x_spline"), interp_aniso_mesh(swapped, lag, spl, "y_spline")
+        assert np.array_equal(x_spline.grid_x, y_spline.grid_y) and np.array_equal(x_spline.grid_y, y_spline.grid_x)
+        assert x_spline.coef.tobytes() == np.ascontiguousarray(y_spline.coef.transpose(1, 0, 3, 2)).tobytes(), f.name
+
+
 def _c1_coef_by_cell(G):
     """The C1 assembly as four batched two-matmul products with strided stores."""
     coef = np.empty((2 * G.shape[0], 2 * G.shape[1], 3, 3))

@@ -159,8 +159,6 @@ def _pointwise_sigma_sum(field, rows, absolute=False):
     W = interpolation._SIGMA_W[rows["upper"].astype(int)]
     if not absolute:
         return np.sum(W * field(x, y, 1, 1), axis=-1)
-    if isinstance(field, _LineGrids):
-        field, x, y = field.field, *((y, x) if field.swapped else (x, y))
     return np.sum(np.abs(W) * sum(np.abs(c * fx(x, 1) * fy(y, 1)) for c, fx, fy in field.terms), axis=-1)
 
 
@@ -202,18 +200,17 @@ _SIGMA_CASES = (
 
 
 def _sigma_sums(make_mesh, strategy):
-    """``(name, by factors, pointwise, eps * scale)`` of every field and its transposition on the
-    selection; the scale is None for a field on the pointwise path."""
+    """``(name, by factors, pointwise, eps * scale)`` of every field on the selection; the scale
+    is None for a field on the pointwise path."""
     mesh = make_mesh()
     sigma = _custom_selection(mesh) if strategy == "custom" else select_sigma(mesh, strategy)
     rows = sigma.edges.reshape(len(sigma.nodes_x), len(sigma.nodes_y))
     if strategy == "custom":
         assert len(set(rows["hi"][rows["lo"] == 0.0].tolist())) > 2  # lo = 0 carries several hi
     for f in _sigma_fields(1e-6 if isinstance(mesh, ShishkinMesh) else 1e-4):
-        for field in (f, _LineGrids(f).transposed()):
-            got, want = interpolation._sigma_averages(field, rows), _pointwise_sigma_sum(field, rows)
-            scale = None if _LineGrids(f).terms is None else np.finfo(float).eps * _pointwise_sigma_sum(field, rows, absolute=True)
-            yield f.name, got, want, scale
+        got, want = interpolation._sigma_averages(f, rows), _pointwise_sigma_sum(f, rows)
+        scale = None if _LineGrids(f).terms is None else np.finfo(float).eps * _pointwise_sigma_sum(f, rows, absolute=True)
+        yield f.name, got, want, scale
 
 
 @pytest.mark.parametrize("make_mesh, strategy", [case[1:] for case in _SIGMA_CASES], ids=[case[0] for case in _SIGMA_CASES])
