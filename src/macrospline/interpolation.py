@@ -7,16 +7,14 @@ defined on one macro the same way: gather the corner functionals
 a matrix G, then apply fixed basis matrices, B_x^T G B_y.  The per-macro
 functions (full and reduced C1 macro, bicubic Hermite, biquadratic
 nodal, anisotropic two-element macro) spell this out for one macro and
-are the reference.  The mesh-level operators run it for all cells:
-``_node_values`` takes the field's values for each derivative order on
-the node grid, one open-grid call of ``fields._LineGrids``, an operator
-edits those of a functional it replaces, and ``_assemble`` gathers G and
-applies the fixed matrices per block of macro rows, in reused buffers,
-straight into the coefficient grid.  No product changes shape with the
-block: each cell equals the per-macro one bit for bit under the default,
-Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff under
-Nehalem.  Orientation lives here alone: the x-spline anisotropic operator
-is the y-spline one on transposed node values, its cells transposed back.
+are the reference.  The mesh-level operators, bicubic Hermite among
+them, run it for all cells on one path: ``_node_values`` takes the
+field's values for each derivative order on the node grid, one open-grid
+call of ``fields._LineGrids``, an operator edits those of a functional it
+replaces, and ``_assemble`` gathers G and applies the scheme's fixed
+matrices per block of macro rows, straight into the coefficient grid.
+Orientation lives here alone: the x-spline anisotropic operator is the
+y-spline one on transposed node values, its cells transposed back.
 Quasi-interpolation replaces the mixed node values by weighted edge
 averages of u_xy, which a field with terms sums by factors
 (``_sigma_averages``); the Shishkin composite glues quasi, anisotropic
@@ -78,13 +76,13 @@ _HB, _NB = _HERMITE_LOCAL, _NEWTON_LOCAL
 _LG3 = LAGRANGE3  # rows: nodes -1, 0, 1
 # Newton basis in the Lagrange direction: 1, (x+1), (x+1)x
 _LGN = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-# Bicubic Newton basis 1, (x+1), (x+1)^2, (x+1)^2(x-1)
-_BFSN = np.array(
+# Cubic Hermite basis, Hermite rows: HERMITE_DD_MATRIX.T @ (Newton basis 1, (x+1), (x+1)^2, (x+1)^2(x-1))
+_CUBIC = np.array(
     [
-        [1.0, 0.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0, 0.0],
-        [1.0, 2.0, 1.0, 0.0],
-        [-1.0, -1.0, 1.0, 1.0],
+        [0.5, -0.75, 0.0, 0.25],
+        [0.25, -0.25, -0.25, 0.25],
+        [0.5, 0.75, 0.0, -0.25],
+        [-0.25, -0.25, 0.25, 0.25],
     ]
 )
 
@@ -267,9 +265,7 @@ def interp_reduced_macro(field, macro) -> PiecewisePoly2D:
 def interp_bfs(field, element) -> PiecewisePoly2D:
     """Bicubic Hermite interpolant on one element from the 16 corner functionals."""
     x0, x1, y0, y1 = element
-    G = _hermite_data(field, x0, x1, y0, y1)
-    F = HERMITE_DD_MATRIX @ G @ HERMITE_DD_MATRIX.T
-    C = _BFSN.T @ F @ _BFSN
+    C = _CUBIC.T @ _hermite_data(field, x0, x1, y0, y1) @ _CUBIC
     return PiecewisePoly2D(np.array([x0, x1]), np.array([y0, y1]), C[None, None, :, :])
 
 
@@ -342,7 +338,7 @@ def _node_values(field, grid_x, grid_y, scheme) -> np.ndarray:
 
     One open-grid call of ``fields._LineGrids``, which shares stored
     factor values with all calls on the same line arrays.  ValueError on
-    a cell of no positive width; ``_blocks`` rejects what is not finite.
+    a cell of no positive width; ``_assemble`` rejects what is not finite.
     """
     lines = field if isinstance(field, _LineGrids) else _LineGrids(field)
     _check_widths(_half_widths(grid_x, scheme[0][-1][0]), _half_widths(grid_y, scheme[1][-1][0]), stacklevel=4)
@@ -350,32 +346,18 @@ def _node_values(field, grid_x, grid_y, scheme) -> np.ndarray:
     return lines.grid(grid_x, grid_y, x_orders, y_orders)
 
 
-def _blocks(V, grid_x, grid_y, rows_x, rows_y, per_cell):
-    """``(j0, G, W)`` per block of whole cell rows: ``G[j - j0, i, r, c]`` applies ``rows_x[r]`` along x and ``rows_y[c]`` along y to cell (i, j).
+def _check_finite(V):
+    """ValueError naming the first order pair (p, q) whose node values ``V[p, q]`` are not all finite."""
+    bad = np.argwhere(~np.isfinite(V).all(axis=(2, 3)))
+    if bad.size:
+        raise ValueError(f"field derivative ({bad[0, 0]}, {bad[0, 1]}) is not finite at a node")
 
-    Order (p, q) of the node values V is scaled by hx**p * hy**q with the
-    cell half-widths; W is work space of ``per_cell`` values a cell.  G
-    and W are views of buffers of as many rows as keep ``per_cell``
-    values a cell within ``norms._BLOCK_VALUES``.  ValueError first on
-    node values that are not finite after the operator's edits.
-    """
-    finite = np.isfinite(V).all(axis=(2, 3))
-    if not finite.all():
-        a, b = np.argwhere(~finite)[0]
-        raise ValueError(f"field derivative ({a}, {b}) is not finite at a node")
-    sx, sy = rows_x[-1][0], rows_y[-1][0]
-    hx, hy = _half_widths(grid_x, sx), _half_widths(grid_y, sy)
-    hx_pow, hy_pow = {p: hx**p for _, p in rows_x}, {q: hy**q for _, q in rows_y}
-    nx, ny = len(hx), len(hy)
-    rows = max(1, min(ny, _BLOCK_VALUES // (nx * per_cell)))
-    buffer, work = np.empty((rows, nx, len(rows_x), len(rows_y))), np.empty(rows * nx * per_cell)
-    for j0 in range(0, ny, rows):
-        G = buffer[: min(rows, ny - j0)]
-        for r, (ox, px) in enumerate(rows_x):
-            for c, (oy, py) in enumerate(rows_y):
-                v = V[px, py].T[oy + sy * j0 : oy + sy * (j0 + len(G)) : sy, ox : ox + sx * nx : sx]  # rows along y
-                np.multiply(hx_pow[px][None, :] * hy_pow[py][j0 : j0 + len(G), None], v, out=G[:, :, r, c])
-        yield j0, G, work[: len(G) * nx * per_cell]
+
+def _x_spline_values(field, spline_grid, lagrange_nodes) -> np.ndarray:
+    """V of the x-spline operator in the y-spline's axes: gathered and checked finite along the real axes, then transposed."""
+    V = _node_values(field, spline_grid, lagrange_nodes, (_HERMITE, _LAGRANGE))
+    _check_finite(V)
+    return V.transpose(1, 0, 3, 2)
 
 
 _HB2T = np.ascontiguousarray(np.hstack([_HB[0], _HB[1]]).T)  # both Hermite bases, rows (side, k)
@@ -383,36 +365,47 @@ _LG3T = np.ascontiguousarray(_LG3.T)
 _C1 = (_HERMITE, _HERMITE, _HB2T, (_HB[0], _HB[1]))  # the C1 macro interpolant
 _ANISO = (_LAGRANGE, _HERMITE, _LG3T, (_HB[0], _HB[1]))  # the y-spline anisotropic operator
 _NODAL = (_LAGRANGE, _LAGRANGE, _LG3T, (_LG3,))  # biquadratic nodal interpolation
+_BFS = (_HERMITE, _HERMITE, _CUBIC.T, (_CUBIC,))  # bicubic Hermite (Bogner-Fox-Schmit) interpolation
 
 
 def _assemble(V, grid_x, grid_y, scheme, out=None) -> np.ndarray:
-    """Biquadratic cells ``Bx[sx].T @ G[j, i] @ By[sy]`` of every macro (i, j), interleaved into one element grid.
+    """Cells ``Bx[sx].T @ G[j, i] @ By[sy]`` of every macro (i, j), of the y basis's degree, interleaved into one element grid.
 
-    ``scheme`` is (rows_x, rows_y, BxT, By): the functionals of
-    ``_blocks``, which reads G from the node values V, the transposed x
-    bases stacked, rows (sx, kx), and the y bases.  Per block, the sums
-    run along x first, as one batched product into a buffer that every
-    block reuses, then along y, as one GEMM per macro row and y side
-    written straight into the element grid, so each cell associates its
-    sums as the per-macro operators do, in products whose shapes do not
-    depend on the block: it equals theirs bit for bit under the default,
-    Sandybridge, Haswell and Prescott OpenBLAS kernels, and at roundoff
-    only under Nehalem.  ``out``, if given, is the element grid to write,
-    such as a block of a larger grid; where its element-column and kx
-    axes do not merge, as in a transposed grid, each block is copied in.
+    ``scheme`` is (rows_x, rows_y, BxT, By): the functionals of a cell,
+    ``G[j, i, r, c]`` applying ``rows_x[r]`` along x and ``rows_y[c]`` along
+    y to the node values V, order (p, q) scaled by hx**p * hy**q; the x
+    bases transposed and stacked, rows (sx, kx); the y bases.  ValueError
+    first on node values that are not finite.  Per block of macro rows
+    within ``norms._BLOCK_VALUES``, in reused buffers, one batched product
+    sums along x, then one GEMM per macro row and y side along y, straight
+    into the element grid: ``out`` if given, such as a block of a larger
+    grid (a transposed one gets each block copied in).  No product's shape
+    depends on the block, and the sums associate as the per-macro
+    operators do: each cell is theirs bit for bit but under Nehalem (README).
     """
     rows_x, rows_y, BxT, By = scheme
+    _check_finite(V)
+    sx, sy = rows_x[-1][0], rows_y[-1][0]
+    hx, hy = _half_widths(grid_x, sx), _half_widths(grid_y, sy)
+    hx_pow, hy_pow = {p: hx**p for _, p in rows_x}, {q: hy**q for _, q in rows_y}
+    nx, ny, k = len(hx), len(hy), By[0].shape[1]
     if out is None:
-        ny, nx = (len(grid_y) - 1) // rows_y[-1][0], (len(grid_x) - 1) // rows_x[-1][0]
-        out = np.empty((len(By) * ny, nx * len(BxT) // 3, 3, 3))
-    for j0, G, W in _blocks(V, grid_x, grid_y, rows_x, rows_y, len(BxT) * len(rows_y)):
-        a = np.matmul(BxT, G, out=W.reshape(*G.shape[:2], len(BxT), len(rows_y))).reshape(len(G), -1, len(rows_y))  # macro row j: rows (i, sx, kx)
+        out = np.empty((len(By) * ny, nx * len(BxT) // k, k, k))
+    rows = max(1, min(ny, _BLOCK_VALUES // (nx * len(BxT) * len(rows_y))))
+    buffer, work = np.empty((rows, nx, len(rows_x), len(rows_y))), np.empty((rows, nx, len(BxT), len(rows_y)))
+    for j0 in range(0, ny, rows):
+        G = buffer[: min(rows, ny - j0)]
+        for r, (ox, px) in enumerate(rows_x):
+            for c, (oy, py) in enumerate(rows_y):
+                v = V[px, py].T[oy + sy * j0 : oy + sy * (j0 + len(G)) : sy, ox : ox + sx * nx : sx]  # rows along y
+                np.multiply(hx_pow[px][None, :] * hy_pow[py][j0 : j0 + len(G), None], v, out=G[:, :, r, c])
+        a = np.matmul(BxT, G, out=work[: len(G)]).reshape(len(G), -1, len(rows_y))  # macro row j: rows (i, sx, kx)
         block = out[len(By) * j0 : len(By) * (j0 + len(G))]
-        rows = block.reshape(len(G), len(By), a.shape[1], 3)  # element row 2j + sy: rows (i, sx, kx)
-        for sy, B in enumerate(By):
-            np.matmul(a, B, out=rows[:, sy])
-        if not np.may_share_memory(rows, block):
-            block[...] = rows.reshape(block.shape)
+        cells = block.reshape(len(G), len(By), a.shape[1], k)  # element row len(By) * j + side: rows (i, sx, kx)
+        for side, B in enumerate(By):
+            np.matmul(a, B, out=cells[:, side])
+        if not np.may_share_memory(cells, block):
+            block[...] = cells.reshape(block.shape)
     return out
 
 
@@ -431,13 +424,8 @@ def interp_reduced(field, mesh: MacroMesh) -> PiecewisePoly2D:
 
 def interp_bfs_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
     gx, gy = np.asarray(grid_x, dtype=float), np.asarray(grid_y, dtype=float)
-    V = _node_values(field, gx, gy, _C1)
-    coef = np.empty((len(gy) - 1, len(gx) - 1, 4, 4))
-    for j0, G, W in _blocks(V, gx, gy, _HERMITE, _HERMITE, 16):
-        F = np.matmul(HERMITE_DD_MATRIX, G, out=W.reshape(G.shape))  # the chain alternates between the two buffers
-        np.matmul(_BFSN.T, np.matmul(F, HERMITE_DD_MATRIX.T, out=G), out=F)
-        np.matmul(F, _BFSN, out=coef[j0 : j0 + len(G)])
-    return PiecewisePoly2D(gx, gy, coef)
+    V = _node_values(field, gx, gy, _BFS)
+    return PiecewisePoly2D(gx, gy, _assemble(V, gx, gy, _BFS))
 
 
 def nodal_q2_mesh(field, grid_x, grid_y) -> PiecewisePoly2D:
@@ -458,7 +446,7 @@ def interp_aniso_mesh(field, lagrange_grid, spline_grid, orientation: str = "y_s
         return PiecewisePoly2D(lag, _bisect(spl), _assemble(V, bx, spl, _ANISO))
     if orientation != "x_spline":
         raise ValueError("orientation must be 'y_spline' or 'x_spline'")
-    V = _node_values(field, spl, bx, (_HERMITE, _LAGRANGE)).transpose(1, 0, 3, 2)  # into the y-spline operator's axes
+    V = _x_spline_values(field, spl, bx)
     return PiecewisePoly2D(_bisect(spl), lag, _assemble(V, bx, spl, _ANISO).transpose(1, 0, 3, 2))
 
 
@@ -677,7 +665,7 @@ def build_composite(field, mesh: ShishkinMesh, sigma: SigmaSelection) -> Composi
     strips = ((False, core_x, band_y, slope_y, coef), (True, core_y, band_x, slope_x, coef.transpose(1, 0, 3, 2)))
     for x_spline, along, across, slopes, out in strips:
         for lines, elements, j, s in zip(across, (low, high), (-1, 0), slopes):
-            V = _node_values(u, lines, along, (_HERMITE, _LAGRANGE)).transpose(1, 0, 3, 2) if x_spline else _node_values(u, along, lines, _ANISO)
+            V = _x_spline_values(u, lines, along) if x_spline else _node_values(u, along, lines, _ANISO)
             V[0, 1, :, j] = s
             _assemble(V, along, lines, _ANISO, out[elements, inner])
 

@@ -304,7 +304,7 @@ def _trace_basis(interp, horizontal, nodes, alpha):
     return expand, _derivative_basis(nodes, k, alpha[0]).T, (2.0 / np.diff(across)) ** alpha[1], (2.0 / np.diff(along)) ** alpha[0]
 
 
-def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None, basis=None):
+def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None, basis=None, work=None):
     """``(lo, hi)``: D^alpha of ``interp`` at ``nodes`` along the element edges of grid lines ``start`` to ``stop`` of one orientation.
 
     Both are (lines, cells, p), all the lines by default: ``lo`` reads the
@@ -315,31 +315,41 @@ def _line_traces(interp, horizontal, nodes, alpha, start=0, stop=None, basis=Non
     with the derivative basis across at that end; the basis along the
     lines at ``nodes`` follows, and then the scale (2/w)^alpha of each
     cell.  ``basis`` is ``_trace_basis`` of the same arguments, built here
-    when None.  A line's normal derivative, alpha (0, 1), keeps its bits
-    whichever other lines are read with it (see the README on kernels).
+    when None, and ``work`` flat buffers of lo and hi, the cells' copy and
+    one end's contraction, made here when None.  A line's normal derivative,
+    alpha (0, 1), keeps its bits whichever lines are read with it (README).
     """
     gx, gy, coef = interp.grid_x, interp.grid_y, interp.coef
     ny, nx, kx, ky = coef.shape
     along, across, k = (gx, gy, kx) if horizontal else (gy, gx, ky)  # k coefficients along
     n, stop = len(across) - 1, len(across) if stop is None else stop  # n cells across the lines
     expand, tangent, across_scale, along_scale = _trace_basis(interp, horizontal, nodes, alpha) if basis is None else basis
-    lo, hi = np.empty((2, stop - start, len(along) - 1, len(nodes)))
+    traces, copy, ends = (None, None, None) if work is None else work
+    lo, hi = _view(traces, (2, stop - start, len(along) - 1, len(nodes)))
     a, b = max(start - 1, 0), min(stop, n)  # the cells across that the lines read
-    cells = (coef[a:b] if horizontal else coef[:, a:b]).reshape(-1, kx * ky)  # for vertical lines, a copy unless they read every cell
+    cells = coef[a:b] if horizontal else coef[:, a:b]  # for vertical lines, copied unless they read every cell
+    cells = (cells if cells.flags.c_contiguous else _view(copy, cells.shape, cells)).reshape(-1, kx * ky)
+    ends = _view(ends, (b - a, nx, k) if horizontal else (ny, b - a, k))  # [jy, ix, coefficient along], of one end at a time
     scale = across_scale[a:b, None, None] * along_scale[None, :, None]
     for end, out, shift in ((1, lo, 1), (0, hi, 0)):  # line j is the +1 end of cell j - 1 and the -1 end of cell j
-        ends = np.empty((b - a, nx, k) if horizontal else (ny, b - a, k))  # [jy, ix, coefficient along]
         np.matmul(cells, expand[end], out=ends.reshape(-1, k))
         c0, c1 = max(start - shift, 0), min(stop - shift, n)  # the cells this end reads
         rows = out[c0 + shift - start : c1 + shift - start]
         np.matmul(ends[c0 - a : c1 - a] if horizontal else ends[:, c0 - a : c1 - a].transpose(1, 0, 2), tangent, out=rows)
         rows *= scale[c0 - a : c1 - a]
-        del ends  # one end's contraction is held at a time
     if start == 0:
         lo[0] = hi[0]
     if stop == n + 1:
         hi[-1] = lo[-1]
     return lo, hi
+
+
+def _view(buffer, shape, values=None):
+    """A C-contiguous array of ``shape`` at the start of the flat ``buffer`` (a new one when it is None), holding ``values`` if given."""
+    view = np.empty(shape) if buffer is None else buffer[: math.prod(shape)].reshape(shape)
+    if values is not None:
+        view[...] = values
+    return view
 
 
 def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, alpha=(0, 0), side: str = "-") -> np.ndarray:
@@ -373,11 +383,12 @@ def edge_l2(field, interp, edges: EdgeSet, rule: QuadratureRule | None = None, a
 
 def _line_jumps(interp, horizontal, rule, out):
     """Into ``out[j - 1]``, per interior line j and cell of one orientation, the squared L2 norm of the normal-derivative jump on that edge, read from ``_line_traces`` in blocks of lines."""
-    lines = max(1, _BLOCK_VALUES // max(1, out.shape[1] * max(math.prod(interp.coef.shape[2:]), len(rule.nodes))))  # sized on a block's largest array: for vertical lines, the copy of its cells' coefficients
+    lines = max(1, min(len(out), _BLOCK_VALUES // max(1, out.shape[1] * max(math.prod(interp.coef.shape[2:]), len(rule.nodes)))))  # sized on a block's largest array: for vertical lines, the copy of its cells' coefficients
     half = 0.5 * np.diff(interp.grid_x if horizontal else interp.grid_y)
     basis = _trace_basis(interp, horizontal, rule.nodes, (0, 1))
+    work = [np.empty(size * out.shape[1]) for size in (2 * lines * len(rule.nodes), (lines + 1) * math.prod(interp.coef.shape[2:]), (lines + 1) * max(interp.coef.shape[2:]))]
     for j in range(1, len(out) + 1, lines):
-        jump, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1), j, min(j + lines, len(out) + 1), basis)
+        jump, hi = _line_traces(interp, horizontal, rule.nodes, (0, 1), j, min(j + lines, len(out) + 1), basis, work)
         jump -= hi
         jump *= jump
         out[j - 1 : j - 1 + len(jump)] = half * (jump @ rule.weights)

@@ -12,7 +12,9 @@ from macrospline.fields import (
 )
 from macrospline.interpolation import (
     _ANISO,
+    _BFS,
     _C1,
+    _CUBIC,
     _HB,
     _LG3,
     _NODAL,
@@ -20,6 +22,7 @@ from macrospline.interpolation import (
     _assemble,
     _derivative_basis,
     assemble_from_nodal_data,
+    build_composite,
     interp_aniso,
     interp_aniso_mesh,
     interp_bfs,
@@ -32,7 +35,8 @@ from macrospline.interpolation import (
     nodal_q2_mesh,
     quasi_interp,
 )
-from macrospline.mesh import build_macro_mesh, select_sigma
+from macrospline.mesh import build_macro_mesh, build_shishkin, select_sigma
+from macrospline.spline_core import HERMITE_DD_MATRIX
 
 REF = (-1.0, 1.0, -1.0, 1.0)
 
@@ -587,6 +591,25 @@ def test_x_spline_is_the_y_spline_of_the_swapped_field_transposed_bit_for_bit():
         assert x_spline.coef.tobytes() == np.ascontiguousarray(y_spline.coef.transpose(1, 0, 3, 2)).tobytes(), f.name
 
 
+def test_a_non_finite_spline_slope_is_named_in_the_real_axes():
+    # u_x NaN at the node (0.5, 0.5) is order (1, 0) for the x-spline operator,
+    # u_y there order (0, 1) for the y-spline one, although both assemble y-spline axes.
+    base, grid = make_smooth_field("sin_sin"), np.array([0.0, 0.5, 1.0])
+
+    def nan_slope(order, inside):
+        return ScalarField("nan_slope", lambda x, y, ax, ay: np.where(((ax, ay) == order) & inside(x, y), np.nan, base(x, y, ax, ay)))
+
+    for orientation, order in (("x_spline", (1, 0)), ("y_spline", (0, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"field derivative {order} is not finite at a node")):
+            interp_aniso_mesh(nan_slope(order, lambda x, y: (x == 0.5) & (y == 0.5)), grid, grid, orientation)
+    # the composite's x-strips: u_x NaN across the core rows is read by them alone
+    mesh = build_shishkin(1e-4, 8)
+    core = (mesh.grid_y[2], mesh.grid_y[6])
+    field = nan_slope((1, 0), lambda x, y: (core[0] < y) & (y < core[1]))
+    with pytest.raises(ValueError, match=re.escape("field derivative (1, 0) is not finite at a node")):
+        build_composite(field, mesh, select_sigma(mesh, "toward_corner"))
+
+
 def _c1_coef_by_cell(G):
     """The C1 assembly as four batched two-matmul products with strided stores."""
     coef = np.empty((2 * G.shape[0], 2 * G.shape[1], 3, 3))
@@ -634,6 +657,26 @@ def test_fixed_matrix_assembly_matches_the_two_matmul_form(shape):
         coef, by_cell = _assemble(V, gx, gy, scheme), per_cell(_cell_data(V, gx, gy, *scheme[:2]))
         assert coef.shape == by_cell.shape
         assert np.array_equal(coef, by_cell)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 48)])
+def test_bicubic_assembly_matches_the_two_matmul_form(shape):
+    # One cell per macro: the per-element _CUBIC.T @ G @ _CUBIC, bit for bit.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    V, gx, gy = _random_node_values(rng, shape, *_BFS[:2])
+    assert np.array_equal(_assemble(V, gx, gy, _BFS), _CUBIC.T @ _cell_data(V, gx, gy, *_BFS[:2]) @ _CUBIC)
+
+
+def test_cubic_hermite_basis_is_the_newton_basis_behind_the_divided_differences():
+    # Newton basis 1, (x+1), (x+1)^2, (x+1)^2(x-1) of the nodes -1, -1, 1, 1, rows
+    # by basis function; every entry of both tables is dyadic, so the product is exact.
+    newton = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1.0, 2.0, 1.0, 0.0], [-1.0, -1.0, 1.0, 1.0]])
+    assert np.array_equal(_CUBIC, HERMITE_DD_MATRIX.T @ newton)
+    # the Hermite rows: value and slope at -1, then at 1
+    t = np.array([-1.0, 1.0])
+    values, slopes = _derivative_basis(t, 4, 0) @ _CUBIC.T, _derivative_basis(t, 4, 1) @ _CUBIC.T
+    assert np.array_equal(values, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(slopes, [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 48)])

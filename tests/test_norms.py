@@ -465,9 +465,9 @@ def test_jump_sums_do_not_depend_on_the_block_of_lines(monkeypatch):
     # swapped orientation or a transposed slot view does not fit its slots
     heights = []
 
-    def spy(interp, horizontal, nodes, alpha, start=0, stop=None, basis=None):
+    def spy(interp, horizontal, nodes, alpha, start=0, stop=None, basis=None, work=None):
         heights.append((horizontal, None if stop is None else stop - start))
-        return line_traces(interp, horizontal, nodes, alpha, start, stop, basis)
+        return line_traces(interp, horizontal, nodes, alpha, start, stop, basis, work)
 
     line_traces = norms._line_traces
     monkeypatch.setattr(norms, "_line_traces", spy)
